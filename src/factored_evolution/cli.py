@@ -541,14 +541,14 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
     # Low-order rule on purpose: errors must sit far above roundoff for the
     # ratio to be meaningful.
     coarse = QuadratureRule("gauss-legendre", panels=2, nodes_per_panel=2)
+    zero_ic = eq.with_zero_initial_data()
     reference = solve_inhomogeneous_zero_ic(
-        eq.with_zero_initial_data(), t_grid, QuadratureRule("gauss-legendre", 64, 8),
-        richardson_tol=float("inf"),
+        zero_ic, t_grid, QuadratureRule("gauss-legendre", 64, 8), richardson_tol=float("inf")
     ).values
     errs = []
     for rule in (coarse, coarse.refined(2)):
         vals = solve_inhomogeneous_zero_ic(
-            eq.with_zero_initial_data(), t_grid, rule, richardson_tol=float("inf")
+            zero_ic, t_grid, rule, richardson_tol=float("inf")
         ).values
         errs.append(float(np.max(np.abs(vals - reference))))
     scale = max(float(np.max(np.abs(reference))), 1e-30)

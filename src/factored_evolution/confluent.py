@@ -14,16 +14,20 @@ y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 Scalars reduce this to the classical confluent Vandermonde matrix of the
 modal values with the given multiplicities, which is how the spectral and
 periodic-translation backends solve it: one small scalar system per mode.
-Dense backends assemble the full ``(n d) x (n d)`` matrix once and LU-solve
-it.  A single repeated factor needs no inversion at all, the matrix is unit
+Dense backends assemble the full ``(n d) x (n d)`` matrix and LU-factor it.
+A single repeated factor needs no inversion at all, the matrix is unit
 lower triangular and forward substitution with operator applications does
-the job for every backend.
+the job for every backend.  Each ``BlockOperatorMatrix`` builds this
+factorization once, on first use, and both the coefficients ``y`` and the
+forcing weights ``z`` are solved through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +104,36 @@ class BlockOperatorMatrix:
             offs.append(acc)
             acc += mult
         return offs
+
+    @cached_property
+    def _factorization(self):
+        """Factorization of ``M`` shared by every solve, built on first use.
+
+        ``None`` for a single group (``M`` is unit lower triangular), the
+        pivoted LU of the assembled matrix for dense groups, and the
+        :class:`_ModeSystems` of the spectral and periodic-translation
+        backends.
+        """
+        if len(self.grouped) == 1:
+            return None
+        if self.family == "dense":
+            try:
+                return lu_factor_checked(_assemble_dense(self))
+            except SingularMatrixError as exc:
+                labels = [op.label for op, _ in self.grouped]
+                raise SingularSystemError(
+                    f"assembled coefficient matrix for groups {labels} is singular "
+                    f"({exc}); some pair of declared-distinct factors may coincide"
+                ) from exc
+        if self.family == "translation":
+            _translation_guard(self)
+        elif self.family != "spectral":  # pragma: no cover - families are closed
+            raise UnsupportedOperationError(f"unknown backend family {self.family!r}")
+        nodes = _group_mode_nodes(self)
+        v = _mode_matrices(nodes, [mult for _, mult in self.grouped])
+        mask, pairs = _coincident_modes(self, nodes)
+        v[mask] = np.eye(v.shape[1], dtype=v.dtype)
+        return _ModeSystems(v, mask, pairs)
 
     def _locate(self, c: int) -> tuple[Operator, int]:
         acc = 0
@@ -210,6 +244,19 @@ def _mode_matrices(node_rows: np.ndarray, multiplicities) -> np.ndarray:
     return v
 
 
+class _ModeSystems(NamedTuple):
+    """Per-mode scalar matrices of ``M``, shape ``(d, n, n)``.
+
+    ``mask`` marks the modes where distinct groups coincide; their matrices
+    are set to the identity.  ``pairs`` names the coinciding labels and is
+    empty when no mode coincides.
+    """
+
+    matrices: np.ndarray
+    mask: np.ndarray
+    pairs: list
+
+
 def _group_mode_nodes(matrix: BlockOperatorMatrix) -> np.ndarray:
     rows = []
     for op, _ in matrix.grouped:
@@ -247,29 +294,29 @@ def _coincidence_message(pairs) -> str:
     return "; ".join(bits)
 
 
-def _solve_modes(matrix: BlockOperatorMatrix, rhs_modal: np.ndarray) -> np.ndarray:
-    """Solve the per-mode scalar systems; ``rhs_modal`` has shape (n, d).
+def _check_dead_modes(modes: _ModeSystems, modal: np.ndarray) -> None:
+    """Reject a modal right-hand side (modes on the last axis) that excites a
+    coincident mode."""
+    tol = DEAD_MODE_RTOL * max(1.0, float(np.max(np.abs(modal))))
+    if np.any(np.abs(modal[..., modes.mask]) > tol):
+        raise SingularSystemError(
+            "declared-distinct factors act identically on excited modes: "
+            + _coincidence_message(modes.pairs)
+        )
 
-    Modes where distinct groups coincide violate the injectivity hypothesis
-    there; they are tolerated only if the right-hand side carries nothing on
-    them (the solution component is then 0), otherwise the solve fails loudly.
+
+def _mode_solve(modes: _ModeSystems, modal: np.ndarray) -> np.ndarray:
+    """Solve the per-mode systems for an ``(n, d)`` modal right-hand side.
+
+    The solution is 0 on coincident modes, which the right-hand side must
+    leave unexcited.
     """
-    nodes = _group_mode_nodes(matrix)
-    mults = [mult for _, mult in matrix.grouped]
-    v = _mode_matrices(nodes, mults)
-    rhs = np.array(rhs_modal.T, dtype=np.result_type(v, rhs_modal))  # (d, n)
-    mask, pairs = _coincident_modes(matrix, nodes)
-    if np.any(mask):
-        tol = DEAD_MODE_RTOL * max(1.0, float(np.max(np.abs(rhs))))
-        if np.any(np.abs(rhs[mask]) > tol):
-            raise SingularSystemError(
-                "declared-distinct factors act identically on excited modes: "
-                + _coincidence_message(pairs)
-            )
-        v[mask] = np.eye(v.shape[1], dtype=v.dtype)
-        rhs[mask] = 0.0
+    if modes.pairs:
+        _check_dead_modes(modes, modal)
+    rhs = np.array(modal.T, dtype=np.result_type(modes.matrices, modal))  # (d, n)
+    rhs[modes.mask] = 0.0
     try:
-        sol = np.linalg.solve(v, rhs[..., None])[..., 0]
+        sol = np.linalg.solve(modes.matrices, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
     return sol.T  # (n, d)
@@ -319,6 +366,21 @@ def _translation_guard(matrix: BlockOperatorMatrix) -> None:
             )
 
 
+def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve ``M y = rhs`` for an ``(n, d)`` stack through the shared factorization."""
+    factors = matrix._factorization
+    if factors is None:
+        return _forward_substitution(matrix, rhs)
+    if matrix.family == "dense":
+        stacked = rhs.reshape(-1).astype(np.result_type(factors[0], rhs), copy=False)
+        return list(lu_apply(factors, stacked).reshape(rhs.shape))
+    if matrix.family == "spectral":
+        return list(_mode_solve(factors, rhs))
+    sol = _mode_solve(factors, np.fft.fft(rhs, axis=1))
+    real = all(op._real_action for op, _ in matrix.grouped) and not np.iscomplexobj(rhs)
+    return [np.fft.ifft(row).real if real else np.fft.ifft(row) for row in sol]
+
+
 def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors) -> float:
     applied = matrix.apply(ys)
     scale = 1.0 + max(inf_norm(x) for x in rhs_vectors)
@@ -343,36 +405,8 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
     n = matrix.n
     if len(x) != n:
         raise DimensionMismatchError(f"expected {n} right-hand-side vectors, got {len(x)}")
-    xs = [as_state_vector(xi, matrix.dim) for xi in x]
-
-    if len(matrix.grouped) == 1:
-        ys = _forward_substitution(matrix, xs)
-    elif matrix.family == "dense":
-        big = _assemble_dense(matrix)
-        stacked = np.concatenate([np.asarray(v, dtype=np.result_type(big, v)) for v in xs])
-        try:
-            sol = lu_apply(lu_factor_checked(big), stacked)
-        except SingularMatrixError as exc:
-            labels = [op.label for op, _ in matrix.grouped]
-            raise SingularSystemError(
-                f"assembled coefficient matrix for groups {labels} is singular "
-                f"({exc}); some pair of declared-distinct factors may coincide"
-            ) from exc
-        d = matrix.dim
-        ys = [sol[r * d : (r + 1) * d] for r in range(n)]
-    elif matrix.family == "spectral":
-        ys = list(_solve_modes(matrix, np.stack(xs)))
-    elif matrix.family == "translation":
-        _translation_guard(matrix)
-        rhs_modal = np.fft.fft(np.stack(xs), axis=1)
-        sol = _solve_modes(matrix, rhs_modal)
-        real_ok = all(op._real_action for op, _ in matrix.grouped) and not any(
-            np.iscomplexobj(v) for v in xs
-        )
-        ys = [np.fft.ifft(row).real if real_ok else np.fft.ifft(row) for row in sol]
-    else:  # pragma: no cover - families are closed
-        raise UnsupportedOperationError(f"unknown backend family {matrix.family!r}")
-
+    xs = np.stack([as_state_vector(xi, matrix.dim) for xi in x])
+    ys = _solve(matrix, xs)
     _residual_gate(matrix, ys, xs)
     return ys
 
@@ -383,17 +417,28 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
 
 
 class ZCoefficients:
-    """Forcing-weight recipes: the solution of ``M z = (0, ..., 0, I)``.
+    """Forcing weights: the solution ``z`` of ``M z = (0, ..., 0, I)``.
 
-    Entries are operator recipes, not vectors.  ``apply_all(g)`` evaluates
-    every ``z_k g`` in one pass (one factorized solve, or one transform for
-    the per-mode backends); indexing returns a single-entry recipe that
-    internally still evaluates the full pass, so prefer ``apply_all`` in
-    loops.
+    ``apply_all(g)`` returns ``z_0 g, ..., z_{n-1} g`` through the same
+    factorization of ``M`` that :func:`solve_coefficients` uses.  For a
+    single group that is exactly ``(0, ..., 0, g)``; for dense groups one
+    LU back-substitution of ``(0, ..., 0, g)``; for the spectral and
+    periodic-translation backends the per-mode multipliers
+    ``zeta = M^{-1} e_n``, computed once here, times the modes of ``g``.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
         self.matrix = matrix
+        factors = matrix._factorization
+        self._single = factors is None
+        self._modes = factors if isinstance(factors, _ModeSystems) else None
+        if self._modes is not None:
+            # coincident modes get a zero right-hand side, hence zero weights
+            e_n = np.zeros((matrix.n, matrix.dim))
+            e_n[-1] = ~self._modes.mask
+            self._zeta = _mode_solve(self._modes, e_n)
+            self._fft = matrix.family == "translation"
+            self._real = self._fft and all(op._real_action for op, _ in matrix.grouped)
 
     @property
     def n(self) -> int:
@@ -403,117 +448,43 @@ class ZCoefficients:
         return self.n
 
     def apply_all(self, g) -> list[np.ndarray]:
-        raise NotImplementedError
-
-    def __getitem__(self, k: int):
-        if not 0 <= k < self.n:
-            raise IndexError(f"coefficient index {k} out of range for order {self.n}")
-
-        def recipe(g):
-            return self.apply_all(g)[k]
-
-        return recipe
-
-
-class _ForwardSubstitutionZ(ZCoefficients):
-    def apply_all(self, g) -> list[np.ndarray]:
         g = as_state_vector(g, self.matrix.dim)
-        rhs = [np.zeros_like(g) for _ in range(self.n - 1)] + [g]
-        return _forward_substitution(self.matrix, rhs)
-
-
-class _DenseZ(ZCoefficients):
-    def __init__(self, matrix: BlockOperatorMatrix):
-        super().__init__(matrix)
-        try:
-            self._factors = lu_factor_checked(_assemble_dense(matrix))
-        except SingularMatrixError as exc:
-            labels = [op.label for op, _ in matrix.grouped]
-            raise SingularSystemError(
-                f"assembled coefficient matrix for groups {labels} is singular ({exc})"
-            ) from exc
-
-    def apply_all(self, g) -> list[np.ndarray]:
-        g = as_state_vector(g, self.matrix.dim)
-        n, d = self.n, self.matrix.dim
-        rhs = np.zeros(n * d, dtype=np.result_type(self._factors[0], g))
-        rhs[-d:] = g
-        sol = lu_apply(self._factors, rhs)
-        return [sol[r * d : (r + 1) * d] for r in range(n)]
-
-
-class _PerModeZ(ZCoefficients):
-    def __init__(self, matrix: BlockOperatorMatrix):
-        super().__init__(matrix)
-        nodes = _group_mode_nodes(matrix)
-        mults = [mult for _, mult in matrix.grouped]
-        v = _mode_matrices(nodes, mults)
-        self._mask, self._pairs = _coincident_modes(matrix, nodes)
-        if np.any(self._mask):
-            v[self._mask] = np.eye(v.shape[1], dtype=v.dtype)
-        rhs = np.zeros((v.shape[0], self.n), dtype=v.dtype)
-        rhs[:, -1] = 1.0
-        try:
-            zeta = np.linalg.solve(v, rhs[..., None])[..., 0].T  # (n, d)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"per-mode forcing-weight solve failed: {exc}") from exc
-        zeta[:, self._mask] = 0.0
-        self._zeta = zeta
-        self._translation = matrix.family == "translation"
-        if self._translation:
-            self._real_ok = all(op._real_action for op, _ in matrix.grouped)
-
-    def _check_dead_modes(self, g_modal: np.ndarray) -> None:
-        if not np.any(self._mask):
-            return
-        tol = DEAD_MODE_RTOL * max(1.0, float(np.max(np.abs(g_modal))))
-        if np.any(np.abs(g_modal[self._mask]) > tol):
-            raise SingularSystemError(
-                "forcing excites modes where declared-distinct factors act "
-                "identically: " + _coincidence_message(self._pairs)
-            )
-
-    def apply_all(self, g) -> list[np.ndarray]:
-        g = as_state_vector(g, self.matrix.dim)
-        if self._translation:
-            g_modal = np.fft.fft(g)
-            self._check_dead_modes(g_modal)
-            w = self._zeta * g_modal[None, :]
-            real_out = self._real_ok and not np.iscomplexobj(g)
-            return [np.fft.ifft(row).real if real_out else np.fft.ifft(row) for row in w]
-        self._check_dead_modes(g)
-        return list(self._zeta * g[None, :])
+        if self._modes is None:
+            rhs = np.zeros((self.n, g.shape[0]), dtype=g.dtype)
+            rhs[-1] = g
+            return list(rhs) if self._single else _solve(self.matrix, rhs)
+        modal = np.fft.fft(g) if self._fft else g
+        if self._modes.pairs:
+            _check_dead_modes(self._modes, modal)
+        w = self._zeta * modal
+        if not self._fft:
+            return list(w)
+        real = self._real and not np.iscomplexobj(g)
+        return [np.fft.ifft(row).real if real else np.fft.ifft(row) for row in w]
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
-    """Solve ``M z = (0, ..., 0, I)`` and return the lazy forcing weights.
+    """Solve ``M z = (0, ..., 0, I)`` and return the forcing weights.
 
-    The returned recipes are validated once against a random probe through
-    the residual gate (applying ``M`` via operator actions must reproduce
-    the probe in the last row and zeros above).
+    The weights share the factorization of ``M`` with
+    :func:`solve_coefficients` on the same matrix, so a solve that needs
+    both ``y`` and ``z`` factorizes ``M`` once.  They are validated once
+    against a random probe through the residual gate (applying ``M`` via
+    operator actions must reproduce the probe in the last row and zeros
+    above); the probe leaves coincident modes unexcited.
     """
-    if len(matrix.grouped) == 1:
-        z: ZCoefficients = _ForwardSubstitutionZ(matrix)
-    elif matrix.family == "dense":
-        z = _DenseZ(matrix)
-    elif matrix.family == "spectral":
-        z = _PerModeZ(matrix)
-    elif matrix.family == "translation":
-        _translation_guard(matrix)
-        z = _PerModeZ(matrix)
-    else:  # pragma: no cover
-        raise UnsupportedOperationError(f"unknown backend family {matrix.family!r}")
-
+    z = ZCoefficients(matrix)
     probe = np.random.default_rng(_PROBE_SEED).standard_normal(matrix.dim)
-    if isinstance(z, _PerModeZ) and np.any(z._mask):
-        if z._translation:
+    modes = matrix._factorization
+    if isinstance(modes, _ModeSystems) and modes.pairs:
+        if matrix.family == "translation":
             p_modal = np.fft.fft(probe)
-            p_modal[z._mask] = 0.0
+            p_modal[modes.mask] = 0.0
             probe = np.fft.ifft(p_modal).real
         else:
-            probe = probe.copy()
-            probe[z._mask] = 0.0
-    rhs = [np.zeros_like(probe) for _ in range(matrix.n - 1)] + [probe]
+            probe[modes.mask] = 0.0
+    rhs = np.zeros((matrix.n, matrix.dim))
+    rhs[-1] = probe
     _residual_gate(matrix, z.apply_all(probe), rhs)
     return z
 

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .operators import Operator, commutation_defect
-from .statespace import as_state_vector, rk4_integrate
+from .statespace import _check_time_grid, as_state_vector, rk4_integrate
 from .trace import SolutionTrace
 
 # Numerical gate on pairwise commutation of factor operators.
@@ -59,16 +59,11 @@ class Forcing:
     """Right-hand side ``f(t)``, evaluated on demand.
 
     ``evaluator`` must return a state vector of the equation dimension for
-    every ``t`` in the solve window.  ``smoothness`` is a declaration, not a
-    checked property; the quadrature assumes at least piecewise smoothness.
+    every ``t`` in the solve window.  The quadrature assumes it is at least
+    piecewise smooth.
     """
 
     evaluator: Callable[[float], np.ndarray]
-    smoothness: str = "C1"
-
-    def __post_init__(self):
-        if self.smoothness not in ("C1", "piecewise-C1"):
-            raise ValueError(f"unknown smoothness declaration {self.smoothness!r}")
 
     def __call__(self, t: float) -> np.ndarray:
         return as_state_vector(self.evaluator(t))
@@ -335,11 +330,7 @@ def oracle_solve(
         raise UnsupportedOperationError(
             f"the companion oracle needs a dense or spectral backend, got {eq.family!r}"
         )
-    times = np.asarray(t_grid, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D sequence")
-    if times[0] < 0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
-        raise ValueError("t_grid must be non-negative and strictly increasing")
+    times = _check_time_grid(t_grid)
     system = build_companion(eq)
     field = system.vector_field()
     state = system.initial_state()
@@ -348,7 +339,7 @@ def oracle_solve(
         (op.matrix if op.family == "dense" else op.modal_values).dtype for op in eq.factors
     ]
     if eq.forcing is not None:
-        dtype_parts.append(eq.forcing(0.0).dtype)
+        dtype_parts.append(as_state_vector(eq.forcing(0.0), d).dtype)
     values = np.empty((times.size, d), dtype=np.result_type(*dtype_parts))
     t_prev = 0.0
     for i, t in enumerate(times):

@@ -42,7 +42,15 @@ from .errors import (
     SemigroupOverflowError,
     UnsupportedOperationError,
 )
-from .statespace import as_state_vector, check_finite, expm_apply, inf_norm, lu_solve
+from .statespace import (
+    _eigh_expm_apply,
+    _hermitian,
+    as_state_vector,
+    check_finite,
+    expm_apply,
+    inf_norm,
+    lu_solve,
+)
 
 # Relative gap under which a pair of modal values counts as coincident.
 COINCIDENCE_RTOL = 1e-12
@@ -92,11 +100,7 @@ class DenseMatrixOperator(Operator):
         self.matrix = np.array(matrix, dtype=dtype)
         check_finite(self.matrix, f"matrix of operator {label!r}")
         super().__init__(label, matrix.shape[0], "dense")
-        self._eig = None
-        scale = inf_norm(self.matrix)
-        if scale == 0.0 or inf_norm(self.matrix - self.matrix.conj().T) <= 1e-13 * scale:
-            w, q = scipy.linalg.eigh(self.matrix)
-            self._eig = (w, q)
+        self._eig = scipy.linalg.eigh(self.matrix) if _hermitian(self.matrix) else None
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ self._coerce(v)
@@ -106,17 +110,7 @@ class DenseMatrixOperator(Operator):
         if t == 0.0:
             return v.copy()
         if self._eig is not None:
-            w, q = self._eig
-            with np.errstate(over="ignore"):
-                grow = np.exp(w * t)
-            if not np.all(np.isfinite(grow)):
-                raise SemigroupOverflowError(
-                    f"semigroup of {self.label!r} overflows at t={t:.3g}"
-                )
-            out = q @ (grow * (q.conj().T @ v))
-            if not np.iscomplexobj(self.matrix) and not np.iscomplexobj(v):
-                out = out.real
-            return out
+            return _eigh_expm_apply(self._eig, t, v)
         return expm_apply(self.matrix, t, v)
 
     def signature(self) -> tuple:

@@ -39,7 +39,7 @@ from .confluent import BlockOperatorMatrix, build_confluent_matrix, solve_coeffi
 from .equation import FactoredEquation, oracle_solve
 from .errors import QuadratureUnderResolvedError
 from .operators import Operator, resolvent_solve
-from .statespace import QuadratureRule, as_state_vector, finite_difference_weights
+from .statespace import QuadratureRule, _check_time_grid, as_state_vector, finite_difference_weights
 from .trace import SolutionTrace
 
 # Richardson (panel-doubling) tolerances.
@@ -50,15 +50,6 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 def default_quadrature_rule() -> QuadratureRule:
     """Gauss-Legendre, 8 nodes per panel, 16 panels."""
     return QuadratureRule("gauss-legendre", panels=16, nodes_per_panel=8)
-
-
-def _check_time_grid(t_grid) -> np.ndarray:
-    times = np.asarray(t_grid, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D sequence")
-    if times[0] < 0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
-        raise ValueError("t_grid must be non-negative and strictly increasing")
-    return times
 
 
 def _polynomial_semigroup_sum(matrix: BlockOperatorMatrix, coeffs, t: float) -> np.ndarray:
@@ -77,20 +68,13 @@ def _polynomial_semigroup_sum(matrix: BlockOperatorMatrix, coeffs, t: float) -> 
 def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
     """Closed-form solution of the homogeneous problem on a time grid.
 
-    Requires ``eq.forcing is None``.  The trace diagnostics carry the
-    residual of the coefficient solve under ``coefficient_residual``.
+    Requires ``eq.forcing is None`` and is then exactly :func:`solve_full`.
+    The trace diagnostics carry the residual of the coefficient solve under
+    ``coefficient_residual``.
     """
     if eq.forcing is not None:
         raise ValueError("solve_homogeneous needs an equation without forcing")
-    times = _check_time_grid(t_grid)
-    matrix = build_confluent_matrix(eq.grouped)
-    ys = solve_coefficients(matrix, eq.initial_data)
-    residual = max(
-        float(np.max(np.abs(row - x)))
-        for row, x in zip(matrix.apply(ys), eq.initial_data)
-    )
-    rows = [_polynomial_semigroup_sum(matrix, ys, float(t)) for t in times]
-    return SolutionTrace(times, np.stack(rows), {"coefficient_residual": residual})
+    return solve_full(eq, t_grid)
 
 
 def _convolution_value(matrix, z, forcing, t: float, rule: QuadratureRule) -> np.ndarray | None:
@@ -112,25 +96,55 @@ def solve_inhomogeneous_zero_ic(
 ) -> SolutionTrace:
     """Convolution solution of the forced problem with zero initial data.
 
-    Every sample time gets a fresh composite rule over ``[0, t]`` (the
-    formula is evaluated literally, not as a running scheme).  The same
-    integrals are recomputed with doubled panels; if the two disagree
-    beyond ``richardson_tol`` (relative to the solution scale) the solve
-    raises :class:`QuadratureUnderResolvedError`.
-
-    Zero initial data is required; the forcing may or may not vanish at
-    ``t = 0`` (a nonzero ``f(0)`` is the interesting case for the weight
-    identities, but the formula itself does not need it).
+    Requires a forcing term and zero initial data, and is then exactly
+    :func:`solve_full`, whose homogeneous part solves to zero.  The forcing
+    may or may not vanish at ``t = 0`` (a nonzero ``f(0)`` is the
+    interesting case for the weight identities, but the formula itself does
+    not need it).
     """
     if eq.forcing is None:
         raise ValueError("solve_inhomogeneous_zero_ic needs a forcing term")
     if any(np.any(x != 0) for x in eq.initial_data):
         raise ValueError("solve_inhomogeneous_zero_ic needs zero initial data")
-    times = _check_time_grid(t_grid)
-    rule = rule or default_quadrature_rule()
-    matrix = build_confluent_matrix(eq.grouped)
-    z = solve_z_vector(matrix)
+    return solve_full(eq, t_grid, rule, richardson_tol)
 
+
+def solve_full(
+    eq: FactoredEquation,
+    t_grid,
+    rule: QuadratureRule | None = None,
+    richardson_tol: float = INHOMOGENEOUS_RICHARDSON_TOL,
+) -> SolutionTrace:
+    """General solution: homogeneous part plus zero-IC convolution part.
+
+    One confluent matrix ``M`` serves both parts and is factorized once:
+    the coefficients ``y`` solve ``M y = (x_0, ..., x_{n-1})`` and the
+    forcing weights ``z`` solve ``M z = (0, ..., 0, I)``.  The homogeneous
+    part sums ``(t^k/k!) e^{t B_j} y_{jk}``; the diagnostics carry the
+    residual of the ``y`` solve under ``coefficient_residual``.
+
+    With a forcing term the convolution part is added.  Every sample time
+    gets a fresh composite rule over ``[0, t]`` (the formula is evaluated
+    literally, not as a running scheme).  The same integrals are recomputed
+    with doubled panels; if the two disagree beyond ``richardson_tol``
+    (relative to the solution scale) the solve raises
+    :class:`QuadratureUnderResolvedError`.  The diagnostics then also carry
+    ``richardson_rel_dev`` and ``quadrature``.  The assembly is a plain sum,
+    so superposition holds to roundoff by construction.
+    """
+    times = _check_time_grid(t_grid)
+    matrix = build_confluent_matrix(eq.grouped)
+    ys = solve_coefficients(matrix, eq.initial_data)
+    residual = max(
+        float(np.max(np.abs(row - x)))
+        for row, x in zip(matrix.apply(ys), eq.initial_data)
+    )
+    values = np.stack([_polynomial_semigroup_sum(matrix, ys, float(t)) for t in times])
+    if eq.forcing is None:
+        return SolutionTrace(times, values, {"coefficient_residual": residual})
+
+    rule = rule or default_quadrature_rule()
+    z = solve_z_vector(matrix)
     fine_rule = rule.refined(2)
     zero = np.zeros(eq.dim)
     base_rows, fine_rows = [], []
@@ -154,32 +168,9 @@ def solve_inhomogeneous_zero_ic(
     diagnostics = {
         "richardson_rel_dev": dev,
         "quadrature": {"kind": rule.kind, "panels": rule.panels, "nodes_per_panel": rule.nodes_per_panel},
+        "coefficient_residual": residual,
     }
-    return SolutionTrace(times, base, diagnostics)
-
-
-def solve_full(
-    eq: FactoredEquation,
-    t_grid,
-    rule: QuadratureRule | None = None,
-    richardson_tol: float = INHOMOGENEOUS_RICHARDSON_TOL,
-) -> SolutionTrace:
-    """General solution: homogeneous part plus zero-IC convolution part.
-
-    With no forcing this is exactly :func:`solve_homogeneous`; with zero
-    initial data the homogeneous part solves to zero and the result equals
-    :func:`solve_inhomogeneous_zero_ic`.  The assembly is a plain sum, so
-    superposition holds to roundoff by construction.
-    """
-    homogeneous = solve_homogeneous(eq.without_forcing(), t_grid)
-    if eq.forcing is None:
-        return homogeneous
-    forced = solve_inhomogeneous_zero_ic(
-        eq.with_zero_initial_data(), t_grid, rule, richardson_tol
-    )
-    diagnostics = dict(forced.diagnostics)
-    diagnostics["coefficient_residual"] = homogeneous.diagnostics["coefficient_residual"]
-    return SolutionTrace(homogeneous.times, homogeneous.values + forced.values, diagnostics)
+    return SolutionTrace(times, values + base, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,17 @@ def as_state_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_time_grid(t_grid) -> np.ndarray:
+    """Sample times as a float array; must be non-empty, 1-D, non-negative
+    and strictly increasing."""
+    times = np.asarray(t_grid, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-D sequence")
+    if times[0] < 0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
+        raise ValueError("t_grid must be non-negative and strictly increasing")
+    return times
+
+
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise :class:`NonFiniteError` if ``arr`` has NaN/Inf entries."""
     if not np.all(np.isfinite(arr)):
@@ -138,6 +149,16 @@ def _hermitian(a: np.ndarray) -> bool:
     return inf_norm(a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
+def _eigh_expm_apply(eig, t: float, v: np.ndarray) -> np.ndarray:
+    """``e^{t a} v`` from the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``."""
+    w, q = eig
+    with np.errstate(over="ignore"):
+        grow = np.exp(w * t)
+    if not np.all(np.isfinite(grow)):
+        raise SemigroupOverflowError(f"exp({np.max(w) * t:.3e}) overflows float range")
+    return q @ (grow * (q.conj().T @ v))
+
+
 def expm_apply(a, t: float, v) -> np.ndarray:
     """Apply the matrix exponential: ``e^{t a} v``.
 
@@ -150,14 +171,7 @@ def expm_apply(a, t: float, v) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     v = as_state_vector(v, a.shape[0])
     if _hermitian(a):
-        w, q = scipy.linalg.eigh(a)
-        with np.errstate(over="ignore"):
-            grow = np.exp(w * t)
-        if not np.all(np.isfinite(grow)):
-            raise SemigroupOverflowError(f"exp({np.max(w) * t:.3e}) overflows float range")
-        out = q @ (grow * (q.conj().T @ v))
-        if not np.iscomplexobj(a) and not np.iscomplexobj(v):
-            out = out.real
+        out = _eigh_expm_apply(scipy.linalg.eigh(a), t, v)
     else:
         phi = scipy.linalg.expm(t * a)
         if not np.all(np.isfinite(phi)):

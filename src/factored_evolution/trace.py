@@ -13,10 +13,18 @@ class SolutionTrace:
     """Solution samples ``values[i] = u(times[i])`` plus run diagnostics.
 
     ``times`` must be strictly increasing.  ``diagnostics`` holds optional
-    per-run records under documented keys, e.g. ``coefficient_residual``
-    (residual of the coefficient solve), ``richardson_rel_dev`` (quadrature
-    doubling check), ``oracle_dev`` (per-sample deviation from the companion
-    oracle), ``quadrature`` (rule settings).
+    per-run records under documented keys:
+
+    - ``coefficient_residual``: residual of the coefficient solve; every
+      closed-form trace carries it, zero-initial-data ones included;
+    - ``richardson_rel_dev`` and ``quadrature``: the panel-doubling check and
+      the rule settings, on every forced closed-form trace;
+    - ``oracle_dev`` and ``oracle_rel_dev``: deviation from the companion
+      oracle, added by :func:`compare_with_oracle`;
+    - ``oracle_steps_per_unit``: step density, on oracle traces.
+
+    The PDE examples add their own closed-form checks, such as
+    ``closed_form_dev`` and ``boundary_max``.
     """
 
     times: np.ndarray

@@ -225,13 +225,6 @@ class TestZVector:
         assert max(np.max(np.abs(r)) for r in rows[:-1]) <= 1e-10
         assert np.max(np.abs(rows[-1] - g)) <= 1e-9
 
-    def test_indexing_returns_recipes(self):
-        z = solve_z_vector(build_confluent_matrix([(diag_op("a", [5.0]), 2)]))
-        g = np.array([7.0])
-        assert z[1](g)[0] == pytest.approx(7.0)
-        with pytest.raises(IndexError):
-            z[2]
-
     def test_singular_dense_z_raises(self):
         mat = np.diag([1.0, 2.0])
         m = build_confluent_matrix(

@@ -3,6 +3,7 @@ import pytest
 
 from factored_evolution import (
     DenseMatrixOperator,
+    DimensionMismatchError,
     FactoredEquation,
     Forcing,
     MixedBackendError,
@@ -13,10 +14,16 @@ from factored_evolution import (
     group_factors,
     initial_data_transform,
     oracle_solve,
+    solve_full,
 )
 from factored_evolution.statespace import finite_difference_weights
 
 from conftest import random_spectral_instance
+
+
+BOTH_SOLVERS = pytest.mark.parametrize(
+    "solve", [oracle_solve, solve_full], ids=["oracle_solve", "solve_full"]
+)
 
 
 def scalar_op(label, value):
@@ -224,10 +231,18 @@ class TestOracle:
         with pytest.raises(UnsupportedOperationError):
             oracle_solve(eq, np.array([1.0]))
 
-    def test_time_grid_validation(self):
+    @BOTH_SOLVERS
+    def test_time_grid_validation(self, solve):
         a = scalar_op("a", 0.0)
         eq = FactoredEquation((a,), (np.array([1.0]),))
-        with pytest.raises(ValueError):
-            oracle_solve(eq, np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            oracle_solve(eq, np.array([-1.0]))
+        for bad in ([1.0, 0.5], [-1.0], [], [[0.5, 1.0]]):
+            with pytest.raises(ValueError):
+                solve(eq, np.array(bad))
+
+    @BOTH_SOLVERS
+    def test_forcing_of_wrong_length_raises(self, solve):
+        # a length-1 forcing on a d=3 equation must not be broadcast
+        a = diag_op("a", [-1.0, -2.0, -3.0])
+        eq = FactoredEquation((a,), (np.zeros(3),), Forcing(lambda t: np.ones(1)))
+        with pytest.raises(DimensionMismatchError):
+            solve(eq, np.array([0.5]))

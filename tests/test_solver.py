@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from factored_evolution import (
+    DenseMatrixOperator,
     FactoredEquation,
     Forcing,
     NotInvertibleError,
@@ -18,7 +19,15 @@ from factored_evolution import (
     solve_inhomogeneous_zero_ic,
 )
 
-from conftest import max_rel_dev, random_commuting_instance, random_spectral_instance
+from factored_evolution import confluent
+
+from conftest import (
+    max_rel_dev,
+    random_commuting_instance,
+    random_dense_commuting_instance,
+    random_smooth_forcing,
+    random_spectral_instance,
+)
 
 
 def scalar_op(label, value):
@@ -233,6 +242,47 @@ class TestSolveFull:
         reference = oracle_solve(eq, t_grid)
         assert np.iscomplexobj(trace.values)
         assert max_rel_dev(trace.values, reference.values) <= 1e-6
+
+
+class TestFactorizeOnce:
+    """``y`` and ``z`` share one factorization, and no solve rebuilds the
+    equation (which would rerun the commutation gate)."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"lu": 0, "gate": 0}
+        lu = confluent.lu_factor_checked
+        gate = FactoredEquation._commutation_gate
+
+        def counting_lu(a):
+            calls["lu"] += 1
+            return lu(a)
+
+        def counting_gate(grouped):
+            calls["gate"] += 1
+            return gate(grouped)
+
+        monkeypatch.setattr(confluent, "lu_factor_checked", counting_lu)
+        monkeypatch.setattr(FactoredEquation, "_commutation_gate", staticmethod(counting_gate))
+        return calls
+
+    def _forced_dense(self):
+        rng = np.random.default_rng(28)
+        eq = random_dense_commuting_instance(rng, 3, 4, "all-distinct", random_smooth_forcing(rng, 4))
+        assert isinstance(eq.factors[0], DenseMatrixOperator) and len(eq.grouped) == 3
+        return eq
+
+    def test_forced_dense_solve_factors_once(self, monkeypatch):
+        eq = self._forced_dense()
+        calls = self._count(monkeypatch)
+        solve_full(eq, np.array([0.3, 0.8]))
+        assert calls == {"lu": 1, "gate": 0}
+
+    def test_derivative_defect_reruns_no_gate(self, monkeypatch):
+        eq = self._forced_dense()
+        calls = self._count(monkeypatch)
+        initial_derivative_defect(eq)
+        assert calls == {"lu": eq.n, "gate": 0}
 
 
 class TestLemma2:
