@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .confluent import RESIDUAL_RTOL
 from .equation import FactoredEquation, Forcing
 from .errors import (
     DuplicateLabelError,
@@ -55,7 +56,14 @@ from .trace import SolutionTrace
 ORACLE_REL_TOL = 1e-6
 LEMMA2_EQUALITY_TOL = 1e-7
 DERIVATIVE_FIDELITY_TOL = 1e-4
-COEFFICIENT_RESIDUAL_RTOL = 1e-9
+
+# Initial-data profiles and the numeric parameters each one reads.
+_PROFILE_PARAMS = {
+    "sin": ("amplitude", "frequency", "phase"),
+    "gaussian": ("amplitude", "center", "width"),
+    "polynomial": (),
+    "random-normal": ("scale",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +263,10 @@ class ProblemConfig:
             env = {"t": t, "i": idx}
             if x is not None:
                 env["x"] = x
-            value = np.asarray(evaluate(**env), dtype=np.float64)
+            try:
+                value = np.asarray(evaluate(**env), dtype=np.float64)
+            except (ArithmeticError, TypeError) as exc:
+                raise SchemaError(f"forcing: {self.forcing_expr!r} fails at t={t:.6g}: {exc}") from exc
             return np.broadcast_to(value, (dim,)).copy()
 
         return Forcing(evaluator)
@@ -295,11 +306,14 @@ def parse_config(text: str) -> ProblemConfig:
     boundary = "periodic"
     if family == "translation":
         grid_obj = _expect(backend, "grid", dict, "backend")
-        grid = UniformGrid(
-            float(_number(grid_obj, "x0", "backend.grid")),
-            float(_number(grid_obj, "dx", "backend.grid")),
-            int(_number(grid_obj, "n", "backend.grid")),
-        )
+        try:
+            grid = UniformGrid(
+                float(_number(grid_obj, "x0", "backend.grid")),
+                float(_number(grid_obj, "dx", "backend.grid")),
+                int(_number(grid_obj, "n", "backend.grid")),
+            )
+        except ValueError as exc:
+            raise SchemaError(f"backend.grid: {exc}") from exc
         boundary = _expect(backend, "boundary", str, "backend", required=False, default="periodic")
         if boundary not in ("periodic", "zero-extension"):
             raise SchemaError(f"backend.boundary: unknown boundary {boundary!r}")
@@ -367,8 +381,10 @@ def parse_config(text: str) -> ProblemConfig:
             _number_list(entry, path)
         elif isinstance(entry, dict):
             name = _expect(entry, "profile", str, path)
-            if name not in ("sin", "gaussian", "polynomial", "random-normal"):
+            if name not in _PROFILE_PARAMS:
                 raise UnknownProfileError(f"{path}: unknown profile {name!r}")
+            for key in _PROFILE_PARAMS[name]:
+                _number(entry, key, path, required=False)
             if name == "polynomial":
                 _number_list(_expect(entry, "coeffs", list, path), f"{path}.coeffs")
         else:
@@ -571,7 +587,7 @@ def run_verify(config: ProblemConfig, seed: int) -> VerificationReport:
         trace = solve_full(eq, t_grid, config.rule)
         residual = trace.diagnostics.get("coefficient_residual", 0.0)
         scale = 1.0 + max(float(np.max(np.abs(x))) for x in eq.initial_data)
-        report.add("coefficient-residual", COEFFICIENT_RESIDUAL_RTOL * scale, residual)
+        report.add("coefficient-residual", RESIDUAL_RTOL * scale, residual)
 
         defect = initial_derivative_defect(eq, config.rule)
         report.add("initial-derivative-fidelity", DERIVATIVE_FIDELITY_TOL, defect)

@@ -12,8 +12,11 @@ r-th derivative at ``t = 0`` of the ansatz ``sum_j sum_k (t^k/k!) e^{t B_j}
 y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 
 Scalars reduce this to the classical confluent Vandermonde matrix of the
-modal values with the given multiplicities, which is how the spectral and
-periodic-translation backends solve it: one small scalar system per mode.
+modal values with the given multiplicities.  Groups that share a mode basis
+(``Operator.mode_basis``: the spectral and periodic-translation backends)
+solve it that way, one small scalar system per mode, and take one path:
+transform into modes, solve, transform back.  A mode where two groups
+coincide is allowed as long as the right-hand side leaves it unexcited.
 Dense backends assemble the full ``(n d) x (n d)`` matrix and LU-factor it.
 A single repeated factor needs no inversion at all, the matrix is unit
 lower triangular and forward substitution with operator applications does
@@ -37,7 +40,7 @@ from .errors import (
     SingularSystemError,
     UnsupportedOperationError,
 )
-from .operators import COINCIDENCE_RTOL, Operator
+from .operators import ModeBasis, Operator, coincident_modes, excites, shared_mode_basis
 from .statespace import as_state_vector, inf_norm, lu_apply, lu_factor_checked
 
 # Desk-scale cap: binomials stay comfortably in exact integer range and the
@@ -46,10 +49,6 @@ MAX_ORDER = 30
 
 # Residual gate applied to every coefficient solve.
 RESIDUAL_RTOL = 1e-9
-
-# A right-hand-side mode this small (relatively) counts as absent when the
-# per-mode matrix is singular there.
-DEAD_MODE_RTOL = 1e-11
 
 _PROBE_SEED = 911003
 
@@ -110,30 +109,31 @@ class BlockOperatorMatrix:
         """Factorization of ``M`` shared by every solve, built on first use.
 
         ``None`` for a single group (``M`` is unit lower triangular), the
-        pivoted LU of the assembled matrix for dense groups, and the
-        :class:`_ModeSystems` of the spectral and periodic-translation
-        backends.
+        :class:`_ModeSystems` of groups that share a mode basis, and the
+        pivoted LU of the assembled matrix for dense groups.
         """
         if len(self.grouped) == 1:
             return None
-        if self.family == "dense":
-            try:
-                return lu_factor_checked(_assemble_dense(self))
-            except SingularMatrixError as exc:
-                labels = [op.label for op, _ in self.grouped]
-                raise SingularSystemError(
-                    f"assembled coefficient matrix for groups {labels} is singular "
-                    f"({exc}); some pair of declared-distinct factors may coincide"
-                ) from exc
-        if self.family == "translation":
-            _translation_guard(self)
-        elif self.family != "spectral":  # pragma: no cover - families are closed
-            raise UnsupportedOperationError(f"unknown backend family {self.family!r}")
-        nodes = _group_mode_nodes(self)
-        v = _mode_matrices(nodes, [mult for _, mult in self.grouped])
-        mask, pairs = _coincident_modes(self, nodes)
-        v[mask] = np.eye(v.shape[1], dtype=v.dtype)
-        return _ModeSystems(v, mask, pairs)
+        basis = shared_mode_basis(op for op, _ in self.grouped)
+        if basis is not None:
+            nodes = np.stack([op.modal_values for op, _ in self.grouped])
+            v = _mode_matrices(nodes, [mult for _, mult in self.grouped])
+            mask, pairs = _coincident_modes(self, nodes)
+            v[mask] = np.eye(v.shape[1], dtype=v.dtype)
+            return _ModeSystems(v, mask, pairs, basis)
+        if self.family != "dense":
+            raise UnsupportedOperationError(
+                f"coefficient solves with several distinct {self.family} factors "
+                "need a mode basis, which only the periodic boundary provides"
+            )
+        try:
+            return lu_factor_checked(_assemble_dense(self))
+        except SingularMatrixError as exc:
+            labels = [op.label for op, _ in self.grouped]
+            raise SingularSystemError(
+                f"assembled coefficient matrix for groups {labels} is singular "
+                f"({exc}); some pair of declared-distinct factors may coincide"
+            ) from exc
 
     def _locate(self, c: int) -> tuple[Operator, int]:
         acc = 0
@@ -245,7 +245,7 @@ def _mode_matrices(node_rows: np.ndarray, multiplicities) -> np.ndarray:
 
 
 class _ModeSystems(NamedTuple):
-    """Per-mode scalar matrices of ``M``, shape ``(d, n, n)``.
+    """Per-mode scalar matrices of ``M``, shape ``(d, n, n)``, in ``basis``.
 
     ``mask`` marks the modes where distinct groups coincide; their matrices
     are set to the identity.  ``pairs`` names the coinciding labels and is
@@ -255,28 +255,17 @@ class _ModeSystems(NamedTuple):
     matrices: np.ndarray
     mask: np.ndarray
     pairs: list
-
-
-def _group_mode_nodes(matrix: BlockOperatorMatrix) -> np.ndarray:
-    rows = []
-    for op, _ in matrix.grouped:
-        if matrix.family == "spectral":
-            rows.append(op.modal_values)
-        else:
-            rows.append(op.node_multipliers())
-    dtype = np.complex128 if any(np.iscomplexobj(r) for r in rows) else np.float64
-    return np.stack([np.asarray(r, dtype=dtype) for r in rows])
+    basis: ModeBasis
 
 
 def _coincident_modes(matrix: BlockOperatorMatrix, nodes: np.ndarray):
-    """Modes where distinct-labeled groups carry (numerically) equal nodes."""
+    """Modes where distinct-labeled groups carry coincident modal values."""
     g, d = nodes.shape
     mask = np.zeros(d, dtype=bool)
     pairs = []
-    scale = np.maximum(1.0, np.max(np.abs(nodes), axis=0))
     for j in range(g):
         for l in range(j + 1, g):
-            close = np.abs(nodes[j] - nodes[l]) <= COINCIDENCE_RTOL * scale
+            close = coincident_modes(nodes[j], nodes[l])
             if np.any(close):
                 mask |= close
                 pairs.append(
@@ -297,8 +286,7 @@ def _coincidence_message(pairs) -> str:
 def _check_dead_modes(modes: _ModeSystems, modal: np.ndarray) -> None:
     """Reject a modal right-hand side (modes on the last axis) that excites a
     coincident mode."""
-    tol = DEAD_MODE_RTOL * max(1.0, float(np.max(np.abs(modal))))
-    if np.any(np.abs(modal[..., modes.mask]) > tol):
+    if excites(modal, modes.mask):
         raise SingularSystemError(
             "declared-distinct factors act identically on excited modes: "
             + _coincidence_message(modes.pairs)
@@ -357,28 +345,16 @@ def _forward_substitution(matrix: BlockOperatorMatrix, rhs_vectors) -> list[np.n
     return ys
 
 
-def _translation_guard(matrix: BlockOperatorMatrix) -> None:
-    for op, _ in matrix.grouped:
-        if op.boundary != "periodic":
-            raise UnsupportedOperationError(
-                "coefficient solves with several distinct translation factors "
-                "need the periodic boundary"
-            )
-
-
 def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
     """Solve ``M y = rhs`` for an ``(n, d)`` stack through the shared factorization."""
     factors = matrix._factorization
     if factors is None:
         return _forward_substitution(matrix, rhs)
-    if matrix.family == "dense":
-        stacked = rhs.reshape(-1).astype(np.result_type(factors[0], rhs), copy=False)
-        return list(lu_apply(factors, stacked).reshape(rhs.shape))
-    if matrix.family == "spectral":
-        return list(_mode_solve(factors, rhs))
-    sol = _mode_solve(factors, np.fft.fft(rhs, axis=1))
-    real = all(op._real_action for op, _ in matrix.grouped) and not np.iscomplexobj(rhs)
-    return [np.fft.ifft(row).real if real else np.fft.ifft(row) for row in sol]
+    if isinstance(factors, _ModeSystems):
+        sol = _mode_solve(factors, factors.basis.to_modes(rhs))
+        return list(factors.basis.from_modes(sol, rhs))
+    stacked = rhs.reshape(-1).astype(np.result_type(factors[0], rhs), copy=False)
+    return list(lu_apply(factors, stacked).reshape(rhs.shape))
 
 
 def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors) -> float:
@@ -422,9 +398,9 @@ class ZCoefficients:
     ``apply_all(g)`` returns ``z_0 g, ..., z_{n-1} g`` through the same
     factorization of ``M`` that :func:`solve_coefficients` uses.  For a
     single group that is exactly ``(0, ..., 0, g)``; for dense groups one
-    LU back-substitution of ``(0, ..., 0, g)``; for the spectral and
-    periodic-translation backends the per-mode multipliers
-    ``zeta = M^{-1} e_n``, computed once here, times the modes of ``g``.
+    LU back-substitution of ``(0, ..., 0, g)``; for groups with a mode
+    basis the per-mode multipliers ``zeta = M^{-1} e_n``, computed once
+    here, times the modes of ``g``.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
@@ -437,30 +413,18 @@ class ZCoefficients:
             e_n = np.zeros((matrix.n, matrix.dim))
             e_n[-1] = ~self._modes.mask
             self._zeta = _mode_solve(self._modes, e_n)
-            self._fft = matrix.family == "translation"
-            self._real = self._fft and all(op._real_action for op, _ in matrix.grouped)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def __len__(self) -> int:
-        return self.n
 
     def apply_all(self, g) -> list[np.ndarray]:
         g = as_state_vector(g, self.matrix.dim)
         if self._modes is None:
-            rhs = np.zeros((self.n, g.shape[0]), dtype=g.dtype)
+            rhs = np.zeros((self.matrix.n, g.shape[0]), dtype=g.dtype)
             rhs[-1] = g
             return list(rhs) if self._single else _solve(self.matrix, rhs)
-        modal = np.fft.fft(g) if self._fft else g
+        basis = self._modes.basis
+        modal = basis.to_modes(g)
         if self._modes.pairs:
             _check_dead_modes(self._modes, modal)
-        w = self._zeta * modal
-        if not self._fft:
-            return list(w)
-        real = self._real and not np.iscomplexobj(g)
-        return [np.fft.ifft(row).real if real else np.fft.ifft(row) for row in w]
+        return list(basis.from_modes(self._zeta * modal, g))
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
@@ -477,13 +441,10 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
     probe = np.random.default_rng(_PROBE_SEED).standard_normal(matrix.dim)
     modes = matrix._factorization
     if isinstance(modes, _ModeSystems) and modes.pairs:
-        if matrix.family == "translation":
-            p_modal = np.fft.fft(probe)
-            p_modal[modes.mask] = 0.0
-            probe = np.fft.ifft(p_modal).real
-        else:
-            probe[modes.mask] = 0.0
-    rhs = np.zeros((matrix.n, matrix.dim))
+        p_modal = modes.basis.to_modes(probe)
+        p_modal[modes.mask] = 0.0
+        probe = modes.basis.from_modes(p_modal, probe)
+    rhs = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
     rhs[-1] = probe
     _residual_gate(matrix, z.apply_all(probe), rhs)
     return z

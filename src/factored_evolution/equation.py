@@ -163,10 +163,6 @@ class FactoredEquation:
     def family(self) -> str:
         return self.factors[0].family
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.forcing is None
-
     def without_forcing(self) -> "FactoredEquation":
         if self.forcing is None:
             return self
@@ -265,44 +261,26 @@ class CompanionSystem:
         """Right-hand side ``F(t, U)`` of the stacked first-order system.
 
         Dense and spectral backends get a vectorized closure (the oracle
-        spends essentially all its time here); other families fall back to
-        per-block operator applications.
+        spends essentially all its time here); other families are
+        rejected, as in :meth:`dense_matrix`.
         """
         n, d = self.n, self.block_dim
         forcing = self.forcing
         family = self.factors[0].family
-
         if family == "spectral":
             modal = np.stack([op.modal_values for op in self.factors])  # (n, d)
-
-            def field(t, state):
-                u = state.reshape(n, d)
-                du = modal * u
-                du[:-1] += u[1:]
-                if forcing is not None:
-                    du[-1] += forcing(t)
-                return du.reshape(-1)
-
-            return field
-
-        if family == "dense":
+            act = lambda u: modal * u  # noqa: E731
+        elif family == "dense":
             mats = np.stack([op.matrix for op in self.factors])  # (n, d, d)
-
-            def field(t, state):
-                u = state.reshape(n, d)
-                du = np.einsum("nij,nj->ni", mats, u)
-                du[:-1] += u[1:]
-                if forcing is not None:
-                    du[-1] += forcing(t)
-                return du.reshape(-1)
-
-            return field
+            act = lambda u: np.einsum("nij,nj->ni", mats, u)  # noqa: E731
+        else:
+            raise UnsupportedOperationError(
+                "the companion vector field needs a dense or spectral backend"
+            )
 
         def field(t, state):
             u = state.reshape(n, d)
-            du = np.empty_like(u)
-            for j in range(n):
-                du[j] = self.factors[j].apply(u[j])
+            du = act(u)
             du[:-1] += u[1:]
             if forcing is not None:
                 du[-1] += forcing(t)

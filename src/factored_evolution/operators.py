@@ -24,6 +24,12 @@ Three families are provided and may not be mixed inside one equation:
     shift is realized band-limited through the FFT and is exact for
     band-limited data; with zero extension it uses cubic interpolation and
     is only accurate away from the boundary influence zone.
+
+Spectral and periodic translation operators are diagonal in a known basis
+and share one modal interface: ``modal_values`` (the generator on each
+mode) and ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
+and back).  Per-mode solves decide coincident modes by one rule,
+:func:`coincident_modes`; other operators have ``mode_basis = None``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     MixedBackendError,
     NotInvertibleError,
-    SemigroupOverflowError,
     UnsupportedOperationError,
 )
 from .statespace import (
@@ -47,13 +52,63 @@ from .statespace import (
     _hermitian,
     as_state_vector,
     check_finite,
+    checked_exp,
     expm_apply,
-    inf_norm,
     lu_solve,
 )
 
 # Relative gap under which a pair of modal values counts as coincident.
 COINCIDENCE_RTOL = 1e-12
+
+# A right-hand-side mode this small (relative to the largest) counts as
+# unexcited, so a coincident mode there does no harm.
+DEAD_MODE_RTOL = 1e-11
+
+
+@dataclass(frozen=True)
+class ModeBasis:
+    """Transform between a state and its mode coefficients.
+
+    The identity for spectral states, which already hold mode coefficients;
+    the FFT along the last axis for periodic grids (``fourier``).  The
+    transform back owns the real-output rule: it returns a real array when
+    the generators map real states to real states (``real``) and the state
+    ``like`` it came from is real.
+    """
+
+    fourier: bool
+    real: bool = True
+
+    def to_modes(self, v: np.ndarray) -> np.ndarray:
+        return np.fft.fft(v, axis=-1) if self.fourier else v
+
+    def from_modes(self, v_hat: np.ndarray, like: np.ndarray) -> np.ndarray:
+        if not self.fourier:
+            return v_hat
+        out = np.fft.ifft(v_hat, axis=-1)
+        return out.real if self.real and not np.iscomplexobj(like) else out
+
+
+def shared_mode_basis(ops) -> ModeBasis | None:
+    """The basis in which all of ``ops`` (one family) are diagonal, or None."""
+    bases = [op.mode_basis for op in ops]
+    if any(basis is None for basis in bases):
+        return None
+    return ModeBasis(bases[0].fourier, all(basis.real for basis in bases))
+
+
+def coincident_modes(a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
+    """Mask of the modes where two generators' modal values coincide:
+    ``|a - b| <= COINCIDENCE_RTOL * max(1, |a|, |b|)``."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a_values), np.abs(b_values)))
+    return np.abs(a_values - b_values) <= COINCIDENCE_RTOL * scale
+
+
+def excites(modal: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether a modal right-hand side (modes on the last axis) carries more
+    than ``DEAD_MODE_RTOL`` of its largest entry on a ``mask`` mode."""
+    tol = DEAD_MODE_RTOL * max(1.0, float(np.max(np.abs(modal))))
+    return bool(np.any(np.abs(modal[..., mask]) > tol))
 
 
 class Operator(ABC):
@@ -62,6 +117,7 @@ class Operator(ABC):
     label: str
     dim: int
     family: str
+    mode_basis: ModeBasis | None = None
 
     def __init__(self, label: str, dim: int, family: str):
         if not label:
@@ -120,6 +176,8 @@ class DenseMatrixOperator(Operator):
 class SpectralDiagonalOperator(Operator):
     """Diagonal generator acting mode-by-mode: ``(A v)_k = scale * lam_k * v_k``."""
 
+    mode_basis = ModeBasis(fourier=False)
+
     def __init__(self, label: str, eigenvalues, scale=1.0):
         eigenvalues = np.asarray(eigenvalues)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
@@ -141,11 +199,7 @@ class SpectralDiagonalOperator(Operator):
         v = self._coerce(v)
         if t == 0.0:
             return v.copy()
-        with np.errstate(over="ignore"):
-            grow = np.exp(self.modal_values * t)
-        if not np.all(np.isfinite(grow)):
-            raise SemigroupOverflowError(f"semigroup of {self.label!r} overflows at t={t:.3g}")
-        return grow * v
+        return checked_exp(self.modal_values, t, f"semigroup of {self.label!r}") * v
 
     def signature(self) -> tuple:
         return ("spectral", self.modal_values.tobytes())
@@ -167,11 +221,6 @@ class UniformGrid:
 
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
-
-    @property
-    def length(self) -> float:
-        """Period length for the periodic interpretation of the grid."""
-        return self.dx * self.n
 
 
 class TranslationOperator(Operator):
@@ -208,27 +257,18 @@ class TranslationOperator(Operator):
             k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
             if grid.n % 2 == 0:
                 k[grid.n // 2] = 0.0  # drop the unmatched Nyquist frequency
-            self._wavenumbers = k
+            self.modal_values = 1j * k * self.speed
+            self.mode_basis = ModeBasis(fourier=True, real=not speed_is_complex)
 
     # -- helpers -----------------------------------------------------------
 
-    @property
-    def _real_action(self) -> bool:
-        return not isinstance(self.speed, complex)
-
     def node_multipliers(self) -> np.ndarray:
         """Per-Fourier-mode generator values ``i * k * speed`` (periodic only)."""
-        if self.boundary != "periodic":
+        if self.mode_basis is None:
             raise UnsupportedOperationError(
                 "mode multipliers are only defined for the periodic boundary"
             )
-        return 1j * self._wavenumbers * self.speed
-
-    def _from_modes(self, v_hat: np.ndarray, real_in: bool) -> np.ndarray:
-        out = np.fft.ifft(v_hat)
-        if real_in and self._real_action:
-            return out.real
-        return out
+        return self.modal_values.copy()
 
     def influence_margin(self, t: float) -> int:
         """Grid cells near each boundary polluted by the zero extension."""
@@ -238,9 +278,9 @@ class TranslationOperator(Operator):
 
     def apply(self, v) -> np.ndarray:
         v = self._coerce(v)
-        if self.boundary == "periodic":
-            v_hat = np.fft.fft(v)
-            return self._from_modes(self.node_multipliers() * v_hat, not np.iscomplexobj(v))
+        basis = self.mode_basis
+        if basis is not None:
+            return basis.from_modes(self.modal_values * basis.to_modes(v), v)
         padded = np.zeros(self.dim + 2, dtype=v.dtype)
         padded[1:-1] = v
         return self.speed * (padded[2:] - padded[:-2]) / (2.0 * self.grid.dx)
@@ -249,13 +289,10 @@ class TranslationOperator(Operator):
         v = self._coerce(v)
         if t == 0.0:
             return v.copy()
-        if self.boundary == "periodic":
-            phases = np.exp(self.node_multipliers() * t)
-            if not np.all(np.isfinite(phases)):
-                raise SemigroupOverflowError(
-                    f"semigroup of {self.label!r} overflows at t={t:.3g}"
-                )
-            return self._from_modes(phases * np.fft.fft(v), not np.iscomplexobj(v))
+        basis = self.mode_basis
+        if basis is not None:
+            phases = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
+            return basis.from_modes(phases * basis.to_modes(v), v)
         x = self.grid.points()
         spline = scipy.interpolate.CubicSpline(x, v, extrapolate=False)
         shifted = spline(x + self.speed * t)
@@ -280,24 +317,15 @@ def require_same_family(a: Operator, b: Operator) -> None:
 def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
     """Solve ``(A - B) w = rhs`` for two operators of one family.
 
-    Raises :class:`NotInvertibleError` when the difference is numerically
-    non-injective, naming the offending pair.  For translation operators the
-    difference is a multiple of ``d/dx``; equal speeds are rejected as
-    :class:`UnsupportedOperationError` and for distinct speeds the constant
-    Fourier mode is only accepted when ``rhs`` carries no content there.
+    Dense operators take a pivoted LU of ``A - B``; operators with a mode
+    basis divide mode by mode, with ``w = 0`` on coincident modes
+    (:func:`coincident_modes`).  :class:`NotInvertibleError` names the pair
+    when the difference is singular: every mode coincides, or ``rhs``
+    excites a coincident mode.  Translations need the periodic boundary and
+    distinct speeds, else :class:`UnsupportedOperationError`.
     """
     require_same_family(a, b)
     rhs = as_state_vector(rhs, a.dim)
-
-    if a.family == "spectral":
-        denom = a.modal_values - b.modal_values
-        scale = max(1.0, inf_norm(a.modal_values), inf_norm(b.modal_values))
-        if np.min(np.abs(denom)) <= COINCIDENCE_RTOL * scale:
-            raise NotInvertibleError(
-                f"difference of {a.label!r} and {b.label!r} is not injective "
-                "(coincident modal values)"
-            )
-        return rhs / denom
 
     if a.family == "dense":
         diff = a.matrix - b.matrix
@@ -308,33 +336,33 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
                 f"difference of {a.label!r} and {b.label!r} is singular: {exc}"
             ) from exc
 
-    # translation
-    if a.boundary != "periodic" or b.boundary != "periodic":
-        raise UnsupportedOperationError(
-            "resolvent solves are only available on periodic translation grids"
-        )
-    dspeed = a.speed - b.speed
-    if abs(dspeed) <= COINCIDENCE_RTOL * max(1.0, abs(a.speed), abs(b.speed)):
-        raise UnsupportedOperationError(
-            f"translation operators {a.label!r} and {b.label!r} have equal speeds; "
-            "their difference is zero"
-        )
-    denom = a.node_multipliers() - b.node_multipliers()
-    rhs_hat = np.fft.fft(rhs)
-    dead = np.abs(denom) <= COINCIDENCE_RTOL * max(1.0, inf_norm(denom))
-    tol = 1e-11 * max(1.0, inf_norm(rhs_hat))
-    if np.any(np.abs(rhs_hat[dead]) > tol):
+    if a.family == "translation":
+        if a.mode_basis is None or b.mode_basis is None:
+            raise UnsupportedOperationError(
+                "resolvent solves are only available on periodic translation grids"
+            )
+        if abs(a.speed - b.speed) <= COINCIDENCE_RTOL * max(1.0, abs(a.speed), abs(b.speed)):
+            raise UnsupportedOperationError(
+                f"translation operators {a.label!r} and {b.label!r} have equal speeds; "
+                "their difference is zero"
+            )
+    basis = shared_mode_basis((a, b))
+    dead = coincident_modes(a.modal_values, b.modal_values)
+    if np.all(dead):
         raise NotInvertibleError(
-            f"difference of {a.label!r} and {b.label!r} annihilates the constant "
-            "Fourier mode but the right-hand side has content there"
+            f"difference of {a.label!r} and {b.label!r} is not injective "
+            "(modal values coincide on every mode)"
         )
-    w_hat = np.zeros_like(rhs_hat)
-    live = ~dead
-    w_hat[live] = rhs_hat[live] / denom[live]
-    out = np.fft.ifft(w_hat)
-    if not np.iscomplexobj(rhs) and a._real_action and b._real_action:
-        return out.real
-    return out
+    rhs_hat = basis.to_modes(rhs)
+    if np.any(dead) and excites(rhs_hat, dead):
+        raise NotInvertibleError(
+            f"difference of {a.label!r} and {b.label!r} annihilates modes "
+            f"{np.flatnonzero(dead)[:8].tolist()} but the right-hand side has content there"
+        )
+    denom = a.modal_values - b.modal_values
+    w_hat = np.zeros(rhs_hat.shape, dtype=np.result_type(rhs_hat, denom))
+    np.divide(rhs_hat, denom, out=w_hat, where=~dead)
+    return basis.from_modes(w_hat, rhs)
 
 
 def commutation_defect(a: Operator, b: Operator, probes) -> float:

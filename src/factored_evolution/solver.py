@@ -267,15 +267,17 @@ def lemma2_lhs(
 def lemma2_rhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
     """Closed form of the same convolution via the resolvent recursion.
 
-    Base case ``k = 0`` is ``(A_j - A_i)^{-1}(e^{t A_j} - e^{t A_i}) x``
-    (orientation fixed by the scalar computation, see the module docstring);
-    higher ``k`` peel one power of ``s`` per recursion step.
+    With ``R = (A_j - A_i)^{-1}`` and ``I_{-1} = e^{t A_i} x``, every
+    ``k >= 0`` follows ``I_k = (t^k/k!) R e^{t A_j} x - R I_{k-1}``.  ``R``
+    never sees the difference ``(e^{t A_j} - e^{t A_i}) x``, which would hide
+    the modes where ``A_i = A_j``: ``x`` exciting one raises
+    :class:`NotInvertibleError`.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     x = as_state_vector(x, i_op.dim)
-    if k == 0:
-        diff = j_op.semigroup(t, x) - i_op.semigroup(t, x)
-        return resolvent_solve(j_op, i_op, diff)
-    lead = (t**k / math.factorial(k)) * resolvent_solve(j_op, i_op, j_op.semigroup(t, x))
-    return lead - resolvent_solve(j_op, i_op, lemma2_rhs(i_op, j_op, k - 1, t, x))
+    lead = resolvent_solve(j_op, i_op, j_op.semigroup(t, x))
+    value = i_op.semigroup(t, x)
+    for m in range(k + 1):
+        value = (t**m / math.factorial(m)) * lead - resolvent_solve(j_op, i_op, value)
+    return value

@@ -3,7 +3,8 @@
 State vectors are plain 1-D numpy arrays (float64, or complex128 where a
 backend needs it) and matrices are 2-D arrays.  This module wraps the few
 numerical primitives everything else is built on: a pivoted LU solve with an
-explicit singularity gate, matrix-exponential actions, a fixed-step RK4
+explicit singularity gate, matrix-exponential actions, the overflow-checked
+elementwise exponential behind every diagonal semigroup, a fixed-step RK4
 integrator used as the brute-force referee, composite quadrature rules, and
 finite-difference weights for derivative checks.
 """
@@ -83,16 +84,6 @@ def inf_norm(a) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def condition_estimate(a) -> float:
-    """2-norm condition number; Inf for a numerically singular matrix."""
-    a = np.asarray(a)
-    try:
-        c = float(np.linalg.cond(a))
-    except np.linalg.LinAlgError:
-        return float("inf")
-    return c
-
-
 def lu_solve(a, b) -> np.ndarray:
     """Solve ``a x = b`` by pivoted LU elimination.
 
@@ -149,13 +140,20 @@ def _hermitian(a: np.ndarray) -> bool:
     return inf_norm(a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
+def checked_exp(values: np.ndarray, t: float, what: str) -> np.ndarray:
+    """``exp(t * values)`` elementwise; an entry that overflows raises
+    :class:`SemigroupOverflowError` naming ``what``."""
+    with np.errstate(over="ignore"):
+        grow = np.exp(values * t)
+    if not np.all(np.isfinite(grow)):
+        raise SemigroupOverflowError(f"{what} overflows float range at t={t:.3g}")
+    return grow
+
+
 def _eigh_expm_apply(eig, t: float, v: np.ndarray) -> np.ndarray:
     """``e^{t a} v`` from the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``."""
     w, q = eig
-    with np.errstate(over="ignore"):
-        grow = np.exp(w * t)
-    if not np.all(np.isfinite(grow)):
-        raise SemigroupOverflowError(f"exp({np.max(w) * t:.3e}) overflows float range")
+    grow = checked_exp(w, t, "matrix exponential")
     return q @ (grow * (q.conj().T @ v))
 
 

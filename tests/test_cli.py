@@ -249,6 +249,31 @@ class TestCommands:
         assert main(["solve", str(cfg_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"forcing": "1/0"},
+            {"initial_data": [{"profile": "sin", "amplitude": "big"}]},
+            {"initial_data": [{"profile": "random-normal", "scale": "x"}]},
+            {"backend": {"family": "translation", "grid": {"x0": 0.0, "dx": 0.1, "n": 1}}},
+        ],
+        ids=["forcing-division-by-zero", "sin-amplitude", "random-normal-scale", "one-point-grid"],
+    )
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, overrides):
+        cfg = {
+            "backend": {"family": "translation", "grid": {"x0": 0.0, "dx": 0.1, "n": 8}},
+            "operators": {"T": {"speed": 1.0}},
+            "factors": ["T"],
+            "initial_data": [[0.0] * 8],
+            "forcing": "none",
+            "time": {"t_end": 1.0, "samples": 3},
+            **overrides,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert "SchemaError" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 

@@ -201,6 +201,15 @@ class TestResolventSolve:
         with pytest.raises(NotInvertibleError):
             resolvent_solve(a, b, np.ones(64))
 
+    def test_partial_coincidence_follows_confluent_rule(self):
+        # coincident on mode 0 only: fine while the data leaves mode 0 alone
+        a = SpectralDiagonalOperator("a", [1.0, -1.5, -2.0])
+        b = SpectralDiagonalOperator("b", [1.0, 0.7, 0.4])
+        w = resolvent_solve(a, b, np.array([0.0, 2.2, -4.8]))
+        assert np.allclose(w, [0.0, -1.0, 2.0], rtol=1e-15, atol=0.0)
+        with pytest.raises(NotInvertibleError, match="right-hand side"):
+            resolvent_solve(a, b, np.array([1e-3, 2.2, -4.8]))
+
     def test_mixed_families_rejected(self):
         a = SpectralDiagonalOperator("a", [1.0, 2.0])
         b = DenseMatrixOperator("b", np.eye(2))

@@ -9,6 +9,8 @@ from factored_evolution import (
     QuadratureRule,
     QuadratureUnderResolvedError,
     SpectralDiagonalOperator,
+    TranslationOperator,
+    UniformGrid,
     compare_with_oracle,
     initial_derivative_defect,
     lemma2_lhs,
@@ -309,6 +311,21 @@ class TestLemma2:
         op = scalar_op("i", 1.0)
         with pytest.raises(NotInvertibleError):
             lemma2_rhs(op, op, 0, 1.0, np.ones(1))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_excited_coincident_mode_raises(self, k):
+        # distinct periodic speeds coincide on the constant mode, which
+        # 1 + sin(x) excites; the convolution there is t * mean(x) != 0
+        grid = UniformGrid(0.0, 2 * np.pi / 32, 32)
+        i_op = TranslationOperator("i", 1.0, grid)
+        j_op = TranslationOperator("j", -0.5, grid)
+        x = 1.0 + np.sin(grid.points())
+        with pytest.raises(NotInvertibleError):
+            lemma2_rhs(i_op, j_op, k, 0.7, x)
+        mean_zero = np.sin(grid.points())
+        lhs = lemma2_lhs(i_op, j_op, k, 0.7, mean_zero)
+        rhs = lemma2_rhs(i_op, j_op, k, 0.7, mean_zero)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-7 * (1.0 + np.max(np.abs(lhs)))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_identity_on_random_pairs(self, k):

@@ -10,7 +10,7 @@ from factored_evolution import (
     lu_solve,
     rk4_integrate,
 )
-from factored_evolution.statespace import condition_estimate, finite_difference_weights
+from factored_evolution.statespace import finite_difference_weights
 
 
 class TestLuSolve:
@@ -52,7 +52,6 @@ class TestLuSolve:
 
     def test_singularity_matches_condition_estimate(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert not np.isfinite(condition_estimate(singular)) or condition_estimate(singular) > 1e15
         with pytest.raises(SingularMatrixError):
             lu_solve(singular, np.ones(2))
 
