@@ -9,11 +9,14 @@ from factored_evolution import (
     SolutionTrace,
     UnknownProfileError,
 )
+from factored_evolution import cli, solver, solve_full
 from factored_evolution.cli import (
+    ProblemConfig,
     compile_expression,
     main,
     parse_config,
     run_command,
+    run_verify,
     write_csv,
 )
 
@@ -237,6 +240,28 @@ class TestCommands:
         assert "SingularSystemError" in out
         assert "'A'" in out and "'B'" in out
 
+    def test_verify_solves_the_sample_grid_once(self, monkeypatch):
+        config = parse_config(json.dumps(RANDOM_DIAGONAL))
+        sample_grid = config.time_grid()
+        materialize = ProblemConfig.materialize
+        equations, solves = [], []
+
+        def recording_materialize(self, seed=0):
+            equations.append(materialize(self, seed))
+            return equations[-1]
+
+        def counting_solve(eq, t_grid, *args, **kwargs):
+            if eq is equations[0] and np.array_equal(t_grid, sample_grid):
+                solves.append(t_grid)
+            return solve_full(eq, t_grid, *args, **kwargs)
+
+        monkeypatch.setattr(ProblemConfig, "materialize", recording_materialize)
+        monkeypatch.setattr(cli, "solve_full", counting_solve)
+        monkeypatch.setattr(solver, "solve_full", counting_solve)
+        report = run_verify(config, seed=5)
+        assert report.passed and "oracle-equivalence" in report.format()
+        assert len(equations) == 1 and len(solves) == 1
+
     def test_lemma2_check(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(RANDOM_DIAGONAL))
@@ -256,8 +281,29 @@ class TestCommands:
             {"initial_data": [{"profile": "sin", "amplitude": "big"}]},
             {"initial_data": [{"profile": "random-normal", "scale": "x"}]},
             {"backend": {"family": "translation", "grid": {"x0": 0.0, "dx": 0.1, "n": 1}}},
+            {"time": {"t_end": float("inf"), "samples": 3}},
+            {"time": {"t_end": float("nan"), "samples": 3}},
+            {"backend": {"family": "translation", "grid": {"x0": 0.0, "dx": float("nan"), "n": 8}}},
+            {"operators": {"": {"speed": 1.0}}, "factors": [""]},
+            {"time": {"t_end": 1.0, "samples": 2.9}},
+            {
+                "backend": {"family": "spectral", "dimension": True},
+                "operators": {"T": {"eigenvalues": {"random-uniform": {"low": -1.0, "high": 0.0}}}},
+                "initial_data": [{"profile": "random-normal"}],
+            },
         ],
-        ids=["forcing-division-by-zero", "sin-amplitude", "random-normal-scale", "one-point-grid"],
+        ids=[
+            "forcing-division-by-zero",
+            "sin-amplitude",
+            "random-normal-scale",
+            "one-point-grid",
+            "t_end-infinity",
+            "t_end-nan",
+            "grid-dx-nan",
+            "empty-label",
+            "samples-fractional",
+            "dimension-bool",
+        ],
     )
     def test_bad_config_value_exit_code(self, tmp_path, capsys, overrides):
         cfg = {

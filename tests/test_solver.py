@@ -21,7 +21,8 @@ from factored_evolution import (
     solve_inhomogeneous_zero_ic,
 )
 
-from factored_evolution import confluent
+from factored_evolution import confluent, solver
+from factored_evolution.statespace import finite_difference_weights
 
 from conftest import (
     max_rel_dev,
@@ -284,7 +285,28 @@ class TestFactorizeOnce:
         eq = self._forced_dense()
         calls = self._count(monkeypatch)
         initial_derivative_defect(eq)
-        assert calls == {"lu": eq.n, "gate": 0}
+        assert calls == {"lu": 1, "gate": 0}
+
+    def test_derivative_defect_equals_per_order_solves(self, monkeypatch):
+        # n = 6 reaches the widened step (orders 4 and 5) as well as 1e-3;
+        # the reference solves each order's stencil grid on its own
+        rng = np.random.default_rng(29)
+        eq = random_spectral_instance(rng, 6, 3, "mixed")
+        worst = 0.0
+        for k in range(eq.n):
+            offsets = (1e-3 if k <= 3 else 2e-2) * np.arange(k + 4, dtype=np.float64)
+            derivative = finite_difference_weights(offsets, k) @ solve_full(eq, offsets).values
+            defect = float(np.max(np.abs(derivative - eq.initial_data[k])))
+            worst = max(worst, defect / (1.0 + float(np.max(np.abs(eq.initial_data[k])))))
+        grids = []
+
+        def recording_solve(eq, t_grid, rule=None):
+            grids.append(t_grid)
+            return solve_full(eq, t_grid, rule)
+
+        monkeypatch.setattr(solver, "solve_full", recording_solve)
+        assert initial_derivative_defect(eq) == worst
+        assert [len(g) for g in grids] == [7, 9]
 
 
 class TestLemma2:
