@@ -19,7 +19,6 @@ import argparse
 import ast
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -246,6 +245,8 @@ def _parse_initial(entry, path: str, grid: UniformGrid | None, dimension: int) -
     defaults, formula = _PROFILES[name]
     params = {key: _number(entry, key, path, required=False, default=value)
               for key, value in defaults.items()}
+    if "width" in params and params["width"] <= 0:
+        raise SchemaError(f"{path}.width: must be positive, got {params['width']}")
     if formula is None:
         return lambda rng, dim: params["scale"] * rng.standard_normal(dim)
     if grid is None:
@@ -453,7 +454,6 @@ class CheckRecord:
 @dataclass
 class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -569,7 +569,6 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
 
 def run_verify(config: ProblemConfig, seed: int) -> VerificationReport:
     report = VerificationReport()
-    started = time.perf_counter()
     eq = config.materialize(seed)
     t_grid = config.time_grid()
     try:
@@ -592,7 +591,6 @@ def run_verify(config: ProblemConfig, seed: int) -> VerificationReport:
             _quadrature_convergence_record(eq, t_grid, report)
     except FactoredEvolutionError as exc:
         report.fail("verify", 0.0, f"{type(exc).__name__}: {exc}")
-    report.timings["total"] = time.perf_counter() - started
     return report
 
 
@@ -610,13 +608,11 @@ def run_command(
 
     if command == "compare-oracle":
         report = VerificationReport()
-        started = time.perf_counter()
         eq = config.materialize(seed)
         trace, _, rel = compare_with_oracle(
             eq, config.time_grid(), config.rule, config.oracle_steps_per_unit
         )
         report.add("oracle-equivalence", ORACLE_REL_TOL, rel)
-        report.timings["total"] = time.perf_counter() - started
         write_csv(trace, out_path)
         return (0 if report.passed else 1), report
 
@@ -626,10 +622,8 @@ def run_command(
 
     if command == "lemma2-check":
         report = VerificationReport()
-        started = time.perf_counter()
         eq = config.materialize(seed)
         _lemma2_records(eq, float(config.t_end) / 2.0, report)
-        report.timings["total"] = time.perf_counter() - started
         return (0 if report.passed else 1), report
 
     raise ValueError(f"unknown command {command!r}")

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .operators import ModeBasis, Operator, coincident_modes, excites, shared_mode_basis
-from .statespace import as_state_vector, inf_norm, lu_apply, lu_factor_checked
+from .statespace import as_state_stack, as_state_vector, inf_norm, lu_apply, lu_factor_checked
 
 # Desk-scale cap: binomials stay comfortably in exact integer range and the
 # scalar systems stay solvable in double precision.
@@ -105,6 +105,11 @@ class BlockOperatorMatrix:
         return offs
 
     @cached_property
+    def mode_basis(self) -> ModeBasis | None:
+        """The basis in which every group is diagonal, or None."""
+        return shared_mode_basis(op for op, _ in self.grouped)
+
+    @cached_property
     def _factorization(self):
         """Factorization of ``M`` shared by every solve, built on first use.
 
@@ -114,7 +119,7 @@ class BlockOperatorMatrix:
         """
         if len(self.grouped) == 1:
             return None
-        basis = shared_mode_basis(op for op, _ in self.grouped)
+        basis = self.mode_basis
         if basis is not None:
             nodes = np.stack([op.modal_values for op, _ in self.grouped])
             v = _mode_matrices(nodes, [mult for _, mult in self.grouped])
@@ -345,6 +350,15 @@ def _forward_substitution(matrix: BlockOperatorMatrix, rhs_vectors) -> list[np.n
     return ys
 
 
+def _lu_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """Back-substitute an ``(n, d)`` right-hand side, or a stack ``(n, m, d)``
+    of m of them as m columns, through the LU of the assembled ``M``."""
+    n, d = rhs.shape[0], rhs.shape[-1]
+    cols = np.moveaxis(rhs, -1, 1).reshape(n * d, -1)
+    sol = lu_apply(factors, cols.astype(np.result_type(factors[0], cols), copy=False))
+    return np.moveaxis(sol.reshape(n, d, -1), 1, -1).reshape(rhs.shape)
+
+
 def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
     """Solve ``M y = rhs`` for an ``(n, d)`` stack through the shared factorization."""
     factors = matrix._factorization
@@ -353,8 +367,7 @@ def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
     if isinstance(factors, _ModeSystems):
         sol = _mode_solve(factors, factors.basis.to_modes(rhs))
         return list(factors.basis.from_modes(sol, rhs))
-    stacked = rhs.reshape(-1).astype(np.result_type(factors[0], rhs), copy=False)
-    return list(lu_apply(factors, stacked).reshape(rhs.shape))
+    return list(_lu_solve(factors, rhs))
 
 
 def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors) -> float:
@@ -370,21 +383,30 @@ def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors) -> float:
     return worst
 
 
+class _Coefficients(list):
+    """The coefficient vectors ``y_0 .. y_{n-1}``, carrying in ``residual``
+    the ``max_r ||(M y)_r - x_r||_inf`` their residual gate measured."""
+
+    def __init__(self, ys, residual: float):
+        super().__init__(ys)
+        self.residual = residual
+
+
 def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
     """Solve ``M y = x`` for the coefficient vectors ``y_0 .. y_{n-1}``.
 
     ``x`` holds the n right-hand-side state vectors (for the homogeneous
     problem these are the raw initial derivatives ``x_0 .. x_{n-1}``).
     Every returned solution has passed the residual gate
-    ``||(M y)_r - x_r||_inf <= 1e-9 (1 + ||x||_inf)``.
+    ``||(M y)_r - x_r||_inf <= 1e-9 (1 + ||x||_inf)``; the returned list
+    carries the measured residual as ``residual``.
     """
     n = matrix.n
     if len(x) != n:
         raise DimensionMismatchError(f"expected {n} right-hand-side vectors, got {len(x)}")
     xs = np.stack([as_state_vector(xi, matrix.dim) for xi in x])
     ys = _solve(matrix, xs)
-    _residual_gate(matrix, ys, xs)
-    return ys
+    return _Coefficients(ys, _residual_gate(matrix, ys, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +418,18 @@ class ZCoefficients:
     """Forcing weights: the solution ``z`` of ``M z = (0, ..., 0, I)``.
 
     ``apply_all(g)`` returns ``z_0 g, ..., z_{n-1} g`` through the same
-    factorization of ``M`` that :func:`solve_coefficients` uses.  For a
-    single group that is exactly ``(0, ..., 0, g)``; for dense groups one
-    LU back-substitution of ``(0, ..., 0, g)``; for groups with a mode
-    basis the per-mode multipliers ``zeta = M^{-1} e_n``, computed once
-    here, times the modes of ``g``.
+    factorization of ``M`` that :func:`solve_coefficients` uses: shape
+    ``(n, d)`` for a state ``g``, ``(n, m, d)`` for a stack ``(m, d)`` of
+    states.  For a single group that is exactly ``(0, ..., 0, g)``; for
+    dense groups one LU back-substitution of ``(0, ..., 0, g)`` with one
+    column per state; for several groups with a mode basis the per-mode
+    multipliers times the modes of ``g``.
+
+    When every group is diagonal in one mode basis (``basis``, else None),
+    ``zeta`` holds those multipliers, shape ``(n, d)``: the modes of
+    ``z_k g`` are ``zeta[k] * basis.to_modes(g)``.  They are
+    ``M^{-1} e_n`` mode by mode, computed once here, and ``e_n`` itself for
+    a single group.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
@@ -408,23 +437,35 @@ class ZCoefficients:
         factors = matrix._factorization
         self._single = factors is None
         self._modes = factors if isinstance(factors, _ModeSystems) else None
-        if self._modes is not None:
-            # coincident modes get a zero right-hand side, hence zero weights
+        self.basis = matrix.mode_basis
+        if self.basis is not None:
             e_n = np.zeros((matrix.n, matrix.dim))
-            e_n[-1] = ~self._modes.mask
-            self._zeta = _mode_solve(self._modes, e_n)
+            if self._modes is None:
+                e_n[-1] = 1.0
+                self.zeta = e_n
+            else:
+                # coincident modes get a zero right-hand side, hence zero weights
+                e_n[-1] = ~self._modes.mask
+                self.zeta = _mode_solve(self._modes, e_n)
 
-    def apply_all(self, g) -> list[np.ndarray]:
-        g = as_state_vector(g, self.matrix.dim)
-        if self._modes is None:
-            rhs = np.zeros((self.matrix.n, g.shape[0]), dtype=g.dtype)
-            rhs[-1] = g
-            return list(rhs) if self._single else _solve(self.matrix, rhs)
-        basis = self._modes.basis
-        modal = basis.to_modes(g)
-        if self._modes.pairs:
-            _check_dead_modes(self._modes, modal)
-        return list(basis.from_modes(self._zeta * modal, g))
+    def modes_of(self, g: np.ndarray) -> np.ndarray:
+        """Modes of a stack ``(m, d)`` of states; a state that excites a
+        coincident mode (measured against its own largest mode) raises
+        :class:`SingularSystemError`."""
+        modal = self.basis.to_modes(g)
+        if self._modes is not None and self._modes.pairs:
+            _check_dead_modes(self._modes, modal[:, None, :])
+        return modal
+
+    def apply_all(self, g) -> np.ndarray:
+        if np.ndim(g) == 1:
+            return self.apply_all(np.asarray(g)[None])[:, 0]
+        g = as_state_stack(g, self.matrix.dim)
+        if self._modes is not None:
+            return self.basis.from_modes(self.zeta[:, None, :] * self.modes_of(g), g)
+        rhs = np.zeros((self.matrix.n,) + g.shape, dtype=g.dtype)
+        rhs[-1] = g
+        return rhs if self._single else _lu_solve(self.matrix._factorization, rhs)
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:

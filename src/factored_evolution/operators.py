@@ -2,7 +2,9 @@
 
 An :class:`Operator` bundles a generator ``A`` with the two actions the
 solver needs, ``apply(v) = A v`` and ``semigroup(t, v) = e^{t A} v``, plus a
-``label`` used for grouping repeated factors.  Grouping is by label, never
+``label`` used for grouping repeated factors.  ``semigroup_many(taus, vs)``
+applies ``e^{taus[i] A}`` to each row of a stack at once; the quadrature
+uses it for all nodes of a pass.  Grouping is by label, never
 by numerical comparison of the underlying data: the user declares which
 factors coincide.
 
@@ -11,7 +13,8 @@ Three families are provided and may not be mixed inside one equation:
 ``dense``
     An explicit square matrix.  Hermitian matrices get an eigendecomposition
     at construction so semigroup actions are cheap; everything else falls
-    back to scaling-and-squaring per call.
+    back to scaling-and-squaring per call (one stacked call for
+    ``semigroup_many``).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a
@@ -48,8 +51,10 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .statespace import (
+    _checked_expm,
     _eigh_expm_apply,
     _hermitian,
+    as_state_stack,
     as_state_vector,
     check_finite,
     checked_exp,
@@ -105,9 +110,15 @@ def coincident_modes(a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
 
 
 def excites(modal: np.ndarray, mask: np.ndarray) -> bool:
-    """Whether a modal right-hand side (modes on the last axis) carries more
-    than ``DEAD_MODE_RTOL`` of its largest entry on a ``mask`` mode."""
-    tol = DEAD_MODE_RTOL * max(1.0, float(np.max(np.abs(modal))))
+    """Whether a modal right-hand side carries more than ``DEAD_MODE_RTOL``
+    of its largest entry on a ``mask`` mode.
+
+    Modes are on the last axis.  A right-hand side is a vector or a block of
+    rows ``(rows, d)``; a stack ``(m, rows, d)`` holds m of them, and each
+    is measured against its own largest entry.
+    """
+    own = tuple(range(max(modal.ndim - 2, 0), modal.ndim))
+    tol = DEAD_MODE_RTOL * np.maximum(1.0, np.max(np.abs(modal), axis=own, keepdims=True))
     return bool(np.any(np.abs(modal[..., mask]) > tol))
 
 
@@ -138,8 +149,26 @@ class Operator(ABC):
     def signature(self) -> tuple:
         """Hashable description of the action, for label-consistency checks."""
 
+    def semigroup_many(self, taus, vs) -> np.ndarray:
+        """Rows ``e^{taus[i] A} vs[i]`` for a stack ``vs`` of shape ``(m, d)``.
+
+        The base class applies :meth:`semigroup` row by row; backends with a
+        batched exponential override it.
+        """
+        taus, vs = self._coerce_stack(taus, vs)
+        return np.stack([self.semigroup(t, v) for t, v in zip(taus, vs)])
+
     def _coerce(self, v) -> np.ndarray:
         return as_state_vector(v, self.dim)
+
+    def _coerce_stack(self, taus, vs) -> tuple[np.ndarray, np.ndarray]:
+        taus = np.asarray(taus, dtype=np.float64)
+        vs = as_state_stack(vs, self.dim)
+        if taus.shape != vs.shape[:1]:
+            raise DimensionMismatchError(
+                f"expected one time per state vector, got {taus.shape} for {vs.shape[0]}"
+            )
+        return taus, vs
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label!r} dim={self.dim}>"
@@ -168,6 +197,12 @@ class DenseMatrixOperator(Operator):
         if self._eig is not None:
             return _eigh_expm_apply(self._eig, t, v)
         return expm_apply(self.matrix, t, v)
+
+    def semigroup_many(self, taus, vs) -> np.ndarray:
+        taus, vs = self._coerce_stack(taus, vs)
+        if self._eig is not None:
+            return _eigh_expm_apply(self._eig, taus, vs)
+        return (_checked_expm(self.matrix, taus) @ vs[:, :, None])[:, :, 0]
 
     def signature(self) -> tuple:
         return ("dense", self.matrix.shape[0], self.matrix.tobytes())
@@ -200,6 +235,10 @@ class SpectralDiagonalOperator(Operator):
         if t == 0.0:
             return v.copy()
         return checked_exp(self.modal_values, t, f"semigroup of {self.label!r}") * v
+
+    def semigroup_many(self, taus, vs) -> np.ndarray:
+        taus, vs = self._coerce_stack(taus, vs)
+        return checked_exp(self.modal_values, taus, f"semigroup of {self.label!r}") * vs
 
     def signature(self) -> tuple:
         return ("spectral", self.modal_values.tobytes())
@@ -297,6 +336,14 @@ class TranslationOperator(Operator):
         spline = scipy.interpolate.CubicSpline(x, v, extrapolate=False)
         shifted = spline(x + self.speed * t)
         return np.nan_to_num(shifted, nan=0.0)
+
+    def semigroup_many(self, taus, vs) -> np.ndarray:
+        basis = self.mode_basis
+        if basis is None:
+            return super().semigroup_many(taus, vs)
+        taus, vs = self._coerce_stack(taus, vs)
+        phases = checked_exp(self.modal_values, taus, f"semigroup of {self.label!r}")
+        return basis.from_modes(phases * basis.to_modes(vs), vs)
 
     def signature(self) -> tuple:
         return ("translation", self.speed, self.grid, self.boundary)

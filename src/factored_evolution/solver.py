@@ -12,8 +12,12 @@ convolution form
 
 with the forcing weights ``z`` from the confluent solve against
 ``(0, ..., 0, I)``; the integral is done per sample time with a composite
-rule over ``[0, t]`` and verified by panel doubling.  General initial data
-superposes the two parts.
+rule over ``[0, t]`` and verified by panel doubling.  Each pass of the rule
+evaluates the forcing once per node and then works on every node at once:
+groups with a mode basis sum ``zeta_{jk} * ((w tau^k/k!) @ (exp(outer(tau,
+lambda_j)) * g_hat))`` in modes and transform back once, other groups apply
+``semigroup_many`` to the stack ``sum_k (tau^k/k!) z_{jk} g``.  General
+initial data superposes the two parts.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -35,11 +39,24 @@ import math
 
 import numpy as np
 
-from .confluent import BlockOperatorMatrix, build_confluent_matrix, solve_coefficients, solve_z_vector
-from .equation import FactoredEquation, oracle_solve
+from .confluent import (
+    BlockOperatorMatrix,
+    ZCoefficients,
+    build_confluent_matrix,
+    solve_coefficients,
+    solve_z_vector,
+)
+from .equation import FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError
 from .operators import Operator, resolvent_solve
-from .statespace import QuadratureRule, _check_time_grid, as_state_vector, finite_difference_weights
+from .statespace import (
+    QuadratureRule,
+    _check_time_grid,
+    as_state_stack,
+    as_state_vector,
+    checked_exp,
+    finite_difference_weights,
+)
 from .trace import SolutionTrace
 
 # Richardson (panel-doubling) tolerances.
@@ -77,14 +94,34 @@ def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
     return solve_full(eq, t_grid)
 
 
-def _convolution_value(matrix, z, forcing, t: float, rule: QuadratureRule) -> np.ndarray | None:
-    """One quadrature pass over ``[0, t]``; None signals the empty integral."""
+def _convolution_value(
+    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, t: float, rule: QuadratureRule
+) -> np.ndarray | None:
+    """One quadrature pass over ``[0, t]``, every node at once; None signals
+    the empty integral."""
     pts, wts = rule.nodes(0.0, float(t))
+    if not pts.size:
+        return None
+    taus = t - pts
+    g = as_state_stack([forcing(float(s)) for s in pts], matrix.dim)
     acc = None
-    for s, w in zip(pts, wts):
-        weights = z.apply_all(forcing(float(s)))
-        term = _polynomial_semigroup_sum(matrix, weights, float(t - s))
-        acc = w * term if acc is None else acc + w * term
+    if z.basis is not None:
+        g_hat = z.modes_of(g)
+        for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
+            # in place, unless a complex forcing meets real modal values
+            grown = checked_exp(op.modal_values, taus, f"semigroup of {op.label!r}")
+            in_place = np.can_cast(g_hat.dtype, grown.dtype)
+            grown = np.multiply(grown, g_hat, out=grown if in_place else None)
+            for k in range(mult):
+                term = z.zeta[offset + k] * ((wts * (taus**k / math.factorial(k))) @ grown)
+                acc = term if acc is None else acc + term
+            del grown  # one (m, d) exponential alive at a time
+        return z.basis.from_modes(acc, g)
+    weights = z.apply_all(g)
+    for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
+        p = sum((taus**k / math.factorial(k))[:, None] * weights[offset + k] for k in range(mult))
+        term = wts @ op.semigroup_many(taus, p)
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -125,9 +162,10 @@ def solve_full(
 
     With a forcing term the convolution part is added.  Every sample time
     gets a fresh composite rule over ``[0, t]`` (the formula is evaluated
-    literally, not as a running scheme).  The same integrals are recomputed
-    with doubled panels; if the two disagree beyond ``richardson_tol``
-    (relative to the solution scale) the solve raises
+    literally, not as a running scheme); a pass evaluates the forcing once
+    per node and then every node of the pass at once.  The same integrals
+    are recomputed with doubled panels; if the two disagree beyond
+    ``richardson_tol`` (relative to the solution scale) the solve raises
     :class:`QuadratureUnderResolvedError`.  The diagnostics then also carry
     ``richardson_rel_dev`` and ``quadrature``.  The assembly is a plain sum,
     so superposition holds to roundoff by construction.
@@ -135,13 +173,9 @@ def solve_full(
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
     ys = solve_coefficients(matrix, eq.initial_data)
-    residual = max(
-        float(np.max(np.abs(row - x)))
-        for row, x in zip(matrix.apply(ys), eq.initial_data)
-    )
     values = np.stack([_polynomial_semigroup_sum(matrix, ys, float(t)) for t in times])
     if eq.forcing is None:
-        return SolutionTrace(times, values, {"coefficient_residual": residual})
+        return SolutionTrace(times, values, {"coefficient_residual": ys.residual})
 
     rule = rule or default_quadrature_rule()
     z = solve_z_vector(matrix)
@@ -168,7 +202,7 @@ def solve_full(
     diagnostics = {
         "richardson_rel_dev": dev,
         "quadrature": {"kind": rule.kind, "panels": rule.panels, "nodes_per_panel": rule.nodes_per_panel},
-        "coefficient_residual": residual,
+        "coefficient_residual": ys.residual,
     }
     return SolutionTrace(times, values + base, diagnostics)
 
@@ -253,11 +287,10 @@ def lemma2_lhs(
 
     def integrate(r: QuadratureRule) -> np.ndarray:
         pts, wts = r.nodes(0.0, float(t))
-        acc = np.zeros(x.shape[0], dtype=np.result_type(x, np.float64))
-        for s, w in zip(pts, wts):
-            weight = s**k / math.factorial(k)
-            acc = acc + (w * weight) * i_op.semigroup(t - s, j_op.semigroup(s, x))
-        return acc
+        if not pts.size:
+            return np.zeros(x.shape[0], dtype=np.result_type(x, np.float64))
+        inner = j_op.semigroup_many(pts, np.broadcast_to(x, (pts.size, x.shape[0])))
+        return (wts * (pts**k / math.factorial(k))) @ i_op.semigroup_many(t - pts, inner)
 
     base = integrate(rule)
     fine = integrate(rule.refined(2))

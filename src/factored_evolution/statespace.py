@@ -57,6 +57,34 @@ def as_state_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_state_stack(rows, dim: int) -> np.ndarray:
+    """Coerce ``rows`` (an ``(m, dim)`` array, or m state vectors) to a
+    finite float64/complex128 stack, checked as :func:`as_state_vector`
+    checks one vector.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If a row is not a 1-D vector of length ``dim``.
+    NonFiniteError
+        If an entry is NaN or Inf.
+    """
+    try:
+        arr = np.asarray(rows)
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatchError(f"state vectors differ in length: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"expected a stack of state vectors of dimension {dim}, got shape {arr.shape}"
+        )
+    if np.iscomplexobj(arr):
+        arr = arr.astype(np.complex128, copy=False)
+    else:
+        arr = arr.astype(np.float64, copy=False)
+    check_finite(arr, "state vector")
+    return arr
+
+
 def _check_time_grid(t_grid) -> np.ndarray:
     """Sample times as a float array; must be non-empty, 1-D, non-negative
     and strictly increasing."""
@@ -140,21 +168,42 @@ def _hermitian(a: np.ndarray) -> bool:
     return inf_norm(a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
-def checked_exp(values: np.ndarray, t: float, what: str) -> np.ndarray:
+def checked_exp(values: np.ndarray, t, what: str) -> np.ndarray:
     """``exp(t * values)`` elementwise; an entry that overflows raises
-    :class:`SemigroupOverflowError` naming ``what``."""
+    :class:`SemigroupOverflowError` naming ``what``.
+
+    An array of ``t`` gives one row per ``t``: ``exp(outer(t, values))``,
+    and the error names the first ``t`` whose row overflows.
+    """
+    grow = np.multiply.outer(t, values)
     with np.errstate(over="ignore"):
-        grow = np.exp(values * t)
-    if not np.all(np.isfinite(grow)):
+        np.exp(grow, out=grow)
+    finite = np.isfinite(grow)
+    if not np.all(finite):
+        if np.ndim(t):
+            t = np.ravel(t)[np.argmin(np.all(finite, axis=-1))]
         raise SemigroupOverflowError(f"{what} overflows float range at t={t:.3g}")
     return grow
 
 
-def _eigh_expm_apply(eig, t: float, v: np.ndarray) -> np.ndarray:
-    """``e^{t a} v`` from the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``."""
+def _eigh_expm_apply(eig, t, v: np.ndarray) -> np.ndarray:
+    """``e^{t a} v`` from the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``.
+
+    An array of ``t`` with a stack ``v`` of shape ``(m, d)`` gives the row
+    ``e^{t_i a} v_i`` for each ``i``: two matrix products for the stack.
+    """
     w, q = eig
     grow = checked_exp(w, t, "matrix exponential")
-    return q @ (grow * (q.conj().T @ v))
+    return (q @ (grow.T * (q.conj().T @ v.T))).T
+
+
+def _checked_expm(a: np.ndarray, t) -> np.ndarray:
+    """``e^{t a}`` by scaling and squaring; an array of ``t`` gives a stack
+    of ``(d, d)`` exponentials, one per ``t``, from one call."""
+    phi = scipy.linalg.expm(np.multiply.outer(t, a))
+    if not np.all(np.isfinite(phi)):
+        raise SemigroupOverflowError("matrix exponential overflowed float range")
+    return phi
 
 
 def expm_apply(a, t: float, v) -> np.ndarray:
@@ -171,10 +220,7 @@ def expm_apply(a, t: float, v) -> np.ndarray:
     if _hermitian(a):
         out = _eigh_expm_apply(scipy.linalg.eigh(a), t, v)
     else:
-        phi = scipy.linalg.expm(t * a)
-        if not np.all(np.isfinite(phi)):
-            raise SemigroupOverflowError("matrix exponential overflowed float range")
-        out = phi @ v
+        out = _checked_expm(a, t) @ v
     check_finite(out, "matrix exponential action")
     return out
 

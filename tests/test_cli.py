@@ -291,6 +291,7 @@ class TestCommands:
                 "operators": {"T": {"eigenvalues": {"random-uniform": {"low": -1.0, "high": 0.0}}}},
                 "initial_data": [{"profile": "random-normal"}],
             },
+            {"initial_data": [{"profile": "gaussian", "width": 0}]},
         ],
         ids=[
             "forcing-division-by-zero",
@@ -303,6 +304,7 @@ class TestCommands:
             "empty-label",
             "samples-fractional",
             "dimension-bool",
+            "gaussian-zero-width",
         ],
     )
     def test_bad_config_value_exit_code(self, tmp_path, capsys, overrides):

@@ -105,6 +105,36 @@ class TestSemigroup:
         with pytest.raises(SemigroupOverflowError):
             op.semigroup(1000.0, np.ones(1))
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["dense-sym", "dense-nonsym", "spectral", "spectral-complex", "periodic",
+         "periodic-complex", "zero-extension"],
+    )
+    def test_semigroup_many_matches_rows(self, backend):
+        # one batched call equals a semigroup call per row, t = 0 included
+        rng = np.random.default_rng(9)
+        d = 16
+        if backend == "dense-sym":
+            a = rng.standard_normal((d, d))
+            op = DenseMatrixOperator("D", 0.5 * (a + a.T))
+        elif backend == "dense-nonsym":
+            op = DenseMatrixOperator("D", 0.5 * rng.standard_normal((d, d)))
+        elif backend.startswith("spectral"):
+            op = SpectralDiagonalOperator("S", rng.uniform(-2, 0.5, d),
+                                          scale=1.0 + 0.5j if backend.endswith("complex") else 1.0)
+        else:
+            boundary = "zero-extension" if backend == "zero-extension" else "periodic"
+            speed = 0.8 + 0.1j if backend.endswith("complex") else 0.8
+            op = TranslationOperator("T", speed, periodic_grid(d), boundary)
+        taus = np.array([1.3, 0.7, 0.0, 0.2])
+        vs = rng.standard_normal((taus.size, d))
+        batched = op.semigroup_many(taus, vs)
+        rows = np.stack([op.semigroup(t, v) for t, v in zip(taus, vs)])
+        assert batched.dtype == rows.dtype
+        assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
+        with pytest.raises(DimensionMismatchError):
+            op.semigroup_many(taus[:-1], vs)
+
 
 class TestZeroExtension:
     def grid(self):

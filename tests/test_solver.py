@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+import math
+
 from factored_evolution import (
     DenseMatrixOperator,
+    DimensionMismatchError,
     FactoredEquation,
     Forcing,
+    NonFiniteError,
     NotInvertibleError,
     QuadratureRule,
     QuadratureUnderResolvedError,
+    SemigroupOverflowError,
+    SingularSystemError,
     SpectralDiagonalOperator,
     TranslationOperator,
     UniformGrid,
@@ -21,7 +27,7 @@ from factored_evolution import (
     solve_inhomogeneous_zero_ic,
 )
 
-from factored_evolution import confluent, solver
+from factored_evolution import confluent, operators, solver
 from factored_evolution.statespace import finite_difference_weights
 
 from conftest import (
@@ -281,6 +287,27 @@ class TestFactorizeOnce:
         solve_full(eq, np.array([0.3, 0.8]))
         assert calls == {"lu": 1, "gate": 0}
 
+    def test_residual_comes_from_the_gate(self, monkeypatch):
+        # M is applied to y once, by the residual gate, and the trace
+        # carries exactly the residual that gate measured
+        rng = np.random.default_rng(33)
+        eq = random_spectral_instance(rng, 3, 4, "mixed")
+        apply = confluent.BlockOperatorMatrix.apply
+        applies = []
+
+        def counting_apply(matrix, ys):
+            applies.append(matrix)
+            return apply(matrix, ys)
+
+        monkeypatch.setattr(confluent.BlockOperatorMatrix, "apply", counting_apply)
+        trace = solve_full(eq, np.array([0.0, 0.5]))
+        assert len(applies) == 1
+        ys = confluent.solve_coefficients(applies[0], eq.initial_data)
+        expected = max(
+            float(np.max(np.abs(row - x))) for row, x in zip(apply(applies[0], ys), eq.initial_data)
+        )
+        assert trace.diagnostics["coefficient_residual"] == expected == ys.residual
+
     def test_derivative_defect_reruns_no_gate(self, monkeypatch):
         eq = self._forced_dense()
         calls = self._count(monkeypatch)
@@ -307,6 +334,184 @@ class TestFactorizeOnce:
         monkeypatch.setattr(solver, "solve_full", recording_solve)
         assert initial_derivative_defect(eq) == worst
         assert [len(g) for g in grids] == [7, 9]
+
+
+def per_node_convolution(matrix, z, forcing, t, rule):
+    """The convolution pass node by node: one weight solve and one semigroup
+    call per node, group and k."""
+    pts, wts = rule.nodes(0.0, float(t))
+    acc = None
+    for s, w in zip(pts, wts):
+        weights = z.apply_all(forcing(float(s)))
+        offset = 0
+        for op, mult in matrix.grouped:
+            for k in range(mult):
+                tau = float(t - s)
+                term = w * (tau**k / math.factorial(k)) * op.semigroup(tau, weights[offset + k])
+                acc = term if acc is None else acc + term
+            offset += mult
+    return acc
+
+
+def _periodic(speeds, n=16):
+    grid = UniformGrid(0.0, 2 * np.pi / n, n)
+    x = grid.points()
+    ops = [TranslationOperator(f"T{j}", c, grid) for j, c in enumerate(speeds)]
+    # zero mean: distinct speeds coincide on the constant mode
+    return ops, lambda t: np.sin(x - t) + 0.3 * t * np.cos(2 * x)
+
+
+def _convolution_case(name):
+    """``(grouped, forcing)`` for one backend of the batched-convolution tests."""
+    rng = np.random.default_rng(31)
+    d = 5
+    c0, c1 = rng.standard_normal((2, d))
+    real_forcing = lambda t: c0 * np.cos(1.3 * t) + c1 * t  # noqa: E731
+    if name in ("spectral-real-forcing", "spectral-complex-forcing"):
+        a, b = diag_op("a", rng.uniform(-2, -1, d)), diag_op("b", rng.uniform(0, 0.5, d))
+        if name == "spectral-real-forcing":
+            return [(a, 2), (b, 1)], real_forcing
+        return [(a, 2), (b, 1)], lambda t: real_forcing(t) + 1j * c1 * np.sin(t)
+    if name == "periodic-real-speed":
+        ops, forcing = _periodic([0.7, -0.4])
+        return [(ops[0], 2), (ops[1], 1)], forcing
+    if name == "periodic-complex-speed":
+        ops, forcing = _periodic([0.7, -0.6 + 0.2j])
+        return [(ops[0], 1), (ops[1], 2)], forcing
+    if name == "zero-extension":
+        grid = UniformGrid(0.0, 0.1, 40)
+        x = grid.points()
+        op = TranslationOperator("T", 0.6, grid, "zero-extension")
+        return [(op, 2)], lambda t: np.exp(-((x - 2.0 - 0.2 * t) ** 2))
+    if name == "partially-coincident-spectral":
+        # mode 0 coincides; the forcing leaves it unexcited
+        a = diag_op("a", [-1.0, -2.0, 0.5, -0.4, 0.2])
+        b = diag_op("b", [-1.0, 0.8, -1.2, 1.0, -1.5])
+        return [(a, 1), (b, 2)], lambda t: np.concatenate([[0.0], real_forcing(t)[1:]])
+    if name == "dense-hermitian":
+        eq = random_dense_commuting_instance(rng, 3, d, "mixed")
+        return eq.grouped, real_forcing
+    assert name == "dense-non-hermitian"
+    m = 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+    eye = np.eye(d)
+    a = DenseMatrixOperator("a", -1.0 * eye + 0.7 * m)
+    b = DenseMatrixOperator("b", 0.3 * eye + 0.5 * m + 0.1 * (m @ m))
+    return [(a, 1), (b, 2)], real_forcing
+
+
+CONVOLUTION_CASES = [
+    "spectral-real-forcing",
+    "spectral-complex-forcing",
+    "periodic-real-speed",
+    "periodic-complex-speed",
+    "dense-hermitian",
+    "dense-non-hermitian",
+    "zero-extension",
+    "partially-coincident-spectral",
+]
+
+
+class TestBatchedConvolution:
+    """One quadrature pass works on all of its nodes at once and keeps the
+    per-node result, the per-node error checks and the per-node tolerances."""
+
+    @pytest.mark.parametrize("kind", ["gauss-legendre", "composite-simpson"])
+    @pytest.mark.parametrize("case", CONVOLUTION_CASES)
+    def test_equals_per_node_loop(self, case, kind):
+        # The Simpson rule's last node sits at s = t, i.e. tau = 0.  Sample
+        # times of order 1: for t << 1 the forced value is O(t^n) while the
+        # terms of either sum are O(t), so both carry roundoff relative to
+        # the terms rather than to the value.
+        grouped, evaluator = _convolution_case(case)
+        matrix = confluent.build_confluent_matrix(grouped)
+        z = confluent.solve_z_vector(matrix)
+        forcing = Forcing(evaluator)
+        rule = QuadratureRule(kind, panels=4, nodes_per_panel=3)
+        for t in (0.9, 1.6):
+            batched = solver._convolution_value(matrix, z, forcing, t, rule)
+            reference = per_node_convolution(matrix, z, forcing, t, rule)
+            assert batched.dtype == reference.dtype
+            assert np.max(np.abs(batched - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_semigroup_called_for_homogeneous_part_only(self, monkeypatch):
+        grouped, evaluator = _convolution_case("dense-non-hermitian")
+        factors = tuple(op for op, mult in grouped for _ in range(mult))
+        rng = np.random.default_rng(32)
+        eq = FactoredEquation(factors, tuple(rng.standard_normal(5) for _ in factors), Forcing(evaluator))
+        calls = []
+        semigroup = DenseMatrixOperator.semigroup
+
+        def counting(self, t, v):
+            calls.append(t)
+            return semigroup(self, t, v)
+
+        monkeypatch.setattr(DenseMatrixOperator, "semigroup", counting)
+        t_grid = np.array([0.0, 0.3, 0.8])
+        solve_full(eq, t_grid)
+        assert len(calls) == t_grid.size * eq.n
+
+    @pytest.mark.parametrize("family", ["spectral", "dense"])
+    def test_one_overflowing_row_raises(self, family):
+        rule = QuadratureRule()
+        t = 1.0
+        taus = t - rule.nodes(0.0, t)[0]
+        # only the largest tau (the first node) leaves float range
+        lam = 2 * 709.8 / (taus[0] + taus[1])
+        assert lam * taus[0] > 709.8 > lam * taus[1]
+        values = [lam, -1.0]
+        op = diag_op("a", values) if family == "spectral" else DenseMatrixOperator("a", np.diag(values))
+        matrix = confluent.build_confluent_matrix([(op, 1)])
+        z = confluent.solve_z_vector(matrix)
+        with pytest.raises(SemigroupOverflowError, match=f"t={taus[0]:.3g}"):
+            solver._convolution_value(matrix, z, Forcing(lambda s: np.ones(2)), t, rule)
+
+    @pytest.mark.parametrize("content, raises", [(2e-11, True), (0.5e-11, False)])
+    def test_coincident_mode_excited_at_one_node(self, content, raises):
+        # mode 0 coincides; node 5 carries `content` there against its own
+        # largest entry 1, every other node carries 0 there and 1e3 elsewhere,
+        # so one tolerance for the whole pass would miss it
+        a = diag_op("a", [-1.0, -2.0, 0.5])
+        b = diag_op("b", [-1.0, -0.3, 0.9])
+        matrix = confluent.build_confluent_matrix([(a, 1), (b, 1)])
+        z = confluent.solve_z_vector(matrix)
+        rule = QuadratureRule()
+        t = 1.0
+        node = rule.nodes(0.0, t)[0][5]
+
+        def evaluator(s):
+            return np.array([content, 1.0, 1.0]) if s == node else np.array([0.0, 1e3, 1e3])
+
+        assert content > operators.DEAD_MODE_RTOL or not raises
+        if raises:
+            with pytest.raises(SingularSystemError):
+                solver._convolution_value(matrix, z, Forcing(evaluator), t, rule)
+        else:
+            assert np.all(np.isfinite(solver._convolution_value(matrix, z, Forcing(evaluator), t, rule)))
+
+    @pytest.mark.parametrize("wrapped", [True, False])
+    def test_nan_forcing_at_one_node_raises(self, wrapped):
+        grouped, _ = _convolution_case("dense-hermitian")
+        matrix = confluent.build_confluent_matrix(grouped)
+        z = confluent.solve_z_vector(matrix)
+        rule = QuadratureRule()
+        node = rule.nodes(0.0, 1.0)[0][7]
+
+        def evaluator(s):
+            return np.full(5, np.nan) if s == node else np.ones(5)
+
+        forcing = Forcing(evaluator) if wrapped else evaluator
+        with pytest.raises(NonFiniteError):
+            solver._convolution_value(matrix, z, forcing, 1.0, rule)
+
+    def test_forcing_length_changing_at_one_node_raises(self):
+        grouped, _ = _convolution_case("dense-hermitian")
+        matrix = confluent.build_confluent_matrix(grouped)
+        z = confluent.solve_z_vector(matrix)
+        rule = QuadratureRule()
+        node = rule.nodes(0.0, 1.0)[0][7]
+        forcing = Forcing(lambda s: np.ones(6 if s == node else 5))
+        with pytest.raises(DimensionMismatchError):
+            solver._convolution_value(matrix, z, forcing, 1.0, rule)
 
 
 class TestLemma2:
