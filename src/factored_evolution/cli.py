@@ -567,30 +567,44 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
                f"error ratio {ratio:.1f}, required {required:.1f}")
 
 
+def _run_check(report: VerificationReport, name: str, check):
+    """``check()``; if it raises, a failed record ``name`` instead of its
+    result (None), so that every check passes or fails on its own."""
+    try:
+        return check()
+    except FactoredEvolutionError as exc:
+        report.fail(name, 0.0, f"{type(exc).__name__}: {exc}")
+        return None
+
+
 def run_verify(config: ProblemConfig, seed: int) -> VerificationReport:
     report = VerificationReport()
     eq = config.materialize(seed)
     t_grid = config.time_grid()
-    try:
-        trace = solve_full(eq, t_grid, config.rule)
-        residual = trace.diagnostics.get("coefficient_residual", 0.0)
+    trace = _run_check(report, "solve", lambda: solve_full(eq, t_grid, config.rule))
+    if trace is not None:
+        diagnostics = trace.diagnostics
         scale = 1.0 + max(float(np.max(np.abs(x))) for x in eq.initial_data)
-        report.add("coefficient-residual", RESIDUAL_RTOL * scale, residual)
-
-        defect = initial_derivative_defect(eq, config.rule)
-        report.add("initial-derivative-fidelity", DERIVATIVE_FIDELITY_TOL, defect)
-
-        if eq.family in ("dense", "spectral"):
-            reference = oracle_solve(eq, t_grid, config.oracle_steps_per_unit)
-            report.add("oracle-equivalence", ORACLE_REL_TOL, oracle_deviation(trace, reference))
-
-        if len(eq.grouped) >= 2 and eq.family in ("dense", "spectral"):
-            _lemma2_records(eq, float(config.t_end) / 2.0, report)
-
+        report.add("coefficient-residual", RESIDUAL_RTOL * scale, diagnostics["coefficient_residual"])
         if eq.forcing is not None:
-            _quadrature_convergence_record(eq, t_grid, report)
-    except FactoredEvolutionError as exc:
-        report.fail("verify", 0.0, f"{type(exc).__name__}: {exc}")
+            report.add("forcing-weight-residual", diagnostics["forcing_weight_limit"],
+                       diagnostics["forcing_weight_residual"])
+
+    _run_check(report, "initial-derivative-fidelity", lambda: report.add(
+        "initial-derivative-fidelity", DERIVATIVE_FIDELITY_TOL, initial_derivative_defect(eq)))
+
+    if trace is not None and eq.family in ("dense", "spectral"):
+        _run_check(report, "oracle-equivalence", lambda: report.add(
+            "oracle-equivalence", ORACLE_REL_TOL,
+            oracle_deviation(trace, oracle_solve(eq, t_grid, config.oracle_steps_per_unit))))
+
+    if len(eq.grouped) >= 2 and eq.family in ("dense", "spectral"):
+        _run_check(report, "convolution-identity",
+                   lambda: _lemma2_records(eq, float(config.t_end) / 2.0, report))
+
+    if eq.forcing is not None:
+        _run_check(report, "quadrature-convergence",
+                   lambda: _quadrature_convergence_record(eq, t_grid, report))
     return report
 
 

@@ -32,6 +32,7 @@ weights, ``e_k = C(m-1, k) A^k``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -60,13 +61,15 @@ class Forcing:
 
     ``evaluator`` must return a state vector of the equation dimension for
     every ``t`` in the solve window.  The quadrature assumes it is at least
-    piecewise smooth.
+    piecewise smooth.  Values are returned as the evaluator gives them and
+    checked where they meet the dimension: each quadrature pass checks its
+    stack of values, and the oracle checks each value.
     """
 
     evaluator: Callable[[float], np.ndarray]
 
     def __call__(self, t: float) -> np.ndarray:
-        return as_state_vector(self.evaluator(t))
+        return self.evaluator(t)
 
 
 def group_factors(factors) -> list[tuple[Operator, int]]:
@@ -164,9 +167,13 @@ class FactoredEquation:
         return self.factors[0].family
 
     def without_forcing(self) -> "FactoredEquation":
+        """This equation with no forcing; its factors passed the gate
+        already, so the copy does not run it again."""
         if self.forcing is None:
             return self
-        return FactoredEquation(self.factors, self.initial_data, None)
+        unforced = copy.copy(self)
+        object.__setattr__(unforced, "forcing", None)
+        return unforced
 
     def with_zero_initial_data(self) -> "FactoredEquation":
         zeros = tuple(np.zeros(self.dim) for _ in self.factors)
@@ -283,7 +290,7 @@ class CompanionSystem:
             du = act(u)
             du[:-1] += u[1:]
             if forcing is not None:
-                du[-1] += forcing(t)
+                du[-1] += as_state_vector(forcing(t), d)
             return du.reshape(-1)
 
         return field
@@ -319,6 +326,7 @@ def oracle_solve(
     if eq.forcing is not None:
         dtype_parts.append(as_state_vector(eq.forcing(0.0), d).dtype)
     values = np.empty((times.size, d), dtype=np.result_type(*dtype_parts))
+    state = state.astype(values.dtype, copy=False)  # a complex forcing makes the state complex
     t_prev = 0.0
     for i, t in enumerate(times):
         if t > t_prev:

@@ -2,19 +2,19 @@
 
 An :class:`Operator` bundles a generator ``A`` with the two actions the
 solver needs, ``apply(v) = A v`` and ``semigroup(t, v) = e^{t A} v``, plus a
-``label`` used for grouping repeated factors.  ``semigroup_many(taus, vs)``
-applies ``e^{taus[i] A}`` to each row of a stack at once; the quadrature
-uses it for all nodes of a pass.  Grouping is by label, never
-by numerical comparison of the underlying data: the user declares which
-factors coincide.
+``label`` used for grouping repeated factors.  ``semigroup`` also takes a
+1-D array of times with a stack of states, one per row, and returns the
+rows ``e^{t_i A} v_i``; the quadrature uses that for all nodes of a pass.
+Grouping is by label, never by numerical comparison of the underlying data:
+the user declares which factors coincide.
 
 Three families are provided and may not be mixed inside one equation:
 
 ``dense``
     An explicit square matrix.  Hermitian matrices get an eigendecomposition
     at construction so semigroup actions are cheap; everything else falls
-    back to scaling-and-squaring per call (one stacked call for
-    ``semigroup_many``).
+    back to scaling-and-squaring per call (one stacked call for an array of
+    times).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.interpolate
@@ -51,14 +52,13 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .statespace import (
-    _checked_expm,
     _eigh_expm_apply,
     _hermitian,
+    _pade_expm_apply,
     as_state_stack,
     as_state_vector,
     check_finite,
     checked_exp,
-    expm_apply,
     lu_solve,
 )
 
@@ -142,33 +142,42 @@ class Operator(ABC):
         """Generator action ``A v``."""
 
     @abstractmethod
-    def semigroup(self, t: float, v) -> np.ndarray:
-        """Semigroup action ``e^{t A} v``; ``t = 0`` is the exact identity."""
+    def semigroup(self, t, v) -> np.ndarray:
+        """Semigroup action ``e^{t A} v``; ``t = 0`` is the exact identity.
+
+        A 1-D array ``t`` with a stack ``v`` of shape ``(m, d)`` gives the
+        rows ``e^{t_i A} v_i``, and every row with ``t_i = 0`` is ``v_i``.
+        """
 
     @abstractmethod
     def signature(self) -> tuple:
         """Hashable description of the action, for label-consistency checks."""
 
-    def semigroup_many(self, taus, vs) -> np.ndarray:
-        """Rows ``e^{taus[i] A} vs[i]`` for a stack ``vs`` of shape ``(m, d)``.
-
-        The base class applies :meth:`semigroup` row by row; backends with a
-        batched exponential override it.
-        """
-        taus, vs = self._coerce_stack(taus, vs)
-        return np.stack([self.semigroup(t, v) for t, v in zip(taus, vs)])
-
     def _coerce(self, v) -> np.ndarray:
         return as_state_vector(v, self.dim)
 
-    def _coerce_stack(self, taus, vs) -> tuple[np.ndarray, np.ndarray]:
-        taus = np.asarray(taus, dtype=np.float64)
-        vs = as_state_stack(vs, self.dim)
-        if taus.shape != vs.shape[:1]:
+    def _act(self, t, v, action) -> np.ndarray:
+        """:meth:`semigroup` through ``action(t, v)``, which computes
+        ``e^{t A} v`` on checked operands of either shape; a time of 0 gets
+        the exact identity instead."""
+        if not isinstance(t, np.ndarray):
+            v = self._coerce(v)
+            return v.copy() if t == 0.0 else action(t, v)
+        v = as_state_stack(v, self.dim)
+        if t.shape != v.shape[:1]:
             raise DimensionMismatchError(
-                f"expected one time per state vector, got {taus.shape} for {vs.shape[0]}"
+                f"expected one time per state vector, got {t.shape} for {v.shape[0]}"
             )
-        return taus, vs
+        out = action(t.astype(np.float64, copy=False), v)
+        zero = t == 0.0
+        out[zero] = v[zero]
+        return out
+
+    def _modal_action(self, t, v: np.ndarray) -> np.ndarray:
+        """``e^{t A} v`` for an operator diagonal in its ``mode_basis``."""
+        basis = self.mode_basis
+        phases = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
+        return basis.from_modes(phases * basis.to_modes(v), v)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label!r} dim={self.dim}>"
@@ -185,24 +194,16 @@ class DenseMatrixOperator(Operator):
         self.matrix = np.array(matrix, dtype=dtype)
         check_finite(self.matrix, f"matrix of operator {label!r}")
         super().__init__(label, matrix.shape[0], "dense")
-        self._eig = scipy.linalg.eigh(self.matrix) if _hermitian(self.matrix) else None
+        if _hermitian(self.matrix):
+            self._expm_apply = partial(_eigh_expm_apply, scipy.linalg.eigh(self.matrix))
+        else:
+            self._expm_apply = partial(_pade_expm_apply, self.matrix)
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ self._coerce(v)
 
-    def semigroup(self, t: float, v) -> np.ndarray:
-        v = self._coerce(v)
-        if t == 0.0:
-            return v.copy()
-        if self._eig is not None:
-            return _eigh_expm_apply(self._eig, t, v)
-        return expm_apply(self.matrix, t, v)
-
-    def semigroup_many(self, taus, vs) -> np.ndarray:
-        taus, vs = self._coerce_stack(taus, vs)
-        if self._eig is not None:
-            return _eigh_expm_apply(self._eig, taus, vs)
-        return (_checked_expm(self.matrix, taus) @ vs[:, :, None])[:, :, 0]
+    def semigroup(self, t, v) -> np.ndarray:
+        return self._act(t, v, self._expm_apply)
 
     def signature(self) -> tuple:
         return ("dense", self.matrix.shape[0], self.matrix.tobytes())
@@ -230,15 +231,8 @@ class SpectralDiagonalOperator(Operator):
     def apply(self, v) -> np.ndarray:
         return self.modal_values * self._coerce(v)
 
-    def semigroup(self, t: float, v) -> np.ndarray:
-        v = self._coerce(v)
-        if t == 0.0:
-            return v.copy()
-        return checked_exp(self.modal_values, t, f"semigroup of {self.label!r}") * v
-
-    def semigroup_many(self, taus, vs) -> np.ndarray:
-        taus, vs = self._coerce_stack(taus, vs)
-        return checked_exp(self.modal_values, taus, f"semigroup of {self.label!r}") * vs
+    def semigroup(self, t, v) -> np.ndarray:
+        return self._act(t, v, self._modal_action)
 
     def signature(self) -> tuple:
         return ("spectral", self.modal_values.tobytes())
@@ -324,26 +318,16 @@ class TranslationOperator(Operator):
         padded[1:-1] = v
         return self.speed * (padded[2:] - padded[:-2]) / (2.0 * self.grid.dx)
 
-    def semigroup(self, t: float, v) -> np.ndarray:
-        v = self._coerce(v)
-        if t == 0.0:
-            return v.copy()
-        basis = self.mode_basis
-        if basis is not None:
-            phases = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
-            return basis.from_modes(phases * basis.to_modes(v), v)
+    def semigroup(self, t, v) -> np.ndarray:
+        action = self._spline_shift if self.mode_basis is None else self._modal_action
+        return self._act(t, v, action)
+
+    def _spline_shift(self, t, v: np.ndarray) -> np.ndarray:
+        if isinstance(t, np.ndarray):
+            return np.stack([self._spline_shift(t_i, v_i) for t_i, v_i in zip(t, v)])
         x = self.grid.points()
         spline = scipy.interpolate.CubicSpline(x, v, extrapolate=False)
-        shifted = spline(x + self.speed * t)
-        return np.nan_to_num(shifted, nan=0.0)
-
-    def semigroup_many(self, taus, vs) -> np.ndarray:
-        basis = self.mode_basis
-        if basis is None:
-            return super().semigroup_many(taus, vs)
-        taus, vs = self._coerce_stack(taus, vs)
-        phases = checked_exp(self.modal_values, taus, f"semigroup of {self.label!r}")
-        return basis.from_modes(phases * basis.to_modes(vs), vs)
+        return np.nan_to_num(spline(x + self.speed * t), nan=0.0)
 
     def signature(self) -> tuple:
         return ("translation", self.speed, self.grid, self.boundary)

@@ -138,10 +138,10 @@ def example1_closed_form(
     for t in np.asarray(t_grid, dtype=np.float64):
         t = float(t)
         row = op.semigroup(t, p.phi1) + t * op.semigroup(t, p.phi2) - t * op.semigroup(t, slope)
-        if p.forcing is not None:
+        if p.forcing is not None and t > 0.0:
             pts, wts = rule.nodes(0.0, t)
-            for s, w in zip(pts, wts):
-                row = row + (w * (t - s)) * op.semigroup(t - s, np.asarray(p.forcing(s, x)))
+            forcing = np.stack([np.asarray(p.forcing(s, x)) for s in pts])
+            row = row + (wts * (t - pts)) @ op.semigroup(t - pts, forcing)
         rows.append(row)
     return np.stack(rows)
 
@@ -273,12 +273,10 @@ def example2_closed_form_modal(
     for t in np.asarray(t_grid, dtype=np.float64):
         t = float(t)
         row = (beta1 + t * beta2) * np.exp(lam * alpha * t)
-        if p.forcing_modes is not None:
+        if p.forcing_modes is not None and t > 0.0:
             pts, wts = rule.nodes(0.0, t)
-            for s, w in zip(pts, wts):
-                row = row + (w * (t - s)) * np.exp(lam * alpha * (t - s)) * np.asarray(
-                    p.forcing_modes(s)
-                )
+            forcing = np.stack([np.asarray(p.forcing_modes(s)) for s in pts])
+            row = row + (wts * (t - pts)) @ (np.exp(np.outer(t - pts, lam * alpha)) * forcing)
         rows.append(row)
     return np.stack(rows)
 

@@ -16,8 +16,9 @@ rule over ``[0, t]`` and verified by panel doubling.  Each pass of the rule
 evaluates the forcing once per node and then works on every node at once:
 groups with a mode basis sum ``zeta_{jk} * ((w tau^k/k!) @ (exp(outer(tau,
 lambda_j)) * g_hat))`` in modes and transform back once, other groups apply
-``semigroup_many`` to the stack ``sum_k (tau^k/k!) z_{jk} g``.  General
-initial data superposes the two parts.
+``semigroup`` with the array of ``tau`` to the stack
+``sum_k (tau^k/k!) z_{jk} g``.  General initial data superposes the two
+parts.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -72,13 +73,10 @@ def default_quadrature_rule() -> QuadratureRule:
 def _polynomial_semigroup_sum(matrix: BlockOperatorMatrix, coeffs, t: float) -> np.ndarray:
     """Evaluate ``sum_j sum_k (t^k/k!) e^{t B_j} coeffs[off_j + k]``."""
     acc = None
-    offset = 0
-    for op, mult in matrix.grouped:
+    for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
         for k in range(mult):
-            weight = t**k / math.factorial(k)
-            term = weight * op.semigroup(t, coeffs[offset + k])
+            term = (t**k / math.factorial(k)) * op.semigroup(t, coeffs[offset + k])
             acc = term if acc is None else acc + term
-        offset += mult
     return acc
 
 
@@ -96,12 +94,11 @@ def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
 
 def _convolution_value(
     matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, t: float, rule: QuadratureRule
-) -> np.ndarray | None:
-    """One quadrature pass over ``[0, t]``, every node at once; None signals
-    the empty integral."""
+) -> np.ndarray:
+    """One quadrature pass over ``[0, t]``, every node at once."""
     pts, wts = rule.nodes(0.0, float(t))
     if not pts.size:
-        return None
+        return np.zeros(matrix.dim)
     taus = t - pts
     g = as_state_stack([forcing(float(s)) for s in pts], matrix.dim)
     acc = None
@@ -120,7 +117,7 @@ def _convolution_value(
     weights = z.apply_all(g)
     for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
         p = sum((taus**k / math.factorial(k))[:, None] * weights[offset + k] for k in range(mult))
-        term = wts @ op.semigroup_many(taus, p)
+        term = wts @ op.semigroup(taus, p)
         acc = term if acc is None else acc + term
     return acc
 
@@ -167,8 +164,10 @@ def solve_full(
     are recomputed with doubled panels; if the two disagree beyond
     ``richardson_tol`` (relative to the solution scale) the solve raises
     :class:`QuadratureUnderResolvedError`.  The diagnostics then also carry
-    ``richardson_rel_dev`` and ``quadrature``.  The assembly is a plain sum,
-    so superposition holds to roundoff by construction.
+    ``richardson_rel_dev``, ``quadrature``, and the residual of the ``z``
+    solve with its gate's limit (``forcing_weight_residual``,
+    ``forcing_weight_limit``).  The assembly is a plain sum, so
+    superposition holds to roundoff by construction.
     """
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
@@ -179,19 +178,10 @@ def solve_full(
 
     rule = rule or default_quadrature_rule()
     z = solve_z_vector(matrix)
-    fine_rule = rule.refined(2)
-    zero = np.zeros(eq.dim)
-    base_rows, fine_rows = [], []
-    for t in times:
-        coarse_val = _convolution_value(matrix, z, eq.forcing, t, rule)
-        if coarse_val is None:  # t == 0
-            base_rows.append(zero)
-            fine_rows.append(zero)
-            continue
-        base_rows.append(coarse_val)
-        fine_rows.append(_convolution_value(matrix, z, eq.forcing, t, fine_rule))
-    base = np.stack(base_rows)
-    fine = np.stack(fine_rows)
+    rules = (rule, rule.refined(2))
+    base, fine = np.array(
+        [[_convolution_value(matrix, z, eq.forcing, t, r) for t in times] for r in rules]
+    )
     scale = float(np.max(np.abs(fine))) if fine.size else 0.0
     dev = float(np.max(np.abs(base - fine))) / (scale + 1e-30)
     if dev > richardson_tol:
@@ -203,6 +193,8 @@ def solve_full(
         "richardson_rel_dev": dev,
         "quadrature": {"kind": rule.kind, "panels": rule.panels, "nodes_per_panel": rule.nodes_per_panel},
         "coefficient_residual": ys.residual,
+        "forcing_weight_residual": z.residual,
+        "forcing_weight_limit": z.residual_limit,
     }
     return SolutionTrace(times, values + base, diagnostics)
 
@@ -238,8 +230,9 @@ def compare_with_oracle(
     return trace, reference, oracle_deviation(trace, reference)
 
 
-def initial_derivative_defect(eq: FactoredEquation, rule: QuadratureRule | None = None) -> float:
-    """How well trace derivatives at ``t = 0`` reproduce the initial data.
+def initial_derivative_defect(eq: FactoredEquation) -> float:
+    """How well the derivatives at ``t = 0`` of the homogeneous part
+    reproduce the initial data.
 
     For each ``k < n`` the k-th derivative of the solution at 0 is taken
     with a one-sided 4th-order finite-difference stencil on ``h * (0 .. k+3)``
@@ -248,13 +241,18 @@ def initial_derivative_defect(eq: FactoredEquation, rule: QuadratureRule | None 
     keep roundoff amplification (which grows like ``h^-k``) below the
     measurement.  One solve per step size, on its longest stencil grid,
     serves every order (each sample time is evaluated on its own).
+
+    The forced part is left out: its derivatives below order n vanish at 0
+    exactly when ``M z = (0, ..., 0, I)``, which the ``z`` solve's residual
+    gate checks, while differencing it on these grids measures roundoff.
     """
+    unforced = eq.without_forcing()
     worst = 0.0
     for h, orders in ((1e-3, range(min(eq.n, 4))), (2e-2, range(4, eq.n))):
         if not orders:
             continue
         offsets = h * np.arange(orders[-1] + 4, dtype=np.float64)
-        values = solve_full(eq, offsets, rule).values
+        values = solve_full(unforced, offsets).values
         for k in orders:
             derivative = finite_difference_weights(offsets[: k + 4], k) @ values[: k + 4]
             defect = float(np.max(np.abs(derivative - eq.initial_data[k])))
@@ -289,8 +287,8 @@ def lemma2_lhs(
         pts, wts = r.nodes(0.0, float(t))
         if not pts.size:
             return np.zeros(x.shape[0], dtype=np.result_type(x, np.float64))
-        inner = j_op.semigroup_many(pts, np.broadcast_to(x, (pts.size, x.shape[0])))
-        return (wts * (pts**k / math.factorial(k))) @ i_op.semigroup_many(t - pts, inner)
+        inner = j_op.semigroup(pts, np.broadcast_to(x, (pts.size, x.shape[0])))
+        return (wts * (pts**k / math.factorial(k))) @ i_op.semigroup(t - pts, inner)
 
     base = integrate(rule)
     fine = integrate(rule.refined(2))

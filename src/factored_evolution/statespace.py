@@ -197,13 +197,18 @@ def _eigh_expm_apply(eig, t, v: np.ndarray) -> np.ndarray:
     return (q @ (grow.T * (q.conj().T @ v.T))).T
 
 
-def _checked_expm(a: np.ndarray, t) -> np.ndarray:
-    """``e^{t a}`` by scaling and squaring; an array of ``t`` gives a stack
-    of ``(d, d)`` exponentials, one per ``t``, from one call."""
+def _pade_expm_apply(a: np.ndarray, t, v: np.ndarray) -> np.ndarray:
+    """``e^{t a} v`` by scaling and squaring.
+
+    An array of ``t`` with a stack ``v`` of shape ``(m, d)`` gives the row
+    ``e^{t_i a} v_i`` for each ``i``, from one stacked exponential.
+    """
     phi = scipy.linalg.expm(np.multiply.outer(t, a))
     if not np.all(np.isfinite(phi)):
         raise SemigroupOverflowError("matrix exponential overflowed float range")
-    return phi
+    out = (phi @ v[..., None])[..., 0]
+    check_finite(out, "matrix exponential action")
+    return out
 
 
 def expm_apply(a, t: float, v) -> np.ndarray:
@@ -217,10 +222,9 @@ def expm_apply(a, t: float, v) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     v = as_state_vector(v, a.shape[0])
-    if _hermitian(a):
-        out = _eigh_expm_apply(scipy.linalg.eigh(a), t, v)
-    else:
-        out = _checked_expm(a, t) @ v
+    if not _hermitian(a):
+        return _pade_expm_apply(a, t, v)
+    out = _eigh_expm_apply(scipy.linalg.eigh(a), t, v)
     check_finite(out, "matrix exponential action")
     return out
 

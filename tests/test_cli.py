@@ -5,11 +5,12 @@ import pytest
 
 from factored_evolution import (
     DuplicateLabelError,
+    QuadratureUnderResolvedError,
     SchemaError,
     SolutionTrace,
     UnknownProfileError,
 )
-from factored_evolution import cli, solver, solve_full
+from factored_evolution import cli, confluent, solver, solve_full
 from factored_evolution.cli import (
     ProblemConfig,
     compile_expression,
@@ -261,6 +262,48 @@ class TestCommands:
         report = run_verify(config, seed=5)
         assert report.passed and "oracle-equivalence" in report.format()
         assert len(equations) == 1 and len(solves) == 1
+
+    def test_verify_forced_wide_band_passes(self):
+        # Differencing the forced part on the tiny derivative-check grids
+        # used to trip the panel-doubling gate (5.4e-3 relative) although
+        # the oracle agrees to roundoff.
+        bands = {"A": (-6.0, -5.0), "B": (-4.6, -3.6), "C": (-3.2, -2.2),
+                 "D": (-1.8, -0.8), "E": (-0.5, 0.1), "F": (0.3, 0.8)}
+        config = parse_config(json.dumps({
+            "backend": {"family": "spectral", "dimension": 4},
+            "operators": {label: {"eigenvalues": {"random-uniform": {"low": lo, "high": hi}}}
+                          for label, (lo, hi) in bands.items()},
+            "factors": list(bands),
+            "initial_data": [[0.0] * 4] * 6,
+            "forcing": "sin(2*t) + i*t",
+            "time": {"t_end": 1.0, "samples": 5},
+        }))
+        report = run_verify(config, seed=1)
+        assert report.passed, report.format()
+        assert "PASS forcing-weight-residual" in report.format()
+
+    def test_verify_fails_on_corrupted_forcing_weights(self, monkeypatch):
+        init = confluent.ZCoefficients.__init__
+
+        def corrupted(self, matrix):
+            init(self, matrix)
+            self.zeta = self.zeta * (1.0 + 1e-6)
+
+        monkeypatch.setattr(confluent.ZCoefficients, "__init__", corrupted)
+        report = run_verify(parse_config(json.dumps(RANDOM_DIAGONAL)), seed=5)
+        assert not report.passed
+        assert "residual gate" in report.format()
+
+    def test_verify_runs_each_check_on_its_own(self, monkeypatch):
+        def raising(*args):
+            raise QuadratureUnderResolvedError("derivative check failed")
+
+        monkeypatch.setattr(cli, "initial_derivative_defect", raising)
+        report = run_verify(parse_config(json.dumps(RANDOM_DIAGONAL)), seed=5)
+        failed = [r.name for r in report.records if not r.passed]
+        assert failed == ["initial-derivative-fidelity"]
+        assert "PASS oracle-equivalence" in report.format()
+        assert "PASS quadrature-convergence" in report.format()
 
     def test_lemma2_check(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

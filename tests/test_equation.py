@@ -246,3 +246,18 @@ class TestOracle:
         eq = FactoredEquation((a,), (np.zeros(3),), Forcing(lambda t: np.ones(1)))
         with pytest.raises(DimensionMismatchError):
             solve(eq, np.array([0.5]))
+        # nor may one that has the right length at t = 0 only
+        eq = FactoredEquation((a,), (np.zeros(3),), Forcing(lambda t: np.ones(3 if t == 0 else 1)))
+        with pytest.raises(DimensionMismatchError):
+            solve(eq, np.array([0.5]))
+
+    def test_complex_forcing_on_real_problem_agrees(self):
+        # real operators and data with a complex forcing: the oracle
+        # integrates in the complex result dtype
+        a = diag_op("a", [-1.0, -2.0])
+        eq = FactoredEquation((a,), (np.zeros(2),), Forcing(lambda t: np.array([1j, 1.0])))
+        t_grid = np.array([0.5, 1.0])
+        reference = oracle_solve(eq, t_grid)
+        trace = solve_full(eq, t_grid)
+        assert np.iscomplexobj(reference.values)
+        assert np.max(np.abs(trace.values - reference.values)) <= 1e-6

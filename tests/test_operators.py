@@ -128,12 +128,13 @@ class TestSemigroup:
             op = TranslationOperator("T", speed, periodic_grid(d), boundary)
         taus = np.array([1.3, 0.7, 0.0, 0.2])
         vs = rng.standard_normal((taus.size, d))
-        batched = op.semigroup_many(taus, vs)
+        batched = op.semigroup(taus, vs)
         rows = np.stack([op.semigroup(t, v) for t, v in zip(taus, vs)])
         assert batched.dtype == rows.dtype
         assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
+        assert np.array_equal(batched[taus == 0.0], vs[taus == 0.0])
         with pytest.raises(DimensionMismatchError):
-            op.semigroup_many(taus[:-1], vs)
+            op.semigroup(taus[:-1], vs)
 
 
 class TestZeroExtension:

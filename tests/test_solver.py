@@ -448,7 +448,12 @@ class TestBatchedConvolution:
         monkeypatch.setattr(DenseMatrixOperator, "semigroup", counting)
         t_grid = np.array([0.0, 0.3, 0.8])
         solve_full(eq, t_grid)
-        assert len(calls) == t_grid.size * eq.n
+        scalar = [t for t in calls if np.ndim(t) == 0]
+        assert len(scalar) == t_grid.size * eq.n
+        # one array-time call per group and pass: a coarse and a doubled
+        # pass for each sample time after 0
+        passes = 2 * (t_grid.size - 1)
+        assert len(calls) - len(scalar) == passes * len(eq.grouped)
 
     @pytest.mark.parametrize("family", ["spectral", "dense"])
     def test_one_overflowing_row_raises(self, family):
