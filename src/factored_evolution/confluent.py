@@ -370,20 +370,20 @@ def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
     return list(_lu_solve(factors, rhs))
 
 
-def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors) -> tuple[float, float]:
-    """The residual ``max_r ||(M y)_r - rhs_r||_inf`` and its limit
-    ``RESIDUAL_RTOL (1 + max_r ||rhs_r||_inf)``; a residual over the limit
-    raises :class:`SingularSystemError`."""
+def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors, what: str) -> float:
+    """The residual ``max_r ||(M y)_r - rhs_r||_inf`` of the ``what`` solve;
+    over ``RESIDUAL_RTOL (1 + max_r ||rhs_r||_inf)`` it raises
+    :class:`SingularSystemError`."""
     applied = matrix.apply(ys)
-    limit = RESIDUAL_RTOL * (1.0 + max(inf_norm(x) for x in rhs_vectors))
+    scale = 1.0 + max(inf_norm(x) for x in rhs_vectors)
     worst = max(inf_norm(row - x) for row, x in zip(applied, rhs_vectors))
-    if worst > limit:
+    if worst > RESIDUAL_RTOL * scale:
         raise SingularSystemError(
-            f"coefficient solve failed the residual gate: {worst:.3e} > "
-            f"{limit:.3e}; check for coincident factors declared "
+            f"{what} solve failed the residual gate: {worst:.3e} > "
+            f"{RESIDUAL_RTOL * scale:.3e}; check for coincident factors declared "
             "under distinct labels"
         )
-    return worst, limit
+    return worst
 
 
 class _Coefficients(list):
@@ -409,7 +409,7 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
         raise DimensionMismatchError(f"expected {n} right-hand-side vectors, got {len(x)}")
     xs = np.stack([as_state_vector(xi, matrix.dim) for xi in x])
     ys = _solve(matrix, xs)
-    return _Coefficients(ys, _residual_gate(matrix, ys, xs)[0])
+    return _Coefficients(ys, _residual_gate(matrix, ys, xs, "coefficient"))
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +433,6 @@ class ZCoefficients:
     ``z_k g`` are ``zeta[k] * basis.to_modes(g)``.  They are
     ``M^{-1} e_n`` mode by mode, computed once here, and ``e_n`` itself for
     a single group.
-
-    :func:`solve_z_vector` sets ``residual`` and ``residual_limit``, what
-    its residual gate measured and the limit it was held to.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
@@ -493,7 +490,7 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
         probe = modes.basis.from_modes(p_modal, probe)
     rhs = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
     rhs[-1] = probe
-    z.residual, z.residual_limit = _residual_gate(matrix, z.apply_all(probe), rhs)
+    _residual_gate(matrix, z.apply_all(probe), rhs, "forcing-weight")
     return z
 
 

@@ -39,11 +39,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.interpolate
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -52,13 +50,11 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .statespace import (
-    _eigh_expm_apply,
-    _hermitian,
-    _pade_expm_apply,
     as_state_stack,
     as_state_vector,
     check_finite,
     checked_exp,
+    expm_action,
     lu_solve,
 )
 
@@ -194,16 +190,13 @@ class DenseMatrixOperator(Operator):
         self.matrix = np.array(matrix, dtype=dtype)
         check_finite(self.matrix, f"matrix of operator {label!r}")
         super().__init__(label, matrix.shape[0], "dense")
-        if _hermitian(self.matrix):
-            self._expm_apply = partial(_eigh_expm_apply, scipy.linalg.eigh(self.matrix))
-        else:
-            self._expm_apply = partial(_pade_expm_apply, self.matrix)
+        self._action = expm_action(self.matrix)
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ self._coerce(v)
 
     def semigroup(self, t, v) -> np.ndarray:
-        return self._act(t, v, self._expm_apply)
+        return self._act(t, v, self._action)
 
     def signature(self) -> tuple:
         return ("dense", self.matrix.shape[0], self.matrix.tobytes())
@@ -292,6 +285,7 @@ class TranslationOperator(Operator):
                 k[grid.n // 2] = 0.0  # drop the unmatched Nyquist frequency
             self.modal_values = 1j * k * self.speed
             self.mode_basis = ModeBasis(fourier=True, real=not speed_is_complex)
+        self._action = self._spline_shift if self.mode_basis is None else self._modal_action
 
     # -- helpers -----------------------------------------------------------
 
@@ -319,8 +313,7 @@ class TranslationOperator(Operator):
         return self.speed * (padded[2:] - padded[:-2]) / (2.0 * self.grid.dx)
 
     def semigroup(self, t, v) -> np.ndarray:
-        action = self._spline_shift if self.mode_basis is None else self._modal_action
-        return self._act(t, v, action)
+        return self._act(t, v, self._action)
 
     def _spline_shift(self, t, v: np.ndarray) -> np.ndarray:
         if isinstance(t, np.ndarray):

@@ -164,10 +164,8 @@ def solve_full(
     are recomputed with doubled panels; if the two disagree beyond
     ``richardson_tol`` (relative to the solution scale) the solve raises
     :class:`QuadratureUnderResolvedError`.  The diagnostics then also carry
-    ``richardson_rel_dev``, ``quadrature``, and the residual of the ``z``
-    solve with its gate's limit (``forcing_weight_residual``,
-    ``forcing_weight_limit``).  The assembly is a plain sum, so
-    superposition holds to roundoff by construction.
+    ``richardson_rel_dev`` and ``quadrature``.  The assembly is a plain sum,
+    so superposition holds to roundoff by construction.
     """
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
@@ -193,8 +191,6 @@ def solve_full(
         "richardson_rel_dev": dev,
         "quadrature": {"kind": rule.kind, "panels": rule.panels, "nodes_per_panel": rule.nodes_per_panel},
         "coefficient_residual": ys.residual,
-        "forcing_weight_residual": z.residual,
-        "forcing_weight_limit": z.residual_limit,
     }
     return SolutionTrace(times, values + base, diagnostics)
 
@@ -244,7 +240,8 @@ def initial_derivative_defect(eq: FactoredEquation) -> float:
 
     The forced part is left out: its derivatives below order n vanish at 0
     exactly when ``M z = (0, ..., 0, I)``, which the ``z`` solve's residual
-    gate checks, while differencing it on these grids measures roundoff.
+    gate checks on a random probe, while differencing it on these grids
+    measures roundoff.
     """
     unforced = eq.without_forcing()
     worst = 0.0

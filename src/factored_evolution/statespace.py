@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -211,20 +211,26 @@ def _pade_expm_apply(a: np.ndarray, t, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_apply(a, t: float, v) -> np.ndarray:
-    """Apply the matrix exponential: ``e^{t a} v``.
+def expm_action(a: np.ndarray) -> Callable:
+    """The action ``(t, v) -> e^{t a} v`` of a square float ``a``, chosen once.
 
     Hermitian (in particular real symmetric) matrices go through an
-    eigendecomposition; everything else uses scaling-and-squaring with Pade
-    approximation via :func:`scipy.linalg.expm`.
+    eigendecomposition, computed here; everything else uses
+    scaling-and-squaring with Pade approximation via
+    :func:`scipy.linalg.expm`.  Either takes one time or an array of times
+    with a stack, as :func:`_eigh_expm_apply` and :func:`_pade_expm_apply` do.
     """
+    if _hermitian(a):
+        return partial(_eigh_expm_apply, scipy.linalg.eigh(a))
+    return partial(_pade_expm_apply, a)
+
+
+def expm_apply(a, t: float, v) -> np.ndarray:
+    """Apply the matrix exponential: ``e^{t a} v``, through :func:`expm_action`."""
     a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    v = as_state_vector(v, a.shape[0])
-    if not _hermitian(a):
-        return _pade_expm_apply(a, t, v)
-    out = _eigh_expm_apply(scipy.linalg.eigh(a), t, v)
+    out = expm_action(a)(t, as_state_vector(v, a.shape[0]))
     check_finite(out, "matrix exponential action")
     return out
 

@@ -19,8 +19,6 @@ class SolutionTrace:
       closed-form trace carries it, zero-initial-data ones included;
     - ``richardson_rel_dev`` and ``quadrature``: the panel-doubling check and
       the rule settings, on every forced closed-form trace;
-    - ``forcing_weight_residual`` and ``forcing_weight_limit``: residual of
-      the forcing-weight solve and its gate's limit, on the same traces;
     - ``oracle_dev`` and ``oracle_rel_dev``: deviation from the companion
       oracle, added by :func:`compare_with_oracle`;
     - ``oracle_steps_per_unit``: step density, on oracle traces.
