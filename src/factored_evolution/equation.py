@@ -17,8 +17,16 @@ equation into the first-order block system
     d/dt (u_1, ..., u_n) = bidiag(A_1 .. A_n; I) (u_1, ..., u_n) + (0,..,0,f)
 
 with the factor list on the block diagonal in the given order and identity
-blocks on the superdiagonal.  Integrating that system with RK4 is the
-independent oracle every closed-form solution is validated against.
+blocks on the superdiagonal.  Integrating that system with classical RK4 is
+the independent oracle every closed-form solution is validated against.
+The generator ``C`` is assembled once, as independent blocks (one for
+dense factors, one per mode for spectral ones).  The system is linear, so
+with ``X = h C`` one RK4 step is exactly
+
+    U <- P U + (h/6) [W_0 f(t) + W_1/2 f(t + h/2) + f(t + h)],
+
+with ``P = sum_{k<=4} X^k/k!``, ``W_0 = I + X + X^2/2 + X^3/4`` and
+``W_1/2 = 4 I + 2 X + X^2/2``; f enters the last block only.
 
 The cascade initial values expand in elementary symmetric polynomials of
 the leading factors:
@@ -33,6 +41,7 @@ weights, ``e_k = C(m-1, k) A^k``.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,10 +52,11 @@ from .errors import (
     DimensionMismatchError,
     MixedBackendError,
     NonCommutingFactorsError,
+    NonFiniteError,
     UnsupportedOperationError,
 )
 from .operators import Operator, commutation_defect
-from .statespace import _check_time_grid, as_state_vector, rk4_integrate
+from .statespace import _check_time_grid, as_state_vector
 from .trace import SolutionTrace
 
 # Numerical gate on pairwise commutation of factor operators.
@@ -176,8 +186,11 @@ class FactoredEquation:
         return unforced
 
     def with_zero_initial_data(self) -> "FactoredEquation":
-        zeros = tuple(np.zeros(self.dim) for _ in self.factors)
-        return FactoredEquation(self.factors, zeros, self.forcing)
+        """This equation with zero initial data; a copy, like
+        :meth:`without_forcing`, that does not run the gate again."""
+        zeroed = copy.copy(self)
+        object.__setattr__(zeroed, "initial_data", tuple(np.zeros(self.dim) for _ in self.factors))
+        return zeroed
 
 
 def initial_data_transform(eq: FactoredEquation) -> list[np.ndarray]:
@@ -220,80 +233,40 @@ class CompanionSystem:
 
     The generator is block upper-bidiagonal with the factor operators on
     the diagonal (in factor-list order) and identity blocks above; forcing,
-    if any, enters only the last block row.
+    if any, enters only the last block row.  :meth:`generator` assembles it
+    once, as the stack of independent blocks the oracle steps.
     """
 
     factors: tuple[Operator, ...]
     initial_blocks: tuple[np.ndarray, ...]
     forcing: Forcing | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    @property
-    def block_dim(self) -> int:
-        return self.factors[0].dim
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.block_dim
-
     def initial_state(self) -> np.ndarray:
+        """The cascade values ``u_1(0), ..., u_n(0)``, concatenated."""
         return np.concatenate(self.initial_blocks)
 
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit ``(n d) x (n d)`` generator, for inspection and tests."""
-        n, d = self.n, self.block_dim
-        blocks = []
-        for op in self.factors:
-            if op.family == "dense":
-                blocks.append(op.matrix)
-            elif op.family == "spectral":
-                blocks.append(np.diag(op.modal_values))
-            else:
-                raise UnsupportedOperationError(
-                    "dense companion assembly needs a dense or spectral backend"
-                )
-        dtype = np.result_type(*[b.dtype for b in blocks])
-        big = np.zeros((n * d, n * d), dtype=dtype)
-        eye = np.eye(d)
-        for j in range(n):
-            big[j * d : (j + 1) * d, j * d : (j + 1) * d] = blocks[j]
-            if j + 1 < n:
-                big[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = eye
-        return big
+    def generator(self) -> np.ndarray:
+        """The generator as a stack of independent blocks, shape ``(b, N, N)``.
 
-    def vector_field(self) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Right-hand side ``F(t, U)`` of the stacked first-order system.
-
-        Dense and spectral backends get a vectorized closure (the oracle
-        spends essentially all its time here); other families are
-        rejected, as in :meth:`dense_matrix`.
+        Dense factors give one ``(n d) x (n d)`` block (``b = 1``).  Spectral
+        factors give one ``n x n`` upper-bidiagonal block per mode
+        (``b = d``), so the ``(n d)^2`` matrix is never formed.  With
+        ``m = d / b``, a block's state is ``(u_1, ..., u_n)`` restricted to
+        its ``m`` coordinates, and its last ``m`` entries are the block the
+        forcing enters.  Other families are rejected.
         """
-        n, d = self.n, self.block_dim
-        forcing = self.forcing
         family = self.factors[0].family
-        if family == "spectral":
-            modal = np.stack([op.modal_values for op in self.factors])  # (n, d)
-            act = lambda u: modal * u  # noqa: E731
-        elif family == "dense":
-            mats = np.stack([op.matrix for op in self.factors])  # (n, d, d)
-            act = lambda u: np.einsum("nij,nj->ni", mats, u)  # noqa: E731
+        if family == "dense":
+            diag = np.stack([op.matrix for op in self.factors])[None]  # (1, n, d, d)
+        elif family == "spectral":
+            diag = np.stack([op.modal_values for op in self.factors]).T[..., None, None]  # (d, n, 1, 1)
         else:
             raise UnsupportedOperationError(
-                "the companion vector field needs a dense or spectral backend"
+                f"the companion generator needs a dense or spectral backend, got {family!r}"
             )
-
-        def field(t, state):
-            u = state.reshape(n, d)
-            du = act(u)
-            du[:-1] += u[1:]
-            if forcing is not None:
-                du[-1] += as_state_vector(forcing(t), d)
-            return du.reshape(-1)
-
-        return field
+        b, n, m = diag.shape[:3]
+        blocks = np.einsum("bjkl,ij->bjkil", diag, np.eye(n)).reshape(b, n * m, n * m)
+        return blocks + np.eye(n * m, k=m)
 
 
 def build_companion(eq: FactoredEquation) -> CompanionSystem:
@@ -305,33 +278,58 @@ def build_companion(eq: FactoredEquation) -> CompanionSystem:
 def oracle_solve(
     eq: FactoredEquation, t_grid, steps_per_unit: int = 2000
 ) -> SolutionTrace:
-    """Brute-force reference solution via RK4 on the companion system.
+    """Brute-force reference solution: classical RK4 on the companion system.
 
-    The first block component of the integrated state is ``u(t)``.  Only
-    finite-dimensional backends (dense, spectral) are supported; the step
-    count is fixed rather than adaptive so error baselines are reproducible.
+    Each sample interval gets ``ceil(length * steps_per_unit)`` equal steps
+    (fixed, so error baselines are reproducible), each the exact step of the
+    module docstring on the blocks of :meth:`CompanionSystem.generator`.
+    ``P - I`` and the last-block columns of ``W_0``, ``W_1/2`` and ``I`` are
+    built once per step size (``U`` is added apart, so rounding scales with
+    ``h`` as in step-by-step RK4), and each stage time is evaluated once.
+    The first block component of the state is ``u(t)``.  ``steps_per_unit < 1``
+    raises ``ValueError``, and an overflowing state ``NonFiniteError``.
     """
-    if eq.family not in ("dense", "spectral"):
-        raise UnsupportedOperationError(
-            f"the companion oracle needs a dense or spectral backend, got {eq.family!r}"
-        )
+    if steps_per_unit < 1:
+        raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
     times = _check_time_grid(t_grid)
     system = build_companion(eq)
-    field = system.vector_field()
-    state = system.initial_state()
-    d = eq.dim
-    dtype_parts = [state.dtype] + [
-        (op.matrix if op.family == "dense" else op.modal_values).dtype for op in eq.factors
-    ]
-    if eq.forcing is not None:
-        dtype_parts.append(as_state_vector(eq.forcing(0.0), d).dtype)
-    values = np.empty((times.size, d), dtype=np.result_type(*dtype_parts))
-    state = state.astype(values.dtype, copy=False)  # a complex forcing makes the state complex
-    t_prev = 0.0
-    for i, t in enumerate(times):
+    gen = system.generator()
+    (b, size, _), n, d = gen.shape, eq.n, eq.dim
+    m = d // b  # coordinates of one block per cascade component
+
+    @functools.cache
+    def step_matrices(h):  # (P - I, W)
+        x = h * gen
+        x2 = x @ x
+        x3 = x2 @ x
+        eye = np.broadcast_to(np.eye(size), gen.shape)
+        ws = (eye + x + x2 / 2 + x3 / 4, 4 * eye + 2 * x + x2 / 2, eye)
+        last_columns = np.concatenate([w[..., -m:] for w in ws], axis=-1)
+        return x + x2 / 2 + x3 / 6 + x3 @ x / 24, (h / 6) * last_columns
+
+    def last_block(t):  # f(t) as the (b, m, 1) input of the last block
+        return as_state_vector(eq.forcing(t), d).reshape(b, m, 1)
+
+    state = system.initial_state().reshape(n, b, m).swapaxes(0, 1).reshape(b, size, 1)
+    f_t = None if eq.forcing is None else last_block(0.0)
+    parts = (gen, state) if f_t is None else (gen, state, f_t)
+    state = state.astype(np.result_type(*parts))  # complex from t = 0 if C or f(0) is
+    values, t_prev = [], 0.0
+    for t in times:
         if t > t_prev:
-            steps = max(1, math.ceil((t - t_prev) * steps_per_unit))
-            state = rk4_integrate(field, state, t, steps, t0=t_prev)
+            steps = math.ceil((t - t_prev) * steps_per_unit)
+            p_minus_i, w = step_matrices((t - t_prev) / steps)
+            stage = np.linspace(t_prev, t, 2 * steps + 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, 2 * steps, 2):
+                    du = p_minus_i @ state
+                    if f_t is not None:
+                        f_end = last_block(stage[k + 1])
+                        du = du + w @ np.concatenate([f_t, last_block(stage[k]), f_end], axis=1)
+                        f_t = f_end
+                    state = state + du
+                    if not np.isfinite(state).all():
+                        raise NonFiniteError(f"RK4 state became non-finite at t={stage[k + 1]:.6g}")
             t_prev = float(t)
-        values[i] = state[:d]
-    return SolutionTrace(times, values, {"oracle_steps_per_unit": steps_per_unit})
+        values.append(state.reshape(b, n, m)[:, 0].reshape(d))
+    return SolutionTrace(times, np.array(values), {"oracle_steps_per_unit": steps_per_unit})

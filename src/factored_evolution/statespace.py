@@ -98,7 +98,7 @@ def _check_time_grid(t_grid) -> np.ndarray:
 
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise :class:`NonFiniteError` if ``arr`` has NaN/Inf entries."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from factored_evolution import (
     DuplicateLabelError,
+    FactoredEquation,
     QuadratureUnderResolvedError,
     SchemaError,
     SolutionTrace,
@@ -262,6 +263,21 @@ class TestCommands:
         report = run_verify(config, seed=5)
         assert report.passed and "oracle-equivalence" in report.format()
         assert len(equations) == 1 and len(solves) == 1
+
+    def test_forced_verify_runs_the_commutation_gate_once(self, monkeypatch):
+        # the zero-data copy for the quadrature check reuses the gate's verdict
+        gate = FactoredEquation.__dict__["_commutation_gate"].__func__
+        calls = []
+
+        def counting_gate(grouped):
+            calls.append(len(grouped))
+            return gate(grouped)
+
+        monkeypatch.setattr(FactoredEquation, "_commutation_gate", staticmethod(counting_gate))
+        report = run_verify(parse_config(json.dumps(RANDOM_DIAGONAL)), seed=5)
+        assert report.passed, report.format()
+        assert "quadrature-convergence" in report.format()
+        assert calls == [3]
 
     def test_verify_forced_wide_band_passes(self):
         # Differencing the forced part on the tiny derivative-check grids

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from factored_evolution import (
     DenseMatrixOperator,
@@ -8,17 +11,24 @@ from factored_evolution import (
     Forcing,
     MixedBackendError,
     NonCommutingFactorsError,
+    NonFiniteError,
     SpectralDiagonalOperator,
     UnsupportedOperationError,
     build_companion,
     group_factors,
     initial_data_transform,
     oracle_solve,
+    rk4_integrate,
     solve_full,
 )
 from factored_evolution.statespace import finite_difference_weights
 
-from conftest import random_spectral_instance
+from conftest import (
+    max_rel_dev,
+    random_commuting_instance,
+    random_smooth_forcing,
+    random_spectral_instance,
+)
 
 
 BOTH_SOLVERS = pytest.mark.parametrize(
@@ -150,14 +160,14 @@ class TestCompanion:
         a = diag_op("A", [2.0])
         eq = FactoredEquation((a,), (np.array([3.0]),))
         system = build_companion(eq)
-        assert np.array_equal(system.dense_matrix(), [[2.0]])
+        assert np.array_equal(system.generator(), [[[2.0]]])
         assert np.array_equal(system.initial_state(), [3.0])
 
     def test_two_scalar_factors(self):
         a, b = scalar_op("a", 1.0), scalar_op("b", 2.0)
         eq = FactoredEquation((a, b), (np.array([4.0]), np.array([9.0])))
         system = build_companion(eq)
-        assert np.array_equal(system.dense_matrix(), [[1.0, 1.0], [0.0, 2.0]])
+        assert np.array_equal(system.generator(), [[[1.0, 1.0], [0.0, 2.0]]])
         assert np.array_equal(system.initial_state(), [4.0, 9.0 - 4.0])
 
     def test_five_factor_diagonal_order(self):
@@ -166,21 +176,27 @@ class TestCompanion:
         a, b, c = scalar_op("A", 1.0), scalar_op("B", 2.0), scalar_op("C", 3.0)
         xs = tuple(np.array([float(k)]) for k in range(5))
         system = build_companion(FactoredEquation((c, b, b, a, a), xs))
-        mat = system.dense_matrix()
+        (mat,) = system.generator()
         assert np.array_equal(np.diag(mat), [3.0, 2.0, 2.0, 1.0, 1.0])
         assert np.array_equal(np.diag(mat, k=1), np.ones(4))
         assert np.count_nonzero(np.tril(mat, k=-1)) == 0
 
     def test_forcing_enters_last_block_only(self):
+        # one oracle step of the forced system against RK4 on the flat
+        # system (u_1, u_2) with the forcing in the last block, not the first
         a = diag_op("A", [1.0, 2.0])
         forcing = Forcing(lambda t: np.array([10.0, 20.0]))
         eq = FactoredEquation((a, a), (np.zeros(2), np.zeros(2)), forcing)
         plain = FactoredEquation((a, a), (np.zeros(2), np.zeros(2)))
-        state = np.arange(4.0)
-        diff = build_companion(eq).vector_field()(0.3, state) - build_companion(
-            plain
-        ).vector_field()(0.3, state)
-        assert np.array_equal(diff, [0.0, 0.0, 10.0, 20.0])
+        per_mode = [[[1.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [0.0, 2.0]]]
+        assert np.array_equal(build_companion(eq).generator(), per_mode)
+        assert np.array_equal(build_companion(plain).generator(), per_mode)
+        flat = np.array([[1, 0, 1, 0], [0, 2, 0, 1], [0, 0, 1, 0], [0, 0, 0, 2]], dtype=float)
+        last = rk4_integrate(lambda t, u: flat @ u + [0.0, 0.0, 10.0, 20.0], np.zeros(4), 0.5, 1)
+        first = rk4_integrate(lambda t, u: flat @ u + [10.0, 20.0, 0.0, 0.0], np.zeros(4), 0.5, 1)
+        diff = oracle_solve(eq, [0.5], 1).values[0] - oracle_solve(plain, [0.5], 1).values[0]
+        assert max_rel_dev(diff, last[:2]) <= 1e-14
+        assert max_rel_dev(diff, first[:2]) > 0.5
 
     def test_commutation_gate(self):
         n1 = DenseMatrixOperator("N1", [[0.0, 1.0], [0.0, 0.0]])
@@ -261,3 +277,88 @@ class TestOracle:
         trace = solve_full(eq, t_grid)
         assert np.iscomplexobj(reference.values)
         assert np.max(np.abs(trace.values - reference.values)) <= 1e-6
+
+    def test_forcing_real_at_zero_only_agrees(self):
+        # the value at t = 0 does not fix the dtype: f(0) is real here
+        a = diag_op("a", [-1.0, -2.0])
+        forcing = Forcing(lambda t: np.real_if_close(np.array([np.exp(1j * t), 1.0])))
+        assert not np.iscomplexobj(forcing(0.0))
+        eq = FactoredEquation((a,), (np.zeros(2),), forcing)
+        t_grid = np.array([0.5, 1.0])
+        reference = oracle_solve(eq, t_grid)
+        assert np.iscomplexobj(reference.values)
+        assert np.max(np.abs(solve_full(eq, t_grid).values - reference.values)) <= 1e-6
+
+    def test_blow_up_raises_nonfinite_error(self):
+        eq = FactoredEquation((diag_op("a", [800.0]),), (np.ones(1),))
+        with pytest.raises(NonFiniteError):
+            oracle_solve(eq, np.array([1.0]))
+
+    @pytest.mark.parametrize("steps_per_unit", [0, -5, 0.5])
+    def test_steps_per_unit_below_one_rejected(self, steps_per_unit):
+        eq = FactoredEquation((scalar_op("a", -1.0),), (np.array([1.0]),))
+        with pytest.raises(ValueError, match="steps_per_unit"):
+            oracle_solve(eq, np.array([1.0]), steps_per_unit)
+
+
+def step_by_step_rk4(eq, t_grid, steps_per_unit):
+    """RK4 through ``rk4_integrate`` on the flat ``(n d)``-state system, its
+    generator put together from the blocks of ``generator()`` (checked to be
+    the block bidiagonal of the factors) and the forcing in the last block."""
+    system = build_companion(eq)
+    blocks = system.generator()
+    n, d = eq.n, eq.dim
+    m = d // blocks.shape[0]
+    flat = np.zeros((n * d, n * d), dtype=blocks.dtype)
+    for k, block in enumerate(blocks):  # block k holds coordinates k*m .. k*m+m-1
+        idx = (d * np.arange(n)[:, None] + k * m + np.arange(m)).ravel()
+        flat[np.ix_(idx, idx)] = block
+    bidiagonal = np.eye(n * d, k=d).astype(blocks.dtype)
+    for j, op in enumerate(eq.factors):
+        gen = op.matrix if op.family == "dense" else np.diag(op.modal_values)
+        bidiagonal[j * d : (j + 1) * d, j * d : (j + 1) * d] = gen
+    assert np.array_equal(flat, bidiagonal)
+
+    def field(t, u):
+        du = flat @ u
+        if eq.forcing is not None:
+            du[-d:] += eq.forcing(t)
+        return du
+
+    state = system.initial_state()
+    if eq.forcing is not None:
+        state = state.astype(np.result_type(state, flat, eq.forcing(0.0)))
+    values, t_prev = [], 0.0
+    for t in t_grid:
+        if t > t_prev:
+            steps = math.ceil((t - t_prev) * steps_per_unit)
+            state = rk4_integrate(field, state, t, steps, t0=t_prev)
+            t_prev = t
+        values.append(state[:d])
+    return np.array(values)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    family=st.sampled_from(["spectral", "dense"]),
+    n=st.integers(1, 4),
+    dim=st.integers(1, 4),
+    forcing=st.sampled_from([None, "real", "complex"]),
+)
+@example(seed=7, family="dense", n=3, dim=3, forcing="complex")
+@example(seed=8, family="spectral", n=3, dim=3, forcing="complex")
+@example(seed=9, family="dense", n=2, dim=4, forcing="real")
+@example(seed=10, family="dense", n=4, dim=4, forcing=None)
+def test_exact_step_matches_step_by_step_rk4(seed, family, n, dim, forcing):
+    rng = np.random.default_rng(seed)
+    f = None
+    if forcing is not None:
+        real = random_smooth_forcing(rng, dim)
+        f = real if forcing == "real" else Forcing(lambda t: (1.0 + 0.5j) * real(t))
+    eq = random_commuting_instance(rng, n, dim, family, forcing=f)
+    t_grid = np.array([0.0, 0.25, 0.6, 1.0])
+    reference = step_by_step_rk4(eq, t_grid, 300)
+    values = oracle_solve(eq, t_grid, 300).values
+    assert values.dtype == reference.dtype
+    assert max_rel_dev(values, reference) <= 1e-12
