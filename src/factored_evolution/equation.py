@@ -239,7 +239,6 @@ class CompanionSystem:
 
     factors: tuple[Operator, ...]
     initial_blocks: tuple[np.ndarray, ...]
-    forcing: Forcing | None = None
 
     def initial_state(self) -> np.ndarray:
         """The cascade values ``u_1(0), ..., u_n(0)``, concatenated."""
@@ -272,7 +271,7 @@ class CompanionSystem:
 def build_companion(eq: FactoredEquation) -> CompanionSystem:
     """Reduce the factored equation to its first-order block system."""
     blocks = tuple(initial_data_transform(eq))
-    return CompanionSystem(eq.factors, blocks, eq.forcing)
+    return CompanionSystem(eq.factors, blocks)
 
 
 def oracle_solve(

@@ -4,7 +4,8 @@ An :class:`Operator` bundles a generator ``A`` with the two actions the
 solver needs, ``apply(v) = A v`` and ``semigroup(t, v) = e^{t A} v``, plus a
 ``label`` used for grouping repeated factors.  ``semigroup`` also takes a
 1-D array of times with a stack of states, one per row, and returns the
-rows ``e^{t_i A} v_i``; the quadrature uses that for all nodes of a pass.
+rows ``e^{t_i A} v_i``; the solver uses that for all sample times of the
+homogeneous part and for all nodes of a quadrature pass.
 Grouping is by label, never by numerical comparison of the underlying data:
 the user declares which factors coincide.
 
@@ -13,8 +14,8 @@ Three families are provided and may not be mixed inside one equation:
 ``dense``
     An explicit square matrix.  Hermitian matrices get an eigendecomposition
     at construction so semigroup actions are cheap; everything else falls
-    back to scaling-and-squaring per call (one stacked call for an array of
-    times).
+    back to scaling-and-squaring per call (for an array of times, stacked
+    calls of at most ``statespace.EXPM_STACK_ENTRIES`` entries each).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a

@@ -12,13 +12,16 @@ convolution form
 
 with the forcing weights ``z`` from the confluent solve against
 ``(0, ..., 0, I)``; the integral is done per sample time with a composite
-rule over ``[0, t]`` and verified by panel doubling.  Each pass of the rule
-evaluates the forcing once per node and then works on every node at once:
-groups with a mode basis sum ``zeta_{jk} * ((w tau^k/k!) @ (exp(outer(tau,
-lambda_j)) * g_hat))`` in modes and transform back once, other groups apply
-``semigroup`` with the array of ``tau`` to the stack
-``sum_k (tau^k/k!) z_{jk} g``.  General initial data superposes the two
-parts.
+rule over ``[0, t]`` and verified by panel doubling.  General initial data
+superposes the two parts.
+
+Both parts evaluate one kernel, ``sum_j e^{tau B_j} sum_k (tau^k/k!) c_{jk}``,
+through :func:`_semigroup_sum` (one array-time ``semigroup`` call per
+group): at ``tau = t`` with ``c = y`` for all sample times at once, and at
+``tau = t - s`` with ``c = z f(s)`` for all nodes of a quadrature pass.  A
+pass evaluates the forcing once per node; groups with a mode basis sum
+``zeta_{jk} * ((w tau^k/k!) @ (exp(outer(tau, lambda_j)) * g_hat))`` in
+modes instead and transform back once.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -70,13 +73,18 @@ def default_quadrature_rule() -> QuadratureRule:
     return QuadratureRule("gauss-legendre", panels=16, nodes_per_panel=8)
 
 
-def _polynomial_semigroup_sum(matrix: BlockOperatorMatrix, coeffs, t: float) -> np.ndarray:
-    """Evaluate ``sum_j sum_k (t^k/k!) e^{t B_j} coeffs[off_j + k]``."""
+def _semigroup_sum(matrix: BlockOperatorMatrix, coeffs, taus: np.ndarray) -> np.ndarray:
+    """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) coeffs[off_j + k]``,
+    shape ``(m, d)``, from one array-time ``semigroup`` call per group.
+
+    ``coeffs`` is ``(n, d)``, one set shared by every row, or ``(n, m, d)``,
+    one set per row.
+    """
     acc = None
     for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
-        for k in range(mult):
-            term = (t**k / math.factorial(k)) * op.semigroup(t, coeffs[offset + k])
-            acc = term if acc is None else acc + term
+        p = sum((taus**k / math.factorial(k))[:, None] * coeffs[offset + k] for k in range(mult))
+        term = op.semigroup(taus, p)
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -101,8 +109,8 @@ def _convolution_value(
         return np.zeros(matrix.dim)
     taus = t - pts
     g = as_state_stack([forcing(float(s)) for s in pts], matrix.dim)
-    acc = None
-    if z.basis is not None:
+    if z.basis is not None:  # one exp(outer) per group serves every k
+        acc = None
         g_hat = z.modes_of(g)
         for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
             # in place, unless a complex forcing meets real modal values
@@ -114,12 +122,7 @@ def _convolution_value(
                 acc = term if acc is None else acc + term
             del grown  # one (m, d) exponential alive at a time
         return z.basis.from_modes(acc, g)
-    weights = z.apply_all(g)
-    for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
-        p = sum((taus**k / math.factorial(k))[:, None] * weights[offset + k] for k in range(mult))
-        term = wts @ op.semigroup(taus, p)
-        acc = term if acc is None else acc + term
-    return acc
+    return wts @ _semigroup_sum(matrix, z.apply_all(g), taus)
 
 
 def solve_inhomogeneous_zero_ic(
@@ -154,8 +157,9 @@ def solve_full(
     One confluent matrix ``M`` serves both parts and is factorized once:
     the coefficients ``y`` solve ``M y = (x_0, ..., x_{n-1})`` and the
     forcing weights ``z`` solve ``M z = (0, ..., 0, I)``.  The homogeneous
-    part sums ``(t^k/k!) e^{t B_j} y_{jk}``; the diagnostics carry the
-    residual of the ``y`` solve under ``coefficient_residual``.
+    part sums ``e^{t B_j} sum_k (t^k/k!) y_{jk}`` for every sample time at
+    once, with one array-time ``semigroup`` call per group; the diagnostics
+    carry the residual of the ``y`` solve under ``coefficient_residual``.
 
     With a forcing term the convolution part is added.  Every sample time
     gets a fresh composite rule over ``[0, t]`` (the formula is evaluated
@@ -170,7 +174,7 @@ def solve_full(
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
     ys = solve_coefficients(matrix, eq.initial_data)
-    values = np.stack([_polynomial_semigroup_sum(matrix, ys, float(t)) for t in times])
+    values = _semigroup_sum(matrix, ys, times)
     if eq.forcing is None:
         return SolutionTrace(times, values, {"coefficient_residual": ys.residual})
 
@@ -236,7 +240,9 @@ def initial_derivative_defect(eq: FactoredEquation) -> float:
     orders use step 1e-3; from the 4th derivative on the step is widened to
     keep roundoff amplification (which grows like ``h^-k``) below the
     measurement.  One solve per step size, on its longest stencil grid,
-    serves every order (each sample time is evaluated on its own).
+    serves every order: each row of the homogeneous values depends on its
+    own sample time only, so a longer grid leaves the shorter rows as they
+    are.
 
     The forced part is left out: its derivatives below order n vanish at 0
     exactly when ``M z = (0, ..., 0, I)``, which the ``z`` solve's residual

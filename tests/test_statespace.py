@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from factored_evolution import (
+    DenseMatrixOperator,
     NonFiniteError,
     QuadratureRule,
     SemigroupOverflowError,
@@ -10,6 +13,7 @@ from factored_evolution import (
     lu_solve,
     rk4_integrate,
 )
+from factored_evolution import statespace
 from factored_evolution.statespace import finite_difference_weights
 
 
@@ -105,6 +109,48 @@ class TestExpmApply:
     def test_overflow_raises(self):
         with pytest.raises(SemigroupOverflowError):
             expm_apply(np.diag([1000.0, 1000.0]), 10.0, np.ones(2))
+
+
+class TestExpmStackCap:
+    """Stacked Pade exponentials are chunked at ``EXPM_STACK_ENTRIES``."""
+
+    @staticmethod
+    def _non_hermitian(shift, m, d=64, seed=40):
+        rng = np.random.default_rng(seed)
+        a = shift * np.eye(d) + 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
+        op = DenseMatrixOperator("N", a)
+        return op, np.linspace(0.0, 2.0, m), rng.standard_normal((m, d))
+
+    def test_peak_memory_is_capped(self):
+        # one 512-matrix stack of d = 64 peaks at 32 MiB, chunks of 2^18
+        # entries at 4.4 MiB
+        op, taus, vs = self._non_hermitian(-1.0, 512)
+        tracemalloc.start()
+        try:
+            op.semigroup(taus, vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_chunks_equal_one_stack_and_keep_zero_rows(self, monkeypatch):
+        op, taus, vs = self._non_hermitian(-1.0, 300)
+        zero = np.zeros(taus.size, dtype=bool)
+        zero[[0, 100, 299]] = True
+        taus[zero] = 0.0
+        chunked = op.semigroup(taus, vs)
+        monkeypatch.setattr(statespace, "EXPM_STACK_ENTRIES", 2**40)
+        assert np.array_equal(chunked, op.semigroup(taus, vs))
+        assert np.array_equal(chunked[zero], vs[zero])
+
+    def test_overflow_in_a_later_chunk_raises(self):
+        # the spectral abscissa is about 0.44: only the last time overflows
+        op, taus, vs = self._non_hermitian(0.0, 300)
+        taus[-1] = 5000.0
+        assert taus.size > statespace.EXPM_STACK_ENTRIES // op.matrix.size
+        assert np.all(np.isfinite(op.semigroup(taus[:-1], vs[:-1])))
+        with pytest.raises(SemigroupOverflowError):
+            op.semigroup(taus, vs)
 
 
 class TestRk4:
