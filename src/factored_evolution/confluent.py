@@ -12,12 +12,14 @@ r-th derivative at ``t = 0`` of the ansatz ``sum_j sum_k (t^k/k!) e^{t B_j}
 y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 
 Scalars reduce this to the classical confluent Vandermonde matrix of the
-modal values with the given multiplicities.  Groups that share a mode basis
-(``Operator.mode_basis``: the spectral and periodic-translation backends)
-solve it that way, one small scalar system per mode, and take one path:
-transform into modes, solve, transform back.  A mode where two groups
-coincide is allowed as long as the right-hand side leaves it unexcited.
-Dense backends assemble the full ``(n d) x (n d)`` matrix and LU-factor it.
+modal values with the given multiplicities.  One assembly builds ``M`` from
+the generators' blocks (``operators.generator_blocks``).  Groups that share
+a mode basis (``Operator.mode_basis``: the spectral and periodic-translation
+backends) have 1 x 1 blocks, so ``M`` splits into one small scalar system
+per mode, and take one path: transform into modes, solve, transform back.
+A mode where two groups coincide is allowed as long as the right-hand side
+leaves it unexcited.  Dense groups have one block, the full ``(n d) x (n d)``
+matrix, which is LU-factored.
 A single repeated factor needs no inversion at all, the matrix is unit
 lower triangular and forward substitution with operator applications does
 the job for every backend.  Each ``BlockOperatorMatrix`` builds this
@@ -40,7 +42,14 @@ from .errors import (
     SingularSystemError,
     UnsupportedOperationError,
 )
-from .operators import ModeBasis, Operator, coincident_modes, excites, shared_mode_basis
+from .operators import (
+    ModeBasis,
+    Operator,
+    coincident_modes,
+    excites,
+    generator_blocks,
+    shared_mode_basis,
+)
 from .statespace import as_state_stack, as_state_vector, inf_norm, lu_apply, lu_factor_checked
 
 # Desk-scale cap: binomials stay comfortably in exact integer range and the
@@ -93,10 +102,6 @@ class BlockOperatorMatrix:
         return self.grouped[0][0].dim
 
     @property
-    def family(self) -> str:
-        return self.grouped[0][0].family
-
-    @property
     def offsets(self) -> list[int]:
         offs, acc = [], 0
         for _, mult in self.grouped:
@@ -113,26 +118,23 @@ class BlockOperatorMatrix:
     def _factorization(self):
         """Factorization of ``M`` shared by every solve, built on first use.
 
-        ``None`` for a single group (``M`` is unit lower triangular), the
-        :class:`_ModeSystems` of groups that share a mode basis, and the
-        pivoted LU of the assembled matrix for dense groups.
+        ``None`` for a single group (``M`` is unit lower triangular).
+        Otherwise ``M`` is assembled from :func:`generator_blocks`: one
+        ``n x n`` matrix per mode for groups that share a mode basis, kept
+        as :class:`_ModeSystems`, and one ``(n d) x (n d)`` matrix for dense
+        groups, kept as its pivoted LU.
         """
         if len(self.grouped) == 1:
             return None
+        blocks = generator_blocks(op for op, _ in self.grouped)
+        v = _confluent_blocks(blocks, [mult for _, mult in self.grouped])
         basis = self.mode_basis
         if basis is not None:
-            nodes = np.stack([op.modal_values for op, _ in self.grouped])
-            v = _mode_matrices(nodes, [mult for _, mult in self.grouped])
-            mask, pairs = _coincident_modes(self, nodes)
+            mask, pairs = _coincident_modes(self, blocks[..., 0, 0])
             v[mask] = np.eye(v.shape[1], dtype=v.dtype)
             return _ModeSystems(v, mask, pairs, basis)
-        if self.family != "dense":
-            raise UnsupportedOperationError(
-                f"coefficient solves with several distinct {self.family} factors "
-                "need a mode basis, which only the periodic boundary provides"
-            )
         try:
-            return lu_factor_checked(_assemble_dense(self))
+            return lu_factor_checked(v[0])
         except SingularMatrixError as exc:
             labels = [op.label for op, _ in self.grouped]
             raise SingularSystemError(
@@ -227,24 +229,26 @@ def scalar_confluent_matrix(nodes, multiplicities) -> np.ndarray:
     if nodes.ndim != 1 or nodes.shape[0] != len(multiplicities):
         raise ValueError("need exactly one scalar node per multiplicity")
     dtype = np.complex128 if np.iscomplexobj(nodes) else np.float64
-    return _mode_matrices(nodes.astype(dtype).reshape(-1, 1), multiplicities)[0]
+    return _confluent_blocks(nodes.astype(dtype).reshape(-1, 1, 1, 1), multiplicities)[0]
 
 
-def _mode_matrices(node_rows: np.ndarray, multiplicities) -> np.ndarray:
-    """Stack of per-mode scalar matrices, shape ``(d, n, n)``.
+def _confluent_blocks(blocks: np.ndarray, multiplicities) -> np.ndarray:
+    """``M`` as independent blocks, shape ``(b, n m, n m)``, from the group
+    generators' blocks ``(g, b, m, m)`` of :func:`generator_blocks`.
 
-    ``node_rows[j, i]`` is the modal value of group j at mode i.
+    Block row r, local column k of group j holds ``C(r, k) B_j^(r-k)``.
     """
-    d = node_rows.shape[1]
+    _, b, m, _ = blocks.shape
     n = sum(multiplicities)
-    dtype = np.complex128 if np.iscomplexobj(node_rows) else np.float64
-    v = np.zeros((d, n, n), dtype=dtype)
+    v = np.zeros((b, n * m, n * m), dtype=blocks.dtype)
     col = 0
-    for j, mult in enumerate(multiplicities):
-        base = node_rows[j]
+    for base, mult in zip(blocks, multiplicities):
+        powers = [np.eye(m, dtype=blocks.dtype)]
+        for _ in range(n - 1):
+            powers.append(base @ powers[-1])
         for k in range(mult):
             for r in range(k, n):
-                v[:, r, col] = comb(r, k) * base ** (r - k)
+                v[:, r * m : (r + 1) * m, col * m : (col + 1) * m] = comb(r, k) * powers[r - k]
             col += 1
     return v
 
@@ -313,23 +317,6 @@ def _mode_solve(modes: _ModeSystems, modal: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
     return sol.T  # (n, d)
-
-
-def _assemble_dense(matrix: BlockOperatorMatrix) -> np.ndarray:
-    n, d = matrix.n, matrix.dim
-    mats = [op.matrix for op, _ in matrix.grouped]
-    dtype = np.result_type(*[m.dtype for m in mats])
-    big = np.zeros((n * d, n * d), dtype=dtype)
-    col = 0
-    for (op, mult), mat in zip(matrix.grouped, mats):
-        powers = [np.eye(d, dtype=dtype)]
-        for _ in range(n - 1):
-            powers.append(mat @ powers[-1])
-        for k in range(mult):
-            for r in range(k, n):
-                big[r * d : (r + 1) * d, col * d : (col + 1) * d] = comb(r, k) * powers[r - k]
-            col += 1
-    return big
 
 
 def _forward_substitution(matrix: BlockOperatorMatrix, rhs_vectors) -> list[np.ndarray]:

@@ -19,8 +19,10 @@ equation into the first-order block system
 with the factor list on the block diagonal in the given order and identity
 blocks on the superdiagonal.  Integrating that system with classical RK4 is
 the independent oracle every closed-form solution is validated against.
-The generator ``C`` is assembled once, as independent blocks (one for
-dense factors, one per mode for spectral ones).  The system is linear, so
+The generator ``C`` is assembled once from the factors' blocks
+(``operators.generator_blocks``), as independent blocks in their shared
+mode basis: one for dense factors, one per mode for spectral and periodic
+translation ones.  The system is linear, so
 with ``X = h C`` one RK4 step is exactly
 
     U <- P U + (h/6) [W_0 f(t) + W_1/2 f(t + h/2) + f(t + h)],
@@ -28,14 +30,13 @@ with ``X = h C`` one RK4 step is exactly
 with ``P = sum_{k<=4} X^k/k!``, ``W_0 = I + X + X^2/2 + X^3/4`` and
 ``W_1/2 = 4 I + 2 X + X^2/2``; f enters the last block only.
 
-The cascade initial values expand in elementary symmetric polynomials of
-the leading factors:
+The cascade initial values follow from the definition itself.  The
+derivatives ``D_j[k] = u_j^(k)(0)`` satisfy
 
-    u_m(0) = sum_{k=0}^{m-1} (-1)^k e_k(A_1, ..., A_{m-1}) x_{m-1-k},
+    D_1[k] = x_k,    D_{j+1}[k] = D_j[k+1] - A_j D_j[k],
 
-where ``e_k`` is the k-th elementary symmetric polynomial of the (commuting)
-operator multiset.  For a single repeated factor this reduces to binomial
-weights, ``e_k = C(m-1, k) A^k``.
+and ``u_j(0) = D_j[0]``; stage j needs the first ``n - j + 1`` derivatives
+of ``u_j``, so the table takes ``n (n - 1) / 2`` operator applications.
 """
 
 from __future__ import annotations
@@ -53,9 +54,14 @@ from .errors import (
     MixedBackendError,
     NonCommutingFactorsError,
     NonFiniteError,
-    UnsupportedOperationError,
 )
-from .operators import Operator, commutation_defect
+from .operators import (
+    ModeBasis,
+    Operator,
+    commutation_defect,
+    generator_blocks,
+    shared_mode_basis,
+)
 from .statespace import _check_time_grid, as_state_vector
 from .trace import SolutionTrace
 
@@ -196,34 +202,16 @@ class FactoredEquation:
 def initial_data_transform(eq: FactoredEquation) -> list[np.ndarray]:
     """Cascade initial values ``u_1(0) .. u_n(0)`` from the raw derivatives.
 
-    Evaluates the elementary symmetric expansion with the Horner-style
-    recursion ``e_k(m) = e_k(m-1) + A_m e_{k-1}(m-1)`` applied directly to
-    vectors; operator products are never materialized as matrices.
+    Follows the cascade definition on the derivative data: ``D_1[k] = x_k``,
+    ``D_{j+1}[k] = D_j[k+1] - A_j D_j[k]`` and ``u_j(0) = D_j[0]``, which
+    takes ``n (n - 1) / 2`` operator applications; operator products are
+    never materialized as matrices.
     """
-    n, xs, ops = eq.n, eq.initial_data, eq.factors
-    # table[r][j] = e_{j-r}(A_1..A_j) x_r, the only entries the sums below use
-    table: list[list[np.ndarray | None]] = [[None] * n for _ in range(n)]
-    for r in range(n):
-        row = [xs[r]]  # row[k] = e_k(A_1..A_j) x_r, growing with j
-        if r == 0:
-            table[r][0] = row[0]
-        for j in range(1, n):
-            op = ops[j - 1]
-            kmax = min(j, n - 1 - r)
-            new_row = [row[0]]
-            for k in range(1, kmax + 1):
-                lifted = op.apply(row[k - 1])
-                new_row.append(row[k] + lifted if k < len(row) else lifted)
-            row = new_row
-            if j >= r:
-                table[r][j] = row[j - r]
-    out = []
-    for m in range(1, n + 1):
-        acc = table[m - 1][m - 1].copy()  # k = 0 term
-        for k in range(1, m):
-            term = table[m - 1 - k][m - 1]
-            acc = acc + term if k % 2 == 0 else acc - term
-        out.append(acc)
+    derivs = list(eq.initial_data)
+    out = [derivs[0].copy()]
+    for op in eq.factors[:-1]:
+        derivs = [derivs[k + 1] - op.apply(derivs[k]) for k in range(len(derivs) - 1)]
+        out.append(derivs[0])
     return out
 
 
@@ -234,35 +222,37 @@ class CompanionSystem:
     The generator is block upper-bidiagonal with the factor operators on
     the diagonal (in factor-list order) and identity blocks above; forcing,
     if any, enters only the last block row.  :meth:`generator` assembles it
-    once, as the stack of independent blocks the oracle steps.
+    once, in :attr:`basis`, as the stack of independent blocks the oracle
+    steps.
     """
 
     factors: tuple[Operator, ...]
     initial_blocks: tuple[np.ndarray, ...]
 
+    @property
+    def basis(self) -> ModeBasis:
+        """The basis of the generator's blocks: the factors' shared mode
+        basis, or the identity for dense factors."""
+        return shared_mode_basis(self.factors) or ModeBasis(fourier=False)
+
     def initial_state(self) -> np.ndarray:
-        """The cascade values ``u_1(0), ..., u_n(0)``, concatenated."""
-        return np.concatenate(self.initial_blocks)
+        """The cascade values ``u_1(0), ..., u_n(0)`` in :attr:`basis`, concatenated."""
+        return self.basis.to_modes(np.stack(self.initial_blocks)).ravel()
 
     def generator(self) -> np.ndarray:
         """The generator as a stack of independent blocks, shape ``(b, N, N)``.
 
-        Dense factors give one ``(n d) x (n d)`` block (``b = 1``).  Spectral
-        factors give one ``n x n`` upper-bidiagonal block per mode
-        (``b = d``), so the ``(n d)^2`` matrix is never formed.  With
-        ``m = d / b``, a block's state is ``(u_1, ..., u_n)`` restricted to
-        its ``m`` coordinates, and its last ``m`` entries are the block the
-        forcing enters.  Other families are rejected.
+        With the factors' blocks ``(n, b, m, m)`` from
+        :func:`~factored_evolution.operators.generator_blocks`, block i is the
+        ``(n m) x (n m)`` upper block-bidiagonal matrix with the factors'
+        i-th blocks on the diagonal: one ``(n d) x (n d)`` block for dense
+        factors (``b = 1``) and one ``n x n`` block per mode for factors with
+        a mode basis (``b = d``), so the ``(n d)^2`` matrix of a modal
+        problem is never formed.  Its state is ``(u_1, ..., u_n)`` restricted
+        to coordinates ``i m .. i m + m - 1`` of :attr:`basis`, and its last
+        ``m`` entries are the block the forcing enters.
         """
-        family = self.factors[0].family
-        if family == "dense":
-            diag = np.stack([op.matrix for op in self.factors])[None]  # (1, n, d, d)
-        elif family == "spectral":
-            diag = np.stack([op.modal_values for op in self.factors]).T[..., None, None]  # (d, n, 1, 1)
-        else:
-            raise UnsupportedOperationError(
-                f"the companion generator needs a dense or spectral backend, got {family!r}"
-            )
+        diag = generator_blocks(self.factors).swapaxes(0, 1)  # (b, n, m, m)
         b, n, m = diag.shape[:3]
         blocks = np.einsum("bjkl,ij->bjkil", diag, np.eye(n)).reshape(b, n * m, n * m)
         return blocks + np.eye(n * m, k=m)
@@ -285,16 +275,21 @@ def oracle_solve(
     ``P - I`` and the last-block columns of ``W_0``, ``W_1/2`` and ``I`` are
     built once per step size (``U`` is added apart, so rounding scales with
     ``h`` as in step-by-step RK4), and each stage time is evaluated once.
-    The first block component of the state is ``u(t)``.  ``steps_per_unit < 1``
+    The state and the forcing live in :attr:`CompanionSystem.basis`, and the
+    first block component of the state is ``u(t)`` there; it goes back by
+    :meth:`ModeBasis.from_modes`, real when the initial data and every
+    forcing value are.  Factors without a block form (zero-extension
+    translations) raise ``UnsupportedOperationError``, ``steps_per_unit < 1``
     raises ``ValueError``, and an overflowing state ``NonFiniteError``.
     """
     if steps_per_unit < 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
     times = _check_time_grid(t_grid)
     system = build_companion(eq)
-    gen = system.generator()
+    gen, basis = system.generator(), system.basis
     (b, size, _), n, d = gen.shape, eq.n, eq.dim
     m = d // b  # coordinates of one block per cascade component
+    dtypes = {x.dtype for x in eq.initial_data}  # of every input, for the real-output rule
 
     @functools.cache
     def step_matrices(h):  # (P - I, W)
@@ -306,8 +301,10 @@ def oracle_solve(
         last_columns = np.concatenate([w[..., -m:] for w in ws], axis=-1)
         return x + x2 / 2 + x3 / 6 + x3 @ x / 24, (h / 6) * last_columns
 
-    def last_block(t):  # f(t) as the (b, m, 1) input of the last block
-        return as_state_vector(eq.forcing(t), d).reshape(b, m, 1)
+    def last_block(t):  # f(t) in the basis, as the (b, m, 1) input of the last block
+        f = as_state_vector(eq.forcing(t), d)
+        dtypes.add(f.dtype)
+        return basis.to_modes(f).reshape(b, m, 1)
 
     state = system.initial_state().reshape(n, b, m).swapaxes(0, 1).reshape(b, size, 1)
     f_t = None if eq.forcing is None else last_block(0.0)
@@ -331,4 +328,5 @@ def oracle_solve(
                         raise NonFiniteError(f"RK4 state became non-finite at t={stage[k + 1]:.6g}")
             t_prev = float(t)
         values.append(state.reshape(b, n, m)[:, 0].reshape(d))
-    return SolutionTrace(times, np.array(values), {"oracle_steps_per_unit": steps_per_unit})
+    values = basis.from_modes(np.array(values), np.empty(0, np.result_type(*dtypes)))
+    return SolutionTrace(times, values, {"oracle_steps_per_unit": steps_per_unit})

@@ -34,6 +34,8 @@ and share one modal interface: ``modal_values`` (the generator on each
 mode) and ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
 and back).  Per-mode solves decide coincident modes by one rule,
 :func:`coincident_modes`; other operators have ``mode_basis = None``.
+:func:`generator_blocks` gives dense and modal generators one block form,
+from which both ``M`` and the companion oracle's generator are built.
 """
 
 from __future__ import annotations
@@ -154,12 +156,12 @@ class Operator(ABC):
         return as_state_vector(v, self.dim)
 
     def _act(self, t, v, action) -> np.ndarray:
-        """:meth:`semigroup` through ``action(t, v)``, which computes
-        ``e^{t A} v`` on checked operands of either shape; a time of 0 gets
-        the exact identity instead."""
+        """:meth:`semigroup` through ``action(t, v)``, which computes the
+        rows ``e^{t_i A} v_i`` of a checked stack; a time of 0 gets the exact
+        identity instead.  A scalar time goes through as one row, so its
+        result has the dtype of that row."""
         if not isinstance(t, np.ndarray):
-            v = self._coerce(v)
-            return v.copy() if t == 0.0 else action(t, v)
+            return self._act(np.array([t], dtype=np.float64), self._coerce(v)[None], action)[0]
         v = as_state_stack(v, self.dim)
         if t.shape != v.shape[:1]:
             raise DimensionMismatchError(
@@ -316,15 +318,33 @@ class TranslationOperator(Operator):
     def semigroup(self, t, v) -> np.ndarray:
         return self._act(t, v, self._action)
 
-    def _spline_shift(self, t, v: np.ndarray) -> np.ndarray:
-        if isinstance(t, np.ndarray):
-            return np.stack([self._spline_shift(t_i, v_i) for t_i, v_i in zip(t, v)])
+    def _spline_shift(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         x = self.grid.points()
-        spline = scipy.interpolate.CubicSpline(x, v, extrapolate=False)
-        return np.nan_to_num(spline(x + self.speed * t), nan=0.0)
+        rows = [
+            scipy.interpolate.CubicSpline(x, v_i, extrapolate=False)(x + self.speed * t_i)
+            for t_i, v_i in zip(t, v)
+        ]
+        return np.nan_to_num(np.stack(rows), nan=0.0)
 
     def signature(self) -> tuple:
         return ("translation", self.speed, self.grid, self.boundary)
+
+
+def generator_blocks(ops) -> np.ndarray:
+    """The generators of ``ops`` (one family) as stacked blocks ``(g, b, m, m)``
+    in their shared mode basis: the modal values ``(g, d, 1, 1)`` of
+    operators with a ``mode_basis``, the matrices ``(g, 1, d, d)`` of dense
+    ones.  Block i acts on coordinates ``i m .. i m + m - 1`` of a state in
+    that basis.  Other operators raise :class:`UnsupportedOperationError`.
+    """
+    ops = list(ops)
+    if shared_mode_basis(ops) is not None:
+        return np.stack([op.modal_values for op in ops])[..., None, None]
+    if all(isinstance(op, DenseMatrixOperator) for op in ops):
+        return np.stack([op.matrix for op in ops])[:, None]
+    raise UnsupportedOperationError(
+        "no block form: generators must be dense or share a mode basis (periodic translations)"
+    )
 
 
 def require_same_family(a: Operator, b: Operator) -> None:

@@ -167,6 +167,20 @@ def solve_example1(
     return SolutionTrace(generic.times, generic.values, diagnostics)
 
 
+def _time_stencils(times: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4th-order central stencils ``(u_t, u_tt)`` at the samples
+    ``times[2:-2]`` of a uniform time grid of at least 5 samples."""
+    if times.size < 5:
+        raise ValueError("need at least 5 samples for the 4th-order stencil")
+    h = np.diff(times)
+    if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
+        raise ValueError("residual check needs a uniform time grid")
+    h = float(h[0])
+    u_t = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
+    u_tt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
+    return u_t, u_tt
+
+
 def example1_residual(p: Example1Problem, trace: SolutionTrace) -> float:
     """Max discrete PDE residual of a trace on a uniform time grid.
 
@@ -176,15 +190,8 @@ def example1_residual(p: Example1Problem, trace: SolutionTrace) -> float:
     samples.
     """
     times, u = trace.times, trace.values
-    if times.size < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
-    h = np.diff(times)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
-        raise ValueError("residual check needs a uniform time grid")
-    h = float(h[0])
+    u_t, u_tt = _time_stencils(times, u)
     ddx = TranslationOperator("ddx", 1.0, p.grid, p.boundary)
-    u_t = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
-    u_tt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
     x = p.grid.points()
     worst = 0.0
     for row in range(u_t.shape[0]):
@@ -314,16 +321,7 @@ def example2_residual(p: Example2Problem, times, modal_values) -> float:
     """
     times = np.asarray(times, dtype=np.float64)
     beta = np.asarray(modal_values)
-    if times.size < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
-    h = np.diff(times)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
-        raise ValueError("residual check needs a uniform time grid")
-    h = float(h[0])
-    b_t = (beta[:-4] - 8 * beta[1:-3] + 8 * beta[3:-1] - beta[4:]) / (12 * h)
-    b_tt = (-beta[:-4] + 16 * beta[1:-3] - 30 * beta[2:-2] + 16 * beta[3:-1] - beta[4:]) / (
-        12 * h * h
-    )
+    b_t, b_tt = _time_stencils(times, beta)
     lam = p.eigenvalues
     res = b_tt + p.b1 * lam * b_t + p.b2 * lam**2 * beta[2:-2]
     if p.forcing_modes is not None:

@@ -176,44 +176,35 @@ def _hermitian(a: np.ndarray) -> bool:
     return inf_norm(a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
-def checked_exp(values: np.ndarray, t, what: str) -> np.ndarray:
-    """``exp(t * values)`` elementwise; an entry that overflows raises
-    :class:`SemigroupOverflowError` naming ``what``.
-
-    An array of ``t`` gives one row per ``t``: ``exp(outer(t, values))``,
-    and the error names the first ``t`` whose row overflows.
-    """
+def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """``exp(outer(t, values))``, one row per entry of the 1-D array ``t``;
+    an entry that overflows raises :class:`SemigroupOverflowError` naming
+    ``what`` and the first ``t`` whose row overflows."""
     grow = np.multiply.outer(t, values)
     with np.errstate(over="ignore"):
         np.exp(grow, out=grow)
     finite = np.isfinite(grow)
     if not np.all(finite):
-        if np.ndim(t):
-            t = np.ravel(t)[np.argmin(np.all(finite, axis=-1))]
-        raise SemigroupOverflowError(f"{what} overflows float range at t={t:.3g}")
+        t_bad = t[np.argmin(np.all(finite, axis=-1))]
+        raise SemigroupOverflowError(f"{what} overflows float range at t={t_bad:.3g}")
     return grow
 
 
-def _eigh_expm_apply(eig, t, v: np.ndarray) -> np.ndarray:
-    """``e^{t a} v`` from the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``.
-
-    An array of ``t`` with a stack ``v`` of shape ``(m, d)`` gives the row
-    ``e^{t_i a} v_i`` for each ``i``: two matrix products for the stack.
-    """
+def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rows ``e^{t_i a} v_i`` of a stack ``v`` of shape ``(m, d)``, from
+    the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``: two matrix
+    products for the stack."""
     w, q = eig
     grow = checked_exp(w, t, "matrix exponential")
     return (q @ (grow.T * (q.conj().T @ v.T))).T
 
 
-def _pade_expm_apply(a: np.ndarray, t, v: np.ndarray) -> np.ndarray:
-    """``e^{t a} v`` by scaling and squaring.
-
-    An array of ``t`` with a stack ``v`` of shape ``(m, d)`` gives the row
-    ``e^{t_i a} v_i`` for each ``i``, from stacked exponentials of at most
-    ``EXPM_STACK_ENTRIES`` entries each.
-    """
+def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rows ``e^{t_i a} v_i`` of a stack ``v`` of shape ``(m, d)`` by
+    scaling and squaring, from stacked exponentials of at most
+    ``EXPM_STACK_ENTRIES`` entries each."""
     step = max(1, EXPM_STACK_ENTRIES // a.size)
-    if np.ndim(t) and t.size > step:
+    if t.size > step:
         return np.concatenate(
             [_pade_expm_apply(a, t[i : i + step], v[i : i + step]) for i in range(0, t.size, step)]
         )
@@ -232,8 +223,9 @@ def expm_action(a: np.ndarray) -> Callable:
     Hermitian (in particular real symmetric) matrices go through an
     eigendecomposition, computed here; everything else uses
     scaling-and-squaring with Pade approximation via
-    :func:`scipy.linalg.expm`.  Either takes one time or an array of times
-    with a stack, as :func:`_eigh_expm_apply` and :func:`_pade_expm_apply` do.
+    :func:`scipy.linalg.expm`.  Either takes a 1-D array of times with a
+    stack of states, one per row, as :func:`_eigh_expm_apply` and
+    :func:`_pade_expm_apply` do.
     """
     if _hermitian(a):
         return partial(_eigh_expm_apply, scipy.linalg.eigh(a))
@@ -245,7 +237,8 @@ def expm_apply(a, t: float, v) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    out = expm_action(a)(t, as_state_vector(v, a.shape[0]))
+    v = as_state_vector(v, a.shape[0])
+    out = expm_action(a)(np.array([t], dtype=np.float64), v[None])[0]
     check_finite(out, "matrix exponential action")
     return out
 

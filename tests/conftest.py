@@ -9,6 +9,8 @@ from factored_evolution import (
     FactoredEquation,
     Forcing,
     SpectralDiagonalOperator,
+    TranslationOperator,
+    UniformGrid,
 )
 
 
@@ -71,6 +73,40 @@ def random_dense_commuting_instance(
         op = DenseMatrixOperator(f"G{j}", 0.5 * (mat + mat.T))
         factors.extend([op] * mult)
     data = tuple(rng.standard_normal(dim) for _ in range(n))
+    return FactoredEquation(tuple(factors), data, forcing)
+
+
+def zero_mean_profile(rng, points: int, modes: int = 6) -> np.ndarray:
+    """Real periodic profile on ``points`` samples of ``[0, 2 pi)`` with
+    Fourier modes ``1 .. modes``."""
+    x = 2.0 * np.pi * np.arange(points) / points
+    out = np.zeros(points)
+    for k in range(1, modes + 1):
+        a, b = rng.standard_normal(2) / k
+        out += a * np.cos(k * x) + b * np.sin(k * x)
+    return out
+
+
+def random_translation_instance(
+    rng, n: int, points: int, pattern: str | None = None, forced: bool = False
+) -> FactoredEquation:
+    """Periodic translations on ``[0, 2 pi)`` with distinct speeds.
+
+    Distinct speeds coincide on the constant mode (and on the dropped
+    Nyquist mode), so the data, and the forcing if ``forced``, are
+    zero-mean profiles of Fourier modes 1-6 that leave both unexcited.
+    """
+    mults = multiplicity_pattern(rng, n, pattern)
+    grid = UniformGrid(0.0, 2.0 * np.pi / points, points)
+    factors: list[TranslationOperator] = []
+    for j, (speed, mult) in enumerate(zip(_spread_centers(rng, len(mults)), mults)):
+        factors.extend([TranslationOperator(f"T{j}", float(speed), grid)] * mult)
+    data = tuple(zero_mean_profile(rng, points) for _ in range(n))
+    forcing = None
+    if forced:
+        c0, c1 = (zero_mean_profile(rng, points) for _ in range(2))
+        w = float(rng.uniform(0.5, 2.0))
+        forcing = Forcing(lambda t: c0 * np.cos(w * t) + c1 * t)
     return FactoredEquation(tuple(factors), data, forcing)
 
 

@@ -52,6 +52,30 @@ RANDOM_DIAGONAL = {
 }
 
 
+PERIODIC_TRANSLATION = {
+    "backend": {"family": "translation", "grid": {"x0": 0.0, "dx": 2 * np.pi / 32, "n": 32}},
+    "operators": {"S": {"speed": 0.5}, "F": {"speed": 1.2}},
+    "factors": ["S", "S", "F"],
+    "initial_data": [
+        {"profile": "sin", "frequency": 1.0},
+        {"profile": "sin", "frequency": 2.0, "phase": 0.3},
+        {"profile": "sin", "frequency": 3.0},
+    ],
+    "forcing": "cos(t) * sin(2 * x)",
+    "time": {"t_end": 1.0, "samples": 5},
+}
+
+ZERO_EXTENSION = {
+    "backend": {"family": "translation", "grid": {"x0": -4.0, "dx": 0.1, "n": 81},
+                "boundary": "zero-extension"},
+    "operators": {"T": {"speed": 0.7}},
+    "factors": ["T"],
+    "initial_data": [{"profile": "gaussian"}],
+    "forcing": "none",
+    "time": {"t_end": 1.0, "samples": 3},
+}
+
+
 class TestParseConfig:
     def test_minimal_config(self):
         cfg = parse_config(config_text())
@@ -167,6 +191,29 @@ class TestWriteCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,u_0,oracle_dev"
         assert float(lines[2].split(",")[2]) == 3e-9
+
+    @pytest.mark.parametrize(
+        "dev, expected",
+        [
+            (None, "t,u_0,u_1\n"
+                   "0,-0,4.9406564584124654e-324\n"
+                   "0.10000000000000001,1.0000000000000001e+300,0.33333333333333331\n"
+                   "2,-2.5,1.0000000000000001e-05\n"),
+            ([0.0, 3e-9, 1 / 7], "t,u_0,u_1,oracle_dev\n"
+                                 "0,-0,4.9406564584124654e-324,0\n"
+                                 "0.10000000000000001,1.0000000000000001e+300,0.33333333333333331,3e-09\n"
+                                 "2,-2.5,1.0000000000000001e-05,0.14285714285714285\n"),
+        ],
+        ids=["values", "with-oracle-dev"],
+    )
+    def test_bytes_are_pinned(self, tmp_path, dev, expected):
+        # signed zero, a subnormal and a huge value keep their 17-digit text
+        times = np.array([0.0, 0.1, 2.0])
+        values = np.array([[-0.0, 5e-324], [1e300, 1 / 3], [-2.5, 1e-5]])
+        diagnostics = {} if dev is None else {"oracle_dev": np.array(dev)}
+        path = tmp_path / "pinned.csv"
+        write_csv(SolutionTrace(times, values, diagnostics), str(path))
+        assert path.read_bytes() == expected.encode()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -319,6 +366,30 @@ class TestCommands:
         assert failed == ["initial-derivative-fidelity"]
         assert "PASS oracle-equivalence" in report.format()
         assert "PASS quadrature-convergence" in report.format()
+
+    def test_verify_checks_periodic_translation_against_oracle(self):
+        report = run_verify(parse_config(json.dumps(PERIODIC_TRANSLATION)), seed=0)
+        assert report.passed, report.format()
+        assert "PASS oracle-equivalence" in report.format()
+        # distinct periodic speeds coincide on the constant mode
+        assert "convolution-identity" not in report.format()
+
+    def test_compare_oracle_accepts_periodic_translation(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(PERIODIC_TRANSLATION))
+        out_path = tmp_path / "trace.csv"
+        assert main(["compare-oracle", str(cfg_path), "--out", str(out_path)]) == 0
+        assert "PASS oracle-equivalence" in capsys.readouterr().out
+        assert out_path.read_text().splitlines()[0].endswith(",oracle_dev")
+
+    def test_zero_extension_has_no_oracle(self, tmp_path, capsys):
+        report = run_verify(parse_config(json.dumps(ZERO_EXTENSION)), seed=0)
+        assert report.passed, report.format()
+        assert "oracle-equivalence" not in report.format()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(ZERO_EXTENSION))
+        assert main(["compare-oracle", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "UnsupportedOperationError" in capsys.readouterr().err
 
     def test_lemma2_check(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -28,6 +28,7 @@ from conftest import (
     random_commuting_instance,
     random_smooth_forcing,
     random_spectral_instance,
+    random_translation_instance,
 )
 
 
@@ -241,11 +242,29 @@ class TestOracle:
     def test_translation_backend_rejected(self):
         from factored_evolution import TranslationOperator, UniformGrid
 
+        # zero extension has no block form; the periodic grid has its modes
         grid = UniformGrid(0.0, 0.1, 32)
-        op = TranslationOperator("T", 1.0, grid)
+        op = TranslationOperator("T", 1.0, grid, boundary="zero-extension")
         eq = FactoredEquation((op,), (np.zeros(32),))
         with pytest.raises(UnsupportedOperationError):
             oracle_solve(eq, np.array([1.0]))
+
+    def test_periodic_translation_matches_its_fourier_mode_equivalent(self):
+        # the same problem stated on the mode multipliers, with transformed
+        # data and forcing: only the basis changes, so the values agree to roundoff
+        eq = random_translation_instance(np.random.default_rng(3), 3, 32, "mixed", forced=True)
+        modal = {op.label: SpectralDiagonalOperator(op.label, op.node_multipliers())
+                 for op, _ in eq.grouped}
+        equivalent = FactoredEquation(
+            tuple(modal[op.label] for op in eq.factors),
+            tuple(np.fft.fft(x) for x in eq.initial_data),
+            Forcing(lambda t: np.fft.fft(eq.forcing(t))),
+        )
+        t_grid = np.array([0.0, 0.4, 1.0])
+        values = oracle_solve(eq, t_grid).values
+        reference = np.fft.ifft(oracle_solve(equivalent, t_grid).values, axis=1)
+        assert values.dtype == np.float64
+        assert max_rel_dev(values, reference) <= 1e-12
 
     @BOTH_SOLVERS
     def test_time_grid_validation(self, solve):
@@ -362,3 +381,28 @@ def test_exact_step_matches_step_by_step_rk4(seed, family, n, dim, forcing):
     values = oracle_solve(eq, t_grid, 300).values
     assert values.dtype == reference.dtype
     assert max_rel_dev(values, reference) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    family=st.sampled_from(["spectral", "dense", "periodic-translation"]),
+    n=st.integers(1, 4),
+    forced=st.booleans(),
+)
+@example(seed=3, family="periodic-translation", n=3, forced=True)
+@example(seed=4, family="periodic-translation", n=4, forced=False)
+@example(seed=5, family="dense", n=3, forced=True)
+@example(seed=6, family="spectral", n=4, forced=True)
+def test_solve_full_agrees_with_oracle(seed, family, n, forced):
+    rng = np.random.default_rng(seed)
+    if family == "periodic-translation":
+        eq = random_translation_instance(rng, n, 16, forced=forced)
+    else:
+        f = random_smooth_forcing(rng, 4) if forced else None
+        eq = random_commuting_instance(rng, n, 4, family, forcing=f)
+    t_grid = np.array([0.0, 0.3, 0.8])
+    values = solve_full(eq, t_grid).values
+    reference = oracle_solve(eq, t_grid).values
+    assert values.dtype == reference.dtype
+    assert max_rel_dev(values, reference) <= 1e-6

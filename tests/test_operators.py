@@ -176,9 +176,21 @@ def test_array_time_rows_equal_scalar_calls(seed, family, d, m, complex_data):
     rows = np.array([op.semigroup(float(t), v) for t, v in zip(taus, vs)])
     assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
     assert np.array_equal(batched[taus == 0.0], vs[taus == 0.0])
-    # the stack has the dtype of e^{tA} v at t > 0; a scalar call at t = 0
-    # returns the state's own dtype, also for a complex generator
     assert batched.dtype == op.semigroup(1.0, vs[0]).dtype
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_scalar_time_has_the_dtype_of_its_row(t):
+    # a scalar time goes through as one row, so t = 0 on a complex
+    # generator gives a complex copy of real data, as t = [0] and t = 0.1 do
+    op = TranslationOperator("T", 1.0 + 0.2j, periodic_grid(16))
+    v = np.sin(periodic_grid(16).points())
+    one = op.semigroup(t, v)
+    row = op.semigroup(np.array([t]), v[None])[0]
+    assert one.dtype == row.dtype == np.complex128
+    assert np.array_equal(one, row)
+    if t == 0.0:
+        assert np.array_equal(one, v)
 
 
 class TestZeroExtension:
