@@ -50,7 +50,7 @@ from .operators import (
     generator_blocks,
     shared_mode_basis,
 )
-from .statespace import as_state_stack, as_state_vector, inf_norm, lu_apply, lu_factor_checked
+from .statespace import as_state_vector, inf_norm, lu_apply, lu_factor_checked
 
 # Desk-scale cap: binomials stay comfortably in exact integer range and the
 # scalar systems stay solvable in double precision.
@@ -338,12 +338,11 @@ def _forward_substitution(matrix: BlockOperatorMatrix, rhs_vectors) -> list[np.n
 
 
 def _lu_solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitute an ``(n, d)`` right-hand side, or a stack ``(n, m, d)``
-    of m of them as m columns, through the LU of the assembled ``M``."""
-    n, d = rhs.shape[0], rhs.shape[-1]
-    cols = np.moveaxis(rhs, -1, 1).reshape(n * d, -1)
-    sol = lu_apply(factors, cols.astype(np.result_type(factors[0], cols), copy=False))
-    return np.moveaxis(sol.reshape(n, d, -1), 1, -1).reshape(rhs.shape)
+    """Back-substitute an ``(n, d)`` right-hand side through the LU of the
+    assembled ``M``."""
+    col = rhs.reshape(-1, 1)
+    sol = lu_apply(factors, col.astype(np.result_type(factors[0], col), copy=False))
+    return sol.reshape(rhs.shape)
 
 
 def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
@@ -407,36 +406,33 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
 class ZCoefficients:
     """Forcing weights: the solution ``z`` of ``M z = (0, ..., 0, I)``.
 
-    ``apply_all(g)`` returns ``z_0 g, ..., z_{n-1} g`` through the same
-    factorization of ``M`` that :func:`solve_coefficients` uses: shape
-    ``(n, d)`` for a state ``g``, ``(n, m, d)`` for a stack ``(m, d)`` of
-    states.  For a single group that is exactly ``(0, ..., 0, g)``; for
-    dense groups one LU back-substitution of ``(0, ..., 0, g)`` with one
-    column per state; for several groups with a mode basis the per-mode
-    multipliers times the modes of ``g``.
-
-    When every group is diagonal in one mode basis (``basis``, else None),
-    ``zeta`` holds those multipliers, shape ``(n, d)``: the modes of
-    ``z_k g`` are ``zeta[k] * basis.to_modes(g)``.  They are
-    ``M^{-1} e_n`` mode by mode, computed once here, and ``e_n`` itself for
-    a single group.
+    Each ``z_k`` lies in the algebra the commuting generators span, so it
+    commutes with every ``e^{tau B_j}`` and the solver weighs last:
+    :meth:`weigh` returns ``sum_k z_k h_k``.  ``zeta`` holds ``z``, computed
+    once through the factorization of ``M`` that :func:`solve_coefficients`
+    uses, as blocks ``(n, b, m, m)`` in the layout of :func:`generator_blocks`
+    that act on states in ``basis`` (the shared mode basis, else the
+    identity): ``M^{-1} e_n`` mode by mode for groups with a mode basis (zero
+    on coincident modes), ``M^{-1}`` times the identity's last block column
+    for dense groups, and ``e_n`` for a single group, one ``1 x 1`` block
+    that acts coordinatewise in any basis.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
         self.matrix = matrix
         factors = matrix._factorization
-        self._single = factors is None
         self._modes = factors if isinstance(factors, _ModeSystems) else None
-        self.basis = matrix.mode_basis
-        if self.basis is not None:
-            e_n = np.zeros((matrix.n, matrix.dim))
-            if self._modes is None:
-                e_n[-1] = 1.0
-                self.zeta = e_n
-            else:
-                # coincident modes get a zero right-hand side, hence zero weights
-                e_n[-1] = ~self._modes.mask
-                self.zeta = _mode_solve(self._modes, e_n)
+        self.basis = matrix.mode_basis or ModeBasis(fourier=False)
+        n, d = matrix.n, matrix.dim
+        if factors is None:
+            self.zeta = np.eye(n)[:, -1].reshape(n, 1, 1, 1)
+        elif self._modes is not None:
+            e_n = np.zeros((n, d))
+            e_n[-1] = ~self._modes.mask  # coincident modes get zero weights
+            self.zeta = _mode_solve(self._modes, e_n)[..., None, None]
+        else:  # the identity's last block column
+            last = np.eye(n * d, d, k=d - n * d, dtype=factors[0].dtype)
+            self.zeta = lu_apply(factors, last).reshape(n, 1, d, d)
 
     def modes_of(self, g: np.ndarray) -> np.ndarray:
         """Modes of a stack ``(m, d)`` of states; a state that excites a
@@ -447,15 +443,23 @@ class ZCoefficients:
             _check_dead_modes(self._modes, modal[:, None, :])
         return modal
 
+    def weigh(self, h, like: np.ndarray) -> np.ndarray:
+        """The state ``sum_k z_k h_k`` for ``h`` of shape ``(n, d)`` in ``basis``;
+        ``like``, the stack ``h`` grew from, sets the real-output rule."""
+        terms = _blocks_times(self.zeta, np.asarray(h))
+        return self.basis.from_modes(sum(terms[1:], terms[0]), like)
+
     def apply_all(self, g) -> np.ndarray:
-        if np.ndim(g) == 1:
-            return self.apply_all(np.asarray(g)[None])[:, 0]
-        g = as_state_stack(g, self.matrix.dim)
-        if self._modes is not None:
-            return self.basis.from_modes(self.zeta[:, None, :] * self.modes_of(g), g)
-        rhs = np.zeros((self.matrix.n,) + g.shape, dtype=g.dtype)
-        rhs[-1] = g
-        return rhs if self._single else _lu_solve(self.matrix._factorization, rhs)
+        """``z_0 g, ..., z_{n-1} g``, shape ``(n, d)``, for a state ``g``."""
+        g = as_state_vector(g, self.matrix.dim)
+        return self.basis.from_modes(_blocks_times(self.zeta, self.modes_of(g[None])[0]), g)
+
+
+def _blocks_times(blocks: np.ndarray, modal: np.ndarray) -> np.ndarray:
+    """Blocks ``(..., b, m, m)`` times modal states ``(..., d)``."""
+    m = blocks.shape[-1]
+    out = (blocks * modal.reshape(modal.shape[:-1] + (-1, 1, m))).sum(-1)
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
@@ -470,11 +474,10 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
     """
     z = ZCoefficients(matrix)
     probe = np.random.default_rng(_PROBE_SEED).standard_normal(matrix.dim)
-    modes = matrix._factorization
-    if isinstance(modes, _ModeSystems) and modes.pairs:
-        p_modal = modes.basis.to_modes(probe)
-        p_modal[modes.mask] = 0.0
-        probe = modes.basis.from_modes(p_modal, probe)
+    if z._modes is not None and z._modes.pairs:
+        p_modal = z.basis.to_modes(probe)
+        p_modal[z._modes.mask] = 0.0
+        probe = z.basis.from_modes(p_modal, probe)
     rhs = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
     rhs[-1] = probe
     _residual_gate(matrix, z.apply_all(probe), rhs, "forcing-weight")

@@ -245,8 +245,8 @@ class UniformGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid needs at least 2 points")
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not (np.isfinite(self.x0) and 0 < self.dx < np.inf):
+            raise ValueError(f"x0 must be finite and dx positive and finite, got {self.x0}, {self.dx}")
 
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)

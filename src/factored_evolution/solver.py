@@ -15,13 +15,13 @@ with the forcing weights ``z`` from the confluent solve against
 rule over ``[0, t]`` and verified by panel doubling.  General initial data
 superposes the two parts.
 
-Both parts evaluate one kernel, ``sum_j e^{tau B_j} sum_k (tau^k/k!) c_{jk}``,
-through :func:`_semigroup_sum` (one array-time ``semigroup`` call per
-group): at ``tau = t`` with ``c = y`` for all sample times at once, and at
-``tau = t - s`` with ``c = z f(s)`` for all nodes of a quadrature pass.  A
-pass evaluates the forcing once per node; groups with a mode basis sum
-``zeta_{jk} * ((w tau^k/k!) @ (exp(outer(tau, lambda_j)) * g_hat))`` in
-modes instead and transform back once.
+The homogeneous part is :func:`_semigroup_sum`, one array-time
+``semigroup`` call per group for all sample times at once.  The ``z_{jk}``
+commute with every ``e^{tau B_j}``, so a quadrature pass takes the
+convolution as ``z_{jk} sum_i w_i (tau_i^k/k!) e^{tau_i B_j} f(s_i)``: it
+evaluates the forcing once per node, grows the stack once per group (in
+modes, where the groups share a mode basis) and lets
+:meth:`ZCoefficients.weigh` apply ``z`` to the node sums last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -75,11 +75,8 @@ def default_quadrature_rule() -> QuadratureRule:
 
 def _semigroup_sum(matrix: BlockOperatorMatrix, coeffs, taus: np.ndarray) -> np.ndarray:
     """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) coeffs[off_j + k]``,
-    shape ``(m, d)``, from one array-time ``semigroup`` call per group.
-
-    ``coeffs`` is ``(n, d)``, one set shared by every row, or ``(n, m, d)``,
-    one set per row.
-    """
+    shape ``(m, d)``, for one set ``coeffs`` of shape ``(n, d)``, from one
+    array-time ``semigroup`` call per group."""
     acc = None
     for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
         p = sum((taus**k / math.factorial(k))[:, None] * coeffs[offset + k] for k in range(mult))
@@ -103,26 +100,25 @@ def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
 def _convolution_value(
     matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, t: float, rule: QuadratureRule
 ) -> np.ndarray:
-    """One quadrature pass over ``[0, t]``, every node at once."""
+    """One quadrature pass over ``[0, t]``, every node at once: one growth of
+    the forcing stack per group, one node sum per ``k``, ``z`` weighs last."""
     pts, wts = rule.nodes(0.0, float(t))
     if not pts.size:
         return np.zeros(matrix.dim)
     taus = t - pts
     g = as_state_stack([forcing(float(s)) for s in pts], matrix.dim)
-    if z.basis is not None:  # one exp(outer) per group serves every k
-        acc = None
-        g_hat = z.modes_of(g)
-        for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
-            # in place, unless a complex forcing meets real modal values
+    g_hat = z.modes_of(g)
+    h = []
+    for op, mult in matrix.grouped:
+        if matrix.mode_basis is None:
+            grown = op.semigroup(taus, g)
+        else:  # in place, unless a complex forcing meets real modal values
             grown = checked_exp(op.modal_values, taus, f"semigroup of {op.label!r}")
             in_place = np.can_cast(g_hat.dtype, grown.dtype)
             grown = np.multiply(grown, g_hat, out=grown if in_place else None)
-            for k in range(mult):
-                term = z.zeta[offset + k] * ((wts * (taus**k / math.factorial(k))) @ grown)
-                acc = term if acc is None else acc + term
-            del grown  # one (m, d) exponential alive at a time
-        return z.basis.from_modes(acc, g)
-    return wts @ _semigroup_sum(matrix, z.apply_all(g), taus)
+        h.extend((wts * (taus**k / math.factorial(k))) @ grown for k in range(mult))
+        del grown  # one (m, d) exponential alive at a time
+    return z.weigh(h, g)
 
 
 def solve_inhomogeneous_zero_ic(

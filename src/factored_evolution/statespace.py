@@ -94,13 +94,13 @@ def as_state_stack(rows, dim: int) -> np.ndarray:
 
 
 def _check_time_grid(t_grid) -> np.ndarray:
-    """Sample times as a float array; must be non-empty, 1-D, non-negative
-    and strictly increasing."""
+    """Sample times as a float array; must be non-empty, 1-D, finite,
+    non-negative and strictly increasing."""
     times = np.asarray(t_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D sequence")
-    if times[0] < 0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
-        raise ValueError("t_grid must be non-negative and strictly increasing")
+    if not np.all(np.isfinite(times)) or times[0] < 0 or not np.all(np.diff(times) > 0):
+        raise ValueError("t_grid must be finite, non-negative and strictly increasing")
     return times
 
 
@@ -180,8 +180,8 @@ def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     """``exp(outer(t, values))``, one row per entry of the 1-D array ``t``;
     an entry that overflows raises :class:`SemigroupOverflowError` naming
     ``what`` and the first ``t`` whose row overflows."""
-    grow = np.multiply.outer(t, values)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: checked below
+        grow = np.multiply.outer(t, values)
         np.exp(grow, out=grow)
     finite = np.isfinite(grow)
     if not np.all(finite):

@@ -207,6 +207,17 @@ class TestCompanion:
         assert info.value.defect == pytest.approx(1.0)
 
 
+@BOTH_SOLVERS
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("t_grid", [[0.0, np.inf], [np.nan], [0.5, np.nan, 1.0]])
+def test_non_finite_sample_times_are_rejected(solve, forced, t_grid):
+    # the solver and its referee reject the same grids the same way
+    forcing = Forcing(lambda t: np.ones(2)) if forced else None
+    eq = FactoredEquation((diag_op("A", [-1.0, -2.0]),) * 2, (np.ones(2), np.zeros(2)), forcing)
+    with pytest.raises(ValueError, match="finite"):
+        solve(eq, np.array(t_grid))
+
+
 class TestOracle:
     def test_double_zero_root_gives_linear_solution(self):
         z = diag_op("Z", [0.0, 0.0])

@@ -108,6 +108,18 @@ class TestSemigroup:
         with pytest.raises(SemigroupOverflowError):
             op.semigroup(1000.0, np.ones(1))
 
+    @pytest.mark.parametrize("t", [1e308, np.inf])
+    @pytest.mark.parametrize("family", ["spectral", "dense-hermitian"])
+    def test_overflowing_time_product_raises_the_named_error(self, family, t):
+        # 1e308 * 2 overflows in the product t * lambda, and inf * 0 is nan;
+        # both must surface as the named error, not as a numpy warning
+        values = [2.0, 0.0]
+        op = SpectralDiagonalOperator("S", values) if family == "spectral" else DenseMatrixOperator(
+            "D", np.diag(values)
+        )
+        with pytest.raises(SemigroupOverflowError):
+            op.semigroup(t, np.ones(2))
+
     @pytest.mark.parametrize(
         "backend",
         ["dense-sym", "dense-nonsym", "spectral", "spectral-complex", "periodic",
@@ -191,6 +203,12 @@ def test_scalar_time_has_the_dtype_of_its_row(t):
     assert np.array_equal(one, row)
     if t == 0.0:
         assert np.array_equal(one, v)
+
+
+@pytest.mark.parametrize("x0, dx", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (-np.inf, 0.1)])
+def test_grid_rejects_non_finite_origin_and_spacing(x0, dx):
+    with pytest.raises(ValueError, match="finite"):
+        UniformGrid(x0, dx, 16)
 
 
 class TestZeroExtension:

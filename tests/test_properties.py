@@ -1,0 +1,79 @@
+"""Properties of the closed form over the random instance generators:
+factor-order invariance, superposition, the confluent residuals and the
+commutation that lets the forced part weigh by ``z`` last."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from factored_evolution import FactoredEquation, confluent, operators, solve_full
+
+from conftest import (
+    max_rel_dev,
+    random_commuting_instance,
+    random_dense_commuting_instance,
+    random_smooth_forcing,
+    random_translation_instance,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=12, deadline=None)
+FAMILIES = st.sampled_from(["spectral", "dense", "periodic-translation"])
+T_GRID = np.array([0.0, 0.3, 0.8])
+
+
+def instance(seed, family, n, forced=True):
+    rng = np.random.default_rng(seed)
+    if family == "periodic-translation":
+        return random_translation_instance(rng, n, 16, forced=forced)
+    forcing = random_smooth_forcing(rng, 4) if forced else None
+    return random_commuting_instance(rng, n, 4, family, forcing=forcing)
+
+
+def worst_row_residual(rows, rhs) -> float:
+    scale = 1.0 + max(float(np.max(np.abs(x))) for x in rhs)
+    return max(float(np.max(np.abs(r - x))) for r, x in zip(rows, rhs)) / scale
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), family=FAMILIES, n=st.integers(2, 4), forced=st.booleans())
+def test_factor_order_does_not_change_the_solution(seed, family, n, forced):
+    eq = instance(seed, family, n, forced)
+    order = np.random.default_rng(seed + 1).permutation(n)
+    permuted = FactoredEquation(tuple(eq.factors[i] for i in order), eq.initial_data, eq.forcing)
+    values = solve_full(eq, T_GRID).values
+    assert max_rel_dev(solve_full(permuted, T_GRID).values, values) <= 1e-12
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), family=FAMILIES, n=st.integers(1, 4))
+def test_solution_is_homogeneous_plus_forced_part(seed, family, n):
+    eq = instance(seed, family, n)
+    values = solve_full(eq, T_GRID).values
+    homogeneous = solve_full(eq.without_forcing(), T_GRID).values
+    forced = solve_full(eq.with_zero_initial_data(), T_GRID).values
+    assert max_rel_dev(homogeneous + forced, values) <= 1e-14
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), family=FAMILIES, n=st.integers(1, 4))
+def test_coefficients_and_forcing_weights_solve_the_confluent_system(seed, family, n):
+    eq = instance(seed, family, n)
+    matrix = confluent.build_confluent_matrix(eq.grouped)
+    ys = confluent.solve_coefficients(matrix, eq.initial_data)
+    assert worst_row_residual(matrix.apply(ys), eq.initial_data) <= 1e-11
+    g = eq.forcing(0.37)
+    e_n = [np.zeros_like(g)] * (n - 1) + [g]
+    z = confluent.solve_z_vector(matrix)
+    assert worst_row_residual(matrix.apply(z.apply_all(g)), e_n) <= 1e-11
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 5), pattern=st.sampled_from(["all-distinct", "mixed"]))
+def test_dense_forcing_weights_commute_with_every_generator(seed, n, pattern):
+    eq = random_dense_commuting_instance(np.random.default_rng(seed), n, 5, pattern)
+    matrix = confluent.build_confluent_matrix(eq.grouped)
+    z = confluent.solve_z_vector(matrix)
+    assert z.zeta.shape == (n, 1, 5, 5)  # one materialized d x d block per k
+    for a in operators.generator_blocks(op for op, _ in eq.grouped)[:, 0]:
+        for z_k in z.zeta[:, 0]:
+            defect = np.linalg.norm(z_k @ a - a @ z_k) / (np.linalg.norm(z_k) * np.linalg.norm(a) + 1e-300)
+            assert defect <= 1e-12

@@ -291,6 +291,21 @@ class TestFactorizeOnce:
         solve_full(eq, np.array([0.3, 0.8]))
         assert calls == {"lu": 1, "gate": 0}
 
+    @pytest.mark.parametrize("samples", [3, 9])
+    def test_forced_dense_solve_back_substitutes_twice(self, monkeypatch, samples):
+        # once for y and once for z; no quadrature pass goes through the LU
+        eq = self._forced_dense()
+        lu_apply = confluent.lu_apply
+        calls = []
+
+        def counting(factors, b):
+            calls.append(np.shape(b))
+            return lu_apply(factors, b)
+
+        monkeypatch.setattr(confluent, "lu_apply", counting)
+        solve_full(eq, np.linspace(0.0, 1.0, samples))
+        assert len(calls) == 2
+
     def test_residual_comes_from_the_gate(self, monkeypatch):
         # M is applied to y once, by the residual gate, and the trace
         # carries exactly the residual that gate measured
