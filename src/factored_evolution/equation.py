@@ -278,9 +278,8 @@ def oracle_solve(
     The state and the forcing live in :attr:`CompanionSystem.basis`, and the
     first block component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
-    forcing value are.  Factors without a block form (zero-extension
-    translations) raise ``UnsupportedOperationError``, ``steps_per_unit < 1``
-    raises ``ValueError``, and an overflowing state ``NonFiniteError``.
+    forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, and
+    an overflowing state ``NonFiniteError``.
     """
     if steps_per_unit < 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")

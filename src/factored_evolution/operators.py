@@ -12,10 +12,11 @@ the user declares which factors coincide.
 Three families are provided and may not be mixed inside one equation:
 
 ``dense``
-    An explicit square matrix.  Hermitian matrices get an eigendecomposition
-    at construction so semigroup actions are cheap; everything else falls
-    back to scaling-and-squaring per call (for an array of times, stacked
-    calls of at most ``statespace.EXPM_STACK_ENTRIES`` entries each).
+    An explicit square matrix.  Hermitian and skew-Hermitian matrices get an
+    eigendecomposition at construction so semigroup actions are cheap;
+    everything else falls back to scaling-and-squaring per call (for an
+    array of times, stacked calls of at most
+    ``statespace.EXPM_STACK_ENTRIES`` entries each).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a
@@ -23,17 +24,18 @@ Three families are provided and may not be mixed inside one equation:
     of the Laplacian with homogeneous Dirichlet data).
 
 ``translation``
-    ``A = speed * d/dx`` on a uniform 1-D grid, whose group action is the
-    shift ``(T(t) f)(x) = f(x + speed * t)``.  With periodic boundary the
-    shift is realized band-limited through the FFT and is exact for
-    band-limited data; with zero extension it uses cubic interpolation and
-    is only accurate away from the boundary influence zone.
+    ``A = speed * d/dx`` on a uniform periodic 1-D grid, whose group action
+    is the shift ``(T(t) f)(x) = f(x + speed * t)``, realized band-limited
+    through the FFT and exact for band-limited data.  (A translation with
+    zero extension outside the grid is a ``dense`` operator: ``speed``
+    times the central-difference matrix, whose exponential is a
+    second-order accurate shift.)
 
 Spectral and periodic translation operators are diagonal in a known basis
 and share one modal interface: ``modal_values`` (the generator on each
 mode) and ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
 and back).  Per-mode solves decide coincident modes by one rule,
-:func:`coincident_modes`; other operators have ``mode_basis = None``.
+:func:`coincident_modes`; dense operators have ``mode_basis = None``.
 :func:`generator_blocks` gives dense and modal generators one block form,
 from which both ``M`` and the companion oracle's generator are built.
 """
@@ -44,7 +46,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.interpolate
 
 from .errors import (
     DimensionMismatchError,
@@ -253,81 +254,45 @@ class UniformGrid:
 
 
 class TranslationOperator(Operator):
-    """Generator ``speed * d/dx`` whose group shifts profiles along the grid.
+    """Generator ``speed * d/dx`` whose group shifts profiles along a
+    periodic grid.
 
-    Periodic boundary: derivative and shift are Fourier multipliers; for an
-    even point count the unmatched Nyquist frequency is dropped from both so
-    that ``semigroup`` really is the exponential of ``apply``.  Complex
-    ``speed`` is supported on the periodic grid (the multipliers are simply
-    complex); results stay complex in that case.  Note that a complex shift
-    is an analytic continuation whose multipliers grow like ``e^{|k| t}``,
-    so roundoff in high modes is amplified: keep the grid no finer than the
-    data needs and the horizon short.
-
-    Zero-extension boundary: the profile is treated as 0 outside the grid.
-    ``apply`` uses second-order central differences and ``semigroup`` cubic
-    interpolation, so accuracy claims hold only in the interior light cone;
-    see :meth:`influence_margin`.  Requires real ``speed``.
+    Derivative and shift are Fourier multipliers; for an even point count
+    the unmatched Nyquist frequency is dropped from both so that
+    ``semigroup`` really is the exponential of ``apply``.  Complex ``speed``
+    is supported (the multipliers are simply complex); results stay complex
+    in that case.  Note that a complex shift is an analytic continuation
+    whose multipliers grow like ``e^{|k| t}``, so roundoff in high modes is
+    amplified: keep the grid no finer than the data needs and the horizon
+    short.
     """
 
-    def __init__(self, label: str, speed, grid: UniformGrid, boundary: str = "periodic"):
-        if boundary not in ("periodic", "zero-extension"):
-            raise ValueError(f"unknown boundary {boundary!r}")
+    def __init__(self, label: str, speed, grid: UniformGrid):
         speed_is_complex = bool(np.iscomplexobj(speed)) and complex(speed).imag != 0.0
-        if boundary == "zero-extension" and speed_is_complex:
-            raise UnsupportedOperationError(
-                "zero-extension translation requires a real speed"
-            )
         self.speed = complex(speed) if speed_is_complex else float(np.real(speed))
+        check_finite(np.asarray(self.speed), f"speed of operator {label!r}")
         self.grid = grid
-        self.boundary = boundary
         super().__init__(label, grid.n, "translation")
-        if boundary == "periodic":
-            k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-            if grid.n % 2 == 0:
-                k[grid.n // 2] = 0.0  # drop the unmatched Nyquist frequency
-            self.modal_values = 1j * k * self.speed
-            self.mode_basis = ModeBasis(fourier=True, real=not speed_is_complex)
-        self._action = self._spline_shift if self.mode_basis is None else self._modal_action
-
-    # -- helpers -----------------------------------------------------------
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+        if grid.n % 2 == 0:
+            k[grid.n // 2] = 0.0  # drop the unmatched Nyquist frequency
+        self.modal_values = 1j * k * self.speed
+        self.mode_basis = ModeBasis(fourier=True, real=not speed_is_complex)
 
     def node_multipliers(self) -> np.ndarray:
-        """Per-Fourier-mode generator values ``i * k * speed`` (periodic only)."""
-        if self.mode_basis is None:
-            raise UnsupportedOperationError(
-                "mode multipliers are only defined for the periodic boundary"
-            )
+        """Per-Fourier-mode generator values ``i * k * speed``."""
         return self.modal_values.copy()
-
-    def influence_margin(self, t: float) -> int:
-        """Grid cells near each boundary polluted by the zero extension."""
-        return int(np.ceil(abs(self.speed) * abs(t) / self.grid.dx)) + 2
-
-    # -- actions -----------------------------------------------------------
 
     def apply(self, v) -> np.ndarray:
         v = self._coerce(v)
         basis = self.mode_basis
-        if basis is not None:
-            return basis.from_modes(self.modal_values * basis.to_modes(v), v)
-        padded = np.zeros(self.dim + 2, dtype=v.dtype)
-        padded[1:-1] = v
-        return self.speed * (padded[2:] - padded[:-2]) / (2.0 * self.grid.dx)
+        return basis.from_modes(self.modal_values * basis.to_modes(v), v)
 
     def semigroup(self, t, v) -> np.ndarray:
-        return self._act(t, v, self._action)
-
-    def _spline_shift(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = self.grid.points()
-        rows = [
-            scipy.interpolate.CubicSpline(x, v_i, extrapolate=False)(x + self.speed * t_i)
-            for t_i, v_i in zip(t, v)
-        ]
-        return np.nan_to_num(np.stack(rows), nan=0.0)
+        return self._act(t, v, self._modal_action)
 
     def signature(self) -> tuple:
-        return ("translation", self.speed, self.grid, self.boundary)
+        return ("translation", self.speed, self.grid)
 
 
 def generator_blocks(ops) -> np.ndarray:
@@ -335,16 +300,12 @@ def generator_blocks(ops) -> np.ndarray:
     in their shared mode basis: the modal values ``(g, d, 1, 1)`` of
     operators with a ``mode_basis``, the matrices ``(g, 1, d, d)`` of dense
     ones.  Block i acts on coordinates ``i m .. i m + m - 1`` of a state in
-    that basis.  Other operators raise :class:`UnsupportedOperationError`.
+    that basis.
     """
     ops = list(ops)
     if shared_mode_basis(ops) is not None:
         return np.stack([op.modal_values for op in ops])[..., None, None]
-    if all(isinstance(op, DenseMatrixOperator) for op in ops):
-        return np.stack([op.matrix for op in ops])[:, None]
-    raise UnsupportedOperationError(
-        "no block form: generators must be dense or share a mode basis (periodic translations)"
-    )
+    return np.stack([op.matrix for op in ops])[:, None]
 
 
 def require_same_family(a: Operator, b: Operator) -> None:
@@ -366,8 +327,8 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
     basis divide mode by mode, with ``w = 0`` on coincident modes
     (:func:`coincident_modes`).  :class:`NotInvertibleError` names the pair
     when the difference is singular: every mode coincides, or ``rhs``
-    excites a coincident mode.  Translations need the periodic boundary and
-    distinct speeds, else :class:`UnsupportedOperationError`.
+    excites a coincident mode.  Translations need distinct speeds, else
+    :class:`UnsupportedOperationError`.
     """
     require_same_family(a, b)
     rhs = as_state_vector(rhs, a.dim)
@@ -382,10 +343,6 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
             ) from exc
 
     if a.family == "translation":
-        if a.mode_basis is None or b.mode_basis is None:
-            raise UnsupportedOperationError(
-                "resolvent solves are only available on periodic translation grids"
-            )
         if abs(a.speed - b.speed) <= COINCIDENCE_RTOL * max(1.0, abs(a.speed), abs(b.speed)):
             raise UnsupportedOperationError(
                 f"translation operators {a.label!r} and {b.label!r} have equal speeds; "

@@ -90,7 +90,6 @@ class Example1Problem:
     phi1: np.ndarray
     phi2: np.ndarray
     forcing: Callable[[float, np.ndarray], np.ndarray] | None = None
-    boundary: str = "periodic"
     z1: float | complex = field(init=False)
     z2: float | complex = field(init=False)
     is_double: bool = field(init=False)
@@ -107,7 +106,7 @@ class Example1Problem:
         self.z1, self.z2, self.is_double = characteristic_roots(self.a1, self.a2)
 
     def shift_operator(self, label: str = "wave-shift") -> TranslationOperator:
-        return TranslationOperator(label, self.z1, self.grid, self.boundary)
+        return TranslationOperator(label, self.z1, self.grid)
 
     def _forcing_term(self) -> Forcing | None:
         if self.forcing is None:
@@ -191,7 +190,7 @@ def example1_residual(p: Example1Problem, trace: SolutionTrace) -> float:
     """
     times, u = trace.times, trace.values
     u_t, u_tt = _time_stencils(times, u)
-    ddx = TranslationOperator("ddx", 1.0, p.grid, p.boundary)
+    ddx = TranslationOperator("ddx", 1.0, p.grid)
     x = p.grid.points()
     worst = 0.0
     for row in range(u_t.shape[0]):

@@ -169,11 +169,13 @@ def lu_apply(factors, b) -> np.ndarray:
     return x
 
 
-def _hermitian(a: np.ndarray) -> bool:
+def _hermitian(a: np.ndarray, skew: bool = False) -> bool:
+    """Whether ``a`` is Hermitian (``a = a^H``), or with ``skew``
+    skew-Hermitian (``a = -a^H``), to ``SYMMETRY_RTOL``."""
     scale = inf_norm(a)
     if scale == 0.0:
         return True
-    return inf_norm(a - a.conj().T) <= SYMMETRY_RTOL * scale
+    return inf_norm(a + a.conj().T if skew else a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
 def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
@@ -190,13 +192,15 @@ def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     return grow
 
 
-def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:
     """The rows ``e^{t_i a} v_i`` of a stack ``v`` of shape ``(m, d)``, from
-    the eigendecomposition ``eig = (w, q)`` of a Hermitian ``a``: two matrix
-    products for the stack."""
+    ``eig = (w, q)`` with ``a = q diag(w) q^H`` and ``q`` unitary: two matrix
+    products for the stack.  With ``real`` (a real ``a`` whose ``w`` or
+    ``q`` are complex), a real ``v`` gives the real part."""
     w, q = eig
     grow = checked_exp(w, t, "matrix exponential")
-    return (q @ (grow.T * (q.conj().T @ v.T))).T
+    out = (q @ (grow.T * (q.conj().T @ v.T))).T
+    return out.real if real and not np.iscomplexobj(v) else out
 
 
 def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -221,14 +225,18 @@ def expm_action(a: np.ndarray) -> Callable:
     """The action ``(t, v) -> e^{t a} v`` of a square float ``a``, chosen once.
 
     Hermitian (in particular real symmetric) matrices go through an
-    eigendecomposition, computed here; everything else uses
-    scaling-and-squaring with Pade approximation via
-    :func:`scipy.linalg.expm`.  Either takes a 1-D array of times with a
+    eigendecomposition, computed here; so do skew-Hermitian ones (in
+    particular real antisymmetric), through that of the Hermitian ``i a``.
+    Everything else uses scaling-and-squaring with Pade approximation via
+    :func:`scipy.linalg.expm`.  Each takes a 1-D array of times with a
     stack of states, one per row, as :func:`_eigh_expm_apply` and
     :func:`_pade_expm_apply` do.
     """
     if _hermitian(a):
         return partial(_eigh_expm_apply, scipy.linalg.eigh(a))
+    if _hermitian(a, skew=True):  # a = -i (i a), with i a Hermitian
+        w, q = scipy.linalg.eigh(1j * a)
+        return partial(_eigh_expm_apply, (-1j * w, q), real=not np.iscomplexobj(a))
     return partial(_pade_expm_apply, a)
 
 

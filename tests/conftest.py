@@ -20,6 +20,13 @@ def max_rel_dev(values, reference) -> float:
     return float(np.max(np.abs(np.asarray(values) - np.asarray(reference)))) / scale
 
 
+def central_difference_operator(label: str, speed: float, grid: UniformGrid) -> DenseMatrixOperator:
+    """``speed`` times the second-order central difference on ``grid`` with
+    the profile 0 outside it: the generator of a zero-extension translation."""
+    diff = (np.eye(grid.n, k=1) - np.eye(grid.n, k=-1)) / (2.0 * grid.dx)
+    return DenseMatrixOperator(label, speed * diff)
+
+
 def multiplicity_pattern(rng, n: int, kind: str | None = None) -> list[int]:
     """Composition of n: all-equal, all-distinct, or a random mixed split."""
     if kind is None:

@@ -9,6 +9,7 @@ from factored_evolution import (
     QuadratureUnderResolvedError,
     SchemaError,
     SolutionTrace,
+    UniformGrid,
     UnknownProfileError,
 )
 from factored_evolution import cli, confluent, solver, solve_full
@@ -21,6 +22,8 @@ from factored_evolution.cli import (
     run_verify,
     write_csv,
 )
+
+from conftest import central_difference_operator
 
 MINIMAL = {
     "backend": {"family": "spectral"},
@@ -72,6 +75,22 @@ ZERO_EXTENSION = {
     "factors": ["T"],
     "initial_data": [{"profile": "gaussian"}],
     "forcing": "none",
+    "time": {"t_end": 1.0, "samples": 3},
+}
+
+# Two distinct speeds need an even point count: the central difference of
+# odd order is singular, like every skew-symmetric matrix of odd order.
+ZERO_EXTENSION_PAIR = {
+    "backend": {"family": "translation", "grid": {"x0": -4.0, "dx": 0.1, "n": 80},
+                "boundary": "zero-extension"},
+    "operators": {"T": {"speed": 0.7}, "S": {"speed": -0.4}},
+    "factors": ["T", "T", "S"],
+    "initial_data": [
+        {"profile": "gaussian"},
+        {"profile": "gaussian", "center": 0.5},
+        {"profile": "gaussian", "center": -0.5},
+    ],
+    "forcing": "cos(t) * exp(-x**2)",
     "time": {"t_end": 1.0, "samples": 3},
 }
 
@@ -382,14 +401,43 @@ class TestCommands:
         assert "PASS oracle-equivalence" in capsys.readouterr().out
         assert out_path.read_text().splitlines()[0].endswith(",oracle_dev")
 
-    def test_zero_extension_has_no_oracle(self, tmp_path, capsys):
-        report = run_verify(parse_config(json.dumps(ZERO_EXTENSION)), seed=0)
-        assert report.passed, report.format()
-        assert "oracle-equivalence" not in report.format()
+    def test_compare_oracle_accepts_zero_extension(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(ZERO_EXTENSION))
-        assert main(["compare-oracle", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 2
-        assert "UnsupportedOperationError" in capsys.readouterr().err
+        assert main(["compare-oracle", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
+        assert "PASS oracle-equivalence" in capsys.readouterr().out
+
+    def test_zero_extension_materializes_the_central_difference(self):
+        (op,) = parse_config(json.dumps(ZERO_EXTENSION)).materialize(0).factors
+        expected = central_difference_operator("T", 0.7, UniformGrid(-4.0, 0.1, 81))
+        assert op.family == "dense"
+        assert np.array_equal(op.matrix, expected.matrix)
+
+    def test_verify_passes_repeated_zero_extension_factor(self):
+        cfg = dict(ZERO_EXTENSION, factors=["T", "T"],
+                   initial_data=[{"profile": "gaussian"}, {"profile": "gaussian", "center": 0.5}])
+        report = run_verify(parse_config(json.dumps(cfg)), seed=0)
+        assert report.passed, report.format()
+        assert "PASS initial-derivative-fidelity" in report.format()
+        assert "PASS oracle-equivalence" in report.format()
+
+    def test_verify_passes_forced_zero_extension_pair(self):
+        report = run_verify(parse_config(json.dumps(ZERO_EXTENSION_PAIR)), seed=0)
+        assert report.passed, report.format()
+        names = [record.name for record in report.records]
+        assert names[:3] == ["coefficient-residual", "initial-derivative-fidelity",
+                             "oracle-equivalence"]
+        assert names[-1] == "quadrature-convergence"
+        assert sum(name.startswith("convolution-identity[T,S,") for name in names) == 4
+
+    def test_distinct_zero_extension_speeds_need_an_even_grid(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(ZERO_EXTENSION_PAIR))
+        cfg["backend"]["grid"]["n"] = 81
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "SingularSystemError" in err and "['T', 'S']" in err
 
     def test_lemma2_check(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

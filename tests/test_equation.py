@@ -13,7 +13,6 @@ from factored_evolution import (
     NonCommutingFactorsError,
     NonFiniteError,
     SpectralDiagonalOperator,
-    UnsupportedOperationError,
     build_companion,
     group_factors,
     initial_data_transform,
@@ -249,16 +248,6 @@ class TestOracle:
         for k in range(3):
             w = finite_difference_weights(offsets, k)
             assert np.max(np.abs(w @ samples - eq.initial_data[k])) <= 1e-4
-
-    def test_translation_backend_rejected(self):
-        from factored_evolution import TranslationOperator, UniformGrid
-
-        # zero extension has no block form; the periodic grid has its modes
-        grid = UniformGrid(0.0, 0.1, 32)
-        op = TranslationOperator("T", 1.0, grid, boundary="zero-extension")
-        eq = FactoredEquation((op,), (np.zeros(32),))
-        with pytest.raises(UnsupportedOperationError):
-            oracle_solve(eq, np.array([1.0]))
 
     def test_periodic_translation_matches_its_fourier_mode_equivalent(self):
         # the same problem stated on the mode multipliers, with transformed

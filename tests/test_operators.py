@@ -6,6 +6,7 @@ from factored_evolution import (
     DenseMatrixOperator,
     DimensionMismatchError,
     MixedBackendError,
+    NonFiniteError,
     NotInvertibleError,
     SemigroupOverflowError,
     SpectralDiagonalOperator,
@@ -16,7 +17,11 @@ from factored_evolution import (
     resolvent_solve,
 )
 
-from conftest import random_dense_commuting_instance, random_spectral_instance
+from conftest import (
+    central_difference_operator,
+    random_dense_commuting_instance,
+    random_spectral_instance,
+)
 
 
 def periodic_grid(n=64, length=2 * np.pi):
@@ -137,10 +142,11 @@ class TestSemigroup:
         elif backend.startswith("spectral"):
             op = SpectralDiagonalOperator("S", rng.uniform(-2, 0.5, d),
                                           scale=1.0 + 0.5j if backend.endswith("complex") else 1.0)
+        elif backend == "zero-extension":
+            op = central_difference_operator("T", 0.8, periodic_grid(d))
         else:
-            boundary = "zero-extension" if backend == "zero-extension" else "periodic"
             speed = 0.8 + 0.1j if backend.endswith("complex") else 0.8
-            op = TranslationOperator("T", speed, periodic_grid(d), boundary)
+            op = TranslationOperator("T", speed, periodic_grid(d))
         taus = np.array([1.3, 0.7, 0.0, 0.2])
         vs = rng.standard_normal((taus.size, d))
         batched = op.semigroup(taus, vs)
@@ -211,46 +217,53 @@ def test_grid_rejects_non_finite_origin_and_spacing(x0, dx):
         UniformGrid(x0, dx, 16)
 
 
+@pytest.mark.parametrize("speed", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_translation_rejects_non_finite_speed(speed):
+    with pytest.raises(NonFiniteError, match="speed of operator 'T'"):
+        TranslationOperator("T", speed, periodic_grid(8))
+
+
 class TestZeroExtension:
-    def grid(self):
-        return UniformGrid(-8.0, 0.05, 321)
+    """A zero-extension translation: ``speed`` times the central difference,
+    a dense generator whose semigroup is its exact exponential."""
+
+    def grid(self, dx=0.05):
+        return UniformGrid(-8.0, dx, round(16.0 / dx) + 1)
 
     def pulse(self, x, center=0.0):
         return np.exp(-((x - center) ** 2) / (2 * 0.5**2))
 
     def test_shift_matches_analytic_in_interior(self):
-        grid = self.grid()
-        x = grid.points()
-        op = TranslationOperator("T", 1.0, grid, boundary="zero-extension")
-        t = 0.3
-        out = op.semigroup(t, self.pulse(x))
-        margin = op.influence_margin(t)
-        interior = slice(margin, -margin)
-        assert np.max(np.abs(out[interior] - self.pulse(x[interior], center=-t))) <= 1e-5
+        # the pulse stays far from the boundary; the exponential of the
+        # central difference is a second-order accurate shift
+        t, errs = 0.3, []
+        for dx in (0.1, 0.05, 0.025):
+            grid = self.grid(dx)
+            x = grid.points()
+            out = central_difference_operator("T", 1.0, grid).semigroup(t, self.pulse(x))
+            errs.append(np.max(np.abs(out - self.pulse(x, center=-t))))
+        assert errs[0] <= 1e-2
+        assert min(errs[0] / errs[1], errs[1] / errs[2]) >= 3.5, errs
 
     def test_semigroup_law_interior(self):
+        # on the whole grid: the pulse runs into the boundary
         grid = self.grid()
-        x = grid.points()
-        op = TranslationOperator("T", -0.8, grid, boundary="zero-extension")
-        v = self.pulse(x)
+        op = central_difference_operator("T", -0.8, grid)
+        v = self.pulse(grid.points(), center=6.0)
         once = op.semigroup(0.9, v)
         twice = op.semigroup(0.5, op.semigroup(0.4, v))
-        margin = op.influence_margin(0.9)
-        assert np.max(np.abs(once[margin:-margin] - twice[margin:-margin])) <= 1e-5
+        assert once.dtype == np.float64
+        assert np.max(np.abs(once - twice)) <= 1e-12
 
     def test_central_difference_derivative(self):
         grid = UniformGrid(-8.0, 0.0125, 1281)
         x = grid.points()
-        op = TranslationOperator("T", 2.0, grid, boundary="zero-extension")
+        op = central_difference_operator("T", 2.0, grid)
         margin = 4
         exact = 2.0 * (-x / 0.25) * self.pulse(x)  # 2 * d/dx of the pulse
         out = op.apply(self.pulse(x))
         # second-order differences: error ~ speed * dx^2 * |f'''| / 6
         assert np.max(np.abs(out[margin:-margin] - exact[margin:-margin])) <= 1e-3
-
-    def test_complex_speed_rejected(self):
-        with pytest.raises(UnsupportedOperationError):
-            TranslationOperator("T", 1.0 + 1.0j, self.grid(), boundary="zero-extension")
 
 
 class TestResolventSolve:

@@ -31,6 +31,7 @@ from factored_evolution import confluent, operators, solver
 from factored_evolution.statespace import finite_difference_weights
 
 from conftest import (
+    central_difference_operator,
     max_rel_dev,
     random_commuting_instance,
     random_dense_commuting_instance,
@@ -414,7 +415,7 @@ def _convolution_case(name):
     if name == "zero-extension":
         grid = UniformGrid(0.0, 0.1, 40)
         x = grid.points()
-        op = TranslationOperator("T", 0.6, grid, "zero-extension")
+        op = central_difference_operator("T", 0.6, grid)
         return [(op, 2)], lambda t: np.exp(-((x - 2.0 - 0.2 * t) ** 2))
     if name == "partially-coincident-spectral":
         # mode 0 coincides; the forcing leaves it unexcited

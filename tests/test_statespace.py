@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from factored_evolution import (
     DenseMatrixOperator,
@@ -109,6 +110,47 @@ class TestExpmApply:
     def test_overflow_raises(self):
         with pytest.raises(SemigroupOverflowError):
             expm_apply(np.diag([1000.0, 1000.0]), 10.0, np.ones(2))
+
+
+class TestSkewHermitianAction:
+    """Skew-Hermitian generators go through the eigendecomposition of the
+    Hermitian ``i a``, not through per-time Pade."""
+
+    def skew(self, kind):
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal((12, 12))
+        if kind == "complex":
+            b = b + 1j * rng.standard_normal((12, 12))
+        return 0.5 * (b - b.conj().T)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_scipy_expm_row_by_row(self, kind):
+        a = self.skew(kind)
+        action = statespace.expm_action(a)
+        assert action.func is statespace._eigh_expm_apply
+        rng = np.random.default_rng(13)
+        t = np.array([0.3, 1.1, 2.5, 7.0])
+        v = rng.standard_normal((t.size, 12)) + 1j * rng.standard_normal((t.size, 12))
+        out = action(t, v)
+        for t_i, v_i, row in zip(t, v, out):
+            reference = scipy.linalg.expm(t_i * a) @ v_i
+            assert np.max(np.abs(row - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_real_inputs_give_float64(self):
+        action = statespace.expm_action(self.skew("real"))
+        v = np.random.default_rng(14).standard_normal((2, 12))
+        t = np.array([0.5, 1.5])
+        assert action(t, v).dtype == np.float64
+        assert action(t, v.astype(np.complex128)).dtype == np.complex128
+        assert statespace.expm_action(self.skew("complex"))(t, v).dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_t_zero_row_is_exact(self, kind):
+        op = DenseMatrixOperator("K", self.skew(kind))
+        v = np.random.default_rng(15).standard_normal((3, 12))
+        out = op.semigroup(np.array([0.4, 0.0, 1.0]), v)
+        assert np.array_equal(out[1], v[1])
+        assert np.array_equal(op.semigroup(0.0, v[0]), v[0])
 
 
 class TestExpmStackCap:
