@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .confluent import RESIDUAL_RTOL
+from .confluent import RESIDUAL_RTOL, build_confluent_matrix
 from .equation import FactoredEquation, Forcing, oracle_solve
 from .errors import (
     DuplicateLabelError,
@@ -40,6 +40,7 @@ from .operators import (
     UniformGrid,
 )
 from .solver import (
+    _richardson_passes,
     compare_with_oracle,
     default_quadrature_rule,
     initial_derivative_defect,
@@ -47,7 +48,6 @@ from .solver import (
     lemma2_rhs,
     oracle_deviation,
     solve_full,
-    solve_inhomogeneous_zero_ic,
 )
 from .statespace import QuadratureRule
 from .trace import SolutionTrace
@@ -544,18 +544,15 @@ def _lemma2_records(eq: FactoredEquation, t: float, report: VerificationReport) 
 
 def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> None:
     # Low-order rule on purpose: errors must sit far above roundoff for the
-    # ratio to be meaningful.
+    # ratio to be meaningful.  The pair is the one the panel-doubling gate
+    # compares: p_i and 2 p_i panels on each sample interval.
     coarse = QuadratureRule("gauss-legendre", panels=2, nodes_per_panel=2)
-    zero_ic = eq.with_zero_initial_data()
-    reference = solve_inhomogeneous_zero_ic(
-        zero_ic, t_grid, QuadratureRule("gauss-legendre", 64, 8), richardson_tol=float("inf")
-    ).values
-    errs = []
-    for rule in (coarse, coarse.refined(2)):
-        vals = solve_inhomogeneous_zero_ic(
-            zero_ic, t_grid, rule, richardson_tol=float("inf")
-        ).values
-        errs.append(float(np.max(np.abs(vals - reference))))
+    matrix = build_confluent_matrix(eq.grouped)
+    times = np.asarray(t_grid, dtype=np.float64)
+    reference_rule = QuadratureRule("gauss-legendre", panels=64, nodes_per_panel=8)
+    reference = _richardson_passes(matrix, eq.forcing, times, reference_rule)[0]
+    errs = [float(np.max(np.abs(vals - reference)))
+            for vals in _richardson_passes(matrix, eq.forcing, times, coarse)]
     scale = max(float(np.max(np.abs(reference))), 1e-30)
     if errs[1] <= 1e-12 * scale:
         report.add("quadrature-convergence", 1.0, 0.0, "errors at roundoff floor")

@@ -443,11 +443,13 @@ class ZCoefficients:
             _check_dead_modes(self._modes, modal[:, None, :])
         return modal
 
-    def weigh(self, h, like: np.ndarray) -> np.ndarray:
-        """The state ``sum_k z_k h_k`` for ``h`` of shape ``(n, d)`` in ``basis``;
-        ``like``, the stack ``h`` grew from, sets the real-output rule."""
-        terms = _blocks_times(self.zeta, np.asarray(h))
-        return self.basis.from_modes(sum(terms[1:], terms[0]), like)
+    def weigh(self, h: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """The states ``sum_k z_k h[s, k]``, shape ``(S, d)``, for a stack
+        ``h`` of shape ``(S, n, d)`` in ``basis``; ``like``, the stack ``h``
+        grew from, sets the real-output rule."""
+        modal = h.reshape(h.shape[:2] + (-1, self.zeta.shape[-1]))
+        out = np.einsum("kbij,skbj->sbi", self.zeta, modal)
+        return self.basis.from_modes(out.reshape(h.shape[0], -1), like)
 
     def apply_all(self, g) -> np.ndarray:
         """``z_0 g, ..., z_{n-1} g``, shape ``(n, d)``, for a state ``g``."""

@@ -11,17 +11,21 @@ convolution form
     u(t) = sum_j sum_k  int_0^t ((t-s)^k / k!) e^{(t-s) B_j} z_{jk} f(s) ds
 
 with the forcing weights ``z`` from the confluent solve against
-``(0, ..., 0, I)``; the integral is done per sample time with a composite
-rule over ``[0, t]`` and verified by panel doubling.  General initial data
-superposes the two parts.
+``(0, ..., 0, I)``; the integral is verified by panel doubling.  General
+initial data superposes the two parts.
 
 The homogeneous part is :func:`_semigroup_sum`, one array-time
 ``semigroup`` call per group for all sample times at once.  The ``z_{jk}``
-commute with every ``e^{tau B_j}``, so a quadrature pass takes the
-convolution as ``z_{jk} sum_i w_i (tau_i^k/k!) e^{tau_i B_j} f(s_i)``: it
-evaluates the forcing once per node, grows the stack once per group (in
-modes, where the groups share a mode basis) and lets
-:meth:`ZCoefficients.weigh` apply ``z`` to the node sums last.
+commute with every ``e^{tau B_j}``, so the forced part is
+``sum_j sum_k z_{jk} H_{jk}(t)`` with
+``H_{jk}(t) = int_0^t ((t-s)^k/k!) e^{(t-s) B_j} f(s) ds``.  A quadrature
+pass covers ``[0, t_last]`` once and marches across the sample intervals:
+the semigroup property and the binomial theorem carry ``H_{jk}`` exactly
+from one sample time to the next, so only each new interval's integral is
+a quadrature (:func:`_duhamel_pass`).  The pass evaluates the forcing once
+per node, grows the stack once per group (in modes, where the groups share
+a mode basis) and lets :meth:`ZCoefficients.weigh` apply ``z`` to the
+carried sums last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -40,6 +44,7 @@ swapped in the difference; that version does not match the scalar value).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,7 +74,9 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 
 
 def default_quadrature_rule() -> QuadratureRule:
-    """Gauss-Legendre, 8 nodes per panel, 16 panels."""
+    """Gauss-Legendre, 8 nodes per panel, 16 panels over ``[0, t_last]``:
+    each sample interval gets enough of them that no panel is wider than
+    ``t_last / 16``."""
     return QuadratureRule("gauss-legendre", panels=16, nodes_per_panel=8)
 
 
@@ -97,28 +104,103 @@ def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
     return solve_full(eq, t_grid)
 
 
-def _convolution_value(
-    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, t: float, rule: QuadratureRule
+def _interval_rules(
+    rule: QuadratureRule, times: np.ndarray
+) -> tuple[np.ndarray, list[QuadratureRule]]:
+    """The edges ``0, t_i > 0`` of the sample intervals and one rule per
+    interval: ``ceil(panels * width / t_last)`` panels, so that no panel is
+    wider than ``t_last / panels``."""
+    edges = np.concatenate([[0.0], times[times > 0]])
+    widths = np.diff(edges)
+    if not widths.size:
+        return edges, []
+    # The widths are differences of sample times, so an exact multiple of
+    # t_last / panels can land a few ulps above its count; the slack keeps
+    # it on the count and widens no panel by more than 1e-9 relative.
+    counts = np.ceil(rule.panels * widths / edges[-1] - 1e-9 * rule.panels)
+    return edges, [replace(rule, panels=int(p)) for p in np.maximum(counts, 1)]
+
+
+def _binomial_shift(width: float, mult: int) -> np.ndarray:
+    """The matrix ``C[k, l] = width^(k-l) / (k-l)!`` for ``l <= k`` (zero
+    above), which carries ``(t-s)^k/k!`` across an interval of ``width``."""
+    return np.array([
+        [width ** (k - l) / math.factorial(k - l) if l <= k else 0.0 for l in range(mult)]
+        for k in range(mult)
+    ])
+
+
+def _duhamel_pass(
+    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, edges: np.ndarray, rules
 ) -> np.ndarray:
-    """One quadrature pass over ``[0, t]``, every node at once: one growth of
-    the forcing stack per group, one node sum per ``k``, ``z`` weighs last."""
-    pts, wts = rule.nodes(0.0, float(t))
-    if not pts.size:
-        return np.zeros(matrix.dim)
-    taus = t - pts
+    """The forced part at the interval ends ``edges[1:]``, shape ``(I, d)``,
+    from one quadrature pass over ``[0, edges[-1]]``.
+
+    For each group ``j`` and ``k < S_j`` the pass carries
+    ``H_jk(t) = int_0^t ((t-s)^k/k!) e^{(t-s) B_j} f(s) ds``
+    across each interval of width ``D`` exactly,
+
+        H_jk(t + D) = e^{D B_j} sum_{l<=k} (D^(k-l)/(k-l)!) H_jl(t)
+                      + int_t^{t+D} ((t+D-s)^k/k!) e^{(t+D-s) B_j} f(s) ds,
+
+    so only the new interval's integral is a quadrature.  The forcing is
+    evaluated once per node of the pass, the stack grows once per group (in
+    modes, where the groups share a mode basis) and ``z`` weighs last.
+    """
+    nodes = [r.nodes(a, b) for r, a, b in zip(rules, edges[:-1], edges[1:])]
+    bounds = np.cumsum([0] + [pts.size for pts, _ in nodes])
+    pts = np.concatenate([pts for pts, _ in nodes])
+    taus = np.concatenate([b - p for (p, _), b in zip(nodes, edges[1:])])
+    widths = np.diff(edges)
+    mult_max = max(mult for _, mult in matrix.grouped)
+    moments = np.concatenate([wts for _, wts in nodes]) * np.array(
+        [taus**k / math.factorial(k) for k in range(mult_max)]
+    )
     g = as_state_stack([forcing(float(s)) for s in pts], matrix.dim)
     g_hat = z.modes_of(g)
     h = []
     for op, mult in matrix.grouped:
         if matrix.mode_basis is None:
             grown = op.semigroup(taus, g)
+            propagators = None
         else:  # in place, unless a complex forcing meets real modal values
-            grown = checked_exp(op.modal_values, taus, f"semigroup of {op.label!r}")
+            what = f"semigroup of {op.label!r}"
+            grown = checked_exp(op.modal_values, taus, what)
             in_place = np.can_cast(g_hat.dtype, grown.dtype)
             grown = np.multiply(grown, g_hat, out=grown if in_place else None)
-        h.extend((wts * (taus**k / math.factorial(k))) @ grown for k in range(mult))
+            propagators = checked_exp(op.modal_values, widths, what)
+        carried, prev = [], np.zeros((mult, matrix.dim))
+        for i, width in enumerate(widths):
+            shifted = _binomial_shift(width, mult) @ prev
+            if propagators is None:
+                shifted = op.semigroup(np.full(mult, width), shifted)
+            else:
+                shifted = propagators[i] * shifted
+            interval = slice(bounds[i], bounds[i + 1])
+            prev = shifted + moments[:mult, interval] @ grown[interval]
+            carried.append(prev)
+        h.append(np.stack(carried))
         del grown  # one (m, d) exponential alive at a time
-    return z.weigh(h, g)
+    return z.weigh(np.concatenate(h, axis=1), g)
+
+
+def _richardson_passes(
+    matrix: BlockOperatorMatrix, forcing: Forcing, times: np.ndarray, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forced part at every sample time, shape ``(S, d)``, by a pass
+    with ``p_i`` panels per interval and by one with ``2 p_i``: the pair the
+    panel-doubling check compares."""
+    z = solve_z_vector(matrix)
+    edges, coarse = _interval_rules(rule, times)
+    if not coarse:  # t_grid = [0]: nothing to integrate
+        zero = np.zeros((times.size, matrix.dim))
+        return zero, zero
+    base, fine = (
+        _duhamel_pass(matrix, z, forcing, edges, rules)
+        for rules in (coarse, [r.refined(2) for r in coarse])
+    )
+    at_zero = np.zeros((times.size - base.shape[0], matrix.dim))  # a sample at t = 0
+    return np.concatenate([at_zero, base]), np.concatenate([at_zero, fine])
 
 
 def solve_inhomogeneous_zero_ic(
@@ -157,15 +239,19 @@ def solve_full(
     once, with one array-time ``semigroup`` call per group; the diagnostics
     carry the residual of the ``y`` solve under ``coefficient_residual``.
 
-    With a forcing term the convolution part is added.  Every sample time
-    gets a fresh composite rule over ``[0, t]`` (the formula is evaluated
-    literally, not as a running scheme); a pass evaluates the forcing once
-    per node and then every node of the pass at once.  The same integrals
-    are recomputed with doubled panels; if the two disagree beyond
-    ``richardson_tol`` (relative to the solution scale) the solve raises
-    :class:`QuadratureUnderResolvedError`.  The diagnostics then also carry
-    ``richardson_rel_dev`` and ``quadrature``.  The assembly is a plain sum,
-    so superposition holds to roundoff by construction.
+    With a forcing term the convolution part is added.  The closed form is
+    still exact; only the domain of each quadrature is a sample interval
+    rather than ``[0, t]``.  One pass covers ``[0, t_last]`` once: interval
+    ``i`` gets ``ceil(rule.panels * width_i / t_last)`` panels, and the
+    integrals ``H_{jk}`` reached at one sample time are carried to the next
+    by the exact propagator ``e^{width B_j}`` and binomial weights.  The
+    pass evaluates the forcing once per node and handles every node at
+    once.  A second pass doubles every interval's panels; if the two
+    disagree beyond ``richardson_tol`` (relative to the solution scale) the
+    solve raises :class:`QuadratureUnderResolvedError`.  The diagnostics
+    then also carry ``richardson_rel_dev`` and ``quadrature``.  The
+    assembly is a plain sum, so superposition holds to roundoff by
+    construction.
     """
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
@@ -175,12 +261,8 @@ def solve_full(
         return SolutionTrace(times, values, {"coefficient_residual": ys.residual})
 
     rule = rule or default_quadrature_rule()
-    z = solve_z_vector(matrix)
-    rules = (rule, rule.refined(2))
-    base, fine = np.array(
-        [[_convolution_value(matrix, z, eq.forcing, t, r) for t in times] for r in rules]
-    )
-    scale = float(np.max(np.abs(fine))) if fine.size else 0.0
+    base, fine = _richardson_passes(matrix, eq.forcing, times, rule)
+    scale = float(np.max(np.abs(fine)))
     dev = float(np.max(np.abs(base - fine))) / (scale + 1e-30)
     if dev > richardson_tol:
         raise QuadratureUnderResolvedError(

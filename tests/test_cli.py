@@ -331,7 +331,7 @@ class TestCommands:
         assert len(equations) == 1 and len(solves) == 1
 
     def test_forced_verify_runs_the_commutation_gate_once(self, monkeypatch):
-        # the zero-data copy for the quadrature check reuses the gate's verdict
+        # the quadrature check reuses the grouped factors and the gate's verdict
         gate = FactoredEquation.__dict__["_commutation_gate"].__func__
         calls = []
 
@@ -344,6 +344,15 @@ class TestCommands:
         assert report.passed, report.format()
         assert "quadrature-convergence" in report.format()
         assert calls == [3]
+
+    def test_quadrature_convergence_compares_the_panel_doubling_pair(self):
+        # With 11 samples the 2-panel rule gives one panel per sample interval
+        # against two: the 2-node Gauss rule (order 4) cuts the error by ~16.
+        config = parse_config(json.dumps(dict(RANDOM_DIAGONAL, time={"t_end": 1.5, "samples": 11})))
+        report = run_verify(config, seed=5)
+        (record,) = [r for r in report.records if r.name == "quadrature-convergence"]
+        ratio = float(record.note.split()[2].rstrip(","))
+        assert record.passed and 14.0 <= ratio <= 18.0
 
     def test_verify_forced_wide_band_passes(self):
         # Differencing the forced part on the tiny derivative-check grids

@@ -356,21 +356,41 @@ class TestFactorizeOnce:
         assert [len(g) for g in grids] == [7, 9]
 
 
-def per_node_convolution(matrix, z, forcing, t, rule):
-    """The convolution pass node by node: one weight solve and one semigroup
+def per_node_convolution(matrix, z, forcing, t, rule, a=0.0, b=None):
+    """The convolution at time ``t`` over the nodes of ``rule`` on ``[a, b]``
+    (``b = t`` by default), node by node: one weight solve and one semigroup
     call per node, group and k."""
-    pts, wts = rule.nodes(0.0, float(t))
-    acc = None
+    pts, wts = rule.nodes(a, float(t if b is None else b))
+    acc = np.zeros(matrix.dim)
     for s, w in zip(pts, wts):
         weights = z.apply_all(forcing(float(s)))
         offset = 0
         for op, mult in matrix.grouped:
             for k in range(mult):
                 tau = float(t - s)
-                term = w * (tau**k / math.factorial(k)) * op.semigroup(tau, weights[offset + k])
-                acc = term if acc is None else acc + term
+                acc = acc + w * (tau**k / math.factorial(k)) * op.semigroup(tau, weights[offset + k])
             offset += mult
     return acc
+
+
+def literal_forced_values(matrix, z, forcing, times, rule):
+    """The forced part at every sample time by the literal rule: sample ``t``
+    sums, node by node, every node of the sample intervals up to ``t``, with
+    the panel counts the marching pass gives those intervals."""
+    edges, rules = solver._interval_rules(rule, times)
+    rows = []
+    for t in times:
+        acc = np.zeros(matrix.dim)
+        for r, a, b in zip(rules, edges[:-1], edges[1:]):
+            if b <= t:
+                acc = acc + per_node_convolution(matrix, z, forcing, t, r, a, b)
+        rows.append(acc)
+    return np.stack(rows)
+
+
+def one_pass(matrix, z, forcing, times, rule):
+    """The marching pass over the sample intervals of ``times``."""
+    return solver._duhamel_pass(matrix, z, forcing, *solver._interval_rules(rule, np.asarray(times)))
 
 
 def per_sample_homogeneous(matrix, ys, times):
@@ -445,25 +465,36 @@ CONVOLUTION_CASES = [
 ]
 
 
+MARCHING_GRIDS = {
+    "uniform": np.linspace(0.0, 1.6, 5),
+    "non-uniform": np.array([0.0, 0.1, 0.5, 0.6, 1.6]),
+    "first-sample-after-zero": np.array([0.4, 0.9, 1.6]),
+}
+
+
 class TestBatchedConvolution:
-    """One quadrature pass works on all of its nodes at once and keeps the
-    per-node result, the per-node error checks and the per-node tolerances."""
+    """One quadrature pass works on all of its nodes at once, marches across
+    the sample intervals, and keeps the per-node result, the per-node error
+    checks and the per-node tolerances."""
 
     @pytest.mark.parametrize("kind", ["gauss-legendre", "composite-simpson"])
     @pytest.mark.parametrize("case", CONVOLUTION_CASES)
     def test_equals_per_node_loop(self, case, kind):
-        # The Simpson rule's last node sits at s = t, i.e. tau = 0.  Sample
-        # times of order 1: for t << 1 the forced value is O(t^n) while the
-        # terms of either sum are O(t), so both carry roundoff relative to
-        # the terms rather than to the value.
+        # Marching equals the literal rule on the same nodes.  The Simpson
+        # rule's last node sits at s = t, i.e. tau = 0.  Sample times of
+        # order 1: for t << 1 the forced value is O(t^n) while the terms of
+        # either sum are O(t), so both carry roundoff relative to the terms
+        # rather than to the value.
         grouped, evaluator = _convolution_case(case)
+        factors = tuple(op for op, mult in grouped for _ in range(mult))
+        forcing = Forcing(evaluator)
+        eq = FactoredEquation(factors, tuple(np.zeros(factors[0].dim) for _ in factors), forcing)
         matrix = confluent.build_confluent_matrix(grouped)
         z = confluent.solve_z_vector(matrix)
-        forcing = Forcing(evaluator)
         rule = QuadratureRule(kind, panels=4, nodes_per_panel=3)
-        for t in (0.9, 1.6):
-            batched = solver._convolution_value(matrix, z, forcing, t, rule)
-            reference = per_node_convolution(matrix, z, forcing, t, rule)
+        for times in MARCHING_GRIDS.values():
+            batched = solve_full(eq, times, rule, richardson_tol=float("inf")).values
+            reference = literal_forced_values(matrix, z, forcing, times, rule)
             assert batched.dtype == reference.dtype
             assert np.max(np.abs(batched - reference)) <= 1e-14 * np.max(np.abs(reference))
 
@@ -498,10 +529,11 @@ class TestBatchedConvolution:
         t_grid = np.array([0.0, 0.3, 0.8])
         solve_full(eq, t_grid)
         assert all(np.ndim(t) == 1 for t in calls)
-        # one array-time call per group for the homogeneous part, and one per
-        # group and pass: a coarse and a doubled pass for each sample time after 0
-        passes = 2 * (t_grid.size - 1)
-        assert len(calls) == (1 + passes) * len(eq.grouped)
+        # per group: one array-time call for the homogeneous part, and in each
+        # of the coarse and the doubled pass one growth of the node stack plus
+        # one propagator call per sample interval ([0, 0.3] and [0.3, 0.8])
+        intervals = t_grid.size - 1
+        assert len(calls) == len(eq.grouped) * (1 + 2 * (1 + intervals))
 
     @pytest.mark.parametrize("family", ["spectral", "dense"])
     def test_one_overflowing_row_raises(self, family):
@@ -516,7 +548,7 @@ class TestBatchedConvolution:
         matrix = confluent.build_confluent_matrix([(op, 1)])
         z = confluent.solve_z_vector(matrix)
         with pytest.raises(SemigroupOverflowError, match=f"t={taus[0]:.3g}"):
-            solver._convolution_value(matrix, z, Forcing(lambda s: np.ones(2)), t, rule)
+            one_pass(matrix, z, Forcing(lambda s: np.ones(2)), [t], rule)
 
     @pytest.mark.parametrize("content, raises", [(2e-11, True), (0.5e-11, False)])
     def test_coincident_mode_excited_at_one_node(self, content, raises):
@@ -537,9 +569,9 @@ class TestBatchedConvolution:
         assert content > operators.DEAD_MODE_RTOL or not raises
         if raises:
             with pytest.raises(SingularSystemError):
-                solver._convolution_value(matrix, z, Forcing(evaluator), t, rule)
+                one_pass(matrix, z, Forcing(evaluator), [t], rule)
         else:
-            assert np.all(np.isfinite(solver._convolution_value(matrix, z, Forcing(evaluator), t, rule)))
+            assert np.all(np.isfinite(one_pass(matrix, z, Forcing(evaluator), [t], rule)))
 
     @pytest.mark.parametrize("wrapped", [True, False])
     def test_nan_forcing_at_one_node_raises(self, wrapped):
@@ -554,7 +586,7 @@ class TestBatchedConvolution:
 
         forcing = Forcing(evaluator) if wrapped else evaluator
         with pytest.raises(NonFiniteError):
-            solver._convolution_value(matrix, z, forcing, 1.0, rule)
+            one_pass(matrix, z, forcing, [1.0], rule)
 
     def test_forcing_length_changing_at_one_node_raises(self):
         grouped, _ = _convolution_case("dense-hermitian")
@@ -564,7 +596,62 @@ class TestBatchedConvolution:
         node = rule.nodes(0.0, 1.0)[0][7]
         forcing = Forcing(lambda s: np.ones(6 if s == node else 5))
         with pytest.raises(DimensionMismatchError):
-            solver._convolution_value(matrix, z, forcing, 1.0, rule)
+            one_pass(matrix, z, forcing, [1.0], rule)
+
+
+class TestMarching:
+    """The forced part marches across the sample intervals: each pass covers
+    ``[0, t_last]`` once and carries ``H_jk`` with the exact propagator."""
+
+    @pytest.mark.parametrize("samples, count", [(5, 4), (9, 2), (17, 1)])
+    def test_uniform_grid_gives_every_interval_the_same_panels(self, samples, count):
+        # 16 * (0.7 / (samples - 1)) / 0.7 lands a few ulps above `count` on
+        # some intervals of linspace(0, 0.7, samples)
+        edges, rules = solver._interval_rules(QuadratureRule(), np.linspace(0.0, 0.7, samples))
+        assert [r.panels for r in rules] == [count] * (samples - 1)
+
+    def test_no_panel_wider_than_the_widest_of_one_rule_over_the_grid(self):
+        rule = QuadratureRule()
+        times = np.array([0.0, 0.3, 1.0, 1.05, 2.0])
+        edges, rules = solver._interval_rules(rule, times)
+        assert [r.panels for r in rules] == [3, 6, 1, 8]
+        widths = np.diff(edges) / [r.panels for r in rules]
+        assert np.all(widths <= times[-1] / rule.panels * (1 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "times, panels",
+        [
+            (np.linspace(0.0, 1.0, 11), [2] * 10),
+            (np.array([0.25, 0.5, 1.0, 2.0]), [2, 2, 4, 8]),
+            (np.array([0.0, 0.3, 1.0]), [5, 12]),
+        ],
+    )
+    def test_forcing_called_once_per_node_of_both_passes(self, times, panels):
+        calls = []
+
+        def evaluator(t):
+            calls.append(t)
+            return np.array([np.cos(t), 1.0])
+
+        eq = FactoredEquation(
+            (diag_op("a", [-1.0, -0.5]), diag_op("b", [0.2, 0.4])), (np.zeros(2),) * 2, Forcing(evaluator)
+        )
+        rule = QuadratureRule()
+        solve_full(eq, times, rule)
+        # p_i panels of q nodes in the coarse pass, 2 p_i in the doubled one
+        assert len(calls) == sum(3 * p * rule.nodes_per_panel for p in panels)
+
+    def test_grid_at_zero_only_makes_no_forcing_call(self):
+        calls = []
+
+        def evaluator(t):
+            calls.append(t)
+            return np.ones(2)
+
+        eq = FactoredEquation((diag_op("a", [-1.0, 0.5]),), (np.zeros(2),), Forcing(evaluator))
+        trace = solve_full(eq, np.array([0.0]))
+        assert np.array_equal(trace.values, np.zeros((1, 2)))
+        assert calls == []
 
 
 class TestLemma2:
