@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .confluent import RESIDUAL_RTOL, build_confluent_matrix
-from .equation import FactoredEquation, Forcing, oracle_solve
+from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import (
     DuplicateLabelError,
     FactoredEvolutionError,
@@ -42,7 +42,6 @@ from .operators import (
 from .solver import (
     _richardson_passes,
     compare_with_oracle,
-    default_quadrature_rule,
     initial_derivative_defect,
     lemma2_lhs,
     lemma2_rhs,
@@ -402,21 +401,23 @@ def parse_config(text: str) -> ProblemConfig:
     if samples < 2:
         raise SchemaError("time.samples: must be at least 2")
 
-    quad = _expect(raw, "quadrature", dict, "config", required=False, default=None)
-    if quad is None:
-        rule = default_quadrature_rule()
-    else:
-        try:
-            rule = QuadratureRule(
-                _expect(quad, "kind", str, "quadrature", required=False, default="gauss-legendre"),
-                _integer(quad, "panels", "quadrature", required=False, default=16),
-                _integer(quad, "nodes_per_panel", "quadrature", required=False, default=8),
-            )
-        except ValueError as exc:
-            raise SchemaError(f"quadrature: {exc}") from exc
+    # Keys left out keep QuadratureRule's defaults.
+    quad = _expect(raw, "quadrature", dict, "config", required=False, default={})
+    fields = {}
+    if "kind" in quad:
+        fields["kind"] = _expect(quad, "kind", str, "quadrature")
+    for key in ("panels", "nodes_per_panel"):
+        if key in quad:
+            fields[key] = _integer(quad, key, "quadrature")
+    try:
+        rule = QuadratureRule(**fields)
+    except ValueError as exc:
+        raise SchemaError(f"quadrature: {exc}") from exc
 
     oracle = _expect(raw, "oracle", dict, "config", required=False, default={})
-    steps = _integer(oracle, "steps_per_unit", "oracle", required=False, default=2000)
+    steps = _integer(
+        oracle, "steps_per_unit", "oracle", required=False, default=ORACLE_STEPS_PER_UNIT
+    )
     if steps < 1:
         raise SchemaError("oracle.steps_per_unit: must be >= 1")
 
@@ -550,7 +551,7 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
     matrix = build_confluent_matrix(eq.grouped)
     times = np.asarray(t_grid, dtype=np.float64)
     reference_rule = QuadratureRule("gauss-legendre", panels=64, nodes_per_panel=8)
-    reference = _richardson_passes(matrix, eq.forcing, times, reference_rule)[0]
+    reference = next(_richardson_passes(matrix, eq.forcing, times, reference_rule))
     errs = [float(np.max(np.abs(vals - reference)))
             for vals in _richardson_passes(matrix, eq.forcing, times, coarse)]
     scale = max(float(np.max(np.abs(reference))), 1e-30)

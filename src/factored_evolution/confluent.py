@@ -12,27 +12,29 @@ r-th derivative at ``t = 0`` of the ansatz ``sum_j sum_k (t^k/k!) e^{t B_j}
 y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 
 Scalars reduce this to the classical confluent Vandermonde matrix of the
-modal values with the given multiplicities.  One assembly builds ``M`` from
-the generators' blocks (``operators.generator_blocks``).  Groups that share
-a mode basis (``Operator.mode_basis``: the spectral and periodic-translation
-backends) have 1 x 1 blocks, so ``M`` splits into one small scalar system
-per mode, and take one path: transform into modes, solve, transform back.
-A mode where two groups coincide is allowed as long as the right-hand side
-leaves it unexcited.  Dense groups have one block, the full ``(n d) x (n d)``
-matrix, which is LU-factored.
-A single repeated factor needs no inversion at all, the matrix is unit
-lower triangular and forward substitution with operator applications does
-the job for every backend.  Each ``BlockOperatorMatrix`` builds this
-factorization once, on first use, and both the coefficients ``y`` and the
-forcing weights ``z`` are solved through it.
+modal values with the given multiplicities.  Every solve works on the
+generators' blocks (``operators.generator_blocks``), in their shared mode
+basis (``Operator.mode_basis``: the spectral and periodic-translation
+backends) or, for dense groups, in the identity basis.  One record,
+``BlockOperatorMatrix._factorization``, holds the only code that tells the
+three structures of ``M`` apart: a single repeated factor makes ``M`` unit
+lower triangular and is solved by substitution on its blocks; groups with
+a mode basis have 1 x 1 blocks, so ``M`` splits into one small scalar
+system per mode (a mode where two groups coincide is allowed as long as
+the right-hand side leaves it unexcited); dense groups have one block, the
+full ``(n d) x (n d)`` matrix, which is LU-factored.  Each
+``BlockOperatorMatrix`` builds the record once, on first use, and both the
+coefficients ``y`` and the forcing weights ``z`` are solved through it.
+Operator actions are left to the residual gate, which checks every solve
+against ``M`` applied the other way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -110,37 +112,43 @@ class BlockOperatorMatrix:
         return offs
 
     @cached_property
-    def mode_basis(self) -> ModeBasis | None:
-        """The basis in which every group is diagonal, or None."""
-        return shared_mode_basis(op for op, _ in self.grouped)
+    def _factorization(self) -> _Factorization:
+        """The factorization of ``M`` every solve goes through, built on
+        first use; the only code that tells the structures of ``M`` apart.
 
-    @cached_property
-    def _factorization(self):
-        """Factorization of ``M`` shared by every solve, built on first use.
-
-        ``None`` for a single group (``M`` is unit lower triangular).
-        Otherwise ``M`` is assembled from :func:`generator_blocks`: one
-        ``n x n`` matrix per mode for groups that share a mode basis, kept
-        as :class:`_ModeSystems`, and one ``(n d) x (n d)`` matrix for dense
-        groups, kept as its pivoted LU.
+        All three work on the generators' blocks from
+        :func:`generator_blocks`.  A single group makes ``M`` unit lower
+        triangular: it is solved by substitution on the group's blocks,
+        with no assembly and no pivoting.  Groups that share a mode basis
+        assemble one ``n x n`` matrix per mode, with the identity on the
+        modes where two groups coincide.  Dense groups assemble the one
+        ``(n d) x (n d)`` matrix and keep its pivoted LU.
         """
-        if len(self.grouped) == 1:
-            return None
-        blocks = generator_blocks(op for op, _ in self.grouped)
+        ops = [op for op, _ in self.grouped]
+        blocks = generator_blocks(ops)
+        basis = shared_mode_basis(ops) or ModeBasis(fourier=False)
+        mask, pairs = np.zeros(blocks.shape[1], dtype=bool), []
+        if len(ops) == 1:
+            return _Factorization(basis, partial(_substitute, blocks[0], self.n), mask, pairs)
         v = _confluent_blocks(blocks, [mult for _, mult in self.grouped])
-        basis = self.mode_basis
-        if basis is not None:
+        if ops[0].mode_basis is not None:
             mask, pairs = _coincident_modes(self, blocks[..., 0, 0])
-            v[mask] = np.eye(v.shape[1], dtype=v.dtype)
-            return _ModeSystems(v, mask, pairs, basis)
+            v[mask] = np.eye(self.n, dtype=v.dtype)
+            return _Factorization(basis, partial(_mode_solve, v, mask), mask, pairs)
         try:
-            return lu_factor_checked(v[0])
+            factors = lu_factor_checked(v[0])
         except SingularMatrixError as exc:
-            labels = [op.label for op, _ in self.grouped]
+            labels = [op.label for op in ops]
             raise SingularSystemError(
                 f"assembled coefficient matrix for groups {labels} is singular "
                 f"({exc}); some pair of declared-distinct factors may coincide"
             ) from exc
+
+        def lu_solve(rhs):
+            rhs = rhs[0].astype(np.result_type(factors[0], rhs), copy=False)
+            return lu_apply(factors, rhs)[None]
+
+        return _Factorization(basis, lu_solve, mask, pairs)
 
     def _locate(self, c: int) -> tuple[Operator, int]:
         acc = 0
@@ -253,18 +261,22 @@ def _confluent_blocks(blocks: np.ndarray, multiplicities) -> np.ndarray:
     return v
 
 
-class _ModeSystems(NamedTuple):
-    """Per-mode scalar matrices of ``M``, shape ``(d, n, n)``, in ``basis``.
+class _Factorization(NamedTuple):
+    """One factorization of ``M``, whatever its structure.
 
-    ``mask`` marks the modes where distinct groups coincide; their matrices
-    are set to the identity.  ``pairs`` names the coinciding labels and is
-    empty when no mode coincides.
+    ``solve`` takes block right-hand sides ``(b, n m, k)`` in the layout of
+    :func:`generator_blocks` (block i of row r at rows ``r m .. r m + m - 1``)
+    in ``basis``, the shared mode basis or else the identity, and returns
+    the solutions in the same layout.  ``mask`` holds one flag per block,
+    set on the modes where distinct groups coincide, where the solution is
+    0; ``pairs`` names the coinciding labels.  Neither marks anything unless
+    the groups are modal.
     """
 
-    matrices: np.ndarray
+    basis: ModeBasis
+    solve: Callable[[np.ndarray], np.ndarray]
     mask: np.ndarray
     pairs: list
-    basis: ModeBasis
 
 
 def _coincident_modes(matrix: BlockOperatorMatrix, nodes: np.ndarray):
@@ -292,68 +304,45 @@ def _coincidence_message(pairs) -> str:
     return "; ".join(bits)
 
 
-def _check_dead_modes(modes: _ModeSystems, modal: np.ndarray) -> None:
+def _check_dead_modes(factorization: _Factorization, modal: np.ndarray) -> None:
     """Reject a modal right-hand side (modes on the last axis) that excites a
     coincident mode."""
-    if excites(modal, modes.mask):
+    if factorization.pairs and excites(modal, factorization.mask):
         raise SingularSystemError(
             "declared-distinct factors act identically on excited modes: "
-            + _coincidence_message(modes.pairs)
+            + _coincidence_message(factorization.pairs)
         )
 
 
-def _mode_solve(modes: _ModeSystems, modal: np.ndarray) -> np.ndarray:
-    """Solve the per-mode systems for an ``(n, d)`` modal right-hand side.
-
-    The solution is 0 on coincident modes, which the right-hand side must
-    leave unexcited.
-    """
-    if modes.pairs:
-        _check_dead_modes(modes, modal)
-    rhs = np.array(modal.T, dtype=np.result_type(modes.matrices, modal))  # (d, n)
-    rhs[modes.mask] = 0.0
-    try:
-        sol = np.linalg.solve(modes.matrices, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
-    return sol.T  # (n, d)
-
-
-def _forward_substitution(matrix: BlockOperatorMatrix, rhs_vectors) -> list[np.ndarray]:
-    # Single repeated factor: M is unit lower triangular, so the solve only
-    # needs operator applications.
-    op = matrix.grouped[0][0]
-    n = matrix.n
+def _substitute(base: np.ndarray, n: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``M y = rhs`` for a single group of order ``n`` by forward
+    substitution on its blocks ``base`` ``(b, m, m)``: ``M`` is unit lower
+    triangular, and each ``B^(r-k) y_k`` is one block product more than
+    ``B^(r-k-1) y_k``."""
+    b, m, _ = base.shape
+    x = rhs.reshape(b, n, m, -1)
     ys: list[np.ndarray] = []
     powered: list[np.ndarray] = []
     for r in range(n):
-        acc = rhs_vectors[r]
+        acc = x[:, r]
         for k in range(r):
-            powered[k] = op.apply(powered[k])  # now B^(r-k) y_k
+            powered[k] = base @ powered[k]  # now B^(r-k) y_k
             acc = acc - comb(r, k) * powered[k]
-        acc = np.array(acc, copy=True)
         ys.append(acc)
         powered.append(acc)
-    return ys
+    return np.stack(ys, axis=1).reshape(rhs.shape)
 
 
-def _lu_solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitute an ``(n, d)`` right-hand side through the LU of the
-    assembled ``M``."""
-    col = rhs.reshape(-1, 1)
-    sol = lu_apply(factors, col.astype(np.result_type(factors[0], col), copy=False))
-    return sol.reshape(rhs.shape)
-
-
-def _solve(matrix: BlockOperatorMatrix, rhs: np.ndarray) -> list[np.ndarray]:
-    """Solve ``M y = rhs`` for an ``(n, d)`` stack through the shared factorization."""
-    factors = matrix._factorization
-    if factors is None:
-        return _forward_substitution(matrix, rhs)
-    if isinstance(factors, _ModeSystems):
-        sol = _mode_solve(factors, factors.basis.to_modes(rhs))
-        return list(factors.basis.from_modes(sol, rhs))
-    return list(_lu_solve(factors, rhs))
+def _mode_solve(matrices: np.ndarray, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the per-mode systems ``(d, n, n)`` for block right-hand sides
+    ``(d, n, k)``; the solution is 0 on the ``mask`` modes, which the
+    right-hand side must leave unexcited."""
+    rhs = np.array(rhs, dtype=np.result_type(matrices, rhs))
+    rhs[mask] = 0.0
+    try:
+        return np.linalg.solve(matrices, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
 
 
 def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors, what: str) -> float:
@@ -394,7 +383,13 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
     if len(x) != n:
         raise DimensionMismatchError(f"expected {n} right-hand-side vectors, got {len(x)}")
     xs = np.stack([as_state_vector(xi, matrix.dim) for xi in x])
-    ys = _solve(matrix, xs)
+    factorization = matrix._factorization
+    modal = factorization.basis.to_modes(xs)
+    _check_dead_modes(factorization, modal)
+    b = factorization.mask.size  # states (n, d) <-> block right-hand sides (b, n m, 1)
+    sol = factorization.solve(modal.reshape(n, b, -1).transpose(1, 0, 2).reshape(b, -1, 1))
+    sol = sol.reshape(b, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    ys = factorization.basis.from_modes(sol, xs)
     return _Coefficients(ys, _residual_gate(matrix, ys, xs, "coefficient"))
 
 
@@ -412,35 +407,26 @@ class ZCoefficients:
     once through the factorization of ``M`` that :func:`solve_coefficients`
     uses, as blocks ``(n, b, m, m)`` in the layout of :func:`generator_blocks`
     that act on states in ``basis`` (the shared mode basis, else the
-    identity): ``M^{-1} e_n`` mode by mode for groups with a mode basis (zero
-    on coincident modes), ``M^{-1}`` times the identity's last block column
-    for dense groups, and ``e_n`` for a single group, one ``1 x 1`` block
-    that acts coordinatewise in any basis.
+    identity): ``M^{-1}`` times the identity's last block column, zero on
+    coincident modes.  For a single group that is ``e_n`` exactly.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
         self.matrix = matrix
-        factors = matrix._factorization
-        self._modes = factors if isinstance(factors, _ModeSystems) else None
-        self.basis = matrix.mode_basis or ModeBasis(fourier=False)
-        n, d = matrix.n, matrix.dim
-        if factors is None:
-            self.zeta = np.eye(n)[:, -1].reshape(n, 1, 1, 1)
-        elif self._modes is not None:
-            e_n = np.zeros((n, d))
-            e_n[-1] = ~self._modes.mask  # coincident modes get zero weights
-            self.zeta = _mode_solve(self._modes, e_n)[..., None, None]
-        else:  # the identity's last block column
-            last = np.eye(n * d, d, k=d - n * d, dtype=factors[0].dtype)
-            self.zeta = lu_apply(factors, last).reshape(n, 1, d, d)
+        factorization = matrix._factorization
+        self.basis = factorization.basis
+        n, b = matrix.n, factorization.mask.size
+        m = matrix.dim // b
+        last = np.zeros((b, n * m, m))
+        last[:, -m:] = np.eye(m)
+        self.zeta = factorization.solve(last).reshape(b, n, m, m).transpose(1, 0, 2, 3)
 
     def modes_of(self, g: np.ndarray) -> np.ndarray:
         """Modes of a stack ``(m, d)`` of states; a state that excites a
         coincident mode (measured against its own largest mode) raises
         :class:`SingularSystemError`."""
         modal = self.basis.to_modes(g)
-        if self._modes is not None and self._modes.pairs:
-            _check_dead_modes(self._modes, modal[:, None, :])
+        _check_dead_modes(self.matrix._factorization, modal[:, None, :])
         return modal
 
     def weigh(self, h: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -454,14 +440,9 @@ class ZCoefficients:
     def apply_all(self, g) -> np.ndarray:
         """``z_0 g, ..., z_{n-1} g``, shape ``(n, d)``, for a state ``g``."""
         g = as_state_vector(g, self.matrix.dim)
-        return self.basis.from_modes(_blocks_times(self.zeta, self.modes_of(g[None])[0]), g)
-
-
-def _blocks_times(blocks: np.ndarray, modal: np.ndarray) -> np.ndarray:
-    """Blocks ``(..., b, m, m)`` times modal states ``(..., d)``."""
-    m = blocks.shape[-1]
-    out = (blocks * modal.reshape(modal.shape[:-1] + (-1, 1, m))).sum(-1)
-    return out.reshape(out.shape[:-2] + (-1,))
+        modal = self.modes_of(g[None])[0].reshape(self.zeta.shape[1], -1)
+        out = np.einsum("kbij,bj->kbi", self.zeta, modal)
+        return self.basis.from_modes(out.reshape(self.matrix.n, -1), g)
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
@@ -475,10 +456,11 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
     above); the probe leaves coincident modes unexcited.
     """
     z = ZCoefficients(matrix)
+    factorization = matrix._factorization
     probe = np.random.default_rng(_PROBE_SEED).standard_normal(matrix.dim)
-    if z._modes is not None and z._modes.pairs:
+    if factorization.pairs:
         p_modal = z.basis.to_modes(probe)
-        p_modal[z._modes.mask] = 0.0
+        p_modal[factorization.mask] = 0.0
         probe = z.basis.from_modes(p_modal, probe)
     rhs = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
     rhs[-1] = probe

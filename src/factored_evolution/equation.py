@@ -70,6 +70,9 @@ COMMUTATION_TOL = 1e-9
 _N_COMMUTATION_PROBES = 10
 _PROBE_SEED = 173603
 
+# RK4 steps per unit time of the oracle when the caller gives none.
+ORACLE_STEPS_PER_UNIT = 2000
+
 
 @dataclass(frozen=True)
 class Forcing:
@@ -265,7 +268,7 @@ def build_companion(eq: FactoredEquation) -> CompanionSystem:
 
 
 def oracle_solve(
-    eq: FactoredEquation, t_grid, steps_per_unit: int = 2000
+    eq: FactoredEquation, t_grid, steps_per_unit: int = ORACLE_STEPS_PER_UNIT
 ) -> SolutionTrace:
     """Brute-force reference solution: classical RK4 on the companion system.
 

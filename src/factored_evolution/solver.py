@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .confluent import (
     solve_coefficients,
     solve_z_vector,
 )
-from .equation import FactoredEquation, Forcing, oracle_solve
+from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError
 from .operators import Operator, resolvent_solve
 from .statespace import (
@@ -74,10 +75,10 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 
 
 def default_quadrature_rule() -> QuadratureRule:
-    """Gauss-Legendre, 8 nodes per panel, 16 panels over ``[0, t_last]``:
-    each sample interval gets enough of them that no panel is wider than
-    ``t_last / 16``."""
-    return QuadratureRule("gauss-legendre", panels=16, nodes_per_panel=8)
+    """The rule of :class:`QuadratureRule`'s defaults, whose ``panels``
+    count covers ``[0, t_last]``: each sample interval gets enough of them
+    that no panel is wider than ``t_last / panels``."""
+    return QuadratureRule()
 
 
 def _semigroup_sum(matrix: BlockOperatorMatrix, coeffs, taus: np.ndarray) -> np.ndarray:
@@ -160,7 +161,7 @@ def _duhamel_pass(
     g_hat = z.modes_of(g)
     h = []
     for op, mult in matrix.grouped:
-        if matrix.mode_basis is None:
+        if op.mode_basis is None:
             grown = op.semigroup(taus, g)
             propagators = None
         else:  # in place, unless a complex forcing meets real modal values
@@ -186,21 +187,20 @@ def _duhamel_pass(
 
 def _richardson_passes(
     matrix: BlockOperatorMatrix, forcing: Forcing, times: np.ndarray, rule: QuadratureRule
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[np.ndarray]:
     """The forced part at every sample time, shape ``(S, d)``, by a pass
-    with ``p_i`` panels per interval and by one with ``2 p_i``: the pair the
-    panel-doubling check compares."""
+    with ``p_i`` panels per interval and then by one with ``2 p_i``: the
+    pair the panel-doubling check compares.  Each pass runs only when it
+    is asked for."""
     z = solve_z_vector(matrix)
     edges, coarse = _interval_rules(rule, times)
-    if not coarse:  # t_grid = [0]: nothing to integrate
-        zero = np.zeros((times.size, matrix.dim))
-        return zero, zero
-    base, fine = (
-        _duhamel_pass(matrix, z, forcing, edges, rules)
-        for rules in (coarse, [r.refined(2) for r in coarse])
-    )
-    at_zero = np.zeros((times.size - base.shape[0], matrix.dim))  # a sample at t = 0
-    return np.concatenate([at_zero, base]), np.concatenate([at_zero, fine])
+    for rules in (coarse, [r.refined(2) for r in coarse]):
+        if not rules:  # t_grid = [0]: nothing to integrate
+            yield np.zeros((times.size, matrix.dim))
+            continue
+        forced = _duhamel_pass(matrix, z, forcing, edges, rules)
+        at_zero = np.zeros((times.size - forced.shape[0], matrix.dim))  # a sample at t = 0
+        yield np.concatenate([at_zero, forced])
 
 
 def solve_inhomogeneous_zero_ic(
@@ -299,7 +299,7 @@ def compare_with_oracle(
     eq: FactoredEquation,
     t_grid,
     rule: QuadratureRule | None = None,
-    steps_per_unit: int = 2000,
+    steps_per_unit: int = ORACLE_STEPS_PER_UNIT,
 ) -> tuple[SolutionTrace, SolutionTrace, float]:
     """Solve closed-form and by the companion oracle; returns
     ``(trace, oracle_trace, rel_dev)`` with :func:`oracle_deviation`."""

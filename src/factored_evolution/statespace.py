@@ -206,15 +206,17 @@ def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> n
 def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The rows ``e^{t_i a} v_i`` of a stack ``v`` of shape ``(m, d)`` by
     scaling and squaring, from stacked exponentials of at most
-    ``EXPM_STACK_ENTRIES`` entries each."""
+    ``EXPM_STACK_ENTRIES`` entries each; a time repeated within a stack is
+    exponentiated once."""
     step = max(1, EXPM_STACK_ENTRIES // a.size)
     if t.size > step:
         return np.concatenate(
             [_pade_expm_apply(a, t[i : i + step], v[i : i + step]) for i in range(0, t.size, step)]
         )
+    distinct, index = np.unique(t, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        phi = scipy.linalg.expm(np.multiply.outer(t, a))
-        out = (phi @ v[..., None])[..., 0]
+        phi = scipy.linalg.expm(np.multiply.outer(distinct, a))
+        out = (phi[index] @ v[..., None])[..., 0]
     if not np.all(np.isfinite(phi)):
         raise SemigroupOverflowError("matrix exponential overflowed float range")
     check_finite(out, "matrix exponential action")

@@ -6,6 +6,8 @@ import pytest
 from factored_evolution import (
     DuplicateLabelError,
     FactoredEquation,
+    Forcing,
+    QuadratureRule,
     QuadratureUnderResolvedError,
     SchemaError,
     SolutionTrace,
@@ -103,6 +105,14 @@ class TestParseConfig:
         assert cfg.factor_labels == ["a"]
         eq = cfg.materialize(seed=0)
         assert eq.n == 1 and eq.forcing is None
+
+    def test_defaults_without_quadrature_and_oracle(self):
+        cfg = parse_config(config_text())
+        assert cfg.rule == QuadratureRule("gauss-legendre", panels=16, nodes_per_panel=8)
+        assert cfg.oracle_steps_per_unit == 2000
+        partial = parse_config(config_text(quadrature={"panels": 4}, oracle={}))
+        assert partial.rule == QuadratureRule("gauss-legendre", panels=4, nodes_per_panel=8)
+        assert partial.oracle_steps_per_unit == 2000
 
     def test_five_factor_grouping(self):
         ops = {
@@ -353,6 +363,26 @@ class TestCommands:
         (record,) = [r for r in report.records if r.name == "quadrature-convergence"]
         ratio = float(record.note.split()[2].rstrip(","))
         assert record.passed and 14.0 <= ratio <= 18.0
+
+    def test_quadrature_convergence_runs_the_reference_pass_once(self):
+        # one 64-panel reference pass of 8 nodes on the single sample
+        # interval, and the 2-node pair of 2 and 4 panels
+        config = parse_config(json.dumps(dict(
+            RANDOM_DIAGONAL, factors=["B", "C"], initial_data=[{"profile": "random-normal"}] * 2,
+            forcing="sin(0.8 * t) + 0.05 * i * t", time={"t_end": 1.0, "samples": 2},
+        )))
+        eq = config.materialize(seed=1)
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return eq.forcing(t)
+
+        counted = FactoredEquation(eq.factors, eq.initial_data, Forcing(counting))
+        report = cli.VerificationReport()
+        cli._quadrature_convergence_record(counted, config.time_grid(), report)
+        assert report.passed and "error ratio" in report.format()
+        assert len(calls) == 64 * 8 + (2 + 4) * 2
 
     def test_verify_forced_wide_band_passes(self):
         # Differencing the forced part on the tiny derivative-check grids

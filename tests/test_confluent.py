@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,62 @@ from factored_evolution import (
     two_operator_closed_form,
 )
 
-from conftest import random_dense_commuting_instance, random_spectral_instance
+from conftest import (
+    central_difference_operator,
+    random_dense_commuting_instance,
+    random_spectral_instance,
+    zero_mean_profile,
+)
 
 
 def diag_op(label, values):
     return SpectralDiagonalOperator(label, np.asarray(values, dtype=float))
+
+
+def operator_substitution(op, rhs):
+    """Reference single-group solve of ``M y = rhs`` by forward substitution
+    with operator actions: ``B^(r-k) y_k`` by repeated ``op.apply``."""
+    ys, powered = [], []
+    for r in range(len(rhs)):
+        acc = rhs[r]
+        for k in range(r):
+            powered[k] = op.apply(powered[k])
+            acc = acc - comb(r, k) * powered[k]
+        acc = np.array(acc, copy=True)
+        ys.append(acc)
+        powered.append(acc)
+    return ys
+
+
+def blocks_times(blocks, modal):
+    """Reference ``z_k g`` for every k: blocks ``(n, b, m, m)`` times a
+    modal state ``(d,)`` by a broadcast product and a sum."""
+    m = blocks.shape[-1]
+    out = (blocks * modal.reshape(-1, 1, m)).sum(-1)
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def single_group_case(backend, rng):
+    """One operator of ``backend`` and data it can be solved for."""
+    grid = UniformGrid(0.0, 2 * np.pi / 32, 32)
+    if backend == "dense-hermitian":
+        mat = rng.standard_normal((6, 6))
+        op = DenseMatrixOperator("A", -0.5 * (mat + mat.T))
+    elif backend == "dense-non-normal":
+        op = DenseMatrixOperator("A", np.triu(rng.standard_normal((6, 6))) - 2.0 * np.eye(6))
+    elif backend == "zero-extension":
+        op = central_difference_operator("A", 0.7, UniformGrid(-4.0, 0.1, 81))
+    elif backend == "spectral":
+        op = diag_op("A", rng.uniform(-2.0, 0.5, 6))
+    elif backend == "translation-real":
+        op = TranslationOperator("A", 0.8, grid)
+    else:
+        op = TranslationOperator("A", 0.6 + 0.3j, grid)
+    if backend.startswith("translation"):
+        draw = lambda: zero_mean_profile(rng, op.dim, 4)  # noqa: E731
+    else:
+        draw = lambda: rng.standard_normal(op.dim)  # noqa: E731
+    return op, draw
 
 
 class TestStructure:
@@ -163,6 +216,113 @@ class TestSolveCoefficients:
         assert ys[0][0] == 0.0 and ys[1][0] == 0.0
         worst = max(np.max(np.abs(row - v)) for row, v in zip(m.apply(ys), data))
         assert worst <= 1e-9 * 4.0
+
+
+SINGLE_GROUP_BACKENDS = [
+    "dense-hermitian",
+    "dense-non-normal",
+    "zero-extension",
+    "spectral",
+    "translation-real",
+    "translation-complex",
+]
+
+
+class TestSingleGroup:
+    """A single group is substituted on its generator's blocks."""
+
+    @pytest.mark.parametrize("backend", SINGLE_GROUP_BACKENDS)
+    def test_matches_operator_substitution(self, backend):
+        rng = np.random.default_rng(41)
+        op, draw = single_group_case(backend, rng)
+        for n in (1, 2, 4):
+            xs = [draw() for _ in range(n)]
+            ys = solve_coefficients(build_confluent_matrix([(op, n)]), xs)
+            reference = operator_substitution(op, xs)
+            scale = max(np.max(np.abs(y)) for y in reference)
+            worst = max(np.max(np.abs(y - r)) for y, r in zip(ys, reference))
+            assert worst <= 1e-14 * scale
+
+    @pytest.mark.parametrize("backend", SINGLE_GROUP_BACKENDS)
+    def test_z_is_exactly_e_n(self, backend):
+        op, _ = single_group_case(backend, np.random.default_rng(42))
+        zeta = solve_z_vector(build_confluent_matrix([(op, 3)])).zeta
+        assert not np.any(zeta[:-1])
+        assert np.array_equal(zeta[-1], np.broadcast_to(np.eye(zeta.shape[-1]), zeta.shape[1:]))
+
+    def test_operator_actions_only_in_the_residual_gate(self, monkeypatch):
+        # the residual gate applies M through n (n - 1) / 2 operator actions;
+        # the solve itself transforms into modes once and back once
+        grid = UniformGrid(0.0, 2 * np.pi / 32, 32)
+        op = TranslationOperator("A", 0.8, grid)
+        calls = []
+        apply = TranslationOperator.apply
+        monkeypatch.setattr(TranslationOperator, "apply", lambda self, v: calls.append(1) or apply(self, v))
+        rng = np.random.default_rng(43)
+        solve_coefficients(build_confluent_matrix([(op, 4)]), [zero_mean_profile(rng, 32) for _ in range(4)])
+        assert len(calls) == 4 * 3 // 2
+
+
+class TestFactorizationRecord:
+    def test_coincident_mode_in_coefficient_data_raises(self):
+        a, b = diag_op("a", [1.0, 2.0, -1.0]), diag_op("b", [1.0, 5.0, -1.0])
+        m = build_confluent_matrix([(a, 1), (b, 1)])
+        with pytest.raises(SingularSystemError) as info:
+            solve_coefficients(m, [np.array([0.0, 1.0, 0.0]), np.array([1e-3, 1.0, 0.0])])
+        assert str(info.value) == (
+            "declared-distinct factors act identically on excited modes: "
+            "labels 'a' and 'b' coincide at modes [0, 2]"
+        )
+
+    def test_coefficient_data_is_measured_as_one_block(self):
+        # x_0 lives on the coincident mode only, but far below the largest
+        # entry of the whole right-hand side: it counts as unexcited
+        a, b = diag_op("a", [1.0, 2.0]), diag_op("b", [1.0, 5.0])
+        m = build_confluent_matrix([(a, 1), (b, 1)])
+        ys = solve_coefficients(m, [np.array([1e-13, 0.0]), np.array([0.0, 1.0])])
+        assert ys[0][0] == 0.0 and ys[1][0] == 0.0
+
+    def test_coincident_mode_in_forcing_raises(self):
+        a, b = diag_op("a", [1.0, 2.0]), diag_op("b", [1.0, 5.0])
+        eq = FactoredEquation((a, b), (np.zeros(2), np.zeros(2)), Forcing(lambda t: np.array([t, 1.0])))
+        with pytest.raises(SingularSystemError) as info:
+            solve_full(eq, np.linspace(0.0, 1.0, 3))
+        assert str(info.value) == (
+            "declared-distinct factors act identically on excited modes: "
+            "labels 'a' and 'b' coincide at modes [0]"
+        )
+
+    def test_singular_dense_matrix_names_its_pivot(self):
+        mat = np.diag([1.0, 2.0])
+        m = build_confluent_matrix(
+            [(DenseMatrixOperator("d1", mat), 1), (DenseMatrixOperator("d2", mat.copy()), 1)]
+        )
+        with pytest.raises(SingularSystemError, match=(
+            r"^assembled coefficient matrix for groups \['d1', 'd2'\] is singular \(pivot "
+            r"\S+ below threshold \S+; matrix is numerically singular\); some pair of "
+            r"declared-distinct factors may coincide$"
+        )):
+            solve_coefficients(m, [np.ones(2), np.ones(2)])
+
+    @pytest.mark.parametrize("case", ["single", "spectral", "translation", "dense"])
+    def test_apply_all_matches_the_blockwise_product(self, case):
+        rng = np.random.default_rng(44)
+        if case == "single":
+            grouped, g = [(diag_op("A", rng.uniform(-1, 0, 5)), 3)], rng.standard_normal(5)
+        elif case == "spectral":
+            eq = random_spectral_instance(rng, 4, 5, "mixed")
+            grouped, g = eq.grouped, rng.standard_normal(5)
+        elif case == "translation":
+            grid = UniformGrid(0.0, 2 * np.pi / 16, 16)
+            ops = [TranslationOperator(l, c, grid) for l, c in (("L", 0.5), ("R", -1.0))]
+            grouped, g = [(ops[0], 2), (ops[1], 1)], zero_mean_profile(rng, 16, 3)
+        else:
+            eq = random_dense_commuting_instance(rng, 4, 5, "mixed")
+            grouped, g = eq.grouped, rng.standard_normal(5)
+        z = solve_z_vector(build_confluent_matrix(grouped))
+        reference = z.basis.from_modes(blocks_times(z.zeta, z.basis.to_modes(g)), g)
+        out = z.apply_all(g)
+        assert np.max(np.abs(out - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 class TestDeterminantReduction:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import math
 
@@ -640,6 +641,27 @@ class TestMarching:
         solve_full(eq, times, rule)
         # p_i panels of q nodes in the coarse pass, 2 p_i in the doubled one
         assert len(calls) == sum(3 * p * rule.nodes_per_panel for p in panels)
+
+    def test_repeated_dense_group_exponentiates_once_per_interval(self, monkeypatch):
+        # Non-Hermitian generators take scaled-and-squared exponentials.  The
+        # four intervals get 3, 6, 1 and 8 panels of 8 nodes in the coarse
+        # pass and twice that in the doubled one, each node grown by both
+        # groups; the homogeneous part takes 5 times per group.  The group
+        # of multiplicity 2 is carried across an interval by one
+        # exponential, as the simple group is.
+        rng = np.random.default_rng(45)
+        m = 0.3 * rng.standard_normal((8, 8)) / np.sqrt(8)
+        a = DenseMatrixOperator("A", -1.0 * np.eye(8) + 0.7 * m + 0.1 * (m @ m))
+        b = DenseMatrixOperator("B", 0.2 * np.eye(8) + 0.9 * m - 0.1 * (m @ m))
+        data = tuple(rng.standard_normal(8) for _ in range(3))
+        c0, c1 = rng.standard_normal(8), rng.standard_normal(8)
+        eq = FactoredEquation((a, a, b), data, Forcing(lambda t: c0 + t * c1))
+        matrices = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda s: matrices.append(len(s)) or expm(s))
+        solve_full(eq, np.array([0.0, 0.3, 1.0, 1.05, 2.0]))
+        nodes = 18 * 8
+        assert sum(matrices) == 2 * 5 + 2 * (nodes + 2 * nodes) + 2 * (4 * 2)
 
     def test_grid_at_zero_only_makes_no_forcing_call(self):
         calls = []

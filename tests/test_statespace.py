@@ -185,6 +185,17 @@ class TestExpmStackCap:
         assert np.array_equal(chunked, op.semigroup(taus, vs))
         assert np.array_equal(chunked[zero], vs[zero])
 
+    def test_repeated_times_give_the_rows_of_distinct_ones(self, monkeypatch):
+        op, _, vs = self._non_hermitian(-1.0, 6)
+        taus = np.array([0.25, 0.5, 0.25, 0.0, 0.5, 0.25])
+        matrices = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda s: matrices.append(len(s)) or expm(s))
+        out = op.semigroup(taus, vs)
+        assert matrices == [3]
+        for i, t in enumerate(taus):
+            assert np.array_equal(out[i], op.semigroup(np.array([t]), vs[i : i + 1])[0])
+
     def test_overflow_in_a_later_chunk_raises(self):
         # the spectral abscissa is about 0.44: only the last time overflows
         op, taus, vs = self._non_hermitian(0.0, 300)
