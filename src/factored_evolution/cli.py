@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .confluent import RESIDUAL_RTOL, build_confluent_matrix
+from .confluent import RESIDUAL_RTOL, build_confluent_matrix, solve_z_vector
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import (
     DuplicateLabelError,
@@ -272,14 +272,18 @@ def _parse_forcing(forcing, grid: UniformGrid | None, dimension: int) -> Forcing
         env["x"] = grid.points()
     evaluate = compile_expression(forcing, {"t"} | set(env), "forcing")
 
-    def evaluator(t: float) -> np.ndarray:
+    def evaluator(t) -> np.ndarray:
+        # t is one time, or a column (m, 1) of them that the expression
+        # broadcasts against the (dimension,) vectors i and x
         try:
-            value = np.asarray(evaluate(t=t, **env), dtype=np.float64)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                value = np.asarray(evaluate(t=t, **env), dtype=np.float64)
         except (ArithmeticError, TypeError) as exc:
-            raise SchemaError(f"forcing: {forcing!r} fails at t={t:.6g}: {exc}") from exc
-        return np.broadcast_to(value, (dimension,)).copy()
+            at = f"t={t:.6g}" if np.ndim(t) == 0 else f"t in [{np.min(t):.6g}, {np.max(t):.6g}]"
+            raise SchemaError(f"forcing: {forcing!r} fails at {at}: {exc}") from exc
+        return np.broadcast_to(value, np.shape(t)[:-1] + (dimension,)).copy()
 
-    return Forcing(evaluator)
+    return Forcing(evaluator, vectorized=True)
 
 
 @dataclass
@@ -549,11 +553,12 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
     # compares: p_i and 2 p_i panels on each sample interval.
     coarse = QuadratureRule("gauss-legendre", panels=2, nodes_per_panel=2)
     matrix = build_confluent_matrix(eq.grouped)
+    z = solve_z_vector(matrix)  # one solve and residual gate serve both rules
     times = np.asarray(t_grid, dtype=np.float64)
     reference_rule = QuadratureRule("gauss-legendre", panels=64, nodes_per_panel=8)
-    reference = next(_richardson_passes(matrix, eq.forcing, times, reference_rule))
+    reference = next(_richardson_passes(matrix, z, eq.forcing, times, reference_rule))
     errs = [float(np.max(np.abs(vals - reference)))
-            for vals in _richardson_passes(matrix, eq.forcing, times, coarse)]
+            for vals in _richardson_passes(matrix, z, eq.forcing, times, coarse)]
     scale = max(float(np.max(np.abs(reference))), 1e-30)
     if errs[1] <= 1e-12 * scale:
         report.add("quadrature-convergence", 1.0, 0.0, "errors at roundoff floor")

@@ -28,7 +28,10 @@ with ``X = h C`` one RK4 step is exactly
     U <- P U + (h/6) [W_0 f(t) + W_1/2 f(t + h/2) + f(t + h)],
 
 with ``P = sum_{k<=4} X^k/k!``, ``W_0 = I + X + X^2/2 + X^3/4`` and
-``W_1/2 = 4 I + 2 X + X^2/2``; f enters the last block only.
+``W_1/2 = 4 I + 2 X + X^2/2``; f enters the last block only.  The forcing
+terms do not depend on ``U``, so the oracle evaluates f on the stage times
+of a whole run of steps at once (:meth:`Forcing.many`) and forms their
+terms in one product before it steps.
 
 The cascade initial values follow from the definition itself.  The
 derivatives ``D_j[k] = u_j^(k)(0)`` satisfy
@@ -62,7 +65,7 @@ from .operators import (
     generator_blocks,
     shared_mode_basis,
 )
-from .statespace import _check_time_grid, as_state_vector
+from .statespace import _check_time_grid, as_state_stack, as_state_vector
 from .trace import SolutionTrace
 
 # Numerical gate on pairwise commutation of factor operators.
@@ -72,6 +75,10 @@ _PROBE_SEED = 173603
 
 # RK4 steps per unit time of the oracle when the caller gives none.
 ORACLE_STEPS_PER_UNIT = 2000
+# RK4 steps whose forcing values the oracle takes in one stack, so that the
+# stack has at most 2 * _ORACLE_CHUNK_STEPS + 1 rows however long a sample
+# interval is.
+_ORACLE_CHUNK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -80,15 +87,35 @@ class Forcing:
 
     ``evaluator`` must return a state vector of the equation dimension for
     every ``t`` in the solve window.  The quadrature assumes it is at least
-    piecewise smooth.  Values are returned as the evaluator gives them and
-    checked where they meet the dimension: each quadrature pass checks its
-    stack of values, and the oracle checks each value.
+    piecewise smooth.  An evaluator that is ``vectorized`` also takes a
+    column of ``m`` times, shape ``(m, 1)``, and returns the ``(m, dim)``
+    stack of its values; any other is called once per time.  Values are
+    returned as the evaluator gives them and checked where they meet the
+    dimension: :meth:`many` checks each stack, which is how each quadrature
+    pass and each chunk of oracle steps take their values.
     """
 
     evaluator: Callable[[float], np.ndarray]
+    vectorized: bool = False
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluator(t)
+
+    def many(self, times, dim: int) -> np.ndarray:
+        """The values at ``times`` as a checked ``(m, dim)`` stack: one
+        evaluator call on the column of times if it is ``vectorized``, one
+        call per time otherwise."""
+        times = np.asarray(times, dtype=np.float64)
+        if self.vectorized:
+            rows = self.evaluator(times[:, None])
+        else:
+            rows = [self(float(t)) for t in times]
+        stack = as_state_stack(rows, dim)
+        if stack.shape[0] != times.size:
+            raise DimensionMismatchError(
+                f"expected {times.size} forcing values, got {stack.shape[0]}"
+            )
+        return stack
 
 
 def group_factors(factors) -> list[tuple[Operator, int]]:
@@ -277,9 +304,14 @@ def oracle_solve(
     module docstring on the blocks of :meth:`CompanionSystem.generator`.
     ``P - I`` and the last-block columns of ``W_0``, ``W_1/2`` and ``I`` are
     built once per step size (``U`` is added apart, so rounding scales with
-    ``h`` as in step-by-step RK4), and each stage time is evaluated once.
-    The state and the forcing live in :attr:`CompanionSystem.basis`, and the
-    first block component of the state is ``u(t)`` there; it goes back by
+    ``h`` as in step-by-step RK4).  The forcing comes as one
+    :meth:`Forcing.many` stack of the stage times of each run of at most
+    ``_ORACLE_CHUNK_STEPS`` steps of a sample interval, goes to the basis by
+    one transform, and its terms ``c_k = W [f_k, f_{k+1/2}, f_{k+1}]`` for
+    every step of the run are one batched product; each step then adds
+    ``(P - I) U + c_k`` and checks the state.  The state and the forcing
+    live in :attr:`CompanionSystem.basis`, and the first block component of
+    the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
     forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, and
     an overflowing state ``NonFiniteError``.
@@ -303,15 +335,14 @@ def oracle_solve(
         last_columns = np.concatenate([w[..., -m:] for w in ws], axis=-1)
         return x + x2 / 2 + x3 / 6 + x3 @ x / 24, (h / 6) * last_columns
 
-    def last_block(t):  # f(t) in the basis, as the (b, m, 1) input of the last block
-        f = as_state_vector(eq.forcing(t), d)
+    def forcing_terms(stage, w):  # w @ [f_k, f_{k+1/2}, f_{k+1}] of each step, (s, b, size, 1)
+        f = eq.forcing.many(stage, d)
         dtypes.add(f.dtype)
-        return basis.to_modes(f).reshape(b, m, 1)
+        f = basis.to_modes(f).reshape(-1, b, m)
+        return w @ np.concatenate([f[:-1:2], f[1::2], f[2::2]], axis=-1)[..., None]
 
     state = system.initial_state().reshape(n, b, m).swapaxes(0, 1).reshape(b, size, 1)
-    f_t = None if eq.forcing is None else last_block(0.0)
-    parts = (gen, state) if f_t is None else (gen, state, f_t)
-    state = state.astype(np.result_type(*parts))  # complex from t = 0 if C or f(0) is
+    state = state.astype(np.result_type(gen, state))  # complex from t = 0 if C is
     values, t_prev = [], 0.0
     for t in times:
         if t > t_prev:
@@ -319,15 +350,16 @@ def oracle_solve(
             p_minus_i, w = step_matrices((t - t_prev) / steps)
             stage = np.linspace(t_prev, t, 2 * steps + 1)
             with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(1, 2 * steps, 2):
-                    du = p_minus_i @ state
-                    if f_t is not None:
-                        f_end = last_block(stage[k + 1])
-                        du = du + w @ np.concatenate([f_t, last_block(stage[k]), f_end], axis=1)
-                        f_t = f_end
-                    state = state + du
-                    if not np.isfinite(state).all():
-                        raise NonFiniteError(f"RK4 state became non-finite at t={stage[k + 1]:.6g}")
+                for first in range(0, steps, _ORACLE_CHUNK_STEPS):
+                    chunk = stage[2 * first : 2 * min(first + _ORACLE_CHUNK_STEPS, steps) + 1]
+                    terms = None if eq.forcing is None else forcing_terms(chunk, w)
+                    for k in range(chunk.size // 2):
+                        du = p_minus_i @ state
+                        state = state + (du if terms is None else du + terms[k])
+                        if not np.isfinite(state).all():
+                            raise NonFiniteError(
+                                f"RK4 state became non-finite at t={chunk[2 * k + 2]:.6g}"
+                            )
             t_prev = float(t)
         values.append(state.reshape(b, n, m)[:, 0].reshape(d))
     values = basis.from_modes(np.array(values), np.empty(0, np.result_type(*dtypes)))

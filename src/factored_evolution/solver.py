@@ -22,10 +22,10 @@ commute with every ``e^{tau B_j}``, so the forced part is
 pass covers ``[0, t_last]`` once and marches across the sample intervals:
 the semigroup property and the binomial theorem carry ``H_{jk}`` exactly
 from one sample time to the next, so only each new interval's integral is
-a quadrature (:func:`_duhamel_pass`).  The pass evaluates the forcing once
-per node, grows the stack once per group (in modes, where the groups share
-a mode basis) and lets :meth:`ZCoefficients.weigh` apply ``z`` to the
-carried sums last.
+a quadrature (:func:`_duhamel_pass`).  The pass takes the forcing at
+every node as one stack (:meth:`Forcing.many`), grows it once per group
+(in modes, where the groups share a mode basis) and lets
+:meth:`ZCoefficients.weigh` apply ``z`` to the carried sums last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -62,7 +62,6 @@ from .operators import Operator, resolvent_solve
 from .statespace import (
     QuadratureRule,
     _check_time_grid,
-    as_state_stack,
     as_state_vector,
     checked_exp,
     finite_difference_weights,
@@ -144,9 +143,10 @@ def _duhamel_pass(
         H_jk(t + D) = e^{D B_j} sum_{l<=k} (D^(k-l)/(k-l)!) H_jl(t)
                       + int_t^{t+D} ((t+D-s)^k/k!) e^{(t+D-s) B_j} f(s) ds,
 
-    so only the new interval's integral is a quadrature.  The forcing is
-    evaluated once per node of the pass, the stack grows once per group (in
-    modes, where the groups share a mode basis) and ``z`` weighs last.
+    so only the new interval's integral is a quadrature.  The forcing
+    values of all nodes of the pass are one :meth:`Forcing.many` stack,
+    which grows once per group (in modes, where the groups share a mode
+    basis), and ``z`` weighs last.
     """
     nodes = [r.nodes(a, b) for r, a, b in zip(rules, edges[:-1], edges[1:])]
     bounds = np.cumsum([0] + [pts.size for pts, _ in nodes])
@@ -157,7 +157,9 @@ def _duhamel_pass(
     moments = np.concatenate([wts for _, wts in nodes]) * np.array(
         [taus**k / math.factorial(k) for k in range(mult_max)]
     )
-    g = as_state_stack([forcing(float(s)) for s in pts], matrix.dim)
+    if not isinstance(forcing, Forcing):  # a bare evaluator, called per node
+        forcing = Forcing(forcing)
+    g = forcing.many(pts, matrix.dim)
     g_hat = z.modes_of(g)
     h = []
     for op, mult in matrix.grouped:
@@ -186,13 +188,17 @@ def _duhamel_pass(
 
 
 def _richardson_passes(
-    matrix: BlockOperatorMatrix, forcing: Forcing, times: np.ndarray, rule: QuadratureRule
+    matrix: BlockOperatorMatrix,
+    z: ZCoefficients,
+    forcing: Forcing,
+    times: np.ndarray,
+    rule: QuadratureRule,
 ) -> Iterator[np.ndarray]:
     """The forced part at every sample time, shape ``(S, d)``, by a pass
     with ``p_i`` panels per interval and then by one with ``2 p_i``: the
-    pair the panel-doubling check compares.  Each pass runs only when it
+    pair the panel-doubling check compares.  ``z`` is the forcing weights
+    of ``matrix`` (:func:`solve_z_vector`).  Each pass runs only when it
     is asked for."""
-    z = solve_z_vector(matrix)
     edges, coarse = _interval_rules(rule, times)
     for rules in (coarse, [r.refined(2) for r in coarse]):
         if not rules:  # t_grid = [0]: nothing to integrate
@@ -245,8 +251,8 @@ def solve_full(
     ``i`` gets ``ceil(rule.panels * width_i / t_last)`` panels, and the
     integrals ``H_{jk}`` reached at one sample time are carried to the next
     by the exact propagator ``e^{width B_j}`` and binomial weights.  The
-    pass evaluates the forcing once per node and handles every node at
-    once.  A second pass doubles every interval's panels; if the two
+    pass takes the forcing at all its nodes as one stack and handles every
+    node at once.  A second pass doubles every interval's panels; if the two
     disagree beyond ``richardson_tol`` (relative to the solution scale) the
     solve raises :class:`QuadratureUnderResolvedError`.  The diagnostics
     then also carry ``richardson_rel_dev`` and ``quadrature``.  The
@@ -261,7 +267,7 @@ def solve_full(
         return SolutionTrace(times, values, {"coefficient_residual": ys.residual})
 
     rule = rule or default_quadrature_rule()
-    base, fine = _richardson_passes(matrix, eq.forcing, times, rule)
+    base, fine = _richardson_passes(matrix, solve_z_vector(matrix), eq.forcing, times, rule)
     scale = float(np.max(np.abs(fine)))
     dev = float(np.max(np.abs(base - fine))) / (scale + 1e-30)
     if dev > richardson_tol:

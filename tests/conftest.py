@@ -102,6 +102,7 @@ def random_translation_instance(
     Distinct speeds coincide on the constant mode (and on the dropped
     Nyquist mode), so the data, and the forcing if ``forced``, are
     zero-mean profiles of Fourier modes 1-6 that leave both unexcited.
+    The forcing takes a column of times as well as one time.
     """
     mults = multiplicity_pattern(rng, n, pattern)
     grid = UniformGrid(0.0, 2.0 * np.pi / points, points)
@@ -113,7 +114,7 @@ def random_translation_instance(
     if forced:
         c0, c1 = (zero_mean_profile(rng, points) for _ in range(2))
         w = float(rng.uniform(0.5, 2.0))
-        forcing = Forcing(lambda t: c0 * np.cos(w * t) + c1 * t)
+        forcing = Forcing(lambda t: c0 * np.cos(w * t) + c1 * t, vectorized=True)
     return FactoredEquation(tuple(factors), data, forcing)
 
 
@@ -126,9 +127,10 @@ def random_commuting_instance(
 
 
 def random_smooth_forcing(rng, dim: int) -> Forcing:
-    """Polynomial or cosine forcing with random coefficient vectors."""
+    """Polynomial or cosine forcing with random coefficient vectors; it
+    takes a column of times as well as one time."""
     c0, c1, c2 = rng.standard_normal((3, dim))
     if rng.integers(0, 2) == 0:
-        return Forcing(lambda t: c0 + c1 * t + 0.5 * c2 * t * t)
+        return Forcing(lambda t: c0 + c1 * t + 0.5 * c2 * t * t, vectorized=True)
     w = float(rng.uniform(0.5, 2.0))
-    return Forcing(lambda t: c0 * np.cos(w * t) + 0.3 * c1 * np.sin(w * t))
+    return Forcing(lambda t: c0 * np.cos(w * t) + 0.3 * c1 * np.sin(w * t), vectorized=True)

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from factored_evolution import (
     UniformGrid,
     UnknownProfileError,
 )
-from factored_evolution import cli, confluent, solver, solve_full
+from factored_evolution import cli, confluent, equation, solver, solve_full
 from factored_evolution.cli import (
     ProblemConfig,
     compile_expression,
@@ -202,6 +205,74 @@ class TestExpressionEvaluator:
             compile_expression("q + 1", {"t"}, "forcing")
 
 
+class TestArrayForcing:
+    """The compiled forcing takes a column of times as well as one time."""
+
+    @pytest.mark.parametrize("text", ["1", "i", "cos(t) + 0.1 * i", "cos(t) * sin(x)"])
+    def test_column_matches_per_time_calls(self, text):
+        grid = UniformGrid(0.0, 2 * np.pi / 12, 12)
+        forcing = cli._parse_forcing(text, grid, grid.n)
+        assert forcing.vectorized
+        times = np.concatenate([np.linspace(0.0, 3.0, 37), [0.1, 1e-9, 7.25]])
+        stack = forcing.evaluator(times[:, None])
+        per_time = np.stack([forcing(float(t)) for t in times])
+        assert stack.shape == per_time.shape == (times.size, grid.n)
+        assert np.array_equal(stack, per_time)
+        assert np.array_equal(forcing.many(times, grid.n), per_time)
+
+    @pytest.mark.parametrize("text, failure", [
+        ("sqrt(t - 1)", "invalid value"), ("exp(1000 * t)", "overflow"), ("1 / (t - 0.75)", "(float division|divide) by zero"),
+    ])
+    def test_floating_point_failure_is_a_schema_error(self, text, failure):
+        # one time and a column of times fail alike, with no numpy warning
+        forcing = cli._parse_forcing(text, None, 3)
+        expression = re.escape(repr(text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=rf"{expression} fails at t=0\.75: {failure}"):
+                forcing(0.75)
+            with pytest.raises(SchemaError, match=rf"{expression} fails at t in \[0\.5, 1\]: {failure}"):
+                forcing.many([0.5, 0.75, 1.0], 3)
+
+    @pytest.mark.parametrize("command", ["solve", "compare-oracle", "verify"])
+    @pytest.mark.parametrize("text", ["sqrt(t - 1)", "exp(1000 * t)"])
+    def test_floating_point_failure_exit_code(self, tmp_path, capsys, command, text):
+        # an error for solve and compare-oracle; verify fails the checks
+        # that evaluate the forcing and goes on with the rest
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(RANDOM_DIAGONAL, forcing=text)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(cfg_path), "--out", str(tmp_path / "out.csv")])
+        out, err = capsys.readouterr()
+        assert code == (1 if command == "verify" else 2)
+        failure = f"SchemaError: forcing: {text!r} fails at t in ["
+        if command == "verify":
+            assert f"FAIL solve: observed=nan tol=0.0e+00  [{failure}" in out
+        else:
+            assert failure in err
+
+    def test_compare_oracle_calls_the_evaluator_once_per_chunk(self, tmp_path):
+        # 5 sample intervals of 1000 RK4 steps each, and the coarse and
+        # doubled quadrature passes: one call each, never one per stage time
+        config = parse_config(json.dumps(dict(RANDOM_DIAGONAL, time={"t_end": 2.5, "samples": 6})))
+        calls = []
+
+        def counting(t):
+            calls.append(np.shape(t))
+            return config_forcing.evaluator(t)
+
+        config_forcing = config.forcing
+        config.forcing = Forcing(counting, vectorized=True)
+        code, report = run_command(config, "compare-oracle", seed=1, out=str(tmp_path / "out.csv"))
+        assert code == 0, report.format()
+        steps = [math.ceil(dt * config.oracle_steps_per_unit) for dt in np.diff(config.time_grid())]
+        chunks = sum(math.ceil(s / equation._ORACLE_CHUNK_STEPS) for s in steps)
+        assert steps == [1000] * 5
+        assert len(calls) == chunks + 2
+        assert all(len(shape) == 2 and shape[1] == 1 for shape in calls)
+
+
 class TestWriteCsv:
     def test_single_sample(self, tmp_path):
         trace = SolutionTrace(np.array([0.0]), np.array([[1.0]]))
@@ -383,6 +454,23 @@ class TestCommands:
         cli._quadrature_convergence_record(counted, config.time_grid(), report)
         assert report.passed and "error ratio" in report.format()
         assert len(calls) == 64 * 8 + (2 + 4) * 2
+
+    def test_quadrature_convergence_solves_the_forcing_weights_once(self, monkeypatch):
+        # the reference pass and the coarse pair share one z solve and gate
+        config = parse_config(json.dumps(RANDOM_DIAGONAL))
+        eq = config.materialize(seed=1)
+        gate = confluent._residual_gate
+        gated = []
+
+        def counting_gate(matrix, ys, rhs, what):
+            gated.append(what)
+            return gate(matrix, ys, rhs, what)
+
+        monkeypatch.setattr(confluent, "_residual_gate", counting_gate)
+        report = cli.VerificationReport()
+        cli._quadrature_convergence_record(eq, config.time_grid(), report)
+        assert report.passed and "error ratio" in report.format()
+        assert gated == ["forcing-weight"]
 
     def test_verify_forced_wide_band_passes(self):
         # Differencing the forced part on the tiny derivative-check grids

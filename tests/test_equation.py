@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from factored_evolution import (
     rk4_integrate,
     solve_full,
 )
+from factored_evolution import equation
 from factored_evolution.statespace import finite_difference_weights
 
 from conftest import (
@@ -406,3 +408,190 @@ def test_solve_full_agrees_with_oracle(seed, family, n, forced):
     reference = oracle_solve(eq, t_grid).values
     assert values.dtype == reference.dtype
     assert max_rel_dev(values, reference) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# array forcing: Forcing.many and the oracle's batched forcing terms
+# ---------------------------------------------------------------------------
+
+
+def scalar_form(forcing):
+    """The same evaluator, called once per time."""
+    return Forcing(forcing.evaluator)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["smooth", "translation"]),
+    times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40),
+)
+def test_many_of_a_vectorized_evaluator_equals_its_scalar_form(seed, dim, kind, times):
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        forcing = random_smooth_forcing(rng, dim)
+    else:
+        forcing = random_translation_instance(rng, 2, 2 * dim + 2, forced=True).forcing
+        dim = 2 * dim + 2
+    assert forcing.vectorized
+    stack = forcing.many(times, dim)
+    reference = scalar_form(forcing).many(times, dim)
+    assert stack.shape == (len(times), dim) and stack.dtype == reference.dtype
+    assert np.array_equal(stack, reference)
+
+
+def times_asked(solve, eq, t_grid):
+    """Every time at which ``solve`` evaluates the forcing of ``eq``."""
+    asked = []
+    probe = Forcing(lambda t: asked.append(t) or eq.forcing(t))
+    solve(FactoredEquation(eq.factors, eq.initial_data, probe), t_grid)
+    return asked
+
+
+@BOTH_SOLVERS
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+def test_nan_forcing_at_one_time_raises(solve, vectorized):
+    a = diag_op("a", [-1.0, -2.0, -3.0])
+    t_grid = np.array([0.0, 0.4, 1.0])
+    plain = FactoredEquation((a, a), (np.zeros(3),) * 2, Forcing(lambda t: np.ones(3)))
+    asked = times_asked(solve, plain, t_grid)
+    poisoned = asked[len(asked) // 2]
+
+    def evaluator(t):
+        return np.where(t == poisoned, np.nan, 1.0) * np.ones(3)
+
+    eq = FactoredEquation((a, a), (np.zeros(3),) * 2, Forcing(evaluator, vectorized))
+    with pytest.raises(NonFiniteError):
+        solve(eq, t_grid)
+
+
+@BOTH_SOLVERS
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+def test_forcing_changing_length_at_one_time_raises(solve, vectorized):
+    a = diag_op("a", [-1.0, -2.0, -3.0])
+    t_grid = np.array([0.0, 0.4, 1.0])
+    plain = FactoredEquation((a,), (np.zeros(3),), Forcing(lambda t: np.ones(3)))
+    asked = times_asked(solve, plain, t_grid)
+    changed = asked[len(asked) // 2]
+
+    def evaluator(t):  # one time or a column of them
+        return np.ones(np.shape(t)[:-1] + (4 if np.any(t == changed) else 3,))
+
+    eq = FactoredEquation((a,), (np.zeros(3),), Forcing(evaluator, vectorized))
+    with pytest.raises(DimensionMismatchError):
+        solve(eq, t_grid)
+
+
+@BOTH_SOLVERS
+def test_vectorized_forcing_dropping_a_row_raises(solve):
+    a = diag_op("a", [-1.0, -2.0, -3.0])
+    t_grid = np.array([0.0, 0.4, 1.0])
+    plain = FactoredEquation((a,), (np.zeros(3),), Forcing(lambda t: np.ones(3)))
+    asked = times_asked(solve, plain, t_grid)
+    dropped = asked[len(asked) // 2]
+    forcing = Forcing(lambda t: np.ones((int(np.sum(t != dropped)), 3)), vectorized=True)
+    with pytest.raises(DimensionMismatchError, match="forcing values"):
+        solve(FactoredEquation((a,), (np.zeros(3),), forcing), t_grid)
+
+
+def per_stage_oracle(eq, t_grid, steps_per_unit):
+    """The oracle with one forcing call per stage time, each value moved to
+    the basis on its own and its step's forcing term formed in the step: the
+    loop that the batched forcing terms of ``oracle_solve`` replace."""
+    system = build_companion(eq)
+    gen, basis = system.generator(), system.basis
+    (b, size, _), n, d = gen.shape, eq.n, eq.dim
+    m = d // b
+    dtypes = {x.dtype for x in eq.initial_data}
+
+    def step_matrices(h):
+        x = h * gen
+        x2 = x @ x
+        x3 = x2 @ x
+        eye = np.broadcast_to(np.eye(size), gen.shape)
+        ws = (eye + x + x2 / 2 + x3 / 4, 4 * eye + 2 * x + x2 / 2, eye)
+        last_columns = np.concatenate([w[..., -m:] for w in ws], axis=-1)
+        return x + x2 / 2 + x3 / 6 + x3 @ x / 24, (h / 6) * last_columns
+
+    def last_block(t):
+        f = np.asarray(eq.forcing(t))
+        assert f.shape == (d,) and np.isfinite(f).all()
+        dtypes.add(f.dtype)
+        return basis.to_modes(f).reshape(b, m, 1)
+
+    state = system.initial_state().reshape(n, b, m).swapaxes(0, 1).reshape(b, size, 1)
+    f_t = last_block(0.0)
+    state = state.astype(np.result_type(gen, state, f_t))
+    values, t_prev = [], 0.0
+    for t in t_grid:
+        if t > t_prev:
+            steps = math.ceil((t - t_prev) * steps_per_unit)
+            p_minus_i, w = step_matrices((t - t_prev) / steps)
+            stage = np.linspace(t_prev, t, 2 * steps + 1)
+            for k in range(1, 2 * steps, 2):
+                f_end = last_block(stage[k + 1])
+                du = p_minus_i @ state + w @ np.concatenate([f_t, last_block(stage[k]), f_end], axis=1)
+                f_t = f_end
+                state = state + du
+            t_prev = float(t)
+        values.append(state.reshape(b, n, m)[:, 0].reshape(d))
+    return basis.from_modes(np.array(values), np.empty(0, np.result_type(*dtypes)))
+
+
+@pytest.mark.parametrize("family", ["dense", "spectral", "periodic-translation"])
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_forcing_terms_match_the_per_stage_loop(family, vectorized, seed):
+    # 700 steps on [0, 0.35] run over several chunks of steps, and the
+    # second interval ends inside one
+    rng = np.random.default_rng(seed)
+    if family == "periodic-translation":
+        eq = random_translation_instance(rng, 3, 16, forced=True)
+    else:
+        eq = random_commuting_instance(rng, 3, 4, family, forcing=random_smooth_forcing(rng, 4))
+    if not vectorized:
+        eq = FactoredEquation(eq.factors, eq.initial_data, scalar_form(eq.forcing))
+    t_grid = np.array([0.0, 0.35, 0.5, 0.9])
+    values = oracle_solve(eq, t_grid, 2000).values
+    reference = per_stage_oracle(eq, t_grid, 2000)
+    assert values.dtype == reference.dtype
+    assert max_rel_dev(values, reference) <= 1e-15
+
+
+def test_complex_forcing_on_a_real_problem_matches_the_per_stage_loop():
+    # f(0) is real, so the state turns complex at the first forcing term
+    a = diag_op("a", [-1.0, -2.0])
+    forcing = Forcing(lambda t: np.real_if_close(np.array([np.exp(1j * t), 1.0])))
+    eq = FactoredEquation((a, a), (np.ones(2), np.zeros(2)), forcing)
+    t_grid = np.array([0.5, 1.0])
+    values = oracle_solve(eq, t_grid, 400).values
+    reference = per_stage_oracle(eq, t_grid, 400)
+    assert values.dtype == reference.dtype == np.complex128
+    assert max_rel_dev(values, reference) <= 1e-15
+
+
+def test_oracle_forcing_stack_stays_bounded_on_a_wide_state():
+    # d = 2000 over one unit interval is 2000 steps and 4001 stage times;
+    # no (4001, 2000) stack may exist at once
+    d = 2000
+    rows = []
+    c0 = np.linspace(-1.0, 1.0, d)
+
+    def evaluator(t):
+        rows.append(len(t))
+        return c0 * np.cos(t)
+
+    eq = FactoredEquation(
+        (SpectralDiagonalOperator("a", -np.linspace(0.5, 1.5, d)),), (np.zeros(d),), Forcing(evaluator, True)
+    )
+    tracemalloc.start()
+    try:
+        oracle_solve(eq, np.array([1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(rows) <= 2 * equation._ORACLE_CHUNK_STEPS + 1 < 4001
+    assert sum(rows) == 4000 + len(rows)  # chunks share their end times
+    assert peak < 4001 * d * 8
+
