@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
     FactoredEvolutionError,
+    ForcingTypeError,
     MixedBackendError,
     NonCommutingFactorsError,
     NonFiniteError,
@@ -70,7 +71,6 @@ from .pde_examples import (
 )
 from .solver import (
     compare_with_oracle,
-    default_quadrature_rule,
     initial_derivative_defect,
     lemma2_lhs,
     lemma2_rhs,
@@ -94,6 +94,7 @@ __all__ = [
     "FactoredEquation",
     "FactoredEvolutionError",
     "Forcing",
+    "ForcingTypeError",
     "MixedBackendError",
     "NonCommutingFactorsError",
     "NonFiniteError",
@@ -118,7 +119,6 @@ __all__ = [
     "characteristic_roots",
     "commutation_defect",
     "compare_with_oracle",
-    "default_quadrature_rule",
     "example1_closed_form",
     "example1_residual",
     "example2_closed_form_modal",

@@ -126,7 +126,7 @@ class BlockOperatorMatrix:
         """
         ops = [op for op, _ in self.grouped]
         blocks = generator_blocks(ops)
-        basis = shared_mode_basis(ops) or ModeBasis(fourier=False)
+        basis = shared_mode_basis(ops)
         mask, pairs = np.zeros(blocks.shape[1], dtype=bool), []
         if len(ops) == 1:
             return _Factorization(basis, partial(_substitute, blocks[0], self.n), mask, pairs)

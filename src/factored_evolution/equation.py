@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    ForcingTypeError,
     MixedBackendError,
     NonCommutingFactorsError,
     NonFiniteError,
@@ -158,8 +159,9 @@ def group_factors(factors) -> list[tuple[Operator, int]]:
 class FactoredEquation:
     """Ordered factor list, initial data ``x_0 .. x_{n-1}``, optional forcing.
 
-    Construction validates dimensions, backend uniformity, and runs the
-    commutation gate: every pair of distinct factors must have a
+    Construction validates dimensions, backend uniformity and the forcing
+    (``None`` or a :class:`Forcing`, else :class:`ForcingTypeError`), and
+    runs the commutation gate: every pair of distinct factors must have a
     commutation defect of at most ``COMMUTATION_TOL`` over a fixed set of
     random probes, otherwise :class:`NonCommutingFactorsError` is raised.
     """
@@ -181,6 +183,8 @@ class FactoredEquation:
                 f"need {len(factors)} initial data vectors, got {len(data)}"
             )
         object.__setattr__(self, "initial_data", data)
+        if self.forcing is not None and not isinstance(self.forcing, Forcing):
+            raise ForcingTypeError(f"forcing must be None or a Forcing, got {type(self.forcing).__name__}")
         self._commutation_gate(grouped)
 
     @staticmethod
@@ -263,7 +267,7 @@ class CompanionSystem:
     def basis(self) -> ModeBasis:
         """The basis of the generator's blocks: the factors' shared mode
         basis, or the identity for dense factors."""
-        return shared_mode_basis(self.factors) or ModeBasis(fourier=False)
+        return shared_mode_basis(self.factors)
 
     def initial_state(self) -> np.ndarray:
         """The cascade values ``u_1(0), ..., u_n(0)`` in :attr:`basis`, concatenated."""

@@ -39,6 +39,10 @@ class MixedBackendError(FactoredEvolutionError):
     """Factors of one equation must all share a single backend family."""
 
 
+class ForcingTypeError(FactoredEvolutionError, TypeError):
+    """An equation's forcing is neither ``None`` nor a ``Forcing``."""
+
+
 class NonCommutingFactorsError(FactoredEvolutionError):
     """The factor operators fail the numerical commutation gate."""
 

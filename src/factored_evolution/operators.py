@@ -1,11 +1,12 @@
 """Generator backends: dense matrices, diagonal mode ladders, translations.
 
-An :class:`Operator` bundles a generator ``A`` with the two actions the
-solver needs, ``apply(v) = A v`` and ``semigroup(t, v) = e^{t A} v``, plus a
-``label`` used for grouping repeated factors.  ``semigroup`` also takes a
-1-D array of times with a stack of states, one per row, and returns the
-rows ``e^{t_i A} v_i``; the solver uses that for all sample times of the
-homogeneous part and for all nodes of a quadrature pass.
+An :class:`Operator` bundles a generator ``A`` with ``apply(v) = A v``, a
+``label`` used for grouping repeated factors, and exactly one semigroup
+action, ``propagate(t, v_hat)``: the rows ``e^{t_i A} v_i`` of a stack
+already in the operator's basis (:func:`shared_mode_basis`), as a Duhamel
+pass holds it.  ``semigroup(t, v) = e^{t A} v`` wraps it for one time and
+a state, or an array of times and a stack: transform, propagate,
+transform back, exact ``t = 0`` rows, one finiteness check.
 Grouping is by label, never by numerical comparison of the underlying data:
 the user declares which factors coincide.
 
@@ -33,9 +34,10 @@ Three families are provided and may not be mixed inside one equation:
 
 Spectral and periodic translation operators are diagonal in a known basis
 and share one modal interface: ``modal_values`` (the generator on each
-mode) and ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
-and back).  Per-mode solves decide coincident modes by one rule,
-:func:`coincident_modes`; dense operators have ``mode_basis = None``.
+mode), ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
+and back) and ``propagate``, ``e^{t lambda}`` times each mode.  Per-mode
+solves decide coincident modes by one rule, :func:`coincident_modes`;
+dense operators have ``mode_basis = None`` and propagate in the identity.
 :func:`generator_blocks` gives dense and modal generators one block form,
 from which both ``M`` and the companion oracle's generator are built.
 """
@@ -51,6 +53,7 @@ from .errors import (
     DimensionMismatchError,
     MixedBackendError,
     NotInvertibleError,
+    SingularMatrixError,
     UnsupportedOperationError,
 )
 from .statespace import (
@@ -58,6 +61,7 @@ from .statespace import (
     as_state_vector,
     check_finite,
     checked_exp,
+    checked_rows,
     expm_action,
     lu_solve,
 )
@@ -94,11 +98,11 @@ class ModeBasis:
         return out.real if self.real and not np.iscomplexobj(like) else out
 
 
-def shared_mode_basis(ops) -> ModeBasis | None:
-    """The basis in which all of ``ops`` (one family) are diagonal, or None."""
+def shared_mode_basis(ops) -> ModeBasis:
+    """The basis all of ``ops`` (one family) act in: their modes, or the identity if dense."""
     bases = [op.mode_basis for op in ops]
-    if any(basis is None for basis in bases):
-        return None
+    if bases[0] is None:
+        return ModeBasis(fourier=False)
     return ModeBasis(bases[0].fourier, all(basis.real for basis in bases))
 
 
@@ -147,37 +151,40 @@ class Operator(ABC):
 
         A 1-D array ``t`` with a stack ``v`` of shape ``(m, d)`` gives the
         rows ``e^{t_i A} v_i``, and every row with ``t_i = 0`` is ``v_i``.
+        An overflowing row raises :class:`SemigroupOverflowError`.
         """
+
+    def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+        """The one semigroup action: the rows ``e^{t_i A} v_i`` of a stack in
+        the operator's basis (:func:`shared_mode_basis`), for a 1-D float
+        ``t``, unchecked and with no ``t = 0`` case.  Modal operators multiply
+        in place where the dtypes allow; dense ones bind ``expm_action``."""
+        grown = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
+        return np.multiply(grown, v_hat, out=grown if np.can_cast(v_hat.dtype, grown.dtype) else None)
 
     @abstractmethod
     def signature(self) -> tuple:
         """Hashable description of the action, for label-consistency checks."""
 
-    def _coerce(self, v) -> np.ndarray:
-        return as_state_vector(v, self.dim)
-
-    def _act(self, t, v, action) -> np.ndarray:
-        """:meth:`semigroup` through ``action(t, v)``, which computes the
-        rows ``e^{t_i A} v_i`` of a checked stack; a time of 0 gets the exact
-        identity instead.  A scalar time goes through as one row, so its
-        result has the dtype of that row."""
+    def _act(self, t, v) -> np.ndarray:
+        """:meth:`semigroup`: check the operands, take the stack to the
+        operator's basis, :meth:`propagate`, take it back and check it; a
+        time of 0 gets the exact identity instead.  A scalar time goes
+        through as one row, so its result has the dtype of that row."""
         if not isinstance(t, np.ndarray):
-            return self._act(np.array([t], dtype=np.float64), self._coerce(v)[None], action)[0]
+            return self._act(np.array([t], dtype=np.float64), as_state_vector(v, self.dim)[None])[0]
         v = as_state_stack(v, self.dim)
         if t.shape != v.shape[:1]:
             raise DimensionMismatchError(
                 f"expected one time per state vector, got {t.shape} for {v.shape[0]}"
             )
-        out = action(t.astype(np.float64, copy=False), v)
+        t = t.astype(np.float64, copy=False)
+        basis = shared_mode_basis((self,))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = basis.from_modes(self.propagate(t, basis.to_modes(v)), v)
         zero = t == 0.0
         out[zero] = v[zero]
-        return out
-
-    def _modal_action(self, t, v: np.ndarray) -> np.ndarray:
-        """``e^{t A} v`` for an operator diagonal in its ``mode_basis``."""
-        basis = self.mode_basis
-        phases = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
-        return basis.from_modes(phases * basis.to_modes(v), v)
+        return checked_rows(out, t, f"semigroup of {self.label!r}")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label!r} dim={self.dim}>"
@@ -194,13 +201,13 @@ class DenseMatrixOperator(Operator):
         self.matrix = np.array(matrix, dtype=dtype)
         check_finite(self.matrix, f"matrix of operator {label!r}")
         super().__init__(label, matrix.shape[0], "dense")
-        self._action = expm_action(self.matrix)
+        self.propagate = expm_action(self.matrix)
 
     def apply(self, v) -> np.ndarray:
-        return self.matrix @ self._coerce(v)
+        return self.matrix @ as_state_vector(v, self.dim)
 
     def semigroup(self, t, v) -> np.ndarray:
-        return self._act(t, v, self._action)
+        return self._act(t, v)
 
     def signature(self) -> tuple:
         return ("dense", self.matrix.shape[0], self.matrix.tobytes())
@@ -226,10 +233,10 @@ class SpectralDiagonalOperator(Operator):
         super().__init__(label, eigenvalues.shape[0], "spectral")
 
     def apply(self, v) -> np.ndarray:
-        return self.modal_values * self._coerce(v)
+        return self.modal_values * as_state_vector(v, self.dim)
 
     def semigroup(self, t, v) -> np.ndarray:
-        return self._act(t, v, self._modal_action)
+        return self._act(t, v)
 
     def signature(self) -> tuple:
         return ("spectral", self.modal_values.tobytes())
@@ -284,12 +291,12 @@ class TranslationOperator(Operator):
         return self.modal_values.copy()
 
     def apply(self, v) -> np.ndarray:
-        v = self._coerce(v)
+        v = as_state_vector(v, self.dim)
         basis = self.mode_basis
         return basis.from_modes(self.modal_values * basis.to_modes(v), v)
 
     def semigroup(self, t, v) -> np.ndarray:
-        return self._act(t, v, self._modal_action)
+        return self._act(t, v)
 
     def signature(self) -> tuple:
         return ("translation", self.speed, self.grid)
@@ -303,7 +310,7 @@ def generator_blocks(ops) -> np.ndarray:
     that basis.
     """
     ops = list(ops)
-    if shared_mode_basis(ops) is not None:
+    if ops[0].mode_basis is not None:
         return np.stack([op.modal_values for op in ops])[..., None, None]
     return np.stack([op.matrix for op in ops])[:, None]
 
@@ -334,10 +341,12 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
     rhs = as_state_vector(rhs, a.dim)
 
     if a.family == "dense":
-        diff = a.matrix - b.matrix
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            diff = a.matrix - b.matrix
+        check_finite(diff, f"difference of {a.label!r} and {b.label!r}")
         try:
             return lu_solve(diff, rhs)
-        except Exception as exc:
+        except SingularMatrixError as exc:
             raise NotInvertibleError(
                 f"difference of {a.label!r} and {b.label!r} is singular: {exc}"
             ) from exc

@@ -42,7 +42,7 @@ import numpy as np
 from .equation import FactoredEquation, Forcing
 from .errors import DimensionMismatchError, NotDoubleRootError
 from .operators import SpectralDiagonalOperator, TranslationOperator, UniformGrid
-from .solver import default_quadrature_rule, solve_full
+from .solver import solve_full
 from .statespace import QuadratureRule
 from .trace import SolutionTrace
 
@@ -129,7 +129,7 @@ def example1_closed_form(
 ) -> np.ndarray:
     """Evaluate the shifted-profile closed form on the grid, per sample time."""
     _require_double(p.is_double, "closed form")
-    rule = rule or default_quadrature_rule()
+    rule = rule or QuadratureRule()
     op = p.shift_operator()
     slope = op.apply(p.phi1)  # z1 * phi1'
     x = p.grid.points()
@@ -271,7 +271,7 @@ def example2_closed_form_modal(
 ) -> np.ndarray:
     """Per-mode closed form, shape ``(len(t_grid), num_modes)``."""
     _require_double(p.is_double, "closed form")
-    rule = rule or default_quadrature_rule()
+    rule = rule or QuadratureRule()
     lam, alpha = p.eigenvalues, p.alpha
     beta1 = p.psi1_modes
     beta2 = p.psi2_modes - alpha * lam * p.psi1_modes

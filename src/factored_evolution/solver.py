@@ -23,9 +23,9 @@ pass covers ``[0, t_last]`` once and marches across the sample intervals:
 the semigroup property and the binomial theorem carry ``H_{jk}`` exactly
 from one sample time to the next, so only each new interval's integral is
 a quadrature (:func:`_duhamel_pass`).  The pass takes the forcing at
-every node as one stack (:meth:`Forcing.many`), grows it once per group
-(in modes, where the groups share a mode basis) and lets
-:meth:`ZCoefficients.weigh` apply ``z`` to the carried sums last.
+every node as one stack (:meth:`Forcing.many`) in the groups' shared
+basis, where each group's ``Operator.propagate`` grows it and carries the
+sums, and lets :meth:`ZCoefficients.weigh` apply ``z`` to them last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -44,7 +44,7 @@ swapped in the difference; that version does not match the scalar value).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Iterator
 
 import numpy as np
@@ -63,7 +63,7 @@ from .statespace import (
     QuadratureRule,
     _check_time_grid,
     as_state_vector,
-    checked_exp,
+    check_finite,
     finite_difference_weights,
 )
 from .trace import SolutionTrace
@@ -71,13 +71,6 @@ from .trace import SolutionTrace
 # Richardson (panel-doubling) tolerances.
 INHOMOGENEOUS_RICHARDSON_TOL = 1e-6
 LEMMA2_RICHARDSON_TOL = 1e-8
-
-
-def default_quadrature_rule() -> QuadratureRule:
-    """The rule of :class:`QuadratureRule`'s defaults, whose ``panels``
-    count covers ``[0, t_last]``: each sample interval gets enough of them
-    that no panel is wider than ``t_last / panels``."""
-    return QuadratureRule()
 
 
 def _semigroup_sum(matrix: BlockOperatorMatrix, coeffs, taus: np.ndarray) -> np.ndarray:
@@ -144,9 +137,9 @@ def _duhamel_pass(
                       + int_t^{t+D} ((t+D-s)^k/k!) e^{(t+D-s) B_j} f(s) ds,
 
     so only the new interval's integral is a quadrature.  The forcing
-    values of all nodes of the pass are one :meth:`Forcing.many` stack,
-    which grows once per group (in modes, where the groups share a mode
-    basis), and ``z`` weighs last.
+    values of all nodes of the pass are one :meth:`Forcing.many` stack in
+    the groups' shared basis, which each :meth:`Operator.propagate` grows
+    once, and ``z`` weighs last; :func:`solve_full` checks the values.
     """
     nodes = [r.nodes(a, b) for r, a, b in zip(rules, edges[:-1], edges[1:])]
     bounds = np.cumsum([0] + [pts.size for pts, _ in nodes])
@@ -157,28 +150,14 @@ def _duhamel_pass(
     moments = np.concatenate([wts for _, wts in nodes]) * np.array(
         [taus**k / math.factorial(k) for k in range(mult_max)]
     )
-    if not isinstance(forcing, Forcing):  # a bare evaluator, called per node
-        forcing = Forcing(forcing)
     g = forcing.many(pts, matrix.dim)
     g_hat = z.modes_of(g)
     h = []
     for op, mult in matrix.grouped:
-        if op.mode_basis is None:
-            grown = op.semigroup(taus, g)
-            propagators = None
-        else:  # in place, unless a complex forcing meets real modal values
-            what = f"semigroup of {op.label!r}"
-            grown = checked_exp(op.modal_values, taus, what)
-            in_place = np.can_cast(g_hat.dtype, grown.dtype)
-            grown = np.multiply(grown, g_hat, out=grown if in_place else None)
-            propagators = checked_exp(op.modal_values, widths, what)
+        grown = op.propagate(taus, g_hat)
         carried, prev = [], np.zeros((mult, matrix.dim))
         for i, width in enumerate(widths):
-            shifted = _binomial_shift(width, mult) @ prev
-            if propagators is None:
-                shifted = op.semigroup(np.full(mult, width), shifted)
-            else:
-                shifted = propagators[i] * shifted
+            shifted = op.propagate(np.full(mult, width), _binomial_shift(width, mult) @ prev)
             interval = slice(bounds[i], bounds[i + 1])
             prev = shifted + moments[:mult, interval] @ grown[interval]
             carried.append(prev)
@@ -254,7 +233,8 @@ def solve_full(
     pass takes the forcing at all its nodes as one stack and handles every
     node at once.  A second pass doubles every interval's panels; if the two
     disagree beyond ``richardson_tol`` (relative to the solution scale) the
-    solve raises :class:`QuadratureUnderResolvedError`.  The diagnostics
+    solve raises :class:`QuadratureUnderResolvedError` (a NaN deviation
+    too), and a non-finite value :class:`NonFiniteError`.  The diagnostics
     then also carry ``richardson_rel_dev`` and ``quadrature``.  The
     assembly is a plain sum, so superposition holds to roundoff by
     construction.
@@ -262,25 +242,22 @@ def solve_full(
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
     ys = solve_coefficients(matrix, eq.initial_data)
-    values = _semigroup_sum(matrix, ys, times)
-    if eq.forcing is None:
-        return SolutionTrace(times, values, {"coefficient_residual": ys.residual})
-
-    rule = rule or default_quadrature_rule()
-    base, fine = _richardson_passes(matrix, solve_z_vector(matrix), eq.forcing, times, rule)
-    scale = float(np.max(np.abs(fine)))
-    dev = float(np.max(np.abs(base - fine))) / (scale + 1e-30)
-    if dev > richardson_tol:
+    diagnostics = {"coefficient_residual": ys.residual}
+    with np.errstate(over="ignore", invalid="ignore"):  # the values are checked below
+        values = _semigroup_sum(matrix, ys, times)
+        if eq.forcing is not None:
+            rule = rule or QuadratureRule()
+            base, fine = _richardson_passes(matrix, solve_z_vector(matrix), eq.forcing, times, rule)
+            values = values + base
+            dev = float(np.max(np.abs(base - fine))) / (float(np.max(np.abs(fine))) + 1e-30)
+            diagnostics = {"richardson_rel_dev": dev, "quadrature": asdict(rule), **diagnostics}
+    check_finite(values, "solution")
+    if eq.forcing is not None and not dev <= richardson_tol:  # a NaN deviation fails too
         raise QuadratureUnderResolvedError(
             f"panel doubling changed the solution by {dev:.3e} relative "
             f"(> {richardson_tol:.1e}); increase panels or nodes_per_panel"
         )
-    diagnostics = {
-        "richardson_rel_dev": dev,
-        "quadrature": {"kind": rule.kind, "panels": rule.panels, "nodes_per_panel": rule.nodes_per_panel},
-        "coefficient_residual": ys.residual,
-    }
-    return SolutionTrace(times, values + base, diagnostics)
+    return SolutionTrace(times, values, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +345,7 @@ def lemma2_lhs(
     if k < 0:
         raise ValueError("k must be >= 0")
     x = as_state_vector(x, i_op.dim)
-    rule = rule or default_quadrature_rule()
+    rule = rule or QuadratureRule()
 
     def integrate(r: QuadratureRule) -> np.ndarray:
         pts, wts = r.nodes(0.0, float(t))

@@ -178,18 +178,23 @@ def _hermitian(a: np.ndarray, skew: bool = False) -> bool:
     return inf_norm(a + a.conj().T if skew else a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
+def checked_rows(rows: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """``rows``, one per entry of the 1-D array ``t``, if they are finite; else
+    :class:`SemigroupOverflowError` names ``what`` and the first bad ``t``."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        t_bad = t[np.argmin(finite.all(axis=-1))]
+        raise SemigroupOverflowError(f"{what} overflows float range at t={t_bad:.3g}")
+    return rows
+
+
 def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """``exp(outer(t, values))``, one row per entry of the 1-D array ``t``;
-    an entry that overflows raises :class:`SemigroupOverflowError` naming
-    ``what`` and the first ``t`` whose row overflows."""
+    """``exp(outer(t, values))``, one row per entry of the 1-D array ``t``,
+    through :func:`checked_rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: checked below
         grow = np.multiply.outer(t, values)
         np.exp(grow, out=grow)
-    finite = np.isfinite(grow)
-    if not np.all(finite):
-        t_bad = t[np.argmin(np.all(finite, axis=-1))]
-        raise SemigroupOverflowError(f"{what} overflows float range at t={t_bad:.3g}")
-    return grow
+    return checked_rows(grow, t, what)
 
 
 def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:
@@ -217,9 +222,7 @@ def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         phi = scipy.linalg.expm(np.multiply.outer(distinct, a))
         out = (phi[index] @ v[..., None])[..., 0]
-    if not np.all(np.isfinite(phi)):
-        raise SemigroupOverflowError("matrix exponential overflowed float range")
-    check_finite(out, "matrix exponential action")
+    checked_rows(phi.reshape(distinct.size, -1), distinct, "matrix exponential")
     return out
 
 

@@ -10,6 +10,7 @@ from factored_evolution import (
     DimensionMismatchError,
     FactoredEquation,
     Forcing,
+    ForcingTypeError,
     MixedBackendError,
     NonCommutingFactorsError,
     NonFiniteError,
@@ -199,6 +200,12 @@ class TestCompanion:
         diff = oracle_solve(eq, [0.5], 1).values[0] - oracle_solve(plain, [0.5], 1).values[0]
         assert max_rel_dev(diff, last[:2]) <= 1e-14
         assert max_rel_dev(diff, first[:2]) > 0.5
+
+    def test_bare_forcing_rejected(self):
+        # the solver and the oracle take the same forcing: a Forcing or None
+        a = diag_op("a", [-1.0])
+        with pytest.raises(ForcingTypeError, match="Forcing"):
+            FactoredEquation((a,), (np.zeros(1),), lambda t: np.ones(1))
 
     def test_commutation_gate(self):
         n1 = DenseMatrixOperator("N1", [[0.0, 1.0], [0.0, 0.0]])

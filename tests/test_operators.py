@@ -16,6 +16,7 @@ from factored_evolution import (
     commutation_defect,
     resolvent_solve,
 )
+from factored_evolution.operators import shared_mode_basis
 
 from conftest import (
     central_difference_operator,
@@ -163,8 +164,13 @@ def random_operator(rng, family, d):
     from the shared instance generators, the rest drawn here."""
     if family == "spectral":
         return random_spectral_instance(rng, 1, d).factors[0]
+    if family == "spectral-complex":
+        return SpectralDiagonalOperator("S", rng.uniform(-2.0, 0.5, d), scale=1.0 + 0.5j)
     if family == "dense-hermitian":
         return random_dense_commuting_instance(rng, 1, d).factors[0]
+    if family == "dense-skew-hermitian":
+        a = rng.standard_normal((d, d))
+        return DenseMatrixOperator("K", a - a.T)
     if family == "dense-non-hermitian":
         return DenseMatrixOperator("N", rng.standard_normal((d, d)) / np.sqrt(d))
     speed = rng.uniform(-1.5, 1.5) + (0.2j if family == "periodic-complex" else 0.0)
@@ -195,6 +201,39 @@ def test_array_time_rows_equal_scalar_calls(seed, family, d, m, complex_data):
     assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
     assert np.array_equal(batched[taus == 0.0], vs[taus == 0.0])
     assert batched.dtype == op.semigroup(1.0, vs[0]).dtype
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["spectral", "spectral-complex", "periodic", "periodic-complex", "dense-hermitian",
+     "dense-skew-hermitian", "dense-non-hermitian"],
+)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d=st.integers(2, 8),
+    m=st.integers(1, 6),
+    complex_data=st.booleans(),
+)
+def test_semigroup_is_the_action_in_the_operator_basis(family, seed, d, m, complex_data):
+    # semigroup = to the basis, propagate, back, then the exact t = 0 rows:
+    # bit for bit, and propagate leaves its operand as it was
+    rng = np.random.default_rng(seed)
+    op = random_operator(rng, family, d)
+    taus = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 2.0, m))
+    vs = rng.standard_normal((m, d))
+    if complex_data:
+        vs = vs + 1j * rng.standard_normal((m, d))
+    basis = shared_mode_basis((op,))
+    v_hat = basis.to_modes(vs)
+    kept = v_hat.copy()
+    acted = basis.from_modes(op.propagate(taus, v_hat), vs)
+    assert np.array_equal(v_hat, kept)
+    out = op.semigroup(taus, vs)
+    moving = taus != 0.0
+    assert out.dtype == acted.dtype
+    assert np.array_equal(out[moving], acted[moving])
+    assert np.array_equal(out[~moving], vs[~moving])
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1])
@@ -286,6 +325,19 @@ class TestResolventSolve:
         w = resolvent_solve(a, b, rhs)
         back = a.apply(w) - b.apply(w)
         assert np.max(np.abs(back - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_dense_equal_operators_not_invertible(self):
+        a = DenseMatrixOperator("a", [[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(NotInvertibleError, match="singular"):
+            resolvent_solve(a, DenseMatrixOperator("b", a.matrix), np.ones(2))
+
+    def test_dense_overflowing_difference_is_non_finite(self):
+        # 1e308 - (-1e308) overflows: a named error with no numpy warning,
+        # not a singular difference
+        a = DenseMatrixOperator("a", [[1e308, 0.0], [0.0, 1.0]])
+        b = DenseMatrixOperator("b", [[-1e308, 0.0], [0.0, 2.0]])
+        with pytest.raises(NonFiniteError, match="difference of 'a' and 'b'"):
+            resolvent_solve(a, b, np.ones(2))
 
     def test_spectral_round_trip_property(self):
         rng = np.random.default_rng(10)

@@ -390,7 +390,10 @@ def literal_forced_values(matrix, z, forcing, times, rule):
 
 
 def one_pass(matrix, z, forcing, times, rule):
-    """The marching pass over the sample intervals of ``times``."""
+    """The marching pass over the sample intervals of ``times``; a bare
+    evaluator is wrapped in :class:`Forcing`, as an equation requires."""
+    if not isinstance(forcing, Forcing):
+        forcing = Forcing(forcing)
     return solver._duhamel_pass(matrix, z, forcing, *solver._interval_rules(rule, np.asarray(times)))
 
 
@@ -519,22 +522,36 @@ class TestBatchedConvolution:
         factors = tuple(op for op, mult in grouped for _ in range(mult))
         rng = np.random.default_rng(32)
         eq = FactoredEquation(factors, tuple(rng.standard_normal(5) for _ in factors), Forcing(evaluator))
-        calls = []
+        calls, actions = [], []
         semigroup = DenseMatrixOperator.semigroup
 
         def counting(self, t, v):
-            calls.append(t)
+            calls.append((self.label, t))
             return semigroup(self, t, v)
 
+        def counting_action(op):
+            propagate = op.propagate
+
+            def counted(t, v_hat):
+                actions.append((op.label, t))
+                return propagate(t, v_hat)
+
+            return counted
+
         monkeypatch.setattr(DenseMatrixOperator, "semigroup", counting)
+        for op, _ in eq.grouped:
+            monkeypatch.setattr(op, "propagate", counting_action(op))
         t_grid = np.array([0.0, 0.3, 0.8])
         solve_full(eq, t_grid)
-        assert all(np.ndim(t) == 1 for t in calls)
-        # per group: one array-time call for the homogeneous part, and in each
-        # of the coarse and the doubled pass one growth of the node stack plus
-        # one propagator call per sample interval ([0, 0.3] and [0.3, 0.8])
+        assert all(np.ndim(t) == 1 for _, t in calls + actions)
+        labels = sorted(op.label for op, _ in eq.grouped)
+        # per group: one array-time semigroup call, for the homogeneous part
+        assert sorted(label for label, _ in calls) == labels
+        # per group, through the action: that call, and in each of the
+        # coarse and the doubled pass one growth of the node stack plus one
+        # propagator call per sample interval ([0, 0.3] and [0.3, 0.8])
         intervals = t_grid.size - 1
-        assert len(calls) == len(eq.grouped) * (1 + 2 * (1 + intervals))
+        assert sorted(label for label, _ in actions) == sorted(labels * (1 + 2 * (1 + intervals)))
 
     @pytest.mark.parametrize("family", ["spectral", "dense"])
     def test_one_overflowing_row_raises(self, family):
@@ -598,6 +615,39 @@ class TestBatchedConvolution:
         forcing = Forcing(lambda s: np.ones(6 if s == node else 5))
         with pytest.raises(DimensionMismatchError):
             one_pass(matrix, z, forcing, [1.0], rule)
+
+
+class TestOverflow:
+    """An overflowing solve raises a named error, with no numpy warning,
+    instead of returning inf."""
+
+    @pytest.mark.parametrize("family", ["spectral", "dense"])
+    def test_homogeneous_product_overflow_raises(self, family):
+        # e^700 is finite, e^700 * 1e10 is not
+        op = scalar_op("A", 700.0) if family == "spectral" else DenseMatrixOperator("A", [[700.0]])
+        eq = FactoredEquation((op,), (np.array([1e10]),))
+        with pytest.raises(SemigroupOverflowError, match="'A' overflows float range at t=1"):
+            solve_full(eq, [0.0, 1.0])
+
+    @pytest.mark.parametrize("family", ["spectral", "dense"])
+    def test_forced_product_overflow_raises(self, family):
+        op = scalar_op("A", 690.0) if family == "spectral" else DenseMatrixOperator("A", [[690.0]])
+        eq = FactoredEquation((op,), (np.zeros(1),), Forcing(lambda t: np.array([1e30])))
+        with pytest.raises(NonFiniteError, match="solution"):
+            solve_full(eq, [0.0, 1.0])
+        with pytest.raises(NonFiniteError):
+            oracle_solve(eq, [0.0, 1.0])
+
+    def test_overflow_of_the_doubled_pass_fails_the_gate(self):
+        # the doubled pass's first node lies nearer s = 0, so its largest
+        # tau grows further: with this forcing only that pass overflows, and
+        # the NaN deviation it leaves fails the Richardson gate
+        rule, lam = QuadratureRule(), 700.0
+        taus = [1.0 - r.nodes(0.0, 1.0)[0][0] for r in (rule, rule.refined(2))]
+        value = math.exp(math.log(np.finfo(float).max) - lam * sum(taus) / 2)
+        eq = FactoredEquation((scalar_op("a", lam),), (np.zeros(1),), Forcing(lambda t: np.array([value])))
+        with pytest.raises(QuadratureUnderResolvedError, match="by nan relative"):
+            solve_full(eq, [0.0, 1.0], rule)
 
 
 class TestMarching:
