@@ -50,6 +50,7 @@ from .operators import (
     coincident_modes,
     excites,
     generator_blocks,
+    require_same_family,
     shared_mode_basis,
 )
 from .statespace import as_state_vector, inf_norm, lu_apply, lu_factor_checked
@@ -86,10 +87,7 @@ class BlockOperatorMatrix:
         for op, mult in self.grouped:
             if mult < 1:
                 raise ValueError(f"multiplicity of {op.label!r} must be >= 1")
-            if op.family != first.family or op.dim != first.dim:
-                raise DimensionMismatchError(
-                    "all grouped operators must share one backend family and dimension"
-                )
+            require_same_family(first, op)
         if self.n > MAX_ORDER:
             raise UnsupportedOperationError(
                 f"order {self.n} exceeds the supported maximum {MAX_ORDER}"

@@ -373,6 +373,26 @@ class TestCommands:
         ):
             assert name in out
 
+    def test_solve_accepts_wide_laplacian_mode_pair(self, tmp_path, capsys):
+        # eigenvalues up to 4e4: modal factors commute exactly, however wide
+        k2 = [float(k * k) for k in range(1, 21)]
+        cfg = {
+            "backend": {"family": "spectral"},
+            "operators": {
+                "A": {"eigenvalues": [-v for v in k2], "scale": 100.0},
+                "B": {"eigenvalues": [-(v + 0.5) for v in k2], "scale": 100.0},
+            },
+            "factors": ["A", "B"],
+            "initial_data": [{"profile": "random-normal"}] * 2,
+            "forcing": "none",
+            "time": {"t_end": 0.01, "samples": 5},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "trace.csv"
+        assert main(["solve", str(cfg_path), "--out", str(out_path)]) == 0, capsys.readouterr()
+        assert len(out_path.read_text().splitlines()) == 6
+
     def test_verify_surfaces_singular_system(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(RANDOM_DIAGONAL))
         cfg["operators"] = {

@@ -5,8 +5,10 @@ import pytest
 
 from factored_evolution import (
     DenseMatrixOperator,
+    DimensionMismatchError,
     FactoredEquation,
     Forcing,
+    MixedBackendError,
     SingularSystemError,
     SpectralDiagonalOperator,
     TranslationOperator,
@@ -103,6 +105,15 @@ class TestStructure:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOperationError):
             build_confluent_matrix([(diag_op("A", [1.0]), 31)])
+
+    def test_mixed_families_rejected(self):
+        # one family rule for every entry point
+        with pytest.raises(MixedBackendError):
+            build_confluent_matrix([(diag_op("A", [1.0]), 1), (DenseMatrixOperator("D", [[1.0]]), 1)])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            build_confluent_matrix([(diag_op("A", [1.0]), 1), (diag_op("B", [1.0, 2.0]), 1)])
 
     def test_entry_bounds(self):
         m = build_confluent_matrix([(diag_op("A", [1.0]), 2)])

@@ -16,6 +16,7 @@ from factored_evolution import (
     NonFiniteError,
     SpectralDiagonalOperator,
     build_companion,
+    compare_with_oracle,
     group_factors,
     initial_data_transform,
     oracle_solve,
@@ -212,7 +213,49 @@ class TestCompanion:
         n2 = DenseMatrixOperator("N2", [[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(NonCommutingFactorsError) as info:
             FactoredEquation((n1, n2), (np.ones(2), np.ones(2)))
-        assert info.value.defect == pytest.approx(1.0)
+        # ||N1 N2 - N2 N1||_F = ||diag(1, -1)||_F
+        assert info.value.defect == pytest.approx(np.sqrt(2.0))
+
+
+class TestCommutationGate:
+    def test_wide_laplacian_mode_pair_is_accepted(self):
+        # eigenvalues up to 4e4: rounding alone puts ||ABv - BAv|| / ||v||
+        # near 1e-7 on random v, but the 1x1 blocks commute exactly
+        k2 = np.arange(1.0, 201.0) ** 2
+        a, b = diag_op("A", -k2), diag_op("B", -(k2 + 0.5))
+        # smooth data, mode coefficients decaying like 1/k^2: unit data at
+        # this width trip the coefficient residual gate on rounding alone
+        rng = np.random.default_rng(5)
+        eq = FactoredEquation((a, b), tuple(rng.standard_normal((2, 200)) / k2))
+        _, _, dev = compare_with_oracle(eq, np.linspace(0.0, 0.01, 5), steps_per_unit=200000)
+        assert dev <= 1e-12
+
+    def test_pair_just_above_the_limit_is_rejected(self):
+        # a scaled nilpotent pair: defect s^2 sqrt(2) = 2e-9, far above its
+        # rounding floor eps * 2 * s^2
+        s = np.sqrt(2e-9 / np.sqrt(2.0))
+        n1 = DenseMatrixOperator("N1", [[0.0, s], [0.0, 0.0]])
+        n2 = DenseMatrixOperator("N2", [[0.0, 0.0], [s, 0.0]])
+        with pytest.raises(NonCommutingFactorsError) as info:
+            FactoredEquation((n1, n2), (np.ones(2), np.ones(2)))
+        assert info.value.defect == pytest.approx(2e-9)
+        floor = np.finfo(float).eps * 2 * s * s
+        assert f"defect {info.value.defect:.3e}" in str(info.value)
+        assert f"rounding floor {floor:.1e}" in str(info.value)
+
+    def test_wide_dense_pair_in_one_eigenbasis_is_rejected(self):
+        # commuting in exact arithmetic, but the rounding in its commutator
+        # is above the absolute limit; whether it should pass is open
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        a, b = (DenseMatrixOperator(label, (q * rng.uniform(-2e5, 0.0, 64)) @ q.T) for label in "AB")
+        with pytest.raises(NonCommutingFactorsError, match="rounding floor"):
+            FactoredEquation((a, b), (np.ones(64), np.ones(64)))
+
+    def test_overflowing_commutator_is_rejected(self):
+        a, b = diag_op("A", [1e200, 1.0]), diag_op("B", [-1e200, 2.0])
+        with pytest.raises(NonCommutingFactorsError, match="defect nan"):
+            FactoredEquation((a, b), (np.ones(2), np.ones(2)))
 
 
 @BOTH_SOLVERS

@@ -77,3 +77,23 @@ def test_dense_forcing_weights_commute_with_every_generator(seed, n, pattern):
         for z_k in z.zeta[:, 0]:
             defect = np.linalg.norm(z_k @ a - a @ z_k) / (np.linalg.norm(z_k) * np.linalg.norm(a) + 1e-300)
             assert defect <= 1e-12
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+MODAL_VALUES = st.one_of(
+    st.floats(-1e150, 1e150, **FINITE), st.complex_numbers(max_magnitude=1e150, **FINITE)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), translation=st.booleans(), dim=st.integers(1, 40))
+def test_modal_factors_commute_exactly(data, translation, dim):
+    # 1x1 blocks: the commutator of any two modal generators is exactly 0,
+    # however wide their values
+    if translation:
+        grid = operators.UniformGrid(0.0, data.draw(st.floats(1e-3, 1e3)), max(dim, 2))
+        a, b = (operators.TranslationOperator(label, data.draw(MODAL_VALUES), grid) for label in "ab")
+    else:
+        values = st.lists(MODAL_VALUES, min_size=dim, max_size=dim)
+        a, b = (operators.SpectralDiagonalOperator(label, data.draw(values)) for label in "ab")
+    assert operators.commutation_defect(a, b) == 0.0

@@ -31,9 +31,6 @@ def test_install_counts_a_forced_solve_and_uninstall_restores():
     }
     a = fe.SpectralDiagonalOperator("A", [-1.0, -2.0])
     b = fe.SpectralDiagonalOperator("B", [0.5, 0.25])
-    eq = fe.FactoredEquation(
-        (a, a, b), (np.ones(2), np.zeros(2), np.zeros(2)), fe.Forcing(lambda t: np.full(2, t))
-    )
     rule = fe.QuadratureRule("gauss-legendre", panels=1, nodes_per_panel=4)
 
     tracer = tracer_module.Tracer()
@@ -41,6 +38,9 @@ def test_install_counts_a_forced_solve_and_uninstall_restores():
     try:
         assert solver.solve_full is not originals[(solver, "solve_full")]
         idx = tracer.begin_op(0)
+        eq = fe.FactoredEquation(
+            (a, a, b), (np.ones(2), np.zeros(2), np.zeros(2)), fe.Forcing(lambda t: np.full(2, t))
+        )
         fe.solve_full(eq, np.array([0.0, 0.5]), rule)
         tracer.end_op(idx)
     finally:
@@ -55,5 +55,11 @@ def test_install_counts_a_forced_solve_and_uninstall_restores():
         "equation.forcing",
     ):
         assert counts[name] > 0, name
+    assert counts["equation.gate"] == 1
+    # the gate takes the commutator of the generators' blocks: no spans
+    # (operator actions included) open inside it
+    gate = tracer.names.index("equation.gate")
+    spans = tracer.arrays()
+    assert not np.any(spans["parent"] == np.flatnonzero(spans["name"] == gate)[0])
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
