@@ -22,10 +22,13 @@ commute with every ``e^{tau B_j}``, so the forced part is
 pass covers ``[0, t_last]`` once and marches across the sample intervals:
 the semigroup property and the binomial theorem carry ``H_{jk}`` exactly
 from one sample time to the next, so only each new interval's integral is
-a quadrature (:func:`_duhamel_pass`).  The pass takes the forcing at
-every node as one stack (:meth:`Forcing.many`) in the groups' shared
-basis, where each group's ``Operator.propagate`` grows it and carries the
-sums, and lets :meth:`ZCoefficients.weigh` apply ``z`` to them last.
+a quadrature (:func:`_duhamel_pass`).  A run of intervals of one shape
+(panel count and width) shares one node layout, so a uniform grid
+repeats the same node offsets in every interval.  The pass takes the
+forcing at every node as one stack (:meth:`Forcing.many`) in the groups'
+shared basis, where each group's ``Operator.propagate`` grows it and
+carries the sums, and lets :meth:`ZCoefficients.weigh` apply ``z`` to
+them last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -72,6 +75,10 @@ from .trace import SolutionTrace
 INHOMOGENEOUS_RICHARDSON_TOL = 1e-6
 LEMMA2_RICHARDSON_TOL = 1e-8
 
+# Consecutive sample intervals whose widths agree to this many ulps under one
+# panel count share one node layout (:func:`_shape_leads`).
+_SHAPE_ULPS = 8
+
 
 def _semigroup_sum(matrix: BlockOperatorMatrix, coeffs, taus: np.ndarray) -> np.ndarray:
     """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) coeffs[off_j + k]``,
@@ -102,7 +109,8 @@ def _interval_rules(
 ) -> tuple[np.ndarray, list[QuadratureRule]]:
     """The edges ``0, t_i > 0`` of the sample intervals and one rule per
     interval: ``ceil(panels * width / t_last)`` panels, so that no panel is
-    wider than ``t_last / panels``."""
+    wider than ``t_last / panels``.  The panel count and the width are an
+    interval's shape, which :func:`_shape_leads` matches."""
     edges = np.concatenate([[0.0], times[times > 0]])
     widths = np.diff(edges)
     if not widths.size:
@@ -123,6 +131,19 @@ def _binomial_shift(width: float, mult: int) -> np.ndarray:
     ])
 
 
+def _shape_leads(rules, widths: np.ndarray) -> list[int]:
+    """For each interval, the first interval of its run of one shape: an
+    interval joins the run of the one before it when their panel counts
+    are equal and its width lies within ``_SHAPE_ULPS`` ulps of the run's
+    first width."""
+    lead: list[int] = []
+    for i, (rule, width) in enumerate(zip(rules, widths.tolist())):
+        j = lead[-1] if lead else i
+        same = abs(width - widths[j]) <= _SHAPE_ULPS * np.spacing(widths[j])
+        lead.append(j if same and rule.panels == rules[j].panels else i)
+    return lead
+
+
 def _duhamel_pass(
     matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, edges: np.ndarray, rules
 ) -> np.ndarray:
@@ -136,27 +157,34 @@ def _duhamel_pass(
         H_jk(t + D) = e^{D B_j} sum_{l<=k} (D^(k-l)/(k-l)!) H_jl(t)
                       + int_t^{t+D} ((t+D-s)^k/k!) e^{(t+D-s) B_j} f(s) ds,
 
-    so only the new interval's integral is a quadrature.  The forcing
-    values of all nodes of the pass are one :meth:`Forcing.many` stack in
-    the groups' shared basis, which each :meth:`Operator.propagate` grows
-    once, and ``z`` weighs last; :func:`solve_full` checks the values.
+    so only the new interval's integral is a quadrature.  A run of
+    intervals of one shape (:func:`_shape_leads`) takes the node layout
+    ``xi`` of its first interval, from one ``nodes(0, D)`` call: an
+    interval from ``a`` has the nodes ``a + xi``, the offsets ``D - xi``
+    and the carry width ``D``, so the offsets of a uniform grid repeat bit
+    for bit and a time-stacked exponential computes each once per stack.
+    The forcing values of all nodes of the pass are one
+    :meth:`Forcing.many` stack in the groups' shared basis, which each
+    :meth:`Operator.propagate` grows once, and ``z`` weighs last;
+    :func:`solve_full` checks the values.
     """
-    nodes = [r.nodes(a, b) for r, a, b in zip(rules, edges[:-1], edges[1:])]
-    bounds = np.cumsum([0] + [pts.size for pts, _ in nodes])
-    pts = np.concatenate([pts for pts, _ in nodes])
-    taus = np.concatenate([b - p for (p, _), b in zip(nodes, edges[1:])])
     widths = np.diff(edges)
+    lead = _shape_leads(rules, widths)
+    layouts = {i: rules[i].nodes(0.0, widths[i]) for i in set(lead)}
+    xi, wts = zip(*(layouts[i] for i in lead))
+    carry = widths[lead]
+    bounds = np.cumsum([0] + [x.size for x in xi])
+    pts = np.concatenate([a + x for a, x in zip(edges[:-1], xi)])
+    taus = np.concatenate([w - x for w, x in zip(carry, xi)])
     mult_max = max(mult for _, mult in matrix.grouped)
-    moments = np.concatenate([wts for _, wts in nodes]) * np.array(
-        [taus**k / math.factorial(k) for k in range(mult_max)]
-    )
+    moments = np.concatenate(wts) * np.array([taus**k / math.factorial(k) for k in range(mult_max)])
     g = forcing.many(pts, matrix.dim)
     g_hat = z.modes_of(g)
     h = []
     for op, mult in matrix.grouped:
         grown = op.propagate(taus, g_hat)
         carried, prev = [], np.zeros((mult, matrix.dim))
-        for i, width in enumerate(widths):
+        for i, width in enumerate(carry):
             shifted = op.propagate(np.full(mult, width), _binomial_shift(width, mult) @ prev)
             interval = slice(bounds[i], bounds[i + 1])
             prev = shifted + moments[:mult, interval] @ grown[interval]
@@ -340,7 +368,9 @@ def lemma2_lhs(
     """Quadrature value of ``int_0^t e^{(t-s) A_i} (s^k/k!) e^{s A_j} x ds``.
 
     The value is verified by panel doubling to ``LEMMA2_RICHARDSON_TOL``
-    and the refined value is returned.
+    and the refined value is returned.  As in :func:`solve_full`, a
+    non-finite value raises :class:`NonFiniteError` and a NaN deviation
+    fails the gate.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -354,10 +384,13 @@ def lemma2_lhs(
         inner = j_op.semigroup(pts, np.broadcast_to(x, (pts.size, x.shape[0])))
         return (wts * (pts**k / math.factorial(k))) @ i_op.semigroup(t - pts, inner)
 
-    base = integrate(rule)
-    fine = integrate(rule.refined(2))
-    err = float(np.max(np.abs(base - fine))) if base.size else 0.0
-    if err > LEMMA2_RICHARDSON_TOL * (1.0 + float(np.max(np.abs(fine)))):
+    with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
+        base = integrate(rule)
+        fine = integrate(rule.refined(2))
+        err = float(np.max(np.abs(base - fine))) if base.size else 0.0
+        limit = LEMMA2_RICHARDSON_TOL * (1.0 + float(np.max(np.abs(fine))))
+    check_finite(fine, "convolution")
+    if not err <= limit:  # a NaN deviation fails too
         raise QuadratureUnderResolvedError(
             f"convolution quadrature not resolved: doubling panels moved the "
             f"value by {err:.3e}"

@@ -692,13 +692,10 @@ class TestMarching:
         # p_i panels of q nodes in the coarse pass, 2 p_i in the doubled one
         assert len(calls) == sum(3 * p * rule.nodes_per_panel for p in panels)
 
-    def test_repeated_dense_group_exponentiates_once_per_interval(self, monkeypatch):
-        # Non-Hermitian generators take scaled-and-squared exponentials.  The
-        # four intervals get 3, 6, 1 and 8 panels of 8 nodes in the coarse
-        # pass and twice that in the doubled one, each node grown by both
-        # groups; the homogeneous part takes 5 times per group.  The group
-        # of multiplicity 2 is carried across an interval by one
-        # exponential, as the simple group is.
+    @staticmethod
+    def _count_expm_matrices(monkeypatch, times) -> int:
+        """The ``scipy.linalg.expm`` matrices of a forced non-Hermitian
+        ``(A, A, B)`` solve, d = 8, on ``times``."""
         rng = np.random.default_rng(45)
         m = 0.3 * rng.standard_normal((8, 8)) / np.sqrt(8)
         a = DenseMatrixOperator("A", -1.0 * np.eye(8) + 0.7 * m + 0.1 * (m @ m))
@@ -709,9 +706,62 @@ class TestMarching:
         matrices = []
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda s: matrices.append(len(s)) or expm(s))
-        solve_full(eq, np.array([0.0, 0.3, 1.0, 1.05, 2.0]))
+        solve_full(eq, times)
+        return sum(matrices)
+
+    def test_repeated_dense_group_exponentiates_once_per_interval(self, monkeypatch):
+        # Non-Hermitian generators take scaled-and-squared exponentials.  The
+        # four intervals get 3, 6, 1 and 8 panels of 8 nodes in the coarse
+        # pass and twice that in the doubled one, each node grown by both
+        # groups; the homogeneous part takes 5 times per group.  The group
+        # of multiplicity 2 is carried across an interval by one
+        # exponential, as the simple group is.
         nodes = 18 * 8
-        assert sum(matrices) == 2 * 5 + 2 * (nodes + 2 * nodes) + 2 * (4 * 2)
+        matrices = self._count_expm_matrices(monkeypatch, np.array([0.0, 0.3, 1.0, 1.05, 2.0]))
+        assert matrices == 2 * 5 + 2 * (nodes + 2 * nodes) + 2 * (4 * 2)
+
+    def test_uniform_grid_exponentiates_each_offset_once(self, monkeypatch):
+        # Four intervals of 4 panels: one node layout per pass, so each
+        # group grows the forcing with 32 distinct offsets in the coarse
+        # pass and 64 in the doubled one, where every interval of its own
+        # would take 128 and 256.
+        matrices = self._count_expm_matrices(monkeypatch, np.linspace(0.0, 1.0, 5))
+        assert matrices == 2 * 5 + 2 * (32 + 64) + 2 * (4 * 2)
+
+    @pytest.mark.parametrize(
+        "times, calls",
+        [
+            # the widths lie within 8 ulps of the first
+            (np.linspace(0.0, 0.7, 9), 1),
+            # the last width is 1e-12 relative off the other three
+            (np.array([0.25, 0.5, 0.75, 1.0 + 2.5e-13]), 2),
+        ],
+    )
+    def test_intervals_of_one_shape_share_one_nodes_call(self, monkeypatch, times, calls):
+        widths = np.diff(np.concatenate([[0.0], times]))
+        assert np.unique(widths).size > 1
+        seen = []
+        nodes = QuadratureRule.nodes
+        monkeypatch.setattr(QuadratureRule, "nodes", lambda r, a, b: seen.append(r) or nodes(r, a, b))
+        forcing = Forcing(lambda t: np.array([np.cos(t), 1.0]))
+        eq = FactoredEquation((diag_op("a", [-1.0, -0.5]),), (np.zeros(2),), forcing)
+        solve_full(eq, times)
+        # one call per shape in each of the two passes
+        assert len(seen) == 2 * calls
+
+    @pytest.mark.parametrize("case", CONVOLUTION_CASES)
+    def test_shared_layouts_on_a_mixed_grid_equal_the_literal_rule(self, case):
+        # four equal intervals share one layout, the last is wider
+        grouped, evaluator = _convolution_case(case)
+        matrix = confluent.build_confluent_matrix(grouped)
+        z = confluent.solve_z_vector(matrix)
+        forcing = Forcing(evaluator)
+        rule = QuadratureRule(panels=4, nodes_per_panel=3)
+        times = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.3])
+        marched = one_pass(matrix, z, forcing, times, rule)
+        reference = literal_forced_values(matrix, z, forcing, times, rule)[1:]
+        assert marched.dtype == reference.dtype
+        assert np.max(np.abs(marched - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     def test_grid_at_zero_only_makes_no_forcing_call(self):
         calls = []
@@ -777,6 +827,11 @@ class TestLemma2:
             lhs = lemma2_lhs(i_op, j_op, k, t, x)
             rhs = lemma2_rhs(i_op, j_op, k, t, x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-7 * (1.0 + np.max(np.abs(lhs)))
+
+    def test_overflowing_value_raises_a_named_error(self):
+        # the weighted sum of values near the float limit overflows
+        with pytest.raises(NonFiniteError, match="convolution"):
+            lemma2_lhs(scalar_op("a", 0.0), scalar_op("b", 1e-3), 0, 1.5, np.array([1.7e308]))
 
     def test_under_resolved_quadrature_raises(self):
         i_op, j_op = scalar_op("i", -40.0), scalar_op("j", 35.0)
