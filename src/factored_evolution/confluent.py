@@ -17,12 +17,16 @@ generators' blocks (``operators.generator_blocks``), in their shared mode
 basis (``Operator.mode_basis``: the spectral and periodic-translation
 backends) or, for dense groups, in the identity basis.  One record,
 ``BlockOperatorMatrix._factorization``, holds the only code that tells the
-three structures of ``M`` apart: a single repeated factor makes ``M`` unit
+four structures of ``M`` apart: a single repeated factor makes ``M`` unit
 lower triangular and is solved by substitution on its blocks; groups with
 a mode basis have 1 x 1 blocks, so ``M`` splits into one small scalar
 system per mode (a mode where two groups coincide is allowed as long as
-the right-hand side leaves it unexcited); dense groups have one block, the
-full ``(n d) x (n d)`` matrix, which is LU-factored.  Each
+the right-hand side leaves it unexcited); dense groups that the unitary
+eigenbasis of one of them (``DenseMatrixOperator.eig``) diagonalizes,
+with no mode coinciding and a real basis for real generators, split the
+same way in that basis, and their right-hand sides are rotated into it
+and back; other dense groups have one block, the full ``(n d) x (n d)``
+matrix, which is LU-factored.  Each
 ``BlockOperatorMatrix`` builds the record once, on first use, and both the
 coefficients ``y`` and the forcing weights ``z`` are solved through it.
 Operator actions are left to the residual gate, which checks every solve
@@ -63,6 +67,13 @@ MAX_ORDER = 30
 RESIDUAL_RTOL = 1e-9
 
 _PROBE_SEED = 911003
+
+# Off-diagonal part of ``q^H B_j q``, relative to ``||B_j||_F``, up to which
+# a dense group counts as diagonal in a shared eigenbasis ``q``.  Nearly
+# repeated eigenvalues of the group that gave ``q`` leave up to about 2e-10
+# there (d = 128, eigenvalue gaps down to 5e-8); the eigenbasis solve takes
+# it up with one correction step, which leaves about its square.
+_EIGENBASIS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,25 +125,37 @@ class BlockOperatorMatrix:
         """The factorization of ``M`` every solve goes through, built on
         first use; the only code that tells the structures of ``M`` apart.
 
-        All three work on the generators' blocks from
+        All four work on the generators' blocks from
         :func:`generator_blocks`.  A single group makes ``M`` unit lower
         triangular: it is solved by substitution on the group's blocks,
         with no assembly and no pivoting.  Groups that share a mode basis
         assemble one ``n x n`` matrix per mode, with the identity on the
-        modes where two groups coincide.  Dense groups assemble the one
-        ``(n d) x (n d)`` matrix and keep its pivoted LU.
+        modes where two groups coincide.  Dense groups that the unitary
+        eigenbasis ``q`` of the first Hermitian or skew-Hermitian one
+        diagonalizes, with no coincident mode (and ``q`` real if the
+        generators are), assemble one ``n x n`` matrix per mode of the
+        diagonals of ``q^H B_j q`` (:func:`_eigenbasis_solve`); the record
+        keeps the identity basis, one block and no mask, and its ``solve``
+        rotates into ``q`` and back.  Any other dense groups assemble the
+        one ``(n d) x (n d)`` matrix and keep its pivoted LU, whose pivot
+        gate also rejects the coincident modes.
         """
         ops = [op for op, _ in self.grouped]
+        mults = [mult for _, mult in self.grouped]
         blocks = generator_blocks(ops)
         basis = shared_mode_basis(ops)
         mask, pairs = np.zeros(blocks.shape[1], dtype=bool), []
         if len(ops) == 1:
             return _Factorization(basis, partial(_substitute, blocks[0], self.n), mask, pairs)
-        v = _confluent_blocks(blocks, [mult for _, mult in self.grouped])
         if ops[0].mode_basis is not None:
+            v = _confluent_blocks(blocks, mults)
             mask, pairs = _coincident_modes(self, blocks[..., 0, 0])
             v[mask] = np.eye(self.n, dtype=v.dtype)
             return _Factorization(basis, partial(_mode_solve, v, mask), mask, pairs)
+        solve = _eigenbasis_solve(self, blocks[:, 0], mults)
+        if solve is not None:
+            return _Factorization(basis, solve, mask, pairs)
+        v = _confluent_blocks(blocks, mults)
         try:
             factors = lu_factor_checked(v[0])
         except SingularMatrixError as exc:
@@ -341,6 +364,71 @@ def _mode_solve(matrices: np.ndarray, mask: np.ndarray, rhs: np.ndarray) -> np.n
         return np.linalg.solve(matrices, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
+
+
+def _eigenbasis_solve(matrix: BlockOperatorMatrix, mats: np.ndarray, multiplicities):
+    """The ``solve`` of ``M`` for dense groups ``mats`` ``(g, d, d)`` with
+    ``multiplicities``, in the unitary eigenbasis ``q`` of the first group
+    that carries one (``DenseMatrixOperator.eig``), or ``None``, which
+    leaves ``M`` to the LU.
+
+    ``q`` serves when it diagonalizes every group to within
+    ``_EIGENBASIS_RTOL`` of its Frobenius norm and no mode coincides
+    between two groups; ``M`` then splits into one ``n x n`` system per
+    mode of the diagonals, as for modal groups.  Real generators need a
+    real ``q`` (a real skew-symmetric group has a complex one): rotating
+    real data by a complex basis costs complex products, which on the
+    forced ``z`` solve cost more than the LU.
+    """
+    q = next((op.eig[1] for op, _ in matrix.grouped if op.eig is not None), None)
+    if q is None or (np.iscomplexobj(q) and not np.iscomplexobj(mats)):
+        return None
+    bq = mats @ q
+    diagonals = (q.conj() * bq).sum(axis=1)  # of q^H B_j q
+    off = np.linalg.norm(bq - q * diagonals[:, None], axis=(1, 2))  # q unitary
+    if not np.all(off <= _EIGENBASIS_RTOL * np.linalg.norm(mats, axis=(1, 2))):
+        return None
+    if _coincident_modes(matrix, diagonals)[0].any():
+        return None
+    v = _confluent_blocks(diagonals[..., None, None], multiplicities)
+    return partial(_rotated_solve, q, v, mats, multiplicities)
+
+
+def _rotated_solve(q, v, mats, multiplicities, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``M y = rhs`` for block right-hand sides ``(1, n d, k)`` through
+    the basis ``q``, in which ``v`` holds the per-mode systems, and then
+    once more for the residual of ``M`` applied through the generators
+    ``mats``: the correction takes up the off-diagonal part of
+    ``q^H B_j q`` and the rounding of the rotations."""
+    n, d = v.shape[-1], q.shape[0]
+    no_mask = np.zeros(d, dtype=bool)
+
+    def solve(b):  # rows (n, d, k), rotated into q and back
+        modal = (q.conj().T @ b).transpose(1, 0, 2)  # per-mode systems (d, n, k)
+        return q @ _mode_solve(v, no_mask, modal).transpose(1, 0, 2)
+
+    b = rhs[0].reshape(n, d, -1)
+    y = solve(b)
+    y += solve(b - _confluent_apply(mats, multiplicities, y))
+    return y.reshape(rhs.shape)
+
+
+def _confluent_apply(mats: np.ndarray, multiplicities, y: np.ndarray) -> np.ndarray:
+    """``M y`` for dense generators ``mats`` ``(g, d, d)`` and coefficient
+    blocks ``y`` ``(n, d, k)``: each column walks up its powers, as
+    :meth:`BlockOperatorMatrix.apply` does with operator actions."""
+    n = y.shape[0]
+    out = np.zeros(y.shape, dtype=np.result_type(mats, y))
+    col = 0
+    for base, mult in zip(mats, multiplicities):
+        for k in range(mult):
+            w = y[col]
+            for r in range(k, n):
+                out[r] += comb(r, k) * w
+                if r < n - 1:
+                    w = base @ w
+            col += 1
+    return out
 
 
 def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors, what: str) -> float:

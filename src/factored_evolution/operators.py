@@ -13,11 +13,12 @@ the user declares which factors coincide.
 Three families are provided and may not be mixed inside one equation:
 
 ``dense``
-    An explicit square matrix.  Hermitian and skew-Hermitian matrices get an
-    eigendecomposition at construction so semigroup actions are cheap;
-    everything else falls back to scaling-and-squaring per call (for an
-    array of times, stacked calls of at most
-    ``statespace.EXPM_STACK_ENTRIES`` entries each).
+    An explicit square matrix.  Hermitian and skew-Hermitian matrices get a
+    unitary eigendecomposition at construction (``eig``), so semigroup
+    actions are cheap and the confluent solve of commuting groups can go
+    mode by mode in that basis; everything else falls back to
+    scaling-and-squaring per call (for an array of times, stacked calls of
+    at most ``statespace.EXPM_STACK_ENTRIES`` entries each).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a
@@ -66,6 +67,7 @@ from .statespace import (
     checked_rows,
     expm_action,
     lu_solve,
+    unitary_eigh,
 )
 
 # Relative gap under which a pair of modal values counts as coincident.
@@ -193,7 +195,13 @@ class Operator(ABC):
 
 
 class DenseMatrixOperator(Operator):
-    """Generator given by an explicit square matrix."""
+    """Generator given by an explicit square matrix.
+
+    ``eig`` is :func:`statespace.unitary_eigh` of the matrix: ``(w, q)``
+    with ``A = q diag(w) q^H`` for a Hermitian or skew-Hermitian matrix,
+    else ``None``.  The semigroup acts through it, and the confluent solve
+    of commuting groups reuses its ``q``.
+    """
 
     def __init__(self, label: str, matrix):
         matrix = np.asarray(matrix)
@@ -203,7 +211,8 @@ class DenseMatrixOperator(Operator):
         self.matrix = np.array(matrix, dtype=dtype)
         check_finite(self.matrix, f"matrix of operator {label!r}")
         super().__init__(label, matrix.shape[0], "dense")
-        self.propagate = expm_action(self.matrix)
+        self.eig = unitary_eigh(self.matrix)
+        self.propagate = expm_action(self.matrix, self.eig)
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ as_state_vector(v, self.dim)

@@ -75,8 +75,10 @@ from .trace import SolutionTrace
 INHOMOGENEOUS_RICHARDSON_TOL = 1e-6
 LEMMA2_RICHARDSON_TOL = 1e-8
 
-# Consecutive sample intervals whose widths agree to this many ulps under one
-# panel count share one node layout (:func:`_shape_leads`).
+# Consecutive sample intervals whose widths agree to this many ulps of the
+# last sample time under one panel count share one node layout
+# (:func:`_shape_leads`); a width is a difference of sample times, so it
+# carries up to one ulp of the last one.
 _SHAPE_ULPS = 8
 
 
@@ -131,15 +133,17 @@ def _binomial_shift(width: float, mult: int) -> np.ndarray:
     ])
 
 
-def _shape_leads(rules, widths: np.ndarray) -> list[int]:
-    """For each interval, the first interval of its run of one shape: an
-    interval joins the run of the one before it when their panel counts
-    are equal and its width lies within ``_SHAPE_ULPS`` ulps of the run's
-    first width."""
+def _shape_leads(rules, edges: np.ndarray) -> list[int]:
+    """For each interval between ``edges``, the first interval of its run of
+    one shape: an interval joins the run of the one before it when their
+    panel counts are equal and its width differs from the run's first by
+    at most ``_SHAPE_ULPS`` ulps of the last edge."""
+    widths = np.diff(edges)
+    slack = _SHAPE_ULPS * np.spacing(edges[-1])
     lead: list[int] = []
     for i, (rule, width) in enumerate(zip(rules, widths.tolist())):
         j = lead[-1] if lead else i
-        same = abs(width - widths[j]) <= _SHAPE_ULPS * np.spacing(widths[j])
+        same = abs(width - widths[j]) <= slack
         lead.append(j if same and rule.panels == rules[j].panels else i)
     return lead
 
@@ -169,7 +173,7 @@ def _duhamel_pass(
     :func:`solve_full` checks the values.
     """
     widths = np.diff(edges)
-    lead = _shape_leads(rules, widths)
+    lead = _shape_leads(rules, edges)
     layouts = {i: rules[i].nodes(0.0, widths[i]) for i in set(lead)}
     xi, wts = zip(*(layouts[i] for i in lead))
     carry = widths[lead]

@@ -222,27 +222,38 @@ def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         phi = scipy.linalg.expm(np.multiply.outer(distinct, a))
         out = (phi[index] @ v[..., None])[..., 0]
-    checked_rows(phi.reshape(distinct.size, -1), distinct, "matrix exponential")
+    checked_rows(phi.reshape(distinct.size, a.size), distinct, "matrix exponential")
     return out
 
 
-def expm_action(a: np.ndarray) -> Callable:
-    """The action ``(t, v) -> e^{t a} v`` of a square float ``a``, chosen once.
+def unitary_eigh(a: np.ndarray):
+    """``(w, q)`` with ``a = q diag(w) q^H`` and ``q`` unitary, or ``None``.
 
-    Hermitian (in particular real symmetric) matrices go through an
-    eigendecomposition, computed here; so do skew-Hermitian ones (in
-    particular real antisymmetric), through that of the Hermitian ``i a``.
-    Everything else uses scaling-and-squaring with Pade approximation via
-    :func:`scipy.linalg.expm`.  Each takes a 1-D array of times with a
-    stack of states, one per row, as :func:`_eigh_expm_apply` and
-    :func:`_pade_expm_apply` do.
+    Hermitian (in particular real symmetric) matrices take
+    :func:`scipy.linalg.eigh`; skew-Hermitian ones (in particular real
+    antisymmetric) take that of the Hermitian ``i a``.  Any other matrix
+    gives ``None``.
     """
     if _hermitian(a):
-        return partial(_eigh_expm_apply, scipy.linalg.eigh(a))
+        return scipy.linalg.eigh(a)
     if _hermitian(a, skew=True):  # a = -i (i a), with i a Hermitian
         w, q = scipy.linalg.eigh(1j * a)
-        return partial(_eigh_expm_apply, (-1j * w, q), real=not np.iscomplexobj(a))
-    return partial(_pade_expm_apply, a)
+        return -1j * w, q
+    return None
+
+
+def expm_action(a: np.ndarray, eig) -> Callable:
+    """The action ``(t, v) -> e^{t a} v`` of a square float ``a``, chosen once.
+
+    ``eig`` is :func:`unitary_eigh` of ``a``.  With a decomposition the
+    action is two matrix products per stack (:func:`_eigh_expm_apply`);
+    without one it is scaling-and-squaring with Pade approximation via
+    :func:`scipy.linalg.expm` (:func:`_pade_expm_apply`).  Each takes a 1-D
+    array of times with a stack of states, one per row.
+    """
+    if eig is None:
+        return partial(_pade_expm_apply, a)
+    return partial(_eigh_expm_apply, eig, real=not np.iscomplexobj(a))
 
 
 def expm_apply(a, t: float, v) -> np.ndarray:
@@ -251,7 +262,7 @@ def expm_apply(a, t: float, v) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     v = as_state_vector(v, a.shape[0])
-    out = expm_action(a)(np.array([t], dtype=np.float64), v[None])[0]
+    out = expm_action(a, unitary_eigh(a))(np.array([t], dtype=np.float64), v[None])[0]
     check_finite(out, "matrix exponential action")
     return out
 

@@ -83,6 +83,23 @@ def random_dense_commuting_instance(
     return FactoredEquation(tuple(factors), data, forcing)
 
 
+def random_dense_polynomial_instance(
+    rng, n: int, dim: int, pattern: str | None = None, forcing: Forcing | None = None
+) -> FactoredEquation:
+    """Non-normal commuting generators: ``c_j I + a_j N + b_j N^2`` for one
+    random ``N`` of spectral radius about 0.3, so the group differences
+    stay near the centre gaps and well conditioned."""
+    mults = multiplicity_pattern(rng, n, pattern)
+    centers = _spread_centers(rng, len(mults))
+    base = 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    factors: list[DenseMatrixOperator] = []
+    for j, mult in enumerate(mults):
+        mat = centers[j] * np.eye(dim) + rng.uniform(0.5, 1.0) * base + rng.uniform(-0.2, 0.2) * (base @ base)
+        factors.extend([DenseMatrixOperator(f"G{j}", mat)] * mult)
+    data = tuple(rng.standard_normal(dim) for _ in range(n))
+    return FactoredEquation(tuple(factors), data, forcing)
+
+
 def zero_mean_profile(rng, points: int, modes: int = 6) -> np.ndarray:
     """Real periodic profile on ``points`` samples of ``[0, 2 pi)`` with
     Fourier modes ``1 .. modes``."""

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from factored_evolution import (
     DenseMatrixOperator,
@@ -23,6 +24,8 @@ from factored_evolution import (
     solve_z_vector,
     two_operator_closed_form,
 )
+from factored_evolution import confluent
+from factored_evolution.operators import generator_blocks
 
 from conftest import (
     central_difference_operator,
@@ -334,6 +337,112 @@ class TestFactorizationRecord:
         reference = z.basis.from_modes(blocks_times(z.zeta, z.basis.to_modes(g)), g)
         out = z.apply_all(g)
         assert np.max(np.abs(out - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+def lu_reference(grouped, rhs):
+    """``M^{-1} rhs`` through scipy's LU of the assembled ``(n d) x (n d)`` ``M``."""
+    ops = [op for op, _ in grouped]
+    v = confluent._confluent_blocks(generator_blocks(ops), [mult for _, mult in grouped])[0]
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(v), rhs)
+
+
+def shared_basis_groups(rng, d, spectra, complex_basis=False, factor=1.0):
+    """``factor`` times the Hermitian ``q diag(lambda_j) q^H`` for one random
+    unitary ``q``, one per row of ``spectra``, labelled A, B, ..."""
+    z = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_basis else 0)
+    q, _ = np.linalg.qr(z)
+    ops = []
+    for label, lam in zip("ABCD", spectra):
+        mat = q @ np.diag(lam) @ q.conj().T
+        ops.append(DenseMatrixOperator(label, factor * 0.5 * (mat + mat.conj().T)))
+    return ops
+
+
+class TestEigenbasisStructure:
+    """Dense groups that one group's unitary eigenbasis diagonalizes are
+    solved mode by mode in it; every other dense case keeps the LU."""
+
+    @staticmethod
+    def case(kind, rng):
+        if kind == "real-symmetric":
+            eq = random_dense_commuting_instance(rng, 4, 8, "mixed")
+            return eq.grouped, eq.initial_data
+        if kind == "zero-extension":  # real skew-symmetric, with a complex eigenbasis
+            grid = UniformGrid(-3.0, 0.15, 40)  # even: no mode where both speeds vanish
+            t, s = (central_difference_operator(l, c, grid) for l, c in (("T", 0.7), ("S", -1.3)))
+            x = grid.points()
+            return [(t, 2), (s, 1)], [np.exp(-x**2), x * np.exp(-x**2), np.zeros(40)]
+        spectra = [c + 0.12 * rng.uniform(-1, 1, 7) for c in (-1.5, -0.6, 0.3)]
+        factor = 1.0 if kind == "complex-hermitian" else 1j  # i H is skew-Hermitian
+        a, b, c = shared_basis_groups(rng, 7, spectra, complex_basis=True, factor=factor)
+        return [(a, 2), (b, 1), (c, 1)], [rng.standard_normal(7) for _ in range(4)]
+
+    @staticmethod
+    def assert_y_and_z_match_the_lu(grouped, data):
+        m = build_confluent_matrix(grouped)
+        n, d = m.n, m.dim
+        ys = np.concatenate(solve_coefficients(m, data))
+        y_ref = lu_reference(grouped, np.concatenate(data))
+        assert ys.dtype == y_ref.dtype
+        assert np.max(np.abs(ys - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+        last = np.zeros((n * d, d))
+        last[-d:] = np.eye(d)
+        z_ref = lu_reference(grouped, last)
+        zeta = solve_z_vector(m).zeta[:, 0].reshape(n * d, d)
+        assert zeta.dtype == z_ref.dtype
+        assert np.max(np.abs(zeta - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+        return m
+
+    @staticmethod
+    def count_lu(monkeypatch) -> list:
+        lu = confluent.lu_factor_checked
+        calls = []
+        monkeypatch.setattr(confluent, "lu_factor_checked", lambda v: calls.append(v) or lu(v))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["real-symmetric", "complex-hermitian", "complex-skew-hermitian"])
+    def test_y_and_z_match_the_lu_of_the_same_matrix(self, kind):
+        grouped, data = self.case(kind, np.random.default_rng(61))
+        m = self.assert_y_and_z_match_the_lu(grouped, data)
+        assert m._factorization.solve.func is confluent._rotated_solve
+
+    def test_real_skew_symmetric_groups_keep_the_lu(self, monkeypatch):
+        # their eigenbasis is complex, so the rotations would turn a real
+        # system complex: zero extension keeps one LU
+        calls = self.count_lu(monkeypatch)
+        grouped, data = self.case("zero-extension", np.random.default_rng(61))
+        assert grouped[0][0].eig is not None
+        self.assert_y_and_z_match_the_lu(grouped, data)
+        assert len(calls) == 1
+
+    def test_a_basis_that_does_not_diagonalize_falls_back_to_one_lu(self, monkeypatch):
+        # A repeats -1, so eigh picks some basis of that plane, which B
+        # (distinct there) does not share
+        rng = np.random.default_rng(62)
+        a, b = shared_basis_groups(rng, 5, [[-1.0, -1.0, -2.0, -1.5, -0.5], [0.1, 0.3, 0.5, 0.2, 0.4]])
+        q = a.eig[1]
+        rotated = q.T @ b.matrix @ q
+        assert np.linalg.norm(rotated - np.diag(np.diag(rotated))) > 1e-3 * np.linalg.norm(b.matrix)
+        calls = self.count_lu(monkeypatch)
+        grouped = [(a, 2), (b, 1)]
+        data = [rng.standard_normal(5) for _ in range(3)]
+        m = build_confluent_matrix(grouped)
+        ys = np.concatenate(solve_coefficients(m, data))
+        solve_z_vector(m)
+        assert len(calls) == 1
+        y_ref = lu_reference(grouped, np.concatenate(data))
+        assert np.max(np.abs(ys - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+
+    def test_a_coincident_mode_keeps_the_lu_message(self):
+        rng = np.random.default_rng(63)
+        a, b = shared_basis_groups(rng, 4, [[-1.0, -2.0, -3.0, -0.5], [-1.0, 0.2, 0.4, 0.3]])
+        m = build_confluent_matrix([(a, 1), (b, 1)])
+        with pytest.raises(SingularSystemError, match=(
+            r"^assembled coefficient matrix for groups \['A', 'B'\] is singular \(pivot "
+            r"\S+ below threshold \S+; matrix is numerically singular\); some pair of "
+            r"declared-distinct factors may coincide$"
+        )):
+            solve_coefficients(m, [np.ones(4), np.ones(4)])
 
 
 class TestDeterminantReduction:

@@ -215,9 +215,11 @@ def test_array_time_rows_equal_scalar_calls(seed, family, d, m, complex_data):
     m=st.integers(1, 6),
     complex_data=st.booleans(),
 )
+@example(seed=3, d=4, m=0, complex_data=False)
 def test_semigroup_is_the_action_in_the_operator_basis(family, seed, d, m, complex_data):
     # semigroup = to the basis, propagate, back, then the exact t = 0 rows:
-    # bit for bit, and propagate leaves its operand as it was
+    # bit for bit, and propagate leaves its operand as it was; an empty
+    # stack gives an empty (0, d) stack
     rng = np.random.default_rng(seed)
     op = random_operator(rng, family, d)
     taus = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 2.0, m))
@@ -234,6 +236,7 @@ def test_semigroup_is_the_action_in_the_operator_basis(family, seed, d, m, compl
     assert out.dtype == acted.dtype
     assert np.array_equal(out[moving], acted[moving])
     assert np.array_equal(out[~moving], vs[~moving])
+    assert out.shape == (m, d)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1])

@@ -36,6 +36,7 @@ from conftest import (
     max_rel_dev,
     random_commuting_instance,
     random_dense_commuting_instance,
+    random_dense_polynomial_instance,
     random_smooth_forcing,
     random_spectral_instance,
 )
@@ -261,37 +262,55 @@ class TestSolveFull:
 
 class TestFactorizeOnce:
     """``y`` and ``z`` share one factorization, and no solve rebuilds the
-    equation (which would rerun the commutation gate)."""
+    equation (which would rerun the commutation gate).  Non-normal dense
+    groups take the LU; Hermitian ones the eigenbasis record."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"lu": 0, "gate": 0}
+        calls = {"lu": 0, "eigenbasis": 0, "gate": 0}
         lu = confluent.lu_factor_checked
+        eigenbasis = confluent._eigenbasis_solve
         gate = FactoredEquation._commutation_gate
 
         def counting_lu(a):
             calls["lu"] += 1
             return lu(a)
 
+        def counting_eigenbasis(*args):
+            solve = eigenbasis(*args)
+            calls["eigenbasis"] += solve is not None
+            return solve
+
         def counting_gate(grouped):
             calls["gate"] += 1
             return gate(grouped)
 
         monkeypatch.setattr(confluent, "lu_factor_checked", counting_lu)
+        monkeypatch.setattr(confluent, "_eigenbasis_solve", counting_eigenbasis)
         monkeypatch.setattr(FactoredEquation, "_commutation_gate", staticmethod(counting_gate))
         return calls
 
-    def _forced_dense(self):
+    def _forced_dense(self, make=random_dense_polynomial_instance):
         rng = np.random.default_rng(28)
-        eq = random_dense_commuting_instance(rng, 3, 4, "all-distinct", random_smooth_forcing(rng, 4))
+        eq = make(rng, 3, 4, "all-distinct", random_smooth_forcing(rng, 4))
         assert isinstance(eq.factors[0], DenseMatrixOperator) and len(eq.grouped) == 3
+        assert (eq.factors[0].eig is None) == (make is random_dense_polynomial_instance)
         return eq
+
+    def _forced_hermitian(self):
+        return self._forced_dense(random_dense_commuting_instance)
 
     def test_forced_dense_solve_factors_once(self, monkeypatch):
         eq = self._forced_dense()
         calls = self._count(monkeypatch)
         solve_full(eq, np.array([0.3, 0.8]))
-        assert calls == {"lu": 1, "gate": 0}
+        assert calls == {"lu": 1, "eigenbasis": 0, "gate": 0}
+
+    def test_forced_hermitian_solve_builds_one_eigenbasis_record(self, monkeypatch):
+        eq = self._forced_hermitian()
+        calls = self._count(monkeypatch)
+        solve_full(eq, np.array([0.3, 0.8]))
+        assert calls == {"lu": 0, "eigenbasis": 1, "gate": 0}
 
     @pytest.mark.parametrize("samples", [3, 9])
     def test_forced_dense_solve_back_substitutes_twice(self, monkeypatch, samples):
@@ -307,6 +326,21 @@ class TestFactorizeOnce:
         monkeypatch.setattr(confluent, "lu_apply", counting)
         solve_full(eq, np.linspace(0.0, 1.0, samples))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("samples", [3, 9])
+    def test_forced_hermitian_solve_solves_in_the_eigenbasis_twice(self, monkeypatch, samples):
+        eq = self._forced_hermitian()
+        rotated_solve = confluent._rotated_solve
+        calls = []
+
+        def counting(*args):
+            calls.append(np.shape(args[-1]))
+            return rotated_solve(*args)
+
+        monkeypatch.setattr(confluent, "_rotated_solve", counting)
+        monkeypatch.setattr(confluent, "lu_factor_checked", lambda a: pytest.fail("LU factored"))
+        solve_full(eq, np.linspace(0.0, 1.0, samples))
+        assert calls == [(1, 12, 1), (1, 12, 4)]
 
     def test_residual_comes_from_the_gate(self, monkeypatch):
         # M is applied to y once, by the residual gate, and the trace
@@ -333,7 +367,13 @@ class TestFactorizeOnce:
         eq = self._forced_dense()
         calls = self._count(monkeypatch)
         initial_derivative_defect(eq)
-        assert calls == {"lu": 1, "gate": 0}
+        assert calls == {"lu": 1, "eigenbasis": 0, "gate": 0}
+
+    def test_derivative_defect_on_hermitian_groups_builds_one_record(self, monkeypatch):
+        eq = self._forced_hermitian()
+        calls = self._count(monkeypatch)
+        initial_derivative_defect(eq)
+        assert calls == {"lu": 0, "eigenbasis": 1, "gate": 0}
 
     def test_derivative_defect_equals_per_order_solves(self, monkeypatch):
         # n = 6 reaches the widened step (orders 4 and 5) as well as 1e-3;
@@ -735,6 +775,9 @@ class TestMarching:
             (np.linspace(0.0, 0.7, 9), 1),
             # the last width is 1e-12 relative off the other three
             (np.array([0.25, 0.5, 0.75, 1.0 + 2.5e-13]), 2),
+            # the widths spread over 96 ulps of the first, but under one
+            # ulp of the last time
+            (np.linspace(0.0, 0.7, 51), 1),
         ],
     )
     def test_intervals_of_one_shape_share_one_nodes_call(self, monkeypatch, times, calls):

@@ -8,6 +8,12 @@ import numpy as np
 import factored_evolution as fe
 from factored_evolution import confluent, equation, operators, solver
 
+from conftest import (
+    random_dense_commuting_instance,
+    random_dense_polynomial_instance,
+    random_smooth_forcing,
+)
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -63,3 +69,25 @@ def test_install_counts_a_forced_solve_and_uninstall_restores():
     assert not np.any(spans["parent"] == np.flatnonzero(spans["name"] == gate)[0])
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def test_lu_row_counts_only_the_dense_groups_that_take_the_lu():
+    # a Hermitian forced solve is solved in its eigenbasis and a non-normal
+    # one through one LU; the traced name must stay bound for both
+    tracer_module = load_tracer()
+    rng = np.random.default_rng(71)
+    solves = [
+        make(rng, 3, 4, "all-distinct", random_smooth_forcing(rng, 4))
+        for make in (random_dense_commuting_instance, random_dense_polynomial_instance)
+    ]
+    tracer = tracer_module.Tracer()
+    tracer.install(fe)
+    try:
+        for op_id, eq in enumerate(solves):
+            idx = tracer.begin_op(op_id)
+            fe.solve_full(eq, np.linspace(0.0, 1.0, 3))
+            tracer.end_op(idx)
+    finally:
+        tracer.uninstall()
+    assert [counts["statespace.lu_factor"] for counts in tracer.op_counts] == [0, 1]
+    assert all(counts["confluent.solve_coefficients"] == 1 for counts in tracer.op_counts)
