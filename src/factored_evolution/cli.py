@@ -110,9 +110,10 @@ _EXPR_NODES = (
 def compile_expression(text: str, variables: set[str], path: str) -> Callable[..., Any]:
     """Compile a small arithmetic expression with a whitelisted AST.
 
-    Only numeric constants, the names in ``variables``, the functions
-    sin/cos/tan/sinh/cosh/tanh/exp/sqrt/abs, the constants pi/e, and
-    arithmetic operators are allowed; anything else is a SchemaError.
+    Only numeric constants (compiled as floats; booleans are not numbers),
+    the names in ``variables``, the functions sin/cos/tan/sinh/cosh/tanh/
+    exp/sqrt/abs, the constants pi/e, and arithmetic operators are allowed;
+    anything else is a SchemaError.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -123,8 +124,15 @@ def compile_expression(text: str, variables: set[str], path: str) -> Callable[..
             raise SchemaError(
                 f"{path}: expression uses disallowed syntax ({type(node).__name__})"
             )
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise SchemaError(f"{path}: only numeric constants are allowed")
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
+                raise SchemaError(f"{path}: only numeric constants are allowed")
+            # a float, so that a power overflows at once instead of growing
+            # an exact integer without bound
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise SchemaError(f"{path}: constant out of float range") from exc
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.keywords:
                 raise SchemaError(f"{path}: only plain calls to known functions are allowed")
@@ -317,18 +325,22 @@ class ProblemConfig:
         return FactoredEquation(factors, data, self.forcing)
 
 
-def parse_config(text: str) -> ProblemConfig:
-    """Parse and validate a JSON problem definition.
+def parse_config(text: str | bytes) -> ProblemConfig:
+    """Parse and validate a JSON problem definition (bytes are read as UTF-8).
 
-    Errors carry the offending path (e.g. ``factors[2]``).  Every entry is
-    validated here and turned into its builder; the forcing expression is
-    compiled here.  Nothing is drawn or solved until materialize().
+    Errors carry the offending path (e.g. ``factors[2]``); text that is not
+    UTF-8 or not JSON, or nests too deeply to parse, is a SchemaError too.
+    Every entry is validated here and turned into its builder; the forcing
+    expression is compiled here.  Nothing is drawn or solved until
+    materialize().
     """
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         raw = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except DuplicateLabelError:
         raise
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config root must be an object")
@@ -663,7 +675,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(args.config, "rb") as handle:
             config = parse_config(handle.read())
         code, report = run_command(config, args.command, args.seed, args.out)
     except FactoredEvolutionError as exc:

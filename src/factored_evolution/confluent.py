@@ -30,7 +30,9 @@ matrix, which is LU-factored.  Each
 ``BlockOperatorMatrix`` builds the record once, on first use, and both the
 coefficients ``y`` and the forcing weights ``z`` are solved through it.
 Operator actions are left to the residual gate, which checks every solve
-against ``M`` applied the other way.
+against ``M`` applied the other way; one walk, :func:`_confluent_apply`,
+applies ``M`` through the operators' actions for the gate and through the
+generator matrices for the eigenbasis correction.
 """
 
 from __future__ import annotations
@@ -199,26 +201,17 @@ class BlockOperatorMatrix:
     def apply(self, ys) -> list[np.ndarray]:
         """Apply the matrix to a coefficient vector via operator actions.
 
-        Walks each column upward through its powers, so entry values
-        ``B^(r-k) y`` are produced by repeated ``apply`` calls and never by
-        materialized matrix powers.
+        :func:`_confluent_apply` with each group's ``Operator.apply``, so
+        entry values ``B^(r-k) y`` are produced by repeated actions and
+        never by materialized blocks or powers; the residual gate applies
+        ``M`` this way.
         """
-        n = self.n
-        if len(ys) != n:
-            raise DimensionMismatchError(f"expected {n} coefficient vectors, got {len(ys)}")
+        if len(ys) != self.n:
+            raise DimensionMismatchError(f"expected {self.n} coefficient vectors, got {len(ys)}")
         ys = [as_state_vector(y, self.dim) for y in ys]
-        out: list[np.ndarray | None] = [None] * n
-        offset = 0
-        for op, mult in self.grouped:
-            for k in range(mult):
-                w = ys[offset + k]
-                for r in range(k, n):
-                    contrib = comb(r, k) * w
-                    out[r] = contrib if out[r] is None else out[r] + contrib
-                    if r < n - 1:
-                        w = op.apply(w)
-            offset += mult
-        return [np.asarray(row) for row in out]
+        return _confluent_apply(
+            [op.apply for op, _ in self.grouped], [mult for _, mult in self.grouped], ys
+        )
 
     def __str__(self) -> str:
         def render(term):
@@ -409,24 +402,28 @@ def _rotated_solve(q, v, mats, multiplicities, rhs: np.ndarray) -> np.ndarray:
 
     b = rhs[0].reshape(n, d, -1)
     y = solve(b)
-    y += solve(b - _confluent_apply(mats, multiplicities, y))
+    applied = _confluent_apply([partial(np.matmul, m) for m in mats], multiplicities, y)
+    y += solve(b - np.stack(applied))
     return y.reshape(rhs.shape)
 
 
-def _confluent_apply(mats: np.ndarray, multiplicities, y: np.ndarray) -> np.ndarray:
-    """``M y`` for dense generators ``mats`` ``(g, d, d)`` and coefficient
-    blocks ``y`` ``(n, d, k)``: each column walks up its powers, as
-    :meth:`BlockOperatorMatrix.apply` does with operator actions."""
-    n = y.shape[0]
-    out = np.zeros(y.shape, dtype=np.result_type(mats, y))
+def _confluent_apply(actions, multiplicities, y) -> list:
+    """The n rows of ``M y`` for coefficient blocks ``y`` (n of them), where
+    ``actions[j]`` maps ``w`` to ``B_j w``: each column walks up its powers,
+    ``B^(r-k) y_k`` being one action more than ``B^(r-k-1) y_k``.  A row
+    takes its first term as it is and adds the later ones, so it is
+    exactly the sum of its terms in column order."""
+    n = len(y)
+    out: list = [None] * n
     col = 0
-    for base, mult in zip(mats, multiplicities):
+    for act, mult in zip(actions, multiplicities):
         for k in range(mult):
             w = y[col]
             for r in range(k, n):
-                out[r] += comb(r, k) * w
+                contrib = comb(r, k) * w
+                out[r] = contrib if out[r] is None else out[r] + contrib
                 if r < n - 1:
-                    w = base @ w
+                    w = act(w)
             col += 1
     return out
 

@@ -307,9 +307,10 @@ def oracle_solve(
     ``_ORACLE_CHUNK_STEPS`` steps of a sample interval, goes to the basis by
     one transform, and its terms ``c_k = W [f_k, f_{k+1/2}, f_{k+1}]`` for
     every step of the run are one batched product; each step then adds
-    ``(P - I) U + c_k`` and checks the state.  The state and the forcing
-    live in :attr:`CompanionSystem.basis`, and the first block component of
-    the state is ``u(t)`` there; it goes back by
+    ``(P - I) U + c_k``, and the state is checked once per run (a
+    non-finite entry stays non-finite under these steps).  The state and
+    the forcing live in :attr:`CompanionSystem.basis`, and the first block
+    component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
     forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, and
     an overflowing state ``NonFiniteError``.
@@ -354,10 +355,11 @@ def oracle_solve(
                     for k in range(chunk.size // 2):
                         du = p_minus_i @ state
                         state = state + (du if terms is None else du + terms[k])
-                        if not np.isfinite(state).all():
-                            raise NonFiniteError(
-                                f"RK4 state became non-finite at t={chunk[2 * k + 2]:.6g}"
-                            )
+                    if not np.isfinite(state).all():  # stays non-finite once it is
+                        raise NonFiniteError(
+                            f"RK4 state became non-finite between t={chunk[0]:.6g} "
+                            f"and t={chunk[-1]:.6g}"
+                        )
             t_prev = float(t)
         values.append(state.reshape(b, n, m)[:, 0].reshape(d))
     values = basis.from_modes(np.array(values), np.empty(0, np.result_type(*dtypes)))

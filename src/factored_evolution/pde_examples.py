@@ -124,12 +124,9 @@ def _require_double(is_double: bool, what: str) -> None:
         )
 
 
-def example1_closed_form(
-    p: Example1Problem, t_grid, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def example1_closed_form(p: Example1Problem, t_grid) -> np.ndarray:
     """Evaluate the shifted-profile closed form on the grid, per sample time."""
     _require_double(p.is_double, "closed form")
-    rule = rule or QuadratureRule()
     op = p.shift_operator()
     slope = op.apply(p.phi1)  # z1 * phi1'
     x = p.grid.points()
@@ -138,16 +135,14 @@ def example1_closed_form(
         t = float(t)
         row = op.semigroup(t, p.phi1) + t * op.semigroup(t, p.phi2) - t * op.semigroup(t, slope)
         if p.forcing is not None and t > 0.0:
-            pts, wts = rule.nodes(0.0, t)
+            pts, wts = QuadratureRule().nodes(0.0, t)
             forcing = np.stack([np.asarray(p.forcing(s, x)) for s in pts])
             row = row + (wts * (t - pts)) @ op.semigroup(t - pts, forcing)
         rows.append(row)
     return np.stack(rows)
 
 
-def solve_example1(
-    p: Example1Problem, t_grid, rule: QuadratureRule | None = None
-) -> SolutionTrace:
+def solve_example1(p: Example1Problem, t_grid) -> SolutionTrace:
     """Generic-path solution of the double-root advective problem.
 
     Runs the factored solver on the repeated shift generator and compares
@@ -157,8 +152,8 @@ def solve_example1(
     _require_double(p.is_double, "solve_example1")
     op = p.shift_operator()
     eq = FactoredEquation((op, op), (p.phi1, p.phi2), p._forcing_term())
-    generic = solve_full(eq, t_grid, rule)
-    closed = example1_closed_form(p, t_grid, rule)
+    generic = solve_full(eq, t_grid)
+    closed = example1_closed_form(p, t_grid)
     dev = np.max(np.abs(generic.values - closed), axis=1)
     diagnostics = dict(generic.diagnostics)
     diagnostics["closed_form_dev"] = dev
@@ -212,8 +207,9 @@ class Example2Problem:
 
     State is the vector of coefficients on the first ``num_modes`` sine
     eigenfunctions; ``forcing_modes(t)`` returns the forcing coefficients.
-    ``x_grid`` fixes where solutions are synthesized (defaults to a uniform
-    grid fine enough for discrete orthonormality of the retained modes).
+    ``x_grid``, where solutions are synthesized, is computed: the uniform
+    grid ``linspace(0, pi, 4 num_modes + 1)``, fine enough for discrete
+    orthonormality of the retained modes.
     """
 
     b1: float
@@ -222,7 +218,7 @@ class Example2Problem:
     psi1_modes: np.ndarray
     psi2_modes: np.ndarray
     forcing_modes: Callable[[float], np.ndarray] | None = None
-    x_grid: np.ndarray | None = None
+    x_grid: np.ndarray = field(init=False)
     alpha: float | complex = field(init=False)
     is_double: bool = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
@@ -237,10 +233,7 @@ class Example2Problem:
                 raise DimensionMismatchError(
                     f"{name} must have {self.num_modes} entries, got shape {arr.shape}"
                 )
-        if self.x_grid is None:
-            self.x_grid = np.linspace(0.0, np.pi, 4 * self.num_modes + 1)
-        else:
-            self.x_grid = np.asarray(self.x_grid, dtype=np.float64)
+        self.x_grid = np.linspace(0.0, np.pi, 4 * self.num_modes + 1)
         z1, _, self.is_double = characteristic_roots(self.b1, self.b2)
         self.alpha = z1
         k = np.arange(1, self.num_modes + 1)
@@ -266,12 +259,9 @@ class Example2Problem:
         return np.asarray(modal_values) @ self.eigenfunctions()
 
 
-def example2_closed_form_modal(
-    p: Example2Problem, t_grid, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def example2_closed_form_modal(p: Example2Problem, t_grid) -> np.ndarray:
     """Per-mode closed form, shape ``(len(t_grid), num_modes)``."""
     _require_double(p.is_double, "closed form")
-    rule = rule or QuadratureRule()
     lam, alpha = p.eigenvalues, p.alpha
     beta1 = p.psi1_modes
     beta2 = p.psi2_modes - alpha * lam * p.psi1_modes
@@ -280,16 +270,14 @@ def example2_closed_form_modal(
         t = float(t)
         row = (beta1 + t * beta2) * np.exp(lam * alpha * t)
         if p.forcing_modes is not None and t > 0.0:
-            pts, wts = rule.nodes(0.0, t)
+            pts, wts = QuadratureRule().nodes(0.0, t)
             forcing = np.stack([np.asarray(p.forcing_modes(s)) for s in pts])
             row = row + (wts * (t - pts)) @ (np.exp(np.outer(t - pts, lam * alpha)) * forcing)
         rows.append(row)
     return np.stack(rows)
 
 
-def solve_example2(
-    p: Example2Problem, t_grid, rule: QuadratureRule | None = None
-) -> SolutionTrace:
+def solve_example2(p: Example2Problem, t_grid) -> SolutionTrace:
     """Generic spectral-path solution, synthesized onto ``x_grid``.
 
     Diagnostics carry the modal trace (``modal_values``), the deviation
@@ -301,8 +289,8 @@ def solve_example2(
     op = p.mode_operator()
     forcing = Forcing(lambda t: np.asarray(p.forcing_modes(t))) if p.forcing_modes else None
     eq = FactoredEquation((op, op), (p.psi1_modes, p.psi2_modes), forcing)
-    generic = solve_full(eq, t_grid, rule)
-    closed = example2_closed_form_modal(p, t_grid, rule)
+    generic = solve_full(eq, t_grid)
+    closed = example2_closed_form_modal(p, t_grid)
     dev = float(np.max(np.abs(generic.values - closed))) if closed.size else 0.0
     synthesized = p.synthesize(generic.values)
     boundary_max = float(np.max(np.abs(synthesized[:, [0, -1]])))

@@ -221,10 +221,7 @@ def _richardson_passes(
 
 
 def solve_inhomogeneous_zero_ic(
-    eq: FactoredEquation,
-    t_grid,
-    rule: QuadratureRule | None = None,
-    richardson_tol: float = INHOMOGENEOUS_RICHARDSON_TOL,
+    eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None
 ) -> SolutionTrace:
     """Convolution solution of the forced problem with zero initial data.
 
@@ -238,15 +235,10 @@ def solve_inhomogeneous_zero_ic(
         raise ValueError("solve_inhomogeneous_zero_ic needs a forcing term")
     if any(np.any(x != 0) for x in eq.initial_data):
         raise ValueError("solve_inhomogeneous_zero_ic needs zero initial data")
-    return solve_full(eq, t_grid, rule, richardson_tol)
+    return solve_full(eq, t_grid, rule)
 
 
-def solve_full(
-    eq: FactoredEquation,
-    t_grid,
-    rule: QuadratureRule | None = None,
-    richardson_tol: float = INHOMOGENEOUS_RICHARDSON_TOL,
-) -> SolutionTrace:
+def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None) -> SolutionTrace:
     """General solution: homogeneous part plus zero-IC convolution part.
 
     One confluent matrix ``M`` serves both parts and is factorized once:
@@ -264,12 +256,12 @@ def solve_full(
     by the exact propagator ``e^{width B_j}`` and binomial weights.  The
     pass takes the forcing at all its nodes as one stack and handles every
     node at once.  A second pass doubles every interval's panels; if the two
-    disagree beyond ``richardson_tol`` (relative to the solution scale) the
-    solve raises :class:`QuadratureUnderResolvedError` (a NaN deviation
-    too), and a non-finite value :class:`NonFiniteError`.  The diagnostics
-    then also carry ``richardson_rel_dev`` and ``quadrature``.  The
-    assembly is a plain sum, so superposition holds to roundoff by
-    construction.
+    disagree beyond ``INHOMOGENEOUS_RICHARDSON_TOL`` (relative to the
+    solution scale) the solve raises :class:`QuadratureUnderResolvedError`
+    (a NaN deviation too), and a non-finite value :class:`NonFiniteError`.
+    The diagnostics then also carry ``richardson_rel_dev`` and
+    ``quadrature``.  The assembly is a plain sum, so superposition holds
+    to roundoff by construction.
     """
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
@@ -284,10 +276,10 @@ def solve_full(
             dev = float(np.max(np.abs(base - fine))) / (float(np.max(np.abs(fine))) + 1e-30)
             diagnostics = {"richardson_rel_dev": dev, "quadrature": asdict(rule), **diagnostics}
     check_finite(values, "solution")
-    if eq.forcing is not None and not dev <= richardson_tol:  # a NaN deviation fails too
+    if eq.forcing is not None and not dev <= INHOMOGENEOUS_RICHARDSON_TOL:  # NaN fails too
         raise QuadratureUnderResolvedError(
             f"panel doubling changed the solution by {dev:.3e} relative "
-            f"(> {richardson_tol:.1e}); increase panels or nodes_per_panel"
+            f"(> {INHOMOGENEOUS_RICHARDSON_TOL:.1e}); increase panels or nodes_per_panel"
         )
     return SolutionTrace(times, values, diagnostics)
 

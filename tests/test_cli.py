@@ -592,11 +592,16 @@ class TestCommands:
         assert main(["lemma2-check", str(cfg_path)]) == 0
         assert "k=3" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"backend": \xff}', b"[" * 1500],
+        ids=["not-json", "not-utf8", "nested-too-deep"],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, content):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text("{not json")
+        cfg_path.write_bytes(content)
         assert main(["solve", str(cfg_path)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "error: SchemaError" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -616,6 +621,9 @@ class TestCommands:
                 "initial_data": [{"profile": "random-normal"}],
             },
             {"initial_data": [{"profile": "gaussian", "width": 0}]},
+            {"forcing": "9**9**9"},
+            {"forcing": "t * True"},
+            {"forcing": "t * 1" + "0" * 400},
         ],
         ids=[
             "forcing-division-by-zero",
@@ -629,6 +637,9 @@ class TestCommands:
             "samples-fractional",
             "dimension-bool",
             "gaussian-zero-width",
+            "forcing-power-overflow",
+            "forcing-bool-constant",
+            "forcing-constant-past-float-range",
         ],
     )
     def test_bad_config_value_exit_code(self, tmp_path, capsys, overrides):

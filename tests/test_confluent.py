@@ -25,7 +25,7 @@ from factored_evolution import (
     two_operator_closed_form,
 )
 from factored_evolution import confluent
-from factored_evolution.operators import generator_blocks
+from factored_evolution.operators import generator_blocks, shared_mode_basis
 
 from conftest import (
     central_difference_operator,
@@ -128,6 +128,34 @@ class TestStructure:
     def test_str_rendering(self):
         m = build_confluent_matrix([(diag_op("B", [1.0]), 2)])
         assert str(m).split("\n")[1].split() == ["B", "I"]
+
+    @pytest.mark.parametrize("mults", [(2, 1), (1, 1, 1)], ids=["2-1", "1-1-1"])
+    @pytest.mark.parametrize("kind", ["spectral", "translation", "dense-hermitian", "dense-non-normal"])
+    def test_operator_walk_equals_the_assembled_matrix(self, kind, mults):
+        # the residual gate's M (operator actions) and the assembled M of
+        # the solves (generator blocks) check each other
+        rng = np.random.default_rng(71)
+        centers = [-1.5, -0.6, 0.3][: len(mults)]
+        if kind == "spectral":
+            ops = [diag_op(l, c + 0.12 * rng.uniform(-1, 1, 6)) for l, c in zip("ABC", centers)]
+        elif kind == "translation":
+            grid = UniformGrid(0.0, 2 * np.pi / 16, 16)
+            ops = [TranslationOperator(l, c, grid) for l, c in zip("ABC", centers)]
+        elif kind == "dense-hermitian":
+            ops = shared_basis_groups(rng, 6, [c + 0.12 * rng.uniform(-1, 1, 6) for c in centers])
+        else:  # polynomials in one random matrix: commuting, not normal
+            base = 0.3 * rng.standard_normal((6, 6)) / np.sqrt(6)
+            ops = [DenseMatrixOperator(l, c * np.eye(6) + rng.uniform(0.5, 1.0) * base + 0.1 * base @ base)
+                   for l, c in zip("ABC", centers)]
+        m = build_confluent_matrix(list(zip(ops, mults)))
+        ys = rng.standard_normal((m.n, m.dim))
+        basis = shared_mode_basis(ops)
+        walked = basis.to_modes(np.stack(m.apply(list(ys))))
+        v = confluent._confluent_blocks(generator_blocks(ops), mults)  # (b, n m, n m)
+        b = v.shape[0]
+        stacked = basis.to_modes(ys).reshape(m.n, b, -1).transpose(1, 0, 2).reshape(b, -1)
+        assembled = (v @ stacked[..., None]).reshape(b, m.n, -1).transpose(1, 0, 2).reshape(m.n, -1)
+        assert np.max(np.abs(walked - assembled)) <= 1e-13 * np.max(np.abs(assembled))
 
 
 class TestSolveCoefficients:

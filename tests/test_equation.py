@@ -362,7 +362,9 @@ class TestOracle:
 
     def test_blow_up_raises_nonfinite_error(self):
         eq = FactoredEquation((diag_op("a", [800.0]),), (np.ones(1),))
-        with pytest.raises(NonFiniteError):
+        # one check per run of 128 steps of 5e-4: the state overflows in
+        # the run over [0.832, 0.896]
+        with pytest.raises(NonFiniteError, match=r"between t=0\.832 and t=0\.896$"):
             oracle_solve(eq, np.array([1.0]))
 
     @pytest.mark.parametrize("steps_per_unit", [0, -5, 0.5])
