@@ -13,6 +13,8 @@ and every result can be validated against an independent RK4 integration
 of the equivalent first-order companion system.
 """
 
+from types import ModuleType as _ModuleType
+
 from .confluent import (
     BlockOperatorMatrix,
     ZCoefficients,
@@ -83,63 +85,7 @@ from .trace import SolutionTrace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockOperatorMatrix",
-    "CompanionSystem",
-    "DenseMatrixOperator",
-    "DimensionMismatchError",
-    "DuplicateLabelError",
-    "Example1Problem",
-    "Example2Problem",
-    "FactoredEquation",
-    "FactoredEvolutionError",
-    "Forcing",
-    "ForcingTypeError",
-    "MixedBackendError",
-    "NonCommutingFactorsError",
-    "NonFiniteError",
-    "NotDoubleRootError",
-    "NotInvertibleError",
-    "Operator",
-    "QuadratureRule",
-    "QuadratureUnderResolvedError",
-    "SchemaError",
-    "SemigroupOverflowError",
-    "SingularMatrixError",
-    "SingularSystemError",
-    "SolutionTrace",
-    "SpectralDiagonalOperator",
-    "TranslationOperator",
-    "UniformGrid",
-    "UnknownProfileError",
-    "UnsupportedOperationError",
-    "ZCoefficients",
-    "build_companion",
-    "build_confluent_matrix",
-    "characteristic_roots",
-    "commutation_defect",
-    "compare_with_oracle",
-    "example1_closed_form",
-    "example1_residual",
-    "example2_closed_form_modal",
-    "example2_residual",
-    "expm_apply",
-    "group_factors",
-    "initial_data_transform",
-    "initial_derivative_defect",
-    "lemma2_lhs",
-    "lemma2_rhs",
-    "lu_solve",
-    "oracle_solve",
-    "resolvent_solve",
-    "rk4_integrate",
-    "scalar_confluent_matrix",
-    "solve_coefficients",
-    "solve_example1",
-    "solve_example2",
-    "solve_full",
-    "solve_homogeneous",
-    "solve_inhomogeneous_zero_ic",
-    "solve_z_vector",
-    "two_operator_closed_form",
-]
+# The public API is every name imported above.
+__all__ = sorted(
+    name for name, value in vars().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -66,6 +66,12 @@ _PROFILES = {
     "random-normal": ({"scale": 1.0}, None),
 }
 
+# The documented keys of the config root and of an operator of each family.
+_ROOT_KEYS = (
+    "backend", "operators", "factors", "initial_data", "forcing", "time", "quadrature", "oracle", "output",
+)
+_OPERATOR_KEYS = {"dense": ("matrix",), "spectral": ("eigenvalues", "scale"), "translation": ("speed",)}
+
 # A builder makes one operator or initial-data vector as
 # ``build(rng, dimension)``; it draws from the seeded generator ``rng`` only
 # where the config asks for randomness.
@@ -166,6 +172,15 @@ def _no_duplicate_keys(pairs):
     return out
 
 
+def _known_keys(obj: dict, allowed, path: str) -> None:
+    """Reject a key of the config object at ``path`` (``""`` for the root)
+    outside its documented set ``allowed``."""
+    for key in obj:
+        if key not in allowed:
+            where = f"{path}.{key}" if path else key
+            raise SchemaError(f"{where}: unknown key (allowed: {', '.join(sorted(allowed))})")
+
+
 def _expect(obj, key: str, kinds, path: str, required: bool = True, default=None):
     if key not in obj:
         if required:
@@ -213,6 +228,7 @@ def _parse_operator(
     path = f"operators.{label}"
     if not isinstance(spec, dict):
         raise SchemaError(f"{path}: expected an object")
+    _known_keys(spec, _OPERATOR_KEYS[family], path)
     if family == "dense":
         matrix = [
             _number_list(row, f"{path}.matrix[{i}]")
@@ -225,7 +241,9 @@ def _parse_operator(
         eig = _expect(spec, "eigenvalues", (list, dict), path)
         if isinstance(eig, dict):
             bounds_path = f"{path}.eigenvalues.random-uniform"
+            _known_keys(eig, ("random-uniform",), f"{path}.eigenvalues")
             bounds = _expect(eig, "random-uniform", dict, f"{path}.eigenvalues")
+            _known_keys(bounds, ("low", "high"), bounds_path)
             low, high = (_number(bounds, key, bounds_path) for key in ("low", "high"))
             fixed, draw = None, lambda rng, dim: rng.uniform(low, high, dim)
         else:
@@ -253,6 +271,7 @@ def _parse_initial(entry, path: str, grid: UniformGrid | None, dimension: int) -
     if name not in _PROFILES:
         raise UnknownProfileError(f"{path}: unknown profile {name!r}")
     defaults, formula = _PROFILES[name]
+    _known_keys(entry, {"profile", *defaults} | ({"coeffs"} if name == "polynomial" else set()), path)
     params = {key: _number(entry, key, path, required=False, default=value)
               for key, value in defaults.items()}
     if "width" in params and params["width"] <= 0:
@@ -344,16 +363,20 @@ def parse_config(text: str | bytes) -> ProblemConfig:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config root must be an object")
+    _known_keys(raw, _ROOT_KEYS, "")
 
     backend = _expect(raw, "backend", dict, "config")
     family = _expect(backend, "family", str, "backend")
-    if family not in ("dense", "spectral", "translation"):
+    if family not in _OPERATOR_KEYS:
         raise SchemaError(f"backend.family: unknown family {family!r}")
+    grid_keys = ("grid", "boundary") if family == "translation" else ()
+    _known_keys(backend, ("family", "dimension", *grid_keys), "backend")
 
     grid = None
     boundary = "periodic"
     if family == "translation":
         grid_obj = _expect(backend, "grid", dict, "backend")
+        _known_keys(grid_obj, ("x0", "dx", "n"), "backend.grid")
         try:
             grid = UniformGrid(
                 float(_number(grid_obj, "x0", "backend.grid")),
@@ -384,10 +407,13 @@ def parse_config(text: str | bytes) -> ProblemConfig:
             raise SchemaError(
                 f"operators.{label}: dimension {dim} conflicts with previously seen {dimension}"
             )
-    if dimension is None:
-        dimension = _integer(backend, "dimension", "backend")
-        if dimension < 1:
+    if dimension is None or "dimension" in backend:
+        declared = _integer(backend, "dimension", "backend")
+        if declared < 1:
             raise SchemaError("backend.dimension: must be a positive integer")
+        if dimension not in (None, declared):
+            raise SchemaError(f"backend.dimension: {declared} conflicts with the operators' {dimension}")
+        dimension = declared
 
     factors = _expect(raw, "factors", list, "config")
     if not factors:
@@ -410,6 +436,7 @@ def parse_config(text: str | bytes) -> ProblemConfig:
     forcing = _parse_forcing(raw.get("forcing"), grid, dimension)
 
     time_obj = _expect(raw, "time", dict, "config")
+    _known_keys(time_obj, ("t_end", "samples"), "time")
     t_end = float(_number(time_obj, "t_end", "time"))
     samples = _integer(time_obj, "samples", "time")
     if t_end <= 0:
@@ -419,6 +446,7 @@ def parse_config(text: str | bytes) -> ProblemConfig:
 
     # Keys left out keep QuadratureRule's defaults.
     quad = _expect(raw, "quadrature", dict, "config", required=False, default={})
+    _known_keys(quad, ("kind", "panels", "nodes_per_panel"), "quadrature")
     fields = {}
     if "kind" in quad:
         fields["kind"] = _expect(quad, "kind", str, "quadrature")
@@ -431,6 +459,7 @@ def parse_config(text: str | bytes) -> ProblemConfig:
         raise SchemaError(f"quadrature: {exc}") from exc
 
     oracle = _expect(raw, "oracle", dict, "config", required=False, default={})
+    _known_keys(oracle, ("steps_per_unit",), "oracle")
     steps = _integer(
         oracle, "steps_per_unit", "oracle", required=False, default=ORACLE_STEPS_PER_UNIT
     )

@@ -28,11 +28,12 @@ same way in that basis, and their right-hand sides are rotated into it
 and back; other dense groups have one block, the full ``(n d) x (n d)``
 matrix, which is LU-factored.  Each
 ``BlockOperatorMatrix`` builds the record once, on first use, and both the
-coefficients ``y`` and the forcing weights ``z`` are solved through it.
-Operator actions are left to the residual gate, which checks every solve
-against ``M`` applied the other way; one walk, :func:`_confluent_apply`,
-applies ``M`` through the operators' actions for the gate and through the
-generator matrices for the eigenbasis correction.
+coefficients ``y`` and the forcing weights ``z`` are solved through it and
+kept in its basis.  The residual gate checks every solve against ``M``
+applied the other way, in that basis too; one walk,
+:func:`_confluent_apply`, applies ``M`` through the generators' actions in
+the basis for the gate and through the generator matrices for the
+eigenbasis correction.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ class BlockOperatorMatrix:
 
         :func:`_confluent_apply` with each group's ``Operator.apply``, so
         entry values ``B^(r-k) y`` are produced by repeated actions and
-        never by materialized blocks or powers; the residual gate applies
-        ``M`` this way.
+        never by materialized blocks or powers; ``ys`` are states on the
+        grid (the residual gate walks ``M`` in the factorization's basis).
         """
         if len(ys) != self.n:
             raise DimensionMismatchError(f"expected {self.n} coefficient vectors, got {len(ys)}")
@@ -428,14 +429,22 @@ def _confluent_apply(actions, multiplicities, y) -> list:
     return out
 
 
-def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors, what: str) -> float:
-    """The residual ``max_r ||(M y)_r - rhs_r||_inf`` of the ``what`` solve;
-    over ``RESIDUAL_RTOL (1 + max_r ||rhs_r||_inf)`` it raises
-    :class:`SingularSystemError`."""
-    applied = matrix.apply(ys)
-    scale = 1.0 + max(inf_norm(x) for x in rhs_vectors)
-    worst = max(inf_norm(row - x) for row, x in zip(applied, rhs_vectors))
-    if worst > RESIDUAL_RTOL * scale:
+def _residual_gate(matrix: BlockOperatorMatrix, ys, x, what: str) -> float:
+    """The residual ``max_r ||(M y)_r - x_r||_inf`` of the ``what`` solve,
+    for rows ``ys`` in the factorization's basis and right-hand sides ``x``
+    on the grid.  ``M`` is walked on ``ys`` in the basis, each group acting
+    by its generator's blocks (``apply`` if dense, its modal values if
+    modal), and the rows go back to the grid once; a residual over
+    ``RESIDUAL_RTOL (1 + max_r ||x_r||_inf)`` raises :class:`SingularSystemError`."""
+    actions = [
+        op.apply if op.mode_basis is None else partial(np.multiply, op.modal_values)
+        for op, _ in matrix.grouped
+    ]
+    applied = _confluent_apply(actions, [mult for _, mult in matrix.grouped], ys)
+    rows = matrix._factorization.basis.from_modes(np.stack(applied), x)
+    scale = 1.0 + max(inf_norm(v) for v in x)
+    worst = max(inf_norm(row - v) for row, v in zip(rows, x))
+    if not worst <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
         raise SingularSystemError(
             f"{what} solve failed the residual gate: {worst:.3e} > "
             f"{RESIDUAL_RTOL * scale:.3e}; check for coincident factors declared "
@@ -445,7 +454,7 @@ def _residual_gate(matrix: BlockOperatorMatrix, ys, rhs_vectors, what: str) -> f
 
 
 class _Coefficients(list):
-    """The coefficient vectors ``y_0 .. y_{n-1}``, carrying in ``residual``
+    """The coefficient rows ``y_0 .. y_{n-1}``, carrying in ``residual``
     the ``max_r ||(M y)_r - x_r||_inf`` their residual gate measured."""
 
     def __init__(self, ys, residual: float):
@@ -457,10 +466,12 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
     """Solve ``M y = x`` for the coefficient vectors ``y_0 .. y_{n-1}``.
 
     ``x`` holds the n right-hand-side state vectors (for the homogeneous
-    problem these are the raw initial derivatives ``x_0 .. x_{n-1}``).
-    Every returned solution has passed the residual gate
-    ``||(M y)_r - x_r||_inf <= 1e-9 (1 + ||x||_inf)``; the returned list
-    carries the measured residual as ``residual``.
+    problem these are the raw initial derivatives ``x_0 .. x_{n-1}``).  The
+    rows returned are the solve's own, in ``matrix._factorization.basis``
+    as ``z`` is: states for dense and spectral groups, Fourier coefficients
+    (``np.fft.fft`` of a state) for periodic translations.  They have passed
+    the residual gate ``||(M y)_r - x_r||_inf <= 1e-9 (1 + ||x||_inf)``,
+    whose reading the returned list carries as ``residual``.
     """
     n = matrix.n
     if len(x) != n:
@@ -471,8 +482,7 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
     _check_dead_modes(factorization, modal)
     b = factorization.mask.size  # states (n, d) <-> block right-hand sides (b, n m, 1)
     sol = factorization.solve(modal.reshape(n, b, -1).transpose(1, 0, 2).reshape(b, -1, 1))
-    sol = sol.reshape(b, n, -1).transpose(1, 0, 2).reshape(n, -1)
-    ys = factorization.basis.from_modes(sol, xs)
+    ys = sol.reshape(b, n, -1).transpose(1, 0, 2).reshape(n, -1)
     return _Coefficients(ys, _residual_gate(matrix, ys, xs, "coefficient"))
 
 
@@ -520,12 +530,16 @@ class ZCoefficients:
         out = np.einsum("kbij,skbj->sbi", self.zeta, modal)
         return self.basis.from_modes(out.reshape(h.shape[0], -1), like)
 
+    def apply_modes(self, g_hat: np.ndarray) -> np.ndarray:
+        """``z_0 g, ..., z_{n-1} g`` in ``basis``, shape ``(n, d)``, for the
+        modes ``g_hat`` of a state ``g``."""
+        out = np.einsum("kbij,bj->kbi", self.zeta, g_hat.reshape(self.zeta.shape[1], -1))
+        return out.reshape(self.matrix.n, -1)
+
     def apply_all(self, g) -> np.ndarray:
         """``z_0 g, ..., z_{n-1} g``, shape ``(n, d)``, for a state ``g``."""
         g = as_state_vector(g, self.matrix.dim)
-        modal = self.modes_of(g[None])[0].reshape(self.zeta.shape[1], -1)
-        out = np.einsum("kbij,bj->kbi", self.zeta, modal)
-        return self.basis.from_modes(out.reshape(self.matrix.n, -1), g)
+        return self.basis.from_modes(self.apply_modes(self.modes_of(g[None])[0]), g)
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
@@ -534,20 +548,21 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
     The weights share the factorization of ``M`` with
     :func:`solve_coefficients` on the same matrix, so a solve that needs
     both ``y`` and ``z`` factorizes ``M`` once.  They are validated once
-    against a random probe through the residual gate (applying ``M`` via
-    operator actions must reproduce the probe in the last row and zeros
-    above); the probe leaves coincident modes unexcited.
+    against a random probe through the residual gate: ``M`` walked on
+    ``z`` applied to the probe's modes, in the basis, must reproduce the
+    probe in the last row and zeros above.  The probe leaves coincident
+    modes unexcited.
     """
     z = ZCoefficients(matrix)
     factorization = matrix._factorization
     probe = np.random.default_rng(_PROBE_SEED).standard_normal(matrix.dim)
+    p_modal = z.basis.to_modes(probe)
     if factorization.pairs:
-        p_modal = z.basis.to_modes(probe)
         p_modal[factorization.mask] = 0.0
         probe = z.basis.from_modes(p_modal, probe)
-    rhs = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
-    rhs[-1] = probe
-    _residual_gate(matrix, z.apply_all(probe), rhs, "forcing-weight")
+    x = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
+    x[-1] = probe
+    _residual_gate(matrix, z.apply_modes(p_modal), x, "forcing-weight")
     return z
 
 

@@ -57,7 +57,6 @@ from .errors import (
     MixedBackendError,
     NotInvertibleError,
     SingularMatrixError,
-    UnsupportedOperationError,
 )
 from .statespace import (
     as_state_stack,
@@ -345,8 +344,7 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
     basis divide mode by mode, with ``w = 0`` on coincident modes
     (:func:`coincident_modes`).  :class:`NotInvertibleError` names the pair
     when the difference is singular: every mode coincides, or ``rhs``
-    excites a coincident mode.  Translations need distinct speeds, else
-    :class:`UnsupportedOperationError`.
+    excites a coincident mode.
     """
     require_same_family(a, b)
     rhs = as_state_vector(rhs, a.dim)
@@ -362,12 +360,6 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
                 f"difference of {a.label!r} and {b.label!r} is singular: {exc}"
             ) from exc
 
-    if a.family == "translation":
-        if abs(a.speed - b.speed) <= COINCIDENCE_RTOL * max(1.0, abs(a.speed), abs(b.speed)):
-            raise UnsupportedOperationError(
-                f"translation operators {a.label!r} and {b.label!r} have equal speeds; "
-                "their difference is zero"
-            )
     basis = shared_mode_basis((a, b))
     dead = coincident_modes(a.modal_values, b.modal_values)
     if np.all(dead):

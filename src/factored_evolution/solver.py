@@ -14,8 +14,10 @@ with the forcing weights ``z`` from the confluent solve against
 ``(0, ..., 0, I)``; the integral is verified by panel doubling.  General
 initial data superposes the two parts.
 
-The homogeneous part is :func:`_semigroup_sum`, one array-time
-``semigroup`` call per group for all sample times at once.  The ``z_{jk}``
+The homogeneous part is :func:`_semigroup_sum`: each group's
+``Operator.propagate`` grows the coefficients for all sample times at once
+in the basis ``y`` was solved in, and the sum goes back to the grid once.
+The ``z_{jk}``
 commute with every ``e^{tau B_j}``, so the forced part is
 ``sum_j sum_k z_{jk} H_{jk}(t)`` with
 ``H_{jk}(t) = int_0^t ((t-s)^k/k!) e^{(t-s) B_j} f(s) ds``.  A quadrature
@@ -61,14 +63,8 @@ from .confluent import (
 )
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError
-from .operators import Operator, resolvent_solve
-from .statespace import (
-    QuadratureRule,
-    _check_time_grid,
-    as_state_vector,
-    check_finite,
-    finite_difference_weights,
-)
+from .operators import Operator, generator_blocks, resolvent_solve
+from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows
 from .trace import SolutionTrace
 
 # Richardson (panel-doubling) tolerances.
@@ -81,17 +77,28 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 # carries up to one ulp of the last one.
 _SHAPE_ULPS = 8
 
+# The circle :func:`_initial_derivatives` reads the ansatz on: radius
+# _CIRCLE_RADIUS over the largest generator norm (at most 1), _CIRCLE_NODES
+# nodes.  Chosen on spectral, dense and translation instances of order 2-10.
+_CIRCLE_RADIUS = 4.0
+_CIRCLE_NODES = 24
 
-def _semigroup_sum(matrix: BlockOperatorMatrix, coeffs, taus: np.ndarray) -> np.ndarray:
-    """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) coeffs[off_j + k]``,
-    shape ``(m, d)``, for one set ``coeffs`` of shape ``(n, d)``, from one
-    array-time ``semigroup`` call per group."""
+
+def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) y[off_j + k]``,
+    shape ``(m, d)``, for coefficients ``y`` in the factorization's basis:
+    one :meth:`Operator.propagate` per group (exact rows at ``tau = 0``,
+    overflow named by operator), summed and taken back to the grid once
+    with ``like`` as the real-output rule.  ``taus`` may be complex."""
     acc = None
     for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
-        p = sum((taus**k / math.factorial(k))[:, None] * coeffs[offset + k] for k in range(mult))
-        term = op.semigroup(taus, p)
-        acc = term if acc is None else acc + term
-    return acc
+        p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k] for k in range(mult))
+        grown = op.propagate(taus, p)
+        zero = taus == 0
+        grown[zero] = p[zero]
+        checked_rows(grown, taus, f"semigroup of {op.label!r}")
+        acc = grown if acc is None else acc + grown
+    return matrix._factorization.basis.from_modes(acc, like)
 
 
 def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
@@ -245,8 +252,9 @@ def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None)
     the coefficients ``y`` solve ``M y = (x_0, ..., x_{n-1})`` and the
     forcing weights ``z`` solve ``M z = (0, ..., 0, I)``.  The homogeneous
     part sums ``e^{t B_j} sum_k (t^k/k!) y_{jk}`` for every sample time at
-    once, with one array-time ``semigroup`` call per group; the diagnostics
-    carry the residual of the ``y`` solve under ``coefficient_residual``.
+    once, in the basis ``y`` was solved in (:func:`_semigroup_sum`); the
+    diagnostics carry the residual of the ``y`` solve under
+    ``coefficient_residual``.
 
     With a forcing term the convolution part is added.  The closed form is
     still exact; only the domain of each quadrature is a sample interval
@@ -268,7 +276,7 @@ def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None)
     ys = solve_coefficients(matrix, eq.initial_data)
     diagnostics = {"coefficient_residual": ys.residual}
     with np.errstate(over="ignore", invalid="ignore"):  # the values are checked below
-        values = _semigroup_sum(matrix, ys, times)
+        values = _semigroup_sum(matrix, ys, times, np.stack(eq.initial_data))
         if eq.forcing is not None:
             rule = rule or QuadratureRule()
             base, fine = _richardson_passes(matrix, solve_z_vector(matrix), eq.forcing, times, rule)
@@ -315,37 +323,44 @@ def compare_with_oracle(
     return trace, reference, oracle_deviation(trace, reference)
 
 
-def initial_derivative_defect(eq: FactoredEquation) -> float:
-    """How well the derivatives at ``t = 0`` of the homogeneous part
-    reproduce the initial data.
+def _initial_derivatives(eq: FactoredEquation) -> np.ndarray:
+    """``u^(k)(0)`` for ``k < n``, shape ``(n, d)``, of the ansatz the
+    solver evaluates: :func:`_semigroup_sum` of one :func:`solve_coefficients`.
 
-    For each ``k < n`` the k-th derivative of the solution at 0 is taken
-    with a one-sided 4th-order finite-difference stencil on ``h * (0 .. k+3)``
-    and compared with ``x_k``; the worst relative defect is returned.  Low
-    orders use step 1e-3; from the 4th derivative on the step is widened to
-    keep roundoff amplification (which grows like ``h^-k``) below the
-    measurement.  One solve per step size, on its longest stencil grid,
-    serves every order: each row of the homogeneous values depends on its
-    own sample time only, so a longer grid leaves the shorter rows as they
-    are.
+    ``u`` is entire, so the trapezoid rule on the circle ``t_m = rho w^m``,
+    ``w = e^{2 pi i/N}``, gives ``u^(k)(0) = k! fft(u(t_m))[k] / (N rho^k)``
+    with an error that falls geometrically in ``N = max(_CIRCLE_NODES, n)``
+    (Lyness and Moler 1967); ``rho = min(1, _CIRCLE_RADIUS / max_j
+    ||B_j||_inf)``.  A real problem takes the real part.
+    """
+    matrix = build_confluent_matrix(eq.grouped)
+    xs = np.stack(eq.initial_data)
+    ys = np.array(solve_coefficients(matrix, xs))
+    real = not np.iscomplexobj(matrix._factorization.basis.from_modes(ys, xs))  # u is real on the real axis
+    blocks = generator_blocks(op for op, _ in matrix.grouped)
+    size = float(np.max(np.sum(np.abs(blocks), axis=-1)))
+    rho = _CIRCLE_RADIUS / max(_CIRCLE_RADIUS, size)
+    nodes = max(_CIRCLE_NODES, eq.n)
+    ys = ys.astype(np.complex128)  # complex rows, which no real-output rule drops
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _semigroup_sum
+        rows = _semigroup_sum(matrix, ys, rho * np.exp(2j * np.pi * np.arange(nodes) / nodes), ys)
+    orders = np.arange(eq.n)
+    scale = np.array([math.factorial(k) for k in orders]) / (nodes * rho**orders)
+    derivatives = np.fft.fft(rows, axis=0)[: eq.n] * scale[:, None]
+    return derivatives.real if real else derivatives
+
+
+def initial_derivative_defect(eq: FactoredEquation) -> float:
+    """``max_k ||u^(k)(0) - x_k||_inf / (1 + ||x_k||_inf)`` over ``k < n``,
+    with ``u^(k)(0)`` read off the homogeneous ansatz (:func:`_initial_derivatives`).
 
     The forced part is left out: its derivatives below order n vanish at 0
     exactly when ``M z = (0, ..., 0, I)``, which the ``z`` solve's residual
-    gate checks on a random probe, while differencing it on these grids
-    measures roundoff.
+    gate checks on a random probe.
     """
-    unforced = eq.without_forcing()
-    worst = 0.0
-    for h, orders in ((1e-3, range(min(eq.n, 4))), (2e-2, range(4, eq.n))):
-        if not orders:
-            continue
-        offsets = h * np.arange(orders[-1] + 4, dtype=np.float64)
-        values = solve_full(unforced, offsets).values
-        for k in orders:
-            derivative = finite_difference_weights(offsets[: k + 4], k) @ values[: k + 4]
-            defect = float(np.max(np.abs(derivative - eq.initial_data[k])))
-            worst = max(worst, defect / (1.0 + float(np.max(np.abs(eq.initial_data[k])))))
-    return worst
+    xs = np.stack(eq.initial_data)
+    defects = np.max(np.abs(_initial_derivatives(eq) - xs), axis=1) / (1.0 + np.max(np.abs(xs), axis=1))
+    return float(np.max(defects))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,13 @@ State vectors are plain 1-D numpy arrays (float64, or complex128 where a
 backend needs it) and matrices are 2-D arrays.  This module wraps the few
 numerical primitives everything else is built on: a pivoted LU solve with an
 explicit singularity gate, matrix-exponential actions, the overflow-checked
-elementwise exponential behind every diagonal semigroup, a fixed-step RK4
-integrator used as the brute-force referee, composite quadrature rules, and
-finite-difference weights for derivative checks.
+elementwise exponential behind every diagonal semigroup, a generic
+fixed-step RK4 integrator (the companion oracle takes its own exact RK4
+steps, in ``equation``), and composite quadrature rules.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -359,19 +358,3 @@ class QuadratureRule:
             wts = np.broadcast_to((h / 6.0) * np.array([1.0, 4.0, 1.0]), pts.shape)
         return pts.ravel(), np.ascontiguousarray(wts).ravel()
 
-
-def finite_difference_weights(offsets, derivative_order: int) -> np.ndarray:
-    """Weights approximating the ``derivative_order``-th derivative at 0.
-
-    ``offsets`` are the (distinct) sample abscissae relative to the
-    evaluation point.  Solves the small Vandermonde moment system, so the
-    stencil is exact on polynomials of degree ``len(offsets) - 1``.
-    """
-    x = np.asarray(offsets, dtype=np.float64)
-    m = x.shape[0]
-    if derivative_order >= m:
-        raise ValueError("need more offsets than the derivative order")
-    powers = np.vander(x, m, increasing=True).T  # powers[p, i] = x_i**p
-    rhs = np.zeros(m)
-    rhs[derivative_order] = math.factorial(derivative_order)
-    return np.linalg.solve(powers, rhs)

@@ -15,8 +15,10 @@ class SolutionTrace:
     ``times`` must be strictly increasing.  ``diagnostics`` holds optional
     per-run records under documented keys:
 
-    - ``coefficient_residual``: residual of the coefficient solve; every
-      closed-form trace carries it, zero-initial-data ones included;
+    - ``coefficient_residual``: residual ``max_r ||(M y)_r - x_r||_inf`` of
+      the coefficient solve, with ``M`` walked on ``y`` in the basis it was
+      solved in and the residual measured on the grid; every closed-form
+      trace carries it, zero-initial-data ones included;
     - ``richardson_rel_dev`` and ``quadrature``: the panel-doubling check and
       the rule settings, on every forced closed-form trace;
     - ``oracle_dev`` and ``oracle_rel_dev``: deviation from the companion

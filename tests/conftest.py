@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from factored_evolution import (
@@ -18,6 +20,23 @@ def max_rel_dev(values, reference) -> float:
     """Largest absolute deviation relative to the reference's overall scale."""
     scale = max(float(np.max(np.abs(reference))), 1e-12)
     return float(np.max(np.abs(np.asarray(values) - np.asarray(reference)))) / scale
+
+
+def finite_difference_weights(offsets, derivative_order: int) -> np.ndarray:
+    """Weights approximating the ``derivative_order``-th derivative at 0.
+
+    ``offsets`` are the (distinct) sample abscissae relative to the
+    evaluation point.  Solves the small Vandermonde moment system, so the
+    stencil is exact on polynomials of degree ``len(offsets) - 1``.
+    """
+    x = np.asarray(offsets, dtype=np.float64)
+    m = x.shape[0]
+    if derivative_order >= m:
+        raise ValueError("need more offsets than the derivative order")
+    powers = np.vander(x, m, increasing=True).T  # powers[p, i] = x_i**p
+    rhs = np.zeros(m)
+    rhs[derivative_order] = math.factorial(derivative_order)
+    return np.linalg.solve(powers, rhs)
 
 
 def central_difference_operator(label: str, speed: float, grid: UniformGrid) -> DenseMatrixOperator:

@@ -40,6 +40,20 @@ MINIMAL = {
 }
 
 
+# Six spectral bands over [-6, 0.8], d = 4, zero initial data, no forcing.
+WIDE_BAND = {
+    "backend": {"family": "spectral", "dimension": 4},
+    "operators": {
+        label: {"eigenvalues": {"random-uniform": {"low": lo, "high": hi}}}
+        for label, (lo, hi) in {"A": (-6.0, -5.0), "B": (-4.6, -3.6), "C": (-3.2, -2.2),
+                                "D": (-1.8, -0.8), "E": (-0.5, 0.1), "F": (0.3, 0.8)}.items()
+    },
+    "factors": list("ABCDEF"),
+    "initial_data": [[0.0] * 4] * 6,
+    "time": {"t_end": 1.0, "samples": 5},
+}
+
+
 def config_text(**overrides):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg.update(overrides)
@@ -158,6 +172,46 @@ class TestParseConfig:
         ops = {"a": {"eigenvalues": [0.0]}, "b": {"eigenvalues": [0.0, 1.0]}}
         with pytest.raises(SchemaError, match="dimension"):
             parse_config(config_text(operators=ops))
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"forcng": "cos(t)"}, "forcng"),
+            ({"quadrature": {"panel": 2}}, "quadrature.panel"),
+            ({"time": {"t_end": 1.0, "samples": 3, "sample": 9}}, "time.sample"),
+            ({"oracle": {"steps": 10}}, "oracle.steps"),
+            ({"backend": {"family": "spectral", "dim": 1}}, "backend.dim"),
+            ({"operators": {"a": {"eigenvalues": [0.0], "scal": 2.0}}}, "operators.a.scal"),
+            ({"operators": {"a": {"eigenvalues": {"random-uniform": {"low": 0.0, "high": 1.0}, "normal": 1}}},
+              "backend": {"family": "spectral", "dimension": 1}},
+             "operators.a.eigenvalues.normal"),
+            ({"operators": {"a": {"eigenvalues": {"random-uniform": {"low": 0.0, "high": 1.0, "mid": 0.5}}}},
+              "backend": {"family": "spectral", "dimension": 1}},
+             "operators.a.eigenvalues.random-uniform.mid"),
+            ({"initial_data": [{"profile": "random-normal", "scael": 2.0}]}, "initial_data[0].scael"),
+        ],
+    )
+    def test_unknown_key_is_named(self, overrides, path):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(path)}: unknown key"):
+            parse_config(config_text(**overrides))
+
+    def test_profile_keys_follow_the_profile(self):
+        grid = {"family": "translation", "grid": {"x0": 0.0, "dx": 0.5, "n": 4}}
+        base = {"backend": grid, "operators": {"a": {"speed": 1.0}}}
+        cfg = parse_config(config_text(**base, initial_data=[{"profile": "polynomial", "coeffs": [1.0]}]))
+        assert np.array_equal(cfg.materialize().initial_data[0], np.ones(4))
+        with pytest.raises(SchemaError, match=r"^initial_data\[0\]\.coeffs: unknown key"):
+            parse_config(config_text(**base, initial_data=[{"profile": "sin", "coeffs": [1.0]}]))
+
+    @pytest.mark.parametrize("dimension", [1, 1.0])
+    def test_declared_dimension_that_matches_is_accepted(self, dimension):
+        config = parse_config(config_text(backend={"family": "spectral", "dimension": dimension}))
+        assert config.dimension == 1
+
+    @pytest.mark.parametrize("dimension", [5, "abc", 0, 2.5])
+    def test_declared_dimension_is_checked(self, dimension):
+        with pytest.raises(SchemaError, match=r"^backend\.dimension"):
+            parse_config(config_text(backend={"family": "spectral", "dimension": dimension}))
 
     def test_bad_forcing_expression(self):
         with pytest.raises(SchemaError, match="forcing"):
@@ -482,9 +536,9 @@ class TestCommands:
         gate = confluent._residual_gate
         gated = []
 
-        def counting_gate(matrix, ys, rhs, what):
-            gated.append(what)
-            return gate(matrix, ys, rhs, what)
+        def counting_gate(*args):
+            gated.append(args[-1])
+            return gate(*args)
 
         monkeypatch.setattr(confluent, "_residual_gate", counting_gate)
         report = cli.VerificationReport()
@@ -496,19 +550,19 @@ class TestCommands:
         # Differencing the forced part on the tiny derivative-check grids
         # used to trip the panel-doubling gate (5.4e-3 relative) although
         # the oracle agrees to roundoff.
-        bands = {"A": (-6.0, -5.0), "B": (-4.6, -3.6), "C": (-3.2, -2.2),
-                 "D": (-1.8, -0.8), "E": (-0.5, 0.1), "F": (0.3, 0.8)}
-        config = parse_config(json.dumps({
-            "backend": {"family": "spectral", "dimension": 4},
-            "operators": {label: {"eigenvalues": {"random-uniform": {"low": lo, "high": hi}}}
-                          for label, (lo, hi) in bands.items()},
-            "factors": list(bands),
-            "initial_data": [[0.0] * 4] * 6,
-            "forcing": "sin(2*t) + i*t",
-            "time": {"t_end": 1.0, "samples": 5},
-        }))
+        config = parse_config(json.dumps({**WIDE_BAND, "forcing": "sin(2*t) + i*t"}))
         report = run_verify(config, seed=1)
         assert report.passed, report.format()
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_verify_unforced_wide_band_reads_exact_derivatives(self, seed):
+        # finite-difference stencils read 1.7e-2 to 8.5e-2 on these seeds
+        initial = [{"profile": "random-normal"}] * len(WIDE_BAND["factors"])
+        config = parse_config(json.dumps({**WIDE_BAND, "initial_data": initial}))
+        report = run_verify(config, seed=seed)
+        assert report.passed, report.format()
+        (record,) = [r for r in report.records if r.name == "initial-derivative-fidelity"]
+        assert record.observed <= 1e-9
 
     def test_verify_fails_on_corrupted_forcing_weights(self, monkeypatch):
         init = confluent.ZCoefficients.__init__
@@ -624,6 +678,39 @@ class TestCommands:
             {"forcing": "9**9**9"},
             {"forcing": "t * True"},
             {"forcing": "t * 1" + "0" * 400},
+            {"forcng": "cos(t)"},
+            {"quadrature": {"panel": 2}},
+            {"time": {"t_end": 1.0, "samples": 3, "sample": 9}},
+            {
+                "backend": {"family": "dense"},
+                "operators": {"T": {"matrix": [[0.0]], "scale": 2.0}},
+                "initial_data": [[0.0]],
+            },
+            {
+                "backend": {"family": "dense", "grid": {"x0": 0.0, "dx": 0.1, "n": 8}},
+                "operators": {"T": {"matrix": [[0.0]]}},
+                "initial_data": [[0.0]],
+            },
+            {
+                "backend": {"family": "dense", "boundary": "periodic"},
+                "operators": {"T": {"matrix": [[0.0]]}},
+                "initial_data": [[0.0]],
+            },
+            {"backend": {"family": "translation", "grid": {"x0": 0.0, "dx": 0.1, "n": 8, "m": 2}}},
+            {"operators": {"T": {"speed": 1.0, "sped": 2.0}}},
+            {"oracle": {"steps_per_unit": 100, "step": 1}},
+            {"initial_data": [{"profile": "sin", "frequncy": 2.0}]},
+            {
+                "backend": {"family": "dense", "dimension": 5},
+                "operators": {"T": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}},
+                "initial_data": [[0.0, 0.0]],
+            },
+            {
+                "backend": {"family": "dense", "dimension": "abc"},
+                "operators": {"T": {"matrix": [[0.0]]}},
+                "initial_data": [[0.0]],
+            },
+            {"backend": {"family": "translation", "dimension": 9, "grid": {"x0": 0.0, "dx": 0.1, "n": 8}}},
         ],
         ids=[
             "forcing-division-by-zero",
@@ -640,6 +727,19 @@ class TestCommands:
             "forcing-power-overflow",
             "forcing-bool-constant",
             "forcing-constant-past-float-range",
+            "root-misspelled-forcing",
+            "quadrature-misspelled-panels",
+            "time-unknown-sample",
+            "dense-operator-scale",
+            "dense-backend-grid",
+            "dense-backend-boundary",
+            "grid-unknown-key",
+            "translation-operator-unknown-key",
+            "oracle-unknown-key",
+            "profile-misspelled-parameter",
+            "dense-dimension-mismatch",
+            "dense-dimension-not-a-number",
+            "translation-dimension-mismatch",
         ],
     )
     def test_bad_config_value_exit_code(self, tmp_path, capsys, overrides):

@@ -24,7 +24,7 @@ from factored_evolution import (
     solve_full,
 )
 from factored_evolution import equation
-from factored_evolution.statespace import finite_difference_weights
+from conftest import finite_difference_weights
 
 from conftest import (
     max_rel_dev,

@@ -1,11 +1,12 @@
 """Properties of the closed form over the random instance generators:
-factor-order invariance, superposition, the confluent residuals and the
-commutation that lets the forced part weigh by ``z`` last."""
+factor-order invariance, superposition, the confluent residuals, the
+initial data the ansatz meets, and the commutation that lets the forced
+part weigh by ``z`` last."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from factored_evolution import FactoredEquation, confluent, operators, solve_full
+from factored_evolution import FactoredEquation, confluent, initial_derivative_defect, operators, solve_full
 
 from conftest import (
     max_rel_dev,
@@ -58,12 +59,22 @@ def test_solution_is_homogeneous_plus_forced_part(seed, family, n):
 def test_coefficients_and_forcing_weights_solve_the_confluent_system(seed, family, n):
     eq = instance(seed, family, n)
     matrix = confluent.build_confluent_matrix(eq.grouped)
-    ys = confluent.solve_coefficients(matrix, eq.initial_data)
-    assert worst_row_residual(matrix.apply(ys), eq.initial_data) <= 1e-11
+    ys = confluent.solve_coefficients(matrix, eq.initial_data)  # in the basis
+    on_grid = matrix._factorization.basis.from_modes(np.stack(ys), np.stack(eq.initial_data))
+    assert worst_row_residual(matrix.apply(list(on_grid)), eq.initial_data) <= 1e-11
     g = eq.forcing(0.37)
     e_n = [np.zeros_like(g)] * (n - 1) + [g]
     z = confluent.solve_z_vector(matrix)
     assert worst_row_residual(matrix.apply(z.apply_all(g)), e_n) <= 1e-11
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), family=FAMILIES, n=st.integers(1, 5), forced=st.booleans())
+def test_the_ansatz_meets_the_initial_data(seed, family, n, forced):
+    eq = instance(seed, family, n, forced)
+    assert initial_derivative_defect(eq) <= 1e-9
+    x0 = eq.initial_data[0]
+    assert np.max(np.abs(solve_full(eq, [0.0]).values[0] - x0)) <= 1e-10 * np.max(np.abs(x0))
 
 
 @PROPERTY

@@ -29,16 +29,18 @@ from factored_evolution import (
 )
 
 from factored_evolution import confluent, operators, solver
-from factored_evolution.statespace import finite_difference_weights
 
 from conftest import (
     central_difference_operator,
+    finite_difference_weights,
     max_rel_dev,
     random_commuting_instance,
     random_dense_commuting_instance,
     random_dense_polynomial_instance,
     random_smooth_forcing,
     random_spectral_instance,
+    random_translation_instance,
+    zero_mean_profile,
 )
 
 
@@ -345,23 +347,24 @@ class TestFactorizeOnce:
         assert calls == [(1, 12, 1), (1, 12, 4)]
 
     def test_residual_comes_from_the_gate(self, monkeypatch):
-        # M is applied to y once, by the residual gate, and the trace
-        # carries exactly the residual that gate measured
+        # M is walked on y once, by the residual gate, and the trace carries
+        # exactly the residual that gate measured: in the identity basis it
+        # is the residual of M applied through operator actions
         rng = np.random.default_rng(33)
         eq = random_spectral_instance(rng, 3, 4, "mixed")
-        apply = confluent.BlockOperatorMatrix.apply
-        applies = []
+        gate = confluent._residual_gate
+        gated = []
 
-        def counting_apply(matrix, ys):
-            applies.append(matrix)
-            return apply(matrix, ys)
+        def counting_gate(matrix, *args):
+            gated.append(matrix)
+            return gate(matrix, *args)
 
-        monkeypatch.setattr(confluent.BlockOperatorMatrix, "apply", counting_apply)
+        monkeypatch.setattr(confluent, "_residual_gate", counting_gate)
         trace = solve_full(eq, np.array([0.0, 0.5]))
-        assert len(applies) == 1
-        ys = confluent.solve_coefficients(applies[0], eq.initial_data)
+        assert len(gated) == 1
+        ys = confluent.solve_coefficients(gated[0], eq.initial_data)
         expected = max(
-            float(np.max(np.abs(row - x))) for row, x in zip(apply(applies[0], ys), eq.initial_data)
+            float(np.max(np.abs(row - x))) for row, x in zip(gated[0].apply(ys), eq.initial_data)
         )
         assert trace.diagnostics["coefficient_residual"] == expected == ys.residual
 
@@ -377,26 +380,95 @@ class TestFactorizeOnce:
         initial_derivative_defect(eq)
         assert calls == {"lu": 0, "eigenbasis": 1, "gate": 0}
 
-    def test_derivative_defect_equals_per_order_solves(self, monkeypatch):
-        # n = 6 reaches the widened step (orders 4 and 5) as well as 1e-3;
-        # the reference solves each order's stencil grid on its own
+    @pytest.mark.parametrize("family", ["spectral", "dense-hermitian", "dense-non-normal", "translation"])
+    def test_derivative_defect_reads_the_ansatz_of_the_solve(self, family):
+        # every u^(k)(0) the check reads off its circle matches row k of M
+        # applied through operator actions to the solve's own y
         rng = np.random.default_rng(29)
-        eq = random_spectral_instance(rng, 6, 3, "mixed")
-        worst = 0.0
-        for k in range(eq.n):
-            offsets = (1e-3 if k <= 3 else 2e-2) * np.arange(k + 4, dtype=np.float64)
-            derivative = finite_difference_weights(offsets, k) @ solve_full(eq, offsets).values
-            defect = float(np.max(np.abs(derivative - eq.initial_data[k])))
-            worst = max(worst, defect / (1.0 + float(np.max(np.abs(eq.initial_data[k])))))
-        grids = []
+        eq = {
+            "spectral": lambda: random_spectral_instance(rng, 4, 3, "mixed"),
+            "dense-hermitian": lambda: random_dense_commuting_instance(rng, 4, 5, "mixed"),
+            "dense-non-normal": lambda: random_dense_polynomial_instance(rng, 4, 5, "mixed"),
+            "translation": lambda: random_translation_instance(rng, 4, 32, "mixed"),
+        }[family]()
+        matrix = confluent.build_confluent_matrix(eq.grouped)
+        xs = np.stack(eq.initial_data)
+        ys = matrix._factorization.basis.from_modes(np.stack(confluent.solve_coefficients(matrix, xs)), xs)
+        rows = np.stack(matrix.apply(list(ys)))
+        derivatives = solver._initial_derivatives(eq)
+        assert derivatives.dtype == rows.dtype
+        assert np.max(np.abs(derivatives - rows)) <= 1e-10 * np.max(np.abs(rows))
+        assert initial_derivative_defect(eq) <= 1e-9
 
-        def recording_solve(eq, t_grid, rule=None):
-            grids.append(t_grid)
-            return solve_full(eq, t_grid, rule)
 
-        monkeypatch.setattr(solver, "solve_full", recording_solve)
-        assert initial_derivative_defect(eq) == worst
-        assert [len(g) for g in grids] == [7, 9]
+def wide_translation_pair(seed):
+    """Two periodic speeds with multiplicities (2, 2) on 256 points.  Row r
+    of ``M`` multiplies a mode's rounding by up to ``|lambda|^r``, and
+    ``|lambda|`` reaches about 128 times the speed."""
+    rng = np.random.default_rng(seed)
+    slow = float(rng.uniform(0.4, 0.8))
+    grid = UniformGrid(0.0, 2 * np.pi / 256, 256)
+    a = TranslationOperator("A", slow, grid)
+    b = TranslationOperator("B", slow + float(rng.uniform(0.5, 1.0)), grid)
+    return FactoredEquation((a, a, b, b), tuple(zero_mean_profile(rng, 256) for _ in range(4)))
+
+
+class TestCoefficientsStayInTheirBasis:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_translation_pair_solves(self, seed):
+        # stored on the grid, y met the data only to about 1e-8 (rounded by
+        # eps ||y|| on every mode), and the residual gate rejected all six
+        eq = wide_translation_pair(seed)
+        trace, _, rel = compare_with_oracle(eq, np.linspace(0.0, 1.0, 11))
+        assert rel <= 1e-9
+        scale = 1.0 + max(float(np.max(np.abs(x))) for x in eq.initial_data)
+        assert trace.diagnostics["coefficient_residual"] <= 1e-12 * scale
+
+    def test_first_sample_is_the_initial_value(self):
+        eq = wide_translation_pair(0)
+        values = solve_full(eq, np.array([0.0, 0.5])).values
+        assert not np.iscomplexobj(values)
+        assert np.max(np.abs(values[0] - eq.initial_data[0])) <= 1e-12 * np.max(np.abs(eq.initial_data[0]))
+
+
+class TestInitialDerivatives:
+    """``initial_derivative_defect`` reads ``u^(k)(0)`` off the ansatz of
+    the solve on a circle of complex times."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(61)
+        return {
+            "spectral": random_spectral_instance(rng, 4, 3, "mixed"),
+            "dense": random_dense_commuting_instance(rng, 3, 5, "mixed"),
+            "translation": random_translation_instance(rng, 3, 32, "mixed"),
+        }
+
+    def test_dense_hermitian_wide_instance_passes(self):
+        # one-sided stencils read 6.7e-4 here, against the limit of 1e-4
+        eq = random_dense_commuting_instance(np.random.default_rng(30), 4, 64, "mixed")
+        assert [mult for _, mult in eq.grouped] == [1, 1, 2]
+        assert initial_derivative_defect(eq) <= 1e-9
+
+    @pytest.mark.parametrize("family", ["spectral", "dense", "translation"])
+    def test_scaled_coefficients_fail(self, monkeypatch, family):
+        eq = self._instances()[family]
+        assert initial_derivative_defect(eq) <= 1e-9
+        solve = solver.solve_coefficients
+        monkeypatch.setattr(solver, "solve_coefficients", lambda m, x: [(1 + 1e-3) * y for y in solve(m, x)])
+        assert initial_derivative_defect(eq) > 1e-4
+
+    @pytest.mark.parametrize("family", ["spectral", "dense", "translation"])
+    def test_scaled_semigroup_times_fail(self, monkeypatch, family):
+        eq = self._instances()[family]
+        for op, _ in eq.grouped:
+            monkeypatch.setattr(op, "propagate", lambda t, v, grow=op.propagate: grow(t * (1 + 1e-3), v))
+        assert initial_derivative_defect(eq) > 1e-4
+
+    def test_complex_times_stay_out_of_the_user_semigroup(self, monkeypatch):
+        eq = self._instances()["dense"]
+        monkeypatch.setattr(DenseMatrixOperator, "semigroup", lambda *a: pytest.fail("semigroup called"))
+        assert initial_derivative_defect(eq) <= 1e-9
 
 
 def per_node_convolution(matrix, z, forcing, t, rule, a=0.0, b=None):
@@ -552,12 +624,13 @@ class TestBatchedConvolution:
         times = np.array([0.0, 0.3, 0.9, 1.6])
         values = solve_full(eq, times).values
         matrix = confluent.build_confluent_matrix(grouped)
-        ys = confluent.solve_coefficients(matrix, eq.initial_data)
+        xs = np.stack(eq.initial_data)
+        ys = matrix._factorization.basis.from_modes(np.stack(confluent.solve_coefficients(matrix, xs)), xs)
         reference = per_sample_homogeneous(matrix, ys, times)
         assert values.dtype == reference.dtype
         assert np.max(np.abs(values - reference)) <= 1e-14 * np.max(np.abs(reference))
 
-    def test_semigroup_called_for_homogeneous_part_only(self, monkeypatch):
+    def test_solve_grows_every_stack_through_propagate(self, monkeypatch):
         grouped, evaluator = _convolution_case("dense-non-hermitian")
         factors = tuple(op for op, mult in grouped for _ in range(mult))
         rng = np.random.default_rng(32)
@@ -585,11 +658,11 @@ class TestBatchedConvolution:
         solve_full(eq, t_grid)
         assert all(np.ndim(t) == 1 for _, t in calls + actions)
         labels = sorted(op.label for op, _ in eq.grouped)
-        # per group: one array-time semigroup call, for the homogeneous part
-        assert sorted(label for label, _ in calls) == labels
-        # per group, through the action: that call, and in each of the
-        # coarse and the doubled pass one growth of the node stack plus one
-        # propagator call per sample interval ([0, 0.3] and [0.3, 0.8])
+        assert not calls
+        # per group, through the action: one array-time call for the
+        # homogeneous part, and in each of the coarse and the doubled pass
+        # one growth of the node stack plus one propagator call per sample
+        # interval ([0, 0.3] and [0.3, 0.8])
         intervals = t_grid.size - 1
         assert sorted(label for label, _ in actions) == sorted(labels * (1 + 2 * (1 + intervals)))
 

@@ -15,7 +15,7 @@ from factored_evolution import (
     rk4_integrate,
 )
 from factored_evolution import statespace
-from factored_evolution.statespace import finite_difference_weights
+from conftest import finite_difference_weights
 
 
 class TestLuSolve:

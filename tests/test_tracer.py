@@ -49,18 +49,20 @@ def test_install_counts_a_forced_solve_and_uninstall_restores():
         )
         fe.solve_full(eq, np.array([0.0, 0.5]), rule)
         tracer.end_op(idx)
+        # the solve works in the modes, through no operator action; the
+        # actions stay wrapped for the callers that do use them
+        idx = tracer.begin_op(1)
+        a.apply(np.ones(2))
+        a.semigroup(0.5, np.ones(2))
+        tracer.end_op(idx)
     finally:
         tracer.uninstall()
 
     counts = tracer.op_counts[0]
-    for name in (
-        "operators.apply",
-        "operators.semigroup",
-        "confluent.solve_coefficients",
-        "confluent.solve_z_vector",
-        "equation.forcing",
-    ):
+    for name in ("confluent.solve_coefficients", "confluent.solve_z_vector", "equation.forcing"):
         assert counts[name] > 0, name
+    assert counts["operators.apply"] == counts["operators.semigroup"] == 0
+    assert tracer.op_counts[1]["operators.apply"] == tracer.op_counts[1]["operators.semigroup"] == 1
     assert counts["equation.gate"] == 1
     # the gate takes the commutator of the generators' blocks: no spans
     # (operator actions included) open inside it
