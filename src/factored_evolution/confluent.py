@@ -29,8 +29,10 @@ and back; other dense groups have one block, the full ``(n d) x (n d)``
 matrix, which is LU-factored.  Each
 ``BlockOperatorMatrix`` builds the record once, on first use, and both the
 coefficients ``y`` and the forcing weights ``z`` are solved through it and
-kept in its basis.  The residual gate checks every solve against ``M``
-applied the other way, in that basis too; one walk,
+kept in its basis; :func:`build_confluent_matrix` hands the last matrix
+back for the same operator set, so solves on one set factorize once.  The
+residual gate checks every solve against ``M`` applied the other way, in
+that basis too; one walk,
 :func:`_confluent_apply`, applies ``M`` through the generators' actions in
 the basis for the gate and through the generator matrices for the
 eigenbasis correction.
@@ -52,6 +54,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .operators import (
+    OPERATOR_SLOT,
     ModeBasis,
     Operator,
     coincident_modes,
@@ -231,8 +234,23 @@ class BlockOperatorMatrix:
 
 
 def build_confluent_matrix(grouped) -> BlockOperatorMatrix:
-    """Build the symbolic coefficient matrix from grouped factors."""
-    return BlockOperatorMatrix(tuple((op, int(mult)) for op, mult in grouped))
+    """Build the symbolic coefficient matrix from grouped factors.
+
+    ``M`` depends on the generators alone, so the last matrix built is
+    kept in ``operators.OPERATOR_SLOT``: the same operator objects, in the
+    same order and with the same multiplicities, get that matrix back with
+    the factorization it has built, and consecutive solves on one operator
+    set factorize ``M`` once.  Any other grouping builds a new matrix,
+    which takes the slot and drops the one before.
+    """
+    grouped = tuple((op, int(mult)) for op, mult in grouped)
+    ops = tuple(op for op, _ in grouped)
+    commute, kept = OPERATOR_SLOT.lookup(ops)
+    if kept is not None and kept.grouped == grouped:  # same objects, so the multiplicities decide
+        return kept
+    matrix = BlockOperatorMatrix(grouped)
+    OPERATOR_SLOT.keep(ops, commute, matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

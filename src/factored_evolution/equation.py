@@ -59,6 +59,7 @@ from .errors import (
     NonFiniteError,
 )
 from .operators import (
+    OPERATOR_SLOT,
     ModeBasis,
     Operator,
     commutation_defect,
@@ -158,7 +159,9 @@ class FactoredEquation:
     for factors with a mode basis) of at most ``COMMUTATION_TOL``, otherwise
     :class:`NonCommutingFactorsError` is raised; its message gives the
     rounding floor ``eps m ||A||_F ||B||_F`` of the pair's ``m x m`` blocks
-    next to the defect.
+    next to the defect.  A passing set is held in
+    ``operators.OPERATOR_SLOT``, and an equation on the same operator
+    objects in the same order takes that verdict without the pair products.
     """
 
     factors: tuple[Operator, ...]
@@ -184,6 +187,10 @@ class FactoredEquation:
 
     @staticmethod
     def _commutation_gate(grouped):
+        ops = tuple(op for op, _ in grouped)
+        commute, matrix = OPERATOR_SLOT.lookup(ops)
+        if commute:  # these very objects passed last time
+            return
         for i, (a, _) in enumerate(grouped):
             for b, _ in grouped[i + 1 :]:
                 defect = commutation_defect(a, b)
@@ -197,6 +204,7 @@ class FactoredEquation:
                         f"(rounding floor {floor:.1e})",
                         defect=defect,
                     )
+        OPERATOR_SLOT.keep(ops, True, matrix)
 
     @property
     def n(self) -> int:

@@ -8,13 +8,17 @@ pass holds it.  ``semigroup(t, v) = e^{t A} v`` wraps it for one time and
 a state, or an array of times and a stack: transform, propagate,
 transform back, exact ``t = 0`` rows, one finiteness check.
 Grouping is by label, never by numerical comparison of the underlying data:
-the user declares which factors coincide.
+the user declares which factors coincide.  An operator's arrays are
+read-only once it is built, so what is learned of an operator set holds
+for as long as the set lives: :data:`OPERATOR_SLOT` keeps the commutation
+gate's verdict and the factorized confluent matrix of the last set solved.
 
 Three families are provided and may not be mixed inside one equation:
 
 ``dense``
     An explicit square matrix.  Hermitian and skew-Hermitian matrices get a
-    unitary eigendecomposition at construction (``eig``), so semigroup
+    unitary eigendecomposition at construction (``eig``; divide and conquer
+    for a real symmetric matrix), so semigroup
     actions are cheap and the confluent solve of commuting groups can go
     mode by mode in that basis; everything else falls back to
     scaling-and-squaring per call (for an array of times, stacked calls of
@@ -129,6 +133,13 @@ def excites(modal: np.ndarray, mask: np.ndarray) -> bool:
     return bool(np.any(np.abs(modal[..., mask]) > tol))
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Lock the arrays an operator keeps, which its bound actions, a kept
+    confluent matrix and a kept commutation-gate reading assume fixed."""
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 class Operator(ABC):
     """A generator with its semigroup action, identified by ``label``."""
 
@@ -199,7 +210,9 @@ class DenseMatrixOperator(Operator):
     ``eig`` is :func:`statespace.unitary_eigh` of the matrix: ``(w, q)``
     with ``A = q diag(w) q^H`` for a Hermitian or skew-Hermitian matrix,
     else ``None``.  The semigroup acts through it, and the confluent solve
-    of commuting groups reuses its ``q``.
+    of commuting groups reuses its ``q``.  ``matrix`` is a copy of the
+    given one; it and both arrays of ``eig`` are read-only, as the action
+    bound at construction assumes.
     """
 
     def __init__(self, label: str, matrix):
@@ -212,6 +225,7 @@ class DenseMatrixOperator(Operator):
         super().__init__(label, matrix.shape[0], "dense")
         self.eig = unitary_eigh(self.matrix)
         self.propagate = expm_action(self.matrix, self.eig)
+        _read_only(self.matrix, *(self.eig or ()))
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ as_state_vector(v, self.dim)
@@ -240,6 +254,7 @@ class SpectralDiagonalOperator(Operator):
         self.eigenvalues = np.array(eigenvalues)
         self.scale = scale
         self.modal_values = modal
+        _read_only(self.eigenvalues, self.modal_values)
         super().__init__(label, eigenvalues.shape[0], "spectral")
 
     def apply(self, v) -> np.ndarray:
@@ -294,6 +309,7 @@ class TranslationOperator(Operator):
         if grid.n % 2 == 0:
             k[grid.n // 2] = 0.0  # drop the unmatched Nyquist frequency
         self.modal_values = 1j * k * self.speed
+        _read_only(self.modal_values)
         self.mode_basis = ModeBasis(fourier=True, real=not speed_is_complex)
 
     def node_multipliers(self) -> np.ndarray:
@@ -393,3 +409,36 @@ def commutation_defect(a: Operator, b: Operator) -> float:
     ab, bb = generator_blocks((a, b))
     with np.errstate(over="ignore", invalid="ignore"):  # the caller judges inf and nan
         return float(np.linalg.norm(ab @ bb - bb @ ab))
+
+
+class _OperatorSlot:
+    """The last operator set a solve went through, and what it learned of it.
+
+    One record ``(ops, commute, matrix)``: the groups' operator objects in
+    grouped order, whether they passed the commutation gate
+    (``FactoredEquation._commutation_gate``), and their last confluent
+    matrix (``confluent.build_confluent_matrix``), which keeps its
+    factorization once built.  Operators keep their arrays read-only, so
+    neither can go stale.  The record is replaced whole, never edited, so
+    it always describes one set, and threads that race for it lose at most
+    a kept result, never get a wrong one; holding a new set drops the old
+    one, so at most one set and one factorization stay alive.
+    """
+
+    def __init__(self):
+        self._held: tuple = ((), False, None)
+
+    def lookup(self, ops: tuple) -> tuple:
+        """``(commute, matrix)`` held for exactly the objects ``ops`` in this
+        order, else ``(False, None)``."""
+        held, commute, matrix = self._held
+        if len(held) == len(ops) and all(a is b for a, b in zip(held, ops)):
+            return commute, matrix
+        return False, None
+
+    def keep(self, ops: tuple, commute: bool, matrix) -> None:
+        """Hold ``ops`` with its gate verdict and matrix in place of the last set."""
+        self._held = (ops, commute, matrix)
+
+
+OPERATOR_SLOT = _OperatorSlot()

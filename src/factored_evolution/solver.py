@@ -331,7 +331,9 @@ def _initial_derivatives(eq: FactoredEquation) -> np.ndarray:
     ``w = e^{2 pi i/N}``, gives ``u^(k)(0) = k! fft(u(t_m))[k] / (N rho^k)``
     with an error that falls geometrically in ``N = max(_CIRCLE_NODES, n)``
     (Lyness and Moler 1967); ``rho = min(1, _CIRCLE_RADIUS / max_j
-    ||B_j||_inf)``.  A real problem takes the real part.
+    ||B_j||_inf)``.  A real problem has ``u(conj t) = conj u(t)`` and
+    ``t_{N-m} = conj t_m``, so it evaluates ``m = 0 .. N/2`` only, mirrors
+    the rest and takes the real part.
     """
     matrix = build_confluent_matrix(eq.grouped)
     xs = np.stack(eq.initial_data)
@@ -341,9 +343,11 @@ def _initial_derivatives(eq: FactoredEquation) -> np.ndarray:
     size = float(np.max(np.sum(np.abs(blocks), axis=-1)))
     rho = _CIRCLE_RADIUS / max(_CIRCLE_RADIUS, size)
     nodes = max(_CIRCLE_NODES, eq.n)
+    evaluated = nodes // 2 + 1 if real else nodes
     ys = ys.astype(np.complex128)  # complex rows, which no real-output rule drops
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _semigroup_sum
-        rows = _semigroup_sum(matrix, ys, rho * np.exp(2j * np.pi * np.arange(nodes) / nodes), ys)
+        rows = _semigroup_sum(matrix, ys, rho * np.exp(2j * np.pi * np.arange(evaluated) / nodes), ys)
+    rows = np.concatenate([rows, rows[nodes - evaluated : 0 : -1].conj()])  # t_{N-m} = conj t_m
     orders = np.arange(eq.n)
     scale = np.array([math.factorial(k) for k in orders]) / (nodes * rho**orders)
     derivatives = np.fft.fft(rows, axis=0)[: eq.n] * scale[:, None]

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -10,6 +15,7 @@ from factored_evolution import (
     FactoredEquation,
     Forcing,
     MixedBackendError,
+    NonCommutingFactorsError,
     SingularSystemError,
     SpectralDiagonalOperator,
     TranslationOperator,
@@ -17,6 +23,7 @@ from factored_evolution import (
     UnsupportedOperationError,
     build_confluent_matrix,
     group_factors,
+    initial_derivative_defect,
     oracle_solve,
     scalar_confluent_matrix,
     solve_coefficients,
@@ -25,6 +32,7 @@ from factored_evolution import (
     two_operator_closed_form,
 )
 from factored_evolution import confluent
+from factored_evolution import equation as equation_module
 from factored_evolution.operators import generator_blocks, shared_mode_basis
 
 from conftest import (
@@ -633,3 +641,180 @@ class TestTwoOperatorClosedForm:
         u = b.semigroup(t, y[0]) + a.semigroup(t, y[1]) + t * a.semigroup(t, y[2])
         reference = oracle_solve(eq, np.array([t])).values[0]
         assert np.max(np.abs(u - reference)) <= 1e-8
+
+
+def copies(ops):
+    """Fresh operator objects with the same generators as ``ops``."""
+    out = []
+    for op in ops:
+        if isinstance(op, DenseMatrixOperator):
+            out.append(DenseMatrixOperator(op.label, op.matrix))
+        elif isinstance(op, SpectralDiagonalOperator):
+            out.append(SpectralDiagonalOperator(op.label, op.eigenvalues, op.scale))
+        else:
+            out.append(TranslationOperator(op.label, op.speed, op.grid))
+    return out
+
+
+class TestOperatorSlot:
+    """The last operator set that passed the gate and was factorized keeps
+    its gate verdict and its ``M`` (``operators.OPERATOR_SLOT``)."""
+
+    @staticmethod
+    def operator_set(kind, rng):
+        """Two or three distinct, commuting operators of one family."""
+        if kind in ("dense-hermitian", "dense-non-normal"):
+            base = 0.3 * rng.standard_normal((6, 6))
+            if kind == "dense-hermitian":
+                base = base + base.T
+            return [DenseMatrixOperator(f"G{j}", c * np.eye(6) + s * base)
+                    for j, (c, s) in enumerate([(-1.5, 0.7), (-0.5, 0.9), (0.3, 0.5)])]
+        if kind == "spectral":
+            return [diag_op(f"G{j}", c + 0.1 * rng.uniform(-1, 1, 5)) for j, c in enumerate([-1.5, -0.5, 0.3])]
+        grid = UniformGrid(0.0, 2 * np.pi / 32, 32)
+        return [TranslationOperator("G0", 0.6, grid), TranslationOperator("G1", 1.4, grid)]
+
+    @staticmethod
+    def equation(ops, rng, forced=False):
+        factors = (ops[0], *ops)  # multiplicities (2, 1, ...)
+        dim = ops[0].dim
+        data = tuple(zero_mean_profile(rng, dim) for _ in factors)
+        forcing = None
+        if forced:
+            c0, c1 = zero_mean_profile(rng, dim, 3), zero_mean_profile(rng, dim, 3)
+            forcing = Forcing(lambda t: c0 + t * c1)
+        return FactoredEquation(factors, data, forcing)
+
+    @staticmethod
+    def count(monkeypatch) -> dict:
+        calls = {"defect": 0, "factorization": 0}
+        defect, blocks = equation_module.commutation_defect, confluent._confluent_blocks
+        factorization = confluent.BlockOperatorMatrix.__dict__["_factorization"].func
+
+        def counting_defect(a, b):
+            calls["defect"] += 1
+            return defect(a, b)
+
+        def counting_factorization(matrix):
+            calls["factorization"] += 1
+            return factorization(matrix)
+
+        prop = cached_property(counting_factorization)
+        prop.__set_name__(confluent.BlockOperatorMatrix, "_factorization")
+        monkeypatch.setattr(equation_module, "commutation_defect", counting_defect)
+        monkeypatch.setattr(confluent.BlockOperatorMatrix, "_factorization", prop)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["dense-hermitian", "dense-non-normal", "spectral", "translation"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_resolve_on_shared_operators_equals_fresh_copies(self, kind, forced):
+        rng = np.random.default_rng(81)
+        ops = self.operator_set(kind, rng)
+        times = np.linspace(0.0, 1.0, 5)
+        solve_full(self.equation(ops, rng, forced), times)
+        state = rng.bit_generator.state
+        shared = solve_full(self.equation(ops, rng, forced), times)
+        rng.bit_generator.state = state
+        fresh = solve_full(self.equation(copies(ops), rng, forced), times)
+        assert np.array_equal(shared.values, fresh.values)
+        assert shared.diagnostics["coefficient_residual"] == fresh.diagnostics["coefficient_residual"]
+
+    @pytest.mark.parametrize("kind", ["dense-hermitian", "dense-non-normal"])
+    def test_second_equation_runs_no_gate_and_no_factorization(self, monkeypatch, kind):
+        rng = np.random.default_rng(82)
+        ops = self.operator_set(kind, rng)
+        calls = self.count(monkeypatch)
+        solve_full(self.equation(ops, rng, forced=True), np.array([0.5, 1.0]))
+        assert calls == {"defect": 3, "factorization": 1}
+        solve_full(self.equation(ops, rng, forced=True), np.array([0.2, 0.7]))
+        initial_derivative_defect(self.equation(ops, rng))
+        assert calls == {"defect": 3, "factorization": 1}
+
+    def test_other_multiplicity_or_factor_order_misses(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        a, b, _ = self.operator_set("dense-non-normal", rng)
+        calls = self.count(monkeypatch)
+        first = build_confluent_matrix([(a, 2), (b, 1)])
+        assert build_confluent_matrix([(a, 2), (b, 1)]) is first
+        first._factorization
+        assert build_confluent_matrix([(a, 1), (b, 1)]) is not first
+        other = build_confluent_matrix([(a, 1), (b, 1)])
+        other._factorization
+        assert build_confluent_matrix([(a, 2), (b, 1)]) is not first
+        assert calls["factorization"] == 2
+        # the gate's verdict belongs to the operators, in order
+        FactoredEquation((a, b), (np.zeros(6),) * 2)
+        FactoredEquation((a, a, b), (np.zeros(6),) * 3)
+        assert calls["defect"] == 1
+        FactoredEquation((b, a), (np.zeros(6),) * 2)
+        assert calls["defect"] == 2
+        assert build_confluent_matrix([(b, 1), (a, 1)]) is not other
+
+    def test_failed_gate_is_never_recorded(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        ops = self.operator_set("dense-non-normal", rng)
+        eq = self.equation(ops, rng)
+        solve_full(eq, np.array([0.5]))
+        calls = self.count(monkeypatch)
+        nilpotent = [[0.0] * 6 for _ in range(6)]
+        nilpotent[0][1] = 1.0
+        n, m = DenseMatrixOperator("N", nilpotent), DenseMatrixOperator("M", np.array(nilpotent).T)
+        for _ in range(2):
+            with pytest.raises(NonCommutingFactorsError):
+                FactoredEquation((n, m), (np.zeros(6),) * 2)
+        assert calls["defect"] == 2
+        solve_full(self.equation(ops, rng), np.array([0.5]))
+        assert calls == {"defect": 2, "factorization": 0}  # the set before still holds
+
+    def test_slot_lets_go_of_the_last_set(self):
+        rng = np.random.default_rng(85)
+        ops = self.operator_set("dense-hermitian", rng)
+        solve_full(self.equation(ops, rng, forced=True), np.array([0.5, 1.0]))
+        ref = weakref.ref(ops[0])
+        del ops
+        gc.collect()
+        assert ref() is not None  # held for the next solve on the set
+        other = self.operator_set("dense-hermitian", rng)
+        solve_full(self.equation(other, rng), np.array([0.5]))
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_sharing_the_slot_never_get_a_wrong_verdict(self):
+        # one thread's commuting set and another's non-commuting pair race
+        # for the slot: the pair must fail every time, and every solve on
+        # the set must give the single-thread values
+        rng = np.random.default_rng(86)
+        eq = self.equation(self.operator_set("dense-non-normal", rng), rng)
+        times = np.array([0.5, 1.0])
+        expected = solve_full(eq, times).values
+        nilpotent = np.eye(6, k=1)
+        pair = (DenseMatrixOperator("N", nilpotent), DenseMatrixOperator("M", nilpotent.T))
+        errors = []
+
+        def solve():
+            for _ in range(200):
+                again = FactoredEquation(eq.factors, eq.initial_data)
+                if not np.array_equal(solve_full(again, times).values, expected):
+                    errors.append("values differ")
+
+        def gate():
+            for _ in range(200):
+                try:
+                    FactoredEquation(pair, (np.zeros(6),) * 2)
+                    errors.append("non-commuting pair passed")
+                except NonCommutingFactorsError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fn) for fn in (solve, gate, solve, gate)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert np.array_equal(solve_full(eq, times).values, expected)

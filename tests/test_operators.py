@@ -419,3 +419,35 @@ class TestCommutationDefect:
         b = DenseMatrixOperator("b", np.eye(2))
         with pytest.raises(MixedBackendError):
             commutation_defect(a, b)
+
+
+class TestReadOnlyArrays:
+    """An operator's arrays are fixed once it is built: a kept confluent
+    matrix and a kept gate verdict rely on it."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(31)
+        sym = rng.standard_normal((4, 4))
+        yield from (
+            DenseMatrixOperator("S", sym + sym.T).matrix,
+            *DenseMatrixOperator("S", sym + sym.T).eig,
+            *DenseMatrixOperator("K", sym - sym.T).eig,
+            DenseMatrixOperator("N", sym).matrix,
+            SpectralDiagonalOperator("L", [1.0, 2.0], scale=-0.5).eigenvalues,
+            SpectralDiagonalOperator("L", [1.0, 2.0], scale=-0.5).modal_values,
+            TranslationOperator("T", 0.7, periodic_grid(8)).modal_values,
+        )
+
+    def test_in_place_write_raises(self):
+        for arr in self.arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+    def test_caller_array_stays_writable(self):
+        values, matrix = np.array([1.0, 2.0]), np.eye(2)
+        SpectralDiagonalOperator("L", values)
+        DenseMatrixOperator("D", matrix)
+        values[0] = matrix[0, 0] = 3.0

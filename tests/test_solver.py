@@ -465,6 +465,27 @@ class TestInitialDerivatives:
             monkeypatch.setattr(op, "propagate", lambda t, v, grow=op.propagate: grow(t * (1 + 1e-3), v))
         assert initial_derivative_defect(eq) > 1e-4
 
+    @pytest.mark.parametrize("family", ["spectral", "dense", "dense-non-normal", "translation"])
+    def test_real_problem_reads_half_the_circle(self, monkeypatch, family):
+        # u(conj t) = conj u(t): nodes 0 .. N/2 give the rest.  The same
+        # data held as complex take the whole circle.
+        rng = np.random.default_rng(62)
+        eq = {
+            **self._instances(),
+            "dense-non-normal": random_dense_polynomial_instance(rng, 3, 16, "mixed"),
+        }[family]
+        as_complex = FactoredEquation(eq.factors, tuple(x.astype(np.complex128) for x in eq.initial_data))
+        assert solver._initial_derivatives(eq).dtype == np.float64
+        matrices = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda s: matrices.append(len(s)) or expm(s))
+        half = initial_derivative_defect(eq)
+        full = initial_derivative_defect(as_complex)
+        assert abs(half - full) <= 1e-14
+        if family == "dense-non-normal":
+            groups = len(eq.grouped)
+            assert matrices == [13] * groups + [24] * groups
+
     def test_complex_times_stay_out_of_the_user_semigroup(self, monkeypatch):
         eq = self._instances()["dense"]
         monkeypatch.setattr(DenseMatrixOperator, "semigroup", lambda *a: pytest.fail("semigroup called"))
