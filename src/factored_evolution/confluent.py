@@ -29,8 +29,10 @@ and back; other dense groups have one block, the full ``(n d) x (n d)``
 matrix, which is LU-factored.  Each
 ``BlockOperatorMatrix`` builds the record once, on first use, and both the
 coefficients ``y`` and the forcing weights ``z`` are solved through it and
-kept in its basis; :func:`build_confluent_matrix` hands the last matrix
-back for the same operator set, so solves on one set factorize once.  The
+kept in its basis, and the matrix keeps the weights ``z``, which depend on
+``M`` alone; :func:`build_confluent_matrix` hands the last matrix back for
+the same operator set, so solves on one set factorize ``M`` and solve ``z``
+once.  The
 residual gate checks every solve against ``M`` applied the other way, in
 that basis too; one walk,
 :func:`_confluent_apply`, applies ``M`` through the generators' actions in
@@ -61,6 +63,7 @@ from .operators import (
     excites,
     generator_blocks,
     require_same_family,
+    resolvent_solve,
     shared_mode_basis,
 )
 from .statespace import as_state_vector, inf_norm, lu_apply, lu_factor_checked
@@ -176,6 +179,23 @@ class BlockOperatorMatrix:
             return lu_apply(factors, rhs)[None]
 
         return _Factorization(basis, lu_solve, mask, pairs)
+
+    @cached_property
+    def _weights(self) -> ZCoefficients:
+        """The forcing weights ``z`` of :func:`solve_z_vector`, solved and
+        put through the probe's residual gate on first use; a failed gate
+        raises and keeps nothing."""
+        z = ZCoefficients(self)
+        factorization = self._factorization
+        probe = np.random.default_rng(_PROBE_SEED).standard_normal(self.dim)
+        p_modal = z.basis.to_modes(probe)
+        if factorization.pairs:
+            p_modal[factorization.mask] = 0.0
+            probe = z.basis.from_modes(p_modal, probe)
+        x = np.zeros((self.n, self.dim), dtype=probe.dtype)
+        x[-1] = probe
+        _residual_gate(self, z.apply_modes(p_modal), x, "forcing-weight")
+        return z
 
     def _locate(self, c: int) -> tuple[Operator, int]:
         acc = 0
@@ -531,6 +551,7 @@ class ZCoefficients:
         last = np.zeros((b, n * m, m))
         last[:, -m:] = np.eye(m)
         self.zeta = factorization.solve(last).reshape(b, n, m, m).transpose(1, 0, 2, 3)
+        self.zeta.flags.writeable = False  # the matrix keeps z for every later solve
 
     def modes_of(self, g: np.ndarray) -> np.ndarray:
         """Modes of a stack ``(m, d)`` of states; a state that excites a
@@ -569,19 +590,12 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
     against a random probe through the residual gate: ``M`` walked on
     ``z`` applied to the probe's modes, in the basis, must reproduce the
     probe in the last row and zeros above.  The probe leaves coincident
-    modes unexcited.
+    modes unexcited.  ``z`` depends on ``M`` alone, so the matrix keeps the
+    weights that passed, as it keeps its factorization: every later call on
+    it (a re-solve on a held operator set, the CLI's quadrature check)
+    returns them, and a failed gate keeps nothing.
     """
-    z = ZCoefficients(matrix)
-    factorization = matrix._factorization
-    probe = np.random.default_rng(_PROBE_SEED).standard_normal(matrix.dim)
-    p_modal = z.basis.to_modes(probe)
-    if factorization.pairs:
-        p_modal[factorization.mask] = 0.0
-        probe = z.basis.from_modes(p_modal, probe)
-    x = np.zeros((matrix.n, matrix.dim), dtype=probe.dtype)
-    x[-1] = probe
-    _residual_gate(matrix, z.apply_modes(p_modal), x, "forcing-weight")
-    return z
+    return matrix._weights
 
 
 # ---------------------------------------------------------------------------
@@ -603,22 +617,22 @@ def two_operator_closed_form(a: Operator, b: Operator, u1_star, prev) -> list[np
 
     ordered to match ``solve_coefficients`` on grouped factors
     ``[(B, 1), (A, n-1)]``; the two paths must agree and tests hold them to
-    1e-8.
+    1e-8.  ``(A - B)^{-1}`` is one :func:`resolvent_solve`, so a dense
+    ``A - B`` is factored once.
     """
-    from .operators import resolvent_solve
-
     prev = [as_state_vector(p, a.dim) for p in prev]
     u1 = as_state_vector(u1_star, a.dim)
     n = len(prev) + 1
     if n == 1:
         return [u1]
+    resolvent = resolvent_solve(a, b)
     # chains[k][m-1] = (A - B)^{-m} prev[k] for m = 1 .. k+1
     chains: list[list[np.ndarray]] = []
     for k, vec in enumerate(prev):
         w = vec
         chain = []
         for _ in range(k + 1):
-            w = resolvent_solve(a, b, w)
+            w = resolvent(w)
             chain.append(w)
         chains.append(chain)
 

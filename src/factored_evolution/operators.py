@@ -2,11 +2,13 @@
 
 An :class:`Operator` bundles a generator ``A`` with ``apply(v) = A v``, a
 ``label`` used for grouping repeated factors, and exactly one semigroup
-action, ``propagate(t, v_hat)``: the rows ``e^{t_i A} v_i`` of a stack
-already in the operator's basis (:func:`shared_mode_basis`), as a Duhamel
-pass holds it.  ``semigroup(t, v) = e^{t A} v`` wraps it for one time and
-a state, or an array of times and a stack: transform, propagate,
-transform back, exact ``t = 0`` rows, one finiteness check.
+action, ``propagate(t, v_hat)``: the rows ``e^{t_i A} v_hat[..., i, :]``
+of a stack ``(..., m, d)`` already in the operator's basis
+(:func:`shared_mode_basis`), with the m times exponentiated once and
+broadcast over the leading axes, as a Duhamel run of intervals that share
+one node layout holds its forcing.  ``semigroup(t, v) = e^{t A} v`` wraps
+it for one time and a state, or an array of times and a stack: transform,
+propagate, transform back, exact ``t = 0`` rows, one finiteness check.
 Grouping is by label, never by numerical comparison of the underlying data:
 the user declares which factors coincide.  An operator's arrays are
 read-only once it is built, so what is learned of an operator set holds
@@ -69,7 +71,8 @@ from .statespace import (
     checked_exp,
     checked_rows,
     expm_action,
-    lu_solve,
+    lu_apply,
+    lu_factor_checked,
     unitary_eigh,
 )
 
@@ -169,12 +172,18 @@ class Operator(ABC):
         """
 
     def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        """The one semigroup action: the rows ``e^{t_i A} v_i`` of a stack in
-        the operator's basis (:func:`shared_mode_basis`), for a 1-D float
-        ``t``, unchecked and with no ``t = 0`` case.  Modal operators multiply
-        in place where the dtypes allow; dense ones bind ``expm_action``."""
+        """The one semigroup action: the rows ``e^{t_i A} v_hat[..., i, :]``
+        of a stack ``(..., m, d)`` in the operator's basis
+        (:func:`shared_mode_basis`), for a 1-D float ``t`` of length m,
+        unchecked and with no ``t = 0`` case.  The m times are exponentiated
+        once and broadcast over the leading axes, so a Duhamel run of r
+        intervals with one node layout passes its ``(r, m, d)`` forcing
+        block in one call.  ``v_hat`` is left as it is: modal operators
+        multiply into their exponential where the shapes match and the
+        dtypes allow; dense ones bind ``expm_action``."""
         grown = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
-        return np.multiply(grown, v_hat, out=grown if np.can_cast(v_hat.dtype, grown.dtype) else None)
+        inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
+        return np.multiply(grown, v_hat, out=grown if inplace else None)
 
     @abstractmethod
     def signature(self) -> tuple:
@@ -353,28 +362,32 @@ def require_same_family(a: Operator, b: Operator) -> None:
         )
 
 
-def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
+def resolvent_solve(a: Operator, b: Operator, rhs=None):
     """Solve ``(A - B) w = rhs`` for two operators of one family.
 
     Dense operators take a pivoted LU of ``A - B``; operators with a mode
     basis divide mode by mode, with ``w = 0`` on coincident modes
     (:func:`coincident_modes`).  :class:`NotInvertibleError` names the pair
     when the difference is singular: every mode coincides, or ``rhs``
-    excites a coincident mode.
+    excites a coincident mode.  Without ``rhs`` the result is the solve
+    itself, ``rhs -> w``, for a caller that applies ``(A - B)^{-1}`` many
+    times: a dense ``A - B`` is then factored once for all of them.
     """
     require_same_family(a, b)
-    rhs = as_state_vector(rhs, a.dim)
+    if rhs is not None:
+        return resolvent_solve(a, b)(rhs)
 
     if a.family == "dense":
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             diff = a.matrix - b.matrix
         check_finite(diff, f"difference of {a.label!r} and {b.label!r}")
         try:
-            return lu_solve(diff, rhs)
+            factors = lu_factor_checked(diff)
         except SingularMatrixError as exc:
             raise NotInvertibleError(
                 f"difference of {a.label!r} and {b.label!r} is singular: {exc}"
             ) from exc
+        return lambda v: lu_apply(factors, as_state_vector(v, a.dim))
 
     basis = shared_mode_basis((a, b))
     dead = coincident_modes(a.modal_values, b.modal_values)
@@ -383,16 +396,21 @@ def resolvent_solve(a: Operator, b: Operator, rhs) -> np.ndarray:
             f"difference of {a.label!r} and {b.label!r} is not injective "
             "(modal values coincide on every mode)"
         )
-    rhs_hat = basis.to_modes(rhs)
-    if np.any(dead) and excites(rhs_hat, dead):
-        raise NotInvertibleError(
-            f"difference of {a.label!r} and {b.label!r} annihilates modes "
-            f"{np.flatnonzero(dead)[:8].tolist()} but the right-hand side has content there"
-        )
     denom = a.modal_values - b.modal_values
-    w_hat = np.zeros(rhs_hat.shape, dtype=np.result_type(rhs_hat, denom))
-    np.divide(rhs_hat, denom, out=w_hat, where=~dead)
-    return basis.from_modes(w_hat, rhs)
+
+    def solve(v) -> np.ndarray:
+        v = as_state_vector(v, a.dim)
+        v_hat = basis.to_modes(v)
+        if np.any(dead) and excites(v_hat, dead):
+            raise NotInvertibleError(
+                f"difference of {a.label!r} and {b.label!r} annihilates modes "
+                f"{np.flatnonzero(dead)[:8].tolist()} but the right-hand side has content there"
+            )
+        w_hat = np.zeros(v_hat.shape, dtype=np.result_type(v_hat, denom))
+        np.divide(v_hat, denom, out=w_hat, where=~dead)
+        return basis.from_modes(w_hat, v)
+
+    return solve
 
 
 def commutation_defect(a: Operator, b: Operator) -> float:

@@ -28,8 +28,9 @@ a quadrature (:func:`_duhamel_pass`).  A run of intervals of one shape
 (panel count and width) shares one node layout, so a uniform grid
 repeats the same node offsets in every interval.  The pass takes the
 forcing at every node as one stack (:meth:`Forcing.many`) in the groups'
-shared basis, where each group's ``Operator.propagate`` grows it and
-carries the sums, and lets :meth:`ZCoefficients.weigh` apply ``z`` to
+shared basis; each group's ``Operator.propagate`` grows a run's block of
+it with one exponential of the run's offsets and carries the sums
+interval by interval, and :meth:`ZCoefficients.weigh` applies ``z`` to
 them last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
@@ -73,7 +74,7 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 
 # Consecutive sample intervals whose widths agree to this many ulps of the
 # last sample time under one panel count share one node layout
-# (:func:`_shape_leads`); a width is a difference of sample times, so it
+# (:func:`_shape_runs`); a width is a difference of sample times, so it
 # carries up to one ulp of the last one.
 _SHAPE_ULPS = 8
 
@@ -119,7 +120,7 @@ def _interval_rules(
     """The edges ``0, t_i > 0`` of the sample intervals and one rule per
     interval: ``ceil(panels * width / t_last)`` panels, so that no panel is
     wider than ``t_last / panels``.  The panel count and the width are an
-    interval's shape, which :func:`_shape_leads` matches."""
+    interval's shape, which :func:`_shape_runs` matches."""
     edges = np.concatenate([[0.0], times[times > 0]])
     widths = np.diff(edges)
     if not widths.size:
@@ -140,19 +141,19 @@ def _binomial_shift(width: float, mult: int) -> np.ndarray:
     ])
 
 
-def _shape_leads(rules, edges: np.ndarray) -> list[int]:
-    """For each interval between ``edges``, the first interval of its run of
-    one shape: an interval joins the run of the one before it when their
+def _shape_runs(rules, edges: np.ndarray) -> list[tuple[int, int]]:
+    """The runs ``(start, stop)`` of consecutive intervals between ``edges``
+    of one shape: an interval joins the run of the one before it when their
     panel counts are equal and its width differs from the run's first by
     at most ``_SHAPE_ULPS`` ulps of the last edge."""
     widths = np.diff(edges)
     slack = _SHAPE_ULPS * np.spacing(edges[-1])
-    lead: list[int] = []
+    starts = [0]
     for i, (rule, width) in enumerate(zip(rules, widths.tolist())):
-        j = lead[-1] if lead else i
-        same = abs(width - widths[j]) <= slack
-        lead.append(j if same and rule.panels == rules[j].panels else i)
-    return lead
+        j = starts[-1]
+        if not (abs(width - widths[j]) <= slack and rule.panels == rules[j].panels):
+            starts.append(i)
+    return list(zip(starts, starts[1:] + [len(rules)]))
 
 
 def _duhamel_pass(
@@ -168,40 +169,41 @@ def _duhamel_pass(
         H_jk(t + D) = e^{D B_j} sum_{l<=k} (D^(k-l)/(k-l)!) H_jl(t)
                       + int_t^{t+D} ((t+D-s)^k/k!) e^{(t+D-s) B_j} f(s) ds,
 
-    so only the new interval's integral is a quadrature.  A run of
-    intervals of one shape (:func:`_shape_leads`) takes the node layout
+    so only the new interval's integral is a quadrature.  A run of r
+    intervals of one shape (:func:`_shape_runs`) takes the node layout
     ``xi`` of its first interval, from one ``nodes(0, D)`` call: an
-    interval from ``a`` has the nodes ``a + xi``, the offsets ``D - xi``
-    and the carry width ``D``, so the offsets of a uniform grid repeat bit
-    for bit and a time-stacked exponential computes each once per stack.
-    The forcing values of all nodes of the pass are one
-    :meth:`Forcing.many` stack in the groups' shared basis, which each
-    :meth:`Operator.propagate` grows once, and ``z`` weighs last;
-    :func:`solve_full` checks the values.
+    interval from ``a`` has the nodes ``a + xi``, the offsets
+    ``tau = D - xi`` and the carry width ``D``.  So the run forms ``tau``,
+    the moments ``w tau^k/k!`` and the binomial shift once; each group grows
+    the run's ``(r, q, d)`` forcing block with one :meth:`Operator.propagate`
+    of the q offsets and takes the r local integrals as one product, and
+    only the carry, one ``propagate`` of width ``D``, goes interval by
+    interval.  The forcing values of all nodes of the pass are one
+    :meth:`Forcing.many` stack in the groups' shared basis, and ``z``
+    weighs last; :func:`solve_full` checks the values.
     """
     widths = np.diff(edges)
-    lead = _shape_leads(rules, edges)
-    layouts = {i: rules[i].nodes(0.0, widths[i]) for i in set(lead)}
-    xi, wts = zip(*(layouts[i] for i in lead))
-    carry = widths[lead]
-    bounds = np.cumsum([0] + [x.size for x in xi])
-    pts = np.concatenate([a + x for a, x in zip(edges[:-1], xi)])
-    taus = np.concatenate([w - x for w, x in zip(carry, xi)])
     mult_max = max(mult for _, mult in matrix.grouped)
-    moments = np.concatenate(wts) * np.array([taus**k / math.factorial(k) for k in range(mult_max)])
-    g = forcing.many(pts, matrix.dim)
+    runs = []
+    for start, stop in _shape_runs(rules, edges):
+        width = widths[start]
+        xi, wts = rules[start].nodes(0.0, width)
+        taus = width - xi
+        moments = wts * np.array([taus**k / math.factorial(k) for k in range(mult_max)])
+        runs.append((edges[start:stop, None] + xi, width, taus, moments, _binomial_shift(width, mult_max)))
+    g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in runs]), matrix.dim)
     g_hat = z.modes_of(g)
+    blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in runs])[:-1])
     h = []
     for op, mult in matrix.grouped:
-        grown = op.propagate(taus, g_hat)
         carried, prev = [], np.zeros((mult, matrix.dim))
-        for i, width in enumerate(carry):
-            shifted = op.propagate(np.full(mult, width), _binomial_shift(width, mult) @ prev)
-            interval = slice(bounds[i], bounds[i + 1])
-            prev = shifted + moments[:mult, interval] @ grown[interval]
-            carried.append(prev)
+        for (nodes, width, taus, moments, shift), block in zip(runs, blocks):
+            # one (r, q, d) exponential alive at a time
+            local = moments[:mult] @ op.propagate(taus, block.reshape(*nodes.shape, -1))
+            for integral in local:
+                prev = op.propagate(np.full(mult, width), shift[:mult, :mult] @ prev) + integral
+                carried.append(prev)
         h.append(np.stack(carried))
-        del grown  # one (m, d) exponential alive at a time
     return z.weigh(np.concatenate(h, axis=1), g)
 
 
@@ -420,13 +422,15 @@ def lemma2_rhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarra
     ``k >= 0`` follows ``I_k = (t^k/k!) R e^{t A_j} x - R I_{k-1}``.  ``R``
     never sees the difference ``(e^{t A_j} - e^{t A_i}) x``, which would hide
     the modes where ``A_i = A_j``: ``x`` exciting one raises
-    :class:`NotInvertibleError`.
+    :class:`NotInvertibleError`.  ``R`` is one :func:`resolvent_solve`, so a
+    dense ``A_j - A_i`` is factored once for all k + 2 applications.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     x = as_state_vector(x, i_op.dim)
-    lead = resolvent_solve(j_op, i_op, j_op.semigroup(t, x))
+    resolvent = resolvent_solve(j_op, i_op)
+    lead = resolvent(j_op.semigroup(t, x))
     value = i_op.semigroup(t, x)
     for m in range(k + 1):
-        value = (t**m / math.factorial(m)) * lead - resolvent_solve(j_op, i_op, value)
+        value = (t**m / math.factorial(m)) * lead - resolvent(value)
     return value

@@ -197,25 +197,29 @@ def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
 
 
 def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:
-    """The rows ``e^{t_i a} v_i`` of a stack ``v`` of shape ``(m, d)``, from
-    ``eig = (w, q)`` with ``a = q diag(w) q^H`` and ``q`` unitary: two matrix
-    products for the stack.  With ``real`` (a real ``a`` whose ``w`` or
-    ``q`` are complex), a real ``v`` gives the real part."""
+    """The rows ``e^{t_i a} v[..., i, :]`` of a stack ``v`` of shape
+    ``(..., m, d)``, broadcast over the leading axes, from ``eig = (w, q)``
+    with ``a = q diag(w) q^H`` and ``q`` unitary: one exponential of the m
+    times and two matrix products per ``(m, d)`` slice.  With ``real`` (a
+    real ``a`` whose ``w`` or ``q`` are complex), a real ``v`` gives the
+    real part."""
     w, q = eig
     grow = checked_exp(w, t, "matrix exponential")
-    out = (q @ (grow.T * (q.conj().T @ v.T))).T
+    out = np.swapaxes(q @ (grow.T * (q.conj().T @ np.swapaxes(v, -1, -2))), -1, -2)
     return out.real if real and not np.iscomplexobj(v) else out
 
 
 def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The rows ``e^{t_i a} v_i`` of a stack ``v`` of shape ``(m, d)`` by
-    scaling and squaring, from stacked exponentials of at most
-    ``EXPM_STACK_ENTRIES`` entries each; a time repeated within a stack is
-    exponentiated once."""
+    """The rows ``e^{t_i a} v[..., i, :]`` of a stack ``v`` of shape
+    ``(..., m, d)``, broadcast over the leading axes, by scaling and
+    squaring: the m times are cut into chunks along axis -2, each
+    exponentiated as one stack of at most ``EXPM_STACK_ENTRIES`` entries,
+    and a time repeated within a chunk is exponentiated once."""
     step = max(1, EXPM_STACK_ENTRIES // a.size)
     if t.size > step:
         return np.concatenate(
-            [_pade_expm_apply(a, t[i : i + step], v[i : i + step]) for i in range(0, t.size, step)]
+            [_pade_expm_apply(a, t[i : i + step], v[..., i : i + step, :]) for i in range(0, t.size, step)],
+            axis=-2,
         )
     distinct, index = np.unique(t, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -251,7 +255,8 @@ def expm_action(a: np.ndarray, eig) -> Callable:
     action is two matrix products per stack (:func:`_eigh_expm_apply`);
     without one it is scaling-and-squaring with Pade approximation via
     :func:`scipy.linalg.expm` (:func:`_pade_expm_apply`).  Each takes a 1-D
-    array of times with a stack of states, one per row.
+    array of m times with a stack ``(..., m, d)`` of states, one time per
+    row, broadcast over the leading axes.
     """
     if eig is None:
         return partial(_pade_expm_apply, a)

@@ -546,6 +546,22 @@ class TestCommands:
         assert report.passed and "error ratio" in report.format()
         assert gated == ["forcing-weight"]
 
+    def test_forced_verify_solves_the_forcing_weights_once(self, monkeypatch):
+        # the solve and the quadrature check share the held matrix, which
+        # keeps its z: one z solve and one reading of its gate per verify
+        gate = confluent._residual_gate
+        gated = []
+
+        def counting_gate(*args):
+            gated.append(args[-1])
+            return gate(*args)
+
+        monkeypatch.setattr(confluent, "_residual_gate", counting_gate)
+        report = run_verify(parse_config(json.dumps(RANDOM_DIAGONAL)), seed=1)
+        assert report.passed, report.format()
+        assert "PASS quadrature-convergence" in report.format()
+        assert gated.count("forcing-weight") == 1
+
     def test_verify_forced_wide_band_passes(self):
         # Differencing the forced part on the tiny derivative-check grids
         # used to trip the panel-doubling gate (5.4e-3 relative) although

@@ -31,8 +31,9 @@ from factored_evolution import (
     solve_z_vector,
     two_operator_closed_form,
 )
-from factored_evolution import confluent
+from factored_evolution import confluent, operators
 from factored_evolution import equation as equation_module
+from factored_evolution.confluent import ZCoefficients
 from factored_evolution.operators import generator_blocks, shared_mode_basis
 
 from conftest import (
@@ -553,6 +554,29 @@ class TestZVector:
         with pytest.raises(SingularSystemError):
             solve_z_vector(m)
 
+    def test_weights_are_solved_once_per_matrix(self, monkeypatch):
+        # z depends on M alone: the matrix keeps the weights that passed
+        # their gate, and a failed gate keeps nothing
+        rng = np.random.default_rng(14)
+        m = build_confluent_matrix([(diag_op("a", rng.uniform(-2, -1, 3)), 2), (diag_op("b", [0.5] * 3), 1)])
+        init = ZCoefficients.__init__
+
+        def corrupted(self, matrix):
+            init(self, matrix)
+            self.zeta = self.zeta * (1.0 + 1e-6)
+
+        monkeypatch.setattr(ZCoefficients, "__init__", corrupted)
+        with pytest.raises(SingularSystemError, match="forcing-weight"):
+            solve_z_vector(m)
+        monkeypatch.setattr(ZCoefficients, "__init__", init)
+        gate = confluent._residual_gate
+        gated = []
+        monkeypatch.setattr(confluent, "_residual_gate", lambda *args: gated.append(args[-1]) or gate(*args))
+        z = solve_z_vector(m)
+        assert solve_z_vector(m) is z and solve_z_vector(build_confluent_matrix(m.grouped)) is z
+        assert gated == ["forcing-weight"]
+        assert not z.zeta.flags.writeable
+
 
 class TestModalPath:
     """Spectral and periodic translation groups take one modal path."""
@@ -627,6 +651,18 @@ class TestTwoOperatorClosedForm:
         recursive = two_operator_closed_form(a, b, xs[0], prev)
         worst = max(np.max(np.abs(p - q)) for p, q in zip(generic, recursive))
         assert worst <= 1e-8
+
+    def test_dense_difference_is_factored_once(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        base = 0.3 * rng.standard_normal((4, 4))
+        a = DenseMatrixOperator("A", -np.eye(4) + base)
+        b = DenseMatrixOperator("B", 0.5 * np.eye(4) + 0.4 * base)
+        factored = []
+        lu = operators.lu_factor_checked
+        monkeypatch.setattr(operators, "lu_factor_checked", lambda diff: factored.append(1) or lu(diff))
+        prev = [rng.standard_normal(4) for _ in range(3)]
+        two_operator_closed_form(a, b, rng.standard_normal(4), prev)
+        assert len(factored) == 1  # for the 6 applications of (A - B)^{-1}
 
     def test_reconstructs_oracle_solution(self):
         rng = np.random.default_rng(13)

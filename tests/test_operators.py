@@ -15,6 +15,7 @@ from factored_evolution import (
     commutation_defect,
     resolvent_solve,
 )
+from factored_evolution import statespace
 from factored_evolution.operators import shared_mode_basis
 
 from conftest import (
@@ -236,6 +237,46 @@ def test_semigroup_is_the_action_in_the_operator_basis(family, seed, d, m, compl
     assert np.array_equal(out[moving], acted[moving])
     assert np.array_equal(out[~moving], vs[~moving])
     assert out.shape == (m, d)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize(
+    "family",
+    ["spectral", "spectral-complex", "periodic", "periodic-complex", "dense-hermitian",
+     "dense-skew-hermitian", "dense-non-hermitian"],
+)
+def test_propagate_broadcasts_one_row_of_times_over_a_stack(family, r, complex_data):
+    # an (r, m, d) stack in one call gives the r calls on its (m, d) slices
+    # bit for bit, and leaves the stack as it was
+    rng = np.random.default_rng(47)
+    d, m = 6, 5
+    op = random_operator(rng, family, d)
+    taus = rng.uniform(0.0, 2.0, m)
+    vs = rng.standard_normal((r, m, d))
+    if complex_data:
+        vs = vs + 1j * rng.standard_normal((r, m, d))
+    v_hat = shared_mode_basis((op,)).to_modes(vs)
+    kept = v_hat.copy()
+    stacked = op.propagate(taus, v_hat)
+    assert np.array_equal(v_hat, kept)
+    assert stacked.shape == (r, m, d)
+    slices = [op.propagate(taus, v) for v in v_hat]
+    assert all(out.dtype == ref.dtype and np.array_equal(out, ref) for out, ref in zip(stacked, slices))
+
+
+def test_pade_stack_crosses_chunks_along_the_times(monkeypatch):
+    # chunks of 2 times cut m = 5 into 2 + 2 + 1 along axis -2; the chunked
+    # stack equals the one-chunk stack and each of its slices, bit for bit
+    rng = np.random.default_rng(48)
+    op = random_operator(rng, "dense-non-hermitian", 4)
+    taus = rng.uniform(0.0, 2.0, 5)
+    vs = rng.standard_normal((3, 5, 4))
+    whole = op.propagate(taus, vs)
+    monkeypatch.setattr(statespace, "EXPM_STACK_ENTRIES", 2 * op.matrix.size)
+    chunked = op.propagate(taus, vs)
+    assert np.array_equal(chunked, whole)
+    assert all(np.array_equal(out, op.propagate(taus, v)) for out, v in zip(chunked, vs))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1])

@@ -28,7 +28,7 @@ from factored_evolution import (
     solve_inhomogeneous_zero_ic,
 )
 
-from factored_evolution import confluent, operators, solver
+from factored_evolution import confluent, operators, solver, statespace
 
 from conftest import (
     central_difference_operator,
@@ -682,10 +682,11 @@ class TestBatchedConvolution:
         assert not calls
         # per group, through the action: one array-time call for the
         # homogeneous part, and in each of the coarse and the doubled pass
-        # one growth of the node stack plus one propagator call per sample
-        # interval ([0, 0.3] and [0.3, 0.8])
-        intervals = t_grid.size - 1
-        assert sorted(label for label, _ in actions) == sorted(labels * (1 + 2 * (1 + intervals)))
+        # one growth per run of intervals of one shape plus one propagator
+        # call per sample interval; [0, 0.3] and [0.3, 0.8] differ in width,
+        # so each is a run of its own
+        intervals = runs = t_grid.size - 1
+        assert sorted(label for label, _ in actions) == sorted(labels * (1 + 2 * (runs + intervals)))
 
     @pytest.mark.parametrize("family", ["spectral", "dense"])
     def test_one_overflowing_row_raises(self, family):
@@ -862,6 +863,31 @@ class TestMarching:
         matrices = self._count_expm_matrices(monkeypatch, np.linspace(0.0, 1.0, 5))
         assert matrices == 2 * 5 + 2 * (32 + 64) + 2 * (4 * 2)
 
+    @pytest.mark.parametrize("family", ["spectral", "dense-hermitian"])
+    def test_uniform_grid_grows_each_run_from_one_row_of_offsets(self, monkeypatch, family):
+        # Four intervals of 4 panels of 8 nodes are one run: each group
+        # exponentiates the run's 32 offsets in the coarse growth and 64 in
+        # the doubled one, not 128 and 256, besides 5 sample times for the
+        # homogeneous part and one carry row per unit of multiplicity and
+        # interval.
+        rng = np.random.default_rng(49)
+        make = random_spectral_instance if family == "spectral" else random_dense_commuting_instance
+        eq = make(rng, 3, 4, "mixed", random_smooth_forcing(rng, 4))
+        mults = [mult for _, mult in eq.grouped]
+        assert len(mults) == 2
+        rows = []
+        checked_exp = statespace.checked_exp
+
+        def counting(values, t, what):
+            rows.append(t.size)
+            return checked_exp(values, t, what)
+
+        monkeypatch.setattr(operators, "checked_exp", counting)
+        monkeypatch.setattr(statespace, "checked_exp", counting)
+        solve_full(eq, np.linspace(0.0, 1.0, 5))
+        carries = [mult for mult in mults for _ in range(2 * 4)]
+        assert sorted(rows) == sorted([5, 32, 64] * 2 + carries)
+
     @pytest.mark.parametrize(
         "times, calls",
         [
@@ -964,6 +990,26 @@ class TestLemma2:
             lhs = lemma2_lhs(i_op, j_op, k, t, x)
             rhs = lemma2_rhs(i_op, j_op, k, t, x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-7 * (1.0 + np.max(np.abs(lhs)))
+
+    def test_dense_difference_is_factored_once(self, monkeypatch):
+        # k = 3 applies (A_j - A_i)^{-1} five times through one LU, and
+        # equals the value of one factorization per application
+        rng = np.random.default_rng(34)
+        eq = random_dense_polynomial_instance(rng, 2, 4, "all-distinct")
+        (i_op, _), (j_op, _) = eq.grouped
+        x = rng.standard_normal(4)
+        factored = []
+        lu = operators.lu_factor_checked
+        monkeypatch.setattr(operators, "lu_factor_checked", lambda diff: factored.append(1) or lu(diff))
+        value = lemma2_rhs(i_op, j_op, 3, 0.7, x)
+        assert len(factored) == 1
+        resolvent = lambda v: operators.resolvent_solve(j_op, i_op, v)  # noqa: E731
+        reference = i_op.semigroup(0.7, x)
+        lead = resolvent(j_op.semigroup(0.7, x))
+        for m in range(4):
+            reference = (0.7**m / math.factorial(m)) * lead - resolvent(reference)
+        assert len(factored) == 1 + 5
+        assert np.array_equal(value, reference)
 
     def test_overflowing_value_raises_a_named_error(self):
         # the weighted sum of values near the float limit overflows
