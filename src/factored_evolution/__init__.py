@@ -80,7 +80,7 @@ from .solver import (
     solve_homogeneous,
     solve_inhomogeneous_zero_ic,
 )
-from .statespace import QuadratureRule, expm_apply, lu_solve, rk4_integrate
+from .statespace import QuadratureRule, expm_apply, rk4_integrate
 from .trace import SolutionTrace
 
 __version__ = "0.1.0"

@@ -44,10 +44,9 @@ of ``u_j``, so the table takes ``n (n - 1) / 2`` operator applications.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -219,20 +218,15 @@ class FactoredEquation:
         return self.factors[0].family
 
     def without_forcing(self) -> "FactoredEquation":
-        """This equation with no forcing; its factors passed the gate
-        already, so the copy does not run it again."""
-        if self.forcing is None:
-            return self
-        unforced = copy.copy(self)
-        object.__setattr__(unforced, "forcing", None)
-        return unforced
+        """This equation with no forcing, built anew on the same operator
+        objects: the commutation gate takes their verdict from
+        ``operators.OPERATOR_SLOT`` while the slot still holds them."""
+        return replace(self, forcing=None)
 
     def with_zero_initial_data(self) -> "FactoredEquation":
-        """This equation with zero initial data; a copy, like
-        :meth:`without_forcing`, that does not run the gate again."""
-        zeroed = copy.copy(self)
-        object.__setattr__(zeroed, "initial_data", tuple(np.zeros(self.dim) for _ in self.factors))
-        return zeroed
+        """This equation with zero initial data, on the same operator
+        objects, like :meth:`without_forcing`."""
+        return replace(self, initial_data=tuple(np.zeros(self.dim) for _ in self.factors))
 
 
 def initial_data_transform(eq: FactoredEquation) -> list[np.ndarray]:

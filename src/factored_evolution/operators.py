@@ -362,21 +362,18 @@ def require_same_family(a: Operator, b: Operator) -> None:
         )
 
 
-def resolvent_solve(a: Operator, b: Operator, rhs=None):
-    """Solve ``(A - B) w = rhs`` for two operators of one family.
+def resolvent_solve(a: Operator, b: Operator):
+    """The solve ``v -> w`` of ``(A - B) w = v`` for two operators of one
+    family, for a caller that applies ``(A - B)^{-1}`` once or many times.
 
-    Dense operators take a pivoted LU of ``A - B``; operators with a mode
-    basis divide mode by mode, with ``w = 0`` on coincident modes
-    (:func:`coincident_modes`).  :class:`NotInvertibleError` names the pair
-    when the difference is singular: every mode coincides, or ``rhs``
-    excites a coincident mode.  Without ``rhs`` the result is the solve
-    itself, ``rhs -> w``, for a caller that applies ``(A - B)^{-1}`` many
-    times: a dense ``A - B`` is then factored once for all of them.
+    A dense ``A - B`` is LU-factored once, here, for every application;
+    operators with a mode basis divide mode by mode, with ``w = 0`` on
+    coincident modes (:func:`coincident_modes`).  :class:`NotInvertibleError`
+    names the pair when the difference is singular: every mode coincides
+    (raised here), or a right-hand side excites a coincident mode (raised by
+    the solve).
     """
     require_same_family(a, b)
-    if rhs is not None:
-        return resolvent_solve(a, b)(rhs)
-
     if a.family == "dense":
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             diff = a.matrix - b.matrix

@@ -24,9 +24,11 @@ commute with every ``e^{tau B_j}``, so the forced part is
 pass covers ``[0, t_last]`` once and marches across the sample intervals:
 the semigroup property and the binomial theorem carry ``H_{jk}`` exactly
 from one sample time to the next, so only each new interval's integral is
-a quadrature (:func:`_duhamel_pass`).  A run of intervals of one shape
-(panel count and width) shares one node layout, so a uniform grid
-repeats the same node offsets in every interval.  The pass takes the
+a quadrature (:func:`_duhamel_pass`).  One walk over the intervals
+(:func:`_interval_runs`) gathers them into runs of one shape (panel count
+and width), each with one quadrature rule and one node layout, so a
+uniform grid repeats the same node offsets in every interval; the doubled
+pass refines each run's rule.  The pass takes the
 forcing at every node as one stack (:meth:`Forcing.many`) in the groups'
 shared basis; each group's ``Operator.propagate`` grows a run's block of
 it with one exponential of the run's offsets and carries the sums
@@ -74,7 +76,7 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 
 # Consecutive sample intervals whose widths agree to this many ulps of the
 # last sample time under one panel count share one node layout
-# (:func:`_shape_runs`); a width is a difference of sample times, so it
+# (:func:`_interval_runs`); a width is a difference of sample times, so it
 # carries up to one ulp of the last one.
 _SHAPE_ULPS = 8
 
@@ -114,13 +116,15 @@ def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
     return solve_full(eq, t_grid)
 
 
-def _interval_rules(
+def _interval_runs(
     rule: QuadratureRule, times: np.ndarray
-) -> tuple[np.ndarray, list[QuadratureRule]]:
-    """The edges ``0, t_i > 0`` of the sample intervals and one rule per
-    interval: ``ceil(panels * width / t_last)`` panels, so that no panel is
-    wider than ``t_last / panels``.  The panel count and the width are an
-    interval's shape, which :func:`_shape_runs` matches."""
+) -> tuple[np.ndarray, list[tuple[int, int, QuadratureRule]]]:
+    """The edges ``0, t_i > 0`` of the sample intervals and their runs
+    ``(start, stop, rule)`` of one shape.  An interval gets ``ceil(panels
+    * width / t_last)`` panels, so that no panel is wider than ``t_last /
+    panels``, and joins the run of the one before it when the panel counts
+    agree and its width is within ``_SHAPE_ULPS`` ulps of the last edge of
+    the run's first width; a run's rule has its panel count."""
     edges = np.concatenate([[0.0], times[times > 0]])
     widths = np.diff(edges)
     if not widths.size:
@@ -129,7 +133,15 @@ def _interval_rules(
     # t_last / panels can land a few ulps above its count; the slack keeps
     # it on the count and widens no panel by more than 1e-9 relative.
     counts = np.ceil(rule.panels * widths / edges[-1] - 1e-9 * rule.panels)
-    return edges, [replace(rule, panels=int(p)) for p in np.maximum(counts, 1)]
+    counts = np.maximum(counts, 1).astype(int).tolist()
+    slack = _SHAPE_ULPS * np.spacing(edges[-1])
+    starts = [0]
+    for i, width in enumerate(widths.tolist()):
+        j = starts[-1]
+        if not (abs(width - widths[j]) <= slack and counts[i] == counts[j]):
+            starts.append(i)
+    stops = starts[1:] + [widths.size]
+    return edges, [(a, b, replace(rule, panels=counts[a])) for a, b in zip(starts, stops)]
 
 
 def _binomial_shift(width: float, mult: int) -> np.ndarray:
@@ -141,23 +153,8 @@ def _binomial_shift(width: float, mult: int) -> np.ndarray:
     ])
 
 
-def _shape_runs(rules, edges: np.ndarray) -> list[tuple[int, int]]:
-    """The runs ``(start, stop)`` of consecutive intervals between ``edges``
-    of one shape: an interval joins the run of the one before it when their
-    panel counts are equal and its width differs from the run's first by
-    at most ``_SHAPE_ULPS`` ulps of the last edge."""
-    widths = np.diff(edges)
-    slack = _SHAPE_ULPS * np.spacing(edges[-1])
-    starts = [0]
-    for i, (rule, width) in enumerate(zip(rules, widths.tolist())):
-        j = starts[-1]
-        if not (abs(width - widths[j]) <= slack and rule.panels == rules[j].panels):
-            starts.append(i)
-    return list(zip(starts, starts[1:] + [len(rules)]))
-
-
 def _duhamel_pass(
-    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, edges: np.ndarray, rules
+    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, edges: np.ndarray, runs
 ) -> np.ndarray:
     """The forced part at the interval ends ``edges[1:]``, shape ``(I, d)``,
     from one quadrature pass over ``[0, edges[-1]]``.
@@ -169,9 +166,10 @@ def _duhamel_pass(
         H_jk(t + D) = e^{D B_j} sum_{l<=k} (D^(k-l)/(k-l)!) H_jl(t)
                       + int_t^{t+D} ((t+D-s)^k/k!) e^{(t+D-s) B_j} f(s) ds,
 
-    so only the new interval's integral is a quadrature.  A run of r
-    intervals of one shape (:func:`_shape_runs`) takes the node layout
-    ``xi`` of its first interval, from one ``nodes(0, D)`` call: an
+    so only the new interval's integral is a quadrature.  A run
+    ``(start, stop, rule)`` of r intervals of one shape
+    (:func:`_interval_runs`) takes the node layout ``xi`` of its first
+    interval, from one ``rule.nodes(0, D)`` call: an
     interval from ``a`` has the nodes ``a + xi``, the offsets
     ``tau = D - xi`` and the carry width ``D``.  So the run forms ``tau``,
     the moments ``w tau^k/k!`` and the binomial shift once; each group grows
@@ -184,20 +182,20 @@ def _duhamel_pass(
     """
     widths = np.diff(edges)
     mult_max = max(mult for _, mult in matrix.grouped)
-    runs = []
-    for start, stop in _shape_runs(rules, edges):
+    layouts = []
+    for start, stop, rule in runs:
         width = widths[start]
-        xi, wts = rules[start].nodes(0.0, width)
+        xi, wts = rule.nodes(0.0, width)
         taus = width - xi
         moments = wts * np.array([taus**k / math.factorial(k) for k in range(mult_max)])
-        runs.append((edges[start:stop, None] + xi, width, taus, moments, _binomial_shift(width, mult_max)))
-    g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in runs]), matrix.dim)
+        layouts.append((edges[start:stop, None] + xi, width, taus, moments, _binomial_shift(width, mult_max)))
+    g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
     g_hat = z.modes_of(g)
-    blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in runs])[:-1])
+    blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
     h = []
     for op, mult in matrix.grouped:
         carried, prev = [], np.zeros((mult, matrix.dim))
-        for (nodes, width, taus, moments, shift), block in zip(runs, blocks):
+        for (nodes, width, taus, moments, shift), block in zip(layouts, blocks):
             # one (r, q, d) exponential alive at a time
             local = moments[:mult] @ op.propagate(taus, block.reshape(*nodes.shape, -1))
             for integral in local:
@@ -216,15 +214,17 @@ def _richardson_passes(
 ) -> Iterator[np.ndarray]:
     """The forced part at every sample time, shape ``(S, d)``, by a pass
     with ``p_i`` panels per interval and then by one with ``2 p_i``: the
-    pair the panel-doubling check compares.  ``z`` is the forcing weights
+    pair the panel-doubling check compares.  Doubling keeps equal panel
+    counts equal, so both passes take the runs of :func:`_interval_runs`,
+    the second with each run's rule refined.  ``z`` is the forcing weights
     of ``matrix`` (:func:`solve_z_vector`).  Each pass runs only when it
     is asked for."""
-    edges, coarse = _interval_rules(rule, times)
-    for rules in (coarse, [r.refined(2) for r in coarse]):
-        if not rules:  # t_grid = [0]: nothing to integrate
+    edges, coarse = _interval_runs(rule, times)
+    for runs in (coarse, [(start, stop, r.refined(2)) for start, stop, r in coarse]):
+        if not runs:  # t_grid = [0]: nothing to integrate
             yield np.zeros((times.size, matrix.dim))
             continue
-        forced = _duhamel_pass(matrix, z, forcing, edges, rules)
+        forced = _duhamel_pass(matrix, z, forcing, edges, runs)
         at_zero = np.zeros((times.size - forced.shape[0], matrix.dim))  # a sample at t = 0
         yield np.concatenate([at_zero, forced])
 

@@ -11,6 +11,7 @@ steps, in ``equation``), and composite quadrature rules.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -39,6 +40,12 @@ SYMMETRY_RTOL = 1e-13
 # so the chunks give the same rows, and as fast (16 times per chunk at
 # d = 128).
 EXPM_STACK_ENTRIES = 2**18
+
+# Held around every scipy.linalg.lu_solve.  With the OpenBLAS bundled in
+# scipy 1.17.1 (0.3.30) two threads back-substituting at once get wrong
+# solutions now and then: two threads of 2500 solves each on one 24x24 LU
+# gave 1250-3702 wrong of 5000 without the lock, and 0 with it.
+_LU_SOLVE_LOCK = threading.Lock()
 
 
 def as_state_vector(v, dim: int | None = None) -> np.ndarray:
@@ -119,21 +126,12 @@ def inf_norm(a) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def lu_solve(a, b) -> np.ndarray:
-    """Solve ``a x = b`` by pivoted LU elimination.
-
-    ``b`` may be a vector or a matrix of stacked right-hand-side columns.
-    A pivot of magnitude below ``PIVOT_RTOL * ||a||_inf`` raises
+def lu_factor_checked(a):
+    """LU-factor ``a`` for :func:`lu_apply`, with the pivot gate applied:
+    a pivot of magnitude below ``PIVOT_RTOL * ||a||_inf`` raises
     :class:`SingularMatrixError` instead of returning garbage; for an
     assembled coefficient system that signals a non-injective operator
-    difference.
-    """
-    factors = lu_factor_checked(a)
-    return lu_apply(factors, b)
-
-
-def lu_factor_checked(a):
-    """LU-factor ``a`` with the pivot gate applied; reusable via lu_apply."""
+    difference."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -155,7 +153,9 @@ def lu_factor_checked(a):
 
 
 def lu_apply(factors, b) -> np.ndarray:
-    """Back-substitute a right-hand side through factors from lu_factor_checked."""
+    """Back-substitute a right-hand side, a vector or stacked columns,
+    through factors from :func:`lu_factor_checked`, one thread at a time
+    (``_LU_SOLVE_LOCK``)."""
     lu, piv = factors
     b = np.asarray(b)
     check_finite(b, "right-hand side")
@@ -163,7 +163,8 @@ def lu_apply(factors, b) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side length {b.shape[0]} does not match matrix size {lu.shape[0]}"
         )
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    with _LU_SOLVE_LOCK:
+        x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
     check_finite(x, "solution")
     return x
 

@@ -841,10 +841,18 @@ class TestOperatorSlot:
                 except NonCommutingFactorsError:
                     pass
 
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except Exception as exc:  # named in the failure, not lost with the thread
+                    errors.append(f"{type(exc).__name__}: {exc}")
+            return run
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=fn) for fn in (solve, gate, solve, gate)]
+            threads = [threading.Thread(target=guarded(fn)) for fn in (solve, gate, solve, gate)]
             for thread in threads:
                 thread.start()
             for thread in threads:

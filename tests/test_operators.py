@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -352,12 +355,12 @@ class TestResolventSolve:
     def test_componentwise_divide(self):
         a = SpectralDiagonalOperator("a", [3.0, 5.0])
         b = SpectralDiagonalOperator("b", [1.0, 1.0])
-        assert np.array_equal(resolvent_solve(a, b, np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.array_equal(resolvent_solve(a, b)(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_equal_operators_not_invertible(self):
         a = SpectralDiagonalOperator("a", [1.0, 2.0])
         with pytest.raises(NotInvertibleError):
-            resolvent_solve(a, a, np.ones(2))
+            resolvent_solve(a, a)(np.ones(2))
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(9)
@@ -365,14 +368,48 @@ class TestResolventSolve:
         a = DenseMatrixOperator("A", q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.T)
         b = DenseMatrixOperator("B", q @ np.diag([-1.0, -2.0, 0.5, 0.0]) @ q.T)
         rhs = rng.standard_normal(4)
-        w = resolvent_solve(a, b, rhs)
+        w = resolvent_solve(a, b)(rhs)
         back = a.apply(w) - b.apply(w)
         assert np.max(np.abs(back - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_threads_sharing_a_dense_solve_get_the_single_thread_values(self):
+        # lemma2_rhs and two_operator_closed_form apply one dense solve many
+        # times, and no residual gate checks its values: two threads
+        # back-substituting through one LU at once must still get exactly
+        # the values of one thread
+        rng = np.random.default_rng(24)
+        a = DenseMatrixOperator("A", rng.standard_normal((24, 24)) + 24.0 * np.eye(24))
+        b = DenseMatrixOperator("B", rng.standard_normal((24, 24)))
+        solve = resolvent_solve(a, b)
+        rhs = 33.0 * rng.standard_normal((8, 24))
+        expected = [solve(v) for v in rhs]
+        errors = []
+
+        def work():
+            try:
+                for i in range(2500):
+                    if not np.array_equal(solve(rhs[i % 8]), expected[i % 8]):
+                        errors.append(i)
+            except Exception as exc:  # named in the failure, not lost with the thread
+                errors.append(f"{type(exc).__name__}: {exc}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_dense_equal_operators_not_invertible(self):
         a = DenseMatrixOperator("a", [[1.0, 2.0], [0.0, 3.0]])
         with pytest.raises(NotInvertibleError, match="singular"):
-            resolvent_solve(a, DenseMatrixOperator("b", a.matrix), np.ones(2))
+            resolvent_solve(a, DenseMatrixOperator("b", a.matrix))(np.ones(2))
 
     def test_dense_overflowing_difference_is_non_finite(self):
         # 1e308 - (-1e308) overflows: a named error with no numpy warning,
@@ -380,7 +417,7 @@ class TestResolventSolve:
         a = DenseMatrixOperator("a", [[1e308, 0.0], [0.0, 1.0]])
         b = DenseMatrixOperator("b", [[-1e308, 0.0], [0.0, 2.0]])
         with pytest.raises(NonFiniteError, match="difference of 'a' and 'b'"):
-            resolvent_solve(a, b, np.ones(2))
+            resolvent_solve(a, b)(np.ones(2))
 
     def test_spectral_round_trip_property(self):
         rng = np.random.default_rng(10)
@@ -388,7 +425,7 @@ class TestResolventSolve:
             a = SpectralDiagonalOperator("a", rng.uniform(1.0, 2.0, 5))
             b = SpectralDiagonalOperator("b", rng.uniform(-1.0, 0.0, 5))
             rhs = rng.standard_normal(5)
-            w = resolvent_solve(a, b, rhs)
+            w = resolvent_solve(a, b)(rhs)
             assert np.max(np.abs(a.apply(w) - b.apply(w) - rhs)) <= 1e-9
 
     def test_translation_equal_speeds_unsupported(self):
@@ -396,7 +433,7 @@ class TestResolventSolve:
         a = TranslationOperator("a", 1.0, grid)
         b = TranslationOperator("b", 1.0, grid)
         with pytest.raises(NotInvertibleError, match="coincide on every mode"):
-            resolvent_solve(a, b, np.ones(32))
+            resolvent_solve(a, b)(np.ones(32))
 
     def test_translation_distinct_speeds_mean_zero(self):
         grid = periodic_grid(64)
@@ -404,7 +441,7 @@ class TestResolventSolve:
         a = TranslationOperator("a", 1.0, grid)
         b = TranslationOperator("b", -1.0, grid)
         rhs = np.sin(x)
-        w = resolvent_solve(a, b, rhs)
+        w = resolvent_solve(a, b)(rhs)
         assert np.max(np.abs(a.apply(w) - b.apply(w) - rhs)) <= 1e-9
 
     def test_translation_constant_mode_rejected(self):
@@ -412,22 +449,22 @@ class TestResolventSolve:
         a = TranslationOperator("a", 1.0, grid)
         b = TranslationOperator("b", -1.0, grid)
         with pytest.raises(NotInvertibleError):
-            resolvent_solve(a, b, np.ones(64))
+            resolvent_solve(a, b)(np.ones(64))
 
     def test_partial_coincidence_follows_confluent_rule(self):
         # coincident on mode 0 only: fine while the data leaves mode 0 alone
         a = SpectralDiagonalOperator("a", [1.0, -1.5, -2.0])
         b = SpectralDiagonalOperator("b", [1.0, 0.7, 0.4])
-        w = resolvent_solve(a, b, np.array([0.0, 2.2, -4.8]))
+        w = resolvent_solve(a, b)(np.array([0.0, 2.2, -4.8]))
         assert np.allclose(w, [0.0, -1.0, 2.0], rtol=1e-15, atol=0.0)
         with pytest.raises(NotInvertibleError, match="right-hand side"):
-            resolvent_solve(a, b, np.array([1e-3, 2.2, -4.8]))
+            resolvent_solve(a, b)(np.array([1e-3, 2.2, -4.8]))
 
     def test_mixed_families_rejected(self):
         a = SpectralDiagonalOperator("a", [1.0, 2.0])
         b = DenseMatrixOperator("b", np.eye(2))
         with pytest.raises(MixedBackendError):
-            resolvent_solve(a, b, np.ones(2))
+            resolvent_solve(a, b)(np.ones(2))
 
 
 class TestCommutationDefect:

@@ -513,7 +513,8 @@ def literal_forced_values(matrix, z, forcing, times, rule):
     """The forced part at every sample time by the literal rule: sample ``t``
     sums, node by node, every node of the sample intervals up to ``t``, with
     the panel counts the marching pass gives those intervals."""
-    edges, rules = solver._interval_rules(rule, times)
+    edges, runs = solver._interval_runs(rule, times)
+    rules = [r for start, stop, r in runs for _ in range(start, stop)]
     rows = []
     for t in times:
         acc = np.zeros(matrix.dim)
@@ -529,7 +530,7 @@ def one_pass(matrix, z, forcing, times, rule):
     evaluator is wrapped in :class:`Forcing`, as an equation requires."""
     if not isinstance(forcing, Forcing):
         forcing = Forcing(forcing)
-    return solver._duhamel_pass(matrix, z, forcing, *solver._interval_rules(rule, np.asarray(times)))
+    return solver._duhamel_pass(matrix, z, forcing, *solver._interval_runs(rule, np.asarray(times)))
 
 
 def per_sample_homogeneous(matrix, ys, times):
@@ -789,19 +790,24 @@ class TestMarching:
     """The forced part marches across the sample intervals: each pass covers
     ``[0, t_last]`` once and carries ``H_jk`` with the exact propagator."""
 
+    @staticmethod
+    def interval_panels(runs):
+        """The panel count of every interval, read off its run's rule."""
+        return [rule.panels for start, stop, rule in runs for _ in range(start, stop)]
+
     @pytest.mark.parametrize("samples, count", [(5, 4), (9, 2), (17, 1)])
     def test_uniform_grid_gives_every_interval_the_same_panels(self, samples, count):
         # 16 * (0.7 / (samples - 1)) / 0.7 lands a few ulps above `count` on
         # some intervals of linspace(0, 0.7, samples)
-        edges, rules = solver._interval_rules(QuadratureRule(), np.linspace(0.0, 0.7, samples))
-        assert [r.panels for r in rules] == [count] * (samples - 1)
+        edges, runs = solver._interval_runs(QuadratureRule(), np.linspace(0.0, 0.7, samples))
+        assert self.interval_panels(runs) == [count] * (samples - 1)
 
     def test_no_panel_wider_than_the_widest_of_one_rule_over_the_grid(self):
         rule = QuadratureRule()
         times = np.array([0.0, 0.3, 1.0, 1.05, 2.0])
-        edges, rules = solver._interval_rules(rule, times)
-        assert [r.panels for r in rules] == [3, 6, 1, 8]
-        widths = np.diff(edges) / [r.panels for r in rules]
+        edges, runs = solver._interval_runs(rule, times)
+        assert self.interval_panels(runs) == [3, 6, 1, 8]
+        widths = np.diff(edges) / self.interval_panels(runs)
         assert np.all(widths <= times[-1] / rule.panels * (1 + 1e-12))
 
     @pytest.mark.parametrize(
@@ -912,6 +918,23 @@ class TestMarching:
         # one call per shape in each of the two passes
         assert len(seen) == 2 * calls
 
+    def test_doubled_pass_takes_the_coarse_runs_on_a_non_uniform_grid(self, monkeypatch):
+        # doubling keeps equal panel counts equal and the widths unchanged,
+        # so the doubled pass runs over the coarse pass's runs with each
+        # rule's panels doubled
+        passes = []
+        duhamel_pass = solver._duhamel_pass
+        monkeypatch.setattr(
+            solver, "_duhamel_pass", lambda *args: passes.append(args[-1]) or duhamel_pass(*args)
+        )
+        forcing = Forcing(lambda t: np.array([np.cos(t), 1.0]))
+        eq = FactoredEquation((diag_op("a", [-1.0, -0.5]),), (np.zeros(2),), forcing)
+        solve_full(eq, np.array([0.0, 0.3, 0.6, 0.9, 1.0, 1.05, 1.1, 2.0, 2.9]))
+        coarse, doubled = passes
+        assert [(start, stop) for start, stop, _ in coarse] == [(0, 3), (3, 4), (4, 6), (6, 8)]
+        assert [(start, stop) for start, stop, _ in doubled] == [(start, stop) for start, stop, _ in coarse]
+        assert [r.panels for *_, r in doubled] == [2 * r.panels for *_, r in coarse]
+
     @pytest.mark.parametrize("case", CONVOLUTION_CASES)
     def test_shared_layouts_on_a_mixed_grid_equal_the_literal_rule(self, case):
         # four equal intervals share one layout, the last is wider
@@ -1003,7 +1026,7 @@ class TestLemma2:
         monkeypatch.setattr(operators, "lu_factor_checked", lambda diff: factored.append(1) or lu(diff))
         value = lemma2_rhs(i_op, j_op, 3, 0.7, x)
         assert len(factored) == 1
-        resolvent = lambda v: operators.resolvent_solve(j_op, i_op, v)  # noqa: E731
+        resolvent = lambda v: operators.resolvent_solve(j_op, i_op)(v)  # noqa: E731
         reference = i_op.semigroup(0.7, x)
         lead = resolvent(j_op.semigroup(0.7, x))
         for m in range(4):

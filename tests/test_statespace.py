@@ -11,22 +11,22 @@ from factored_evolution import (
     SemigroupOverflowError,
     SingularMatrixError,
     expm_apply,
-    lu_solve,
     rk4_integrate,
     solve_full,
 )
 from factored_evolution import statespace
+from factored_evolution.statespace import lu_apply, lu_factor_checked
 from factored_evolution.equation import build_companion
 from conftest import finite_difference_weights, random_dense_commuting_instance
 
 
 class TestLuSolve:
     def test_identity(self):
-        x = lu_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        x = lu_apply(lu_factor_checked(np.eye(3)), np.array([1.0, 2.0, 3.0]))
         assert np.allclose(x, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
 
     def test_diagonal(self):
-        x = lu_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+        x = lu_apply(lu_factor_checked(np.diag([2.0, 4.0])), np.array([2.0, 8.0]))
         assert np.allclose(x, [1.0, 2.0], rtol=0, atol=1e-14)
 
     def test_recovers_known_solution(self):
@@ -34,7 +34,7 @@ class TestLuSolve:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
         x_star = rng.standard_normal(8)
-        x = lu_solve(a, a @ x_star)
+        x = lu_apply(lu_factor_checked(a), a @ x_star)
         assert np.max(np.abs(x - x_star)) <= 1e-10 * np.max(np.abs(x_star))
 
     def test_residual_contract(self):
@@ -42,7 +42,7 @@ class TestLuSolve:
         for _ in range(20):
             a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
             b = rng.standard_normal(6)
-            x = lu_solve(a, b)
+            x = lu_apply(lu_factor_checked(a), b)
             bound = 1e-10 * (
                 np.max(np.sum(np.abs(a), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b))
             )
@@ -50,17 +50,17 @@ class TestLuSolve:
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            lu_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+            lu_apply(lu_factor_checked(np.array([[1.0, 0.0], [0.0, 0.0]])), np.ones(2))
 
     def test_nearly_singular_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
         with pytest.raises(SingularMatrixError):
-            lu_solve(a, np.ones(2))
+            lu_apply(lu_factor_checked(a), np.ones(2))
 
     def test_singularity_matches_condition_estimate(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
-            lu_solve(singular, np.ones(2))
+            lu_apply(lu_factor_checked(singular), np.ones(2))
 
 
 class TestExpmApply:
