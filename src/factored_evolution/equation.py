@@ -109,7 +109,7 @@ class Forcing:
         if self.vectorized:
             rows = self.evaluator(times[:, None])
         else:
-            rows = [self(float(t)) for t in times]
+            rows = [self(t) for t in times.tolist()]
         stack = as_state_stack(rows, dim)
         if stack.shape[0] != times.size:
             raise DimensionMismatchError(

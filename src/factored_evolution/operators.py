@@ -22,9 +22,11 @@ Three families are provided and may not be mixed inside one equation:
     unitary eigendecomposition at construction (``eig``; divide and conquer
     for a real symmetric matrix), so semigroup
     actions are cheap and the confluent solve of commuting groups can go
-    mode by mode in that basis; everything else falls back to
-    scaling-and-squaring per call (for an array of times, stacked calls of
-    at most ``statespace.EXPM_STACK_ENTRIES`` entries each).
+    mode by mode in that basis.  Other diagonalizable matrices whose
+    eigenvectors are well conditioned (``statespace.EIGVEC_COND_LIMIT``)
+    act through those eigenvectors too; defective and nearly defective ones
+    fall back to scaling-and-squaring per call (for an array of times,
+    stacked calls of at most ``statespace.EXPM_STACK_ENTRIES`` entries each).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a
@@ -218,10 +220,12 @@ class DenseMatrixOperator(Operator):
 
     ``eig`` is :func:`statespace.unitary_eigh` of the matrix: ``(w, q)``
     with ``A = q diag(w) q^H`` for a Hermitian or skew-Hermitian matrix,
-    else ``None``.  The semigroup acts through it, and the confluent solve
-    of commuting groups reuses its ``q``.  ``matrix`` is a copy of the
-    given one; it and both arrays of ``eig`` are read-only, as the action
-    bound at construction assumes.
+    else ``None``; the confluent solve of commuting groups reuses its
+    ``q``.  The semigroup acts through an eigenvector basis, ``eig`` or a
+    well-conditioned non-unitary one, or else by scaling and squaring
+    (:func:`statespace.expm_action`, bound at construction).  ``matrix`` is
+    a copy of the given one; it and both arrays of ``eig`` are read-only,
+    as the bound action assumes.
     """
 
     def __init__(self, label: str, matrix):

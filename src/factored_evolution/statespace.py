@@ -41,6 +41,12 @@ SYMMETRY_RTOL = 1e-13
 # d = 128).
 EXPM_STACK_ENTRIES = 2**18
 
+# Largest ||V||_1 ||V^-1||_1 of an eigenvector matrix V through which a
+# non-normal matrix is exponentiated; the rows then carry an error of about
+# that times eps, 2e-12 (Moler and Van Loan 2003, method 14).  A matrix with
+# a worse-conditioned or singular V takes scaling and squaring.
+EIGVEC_COND_LIMIT = 1e4
+
 # Held around every scipy.linalg.lu_solve.  With the OpenBLAS bundled in
 # scipy 1.17.1 (0.3.30) two threads back-substituting at once get wrong
 # solutions now and then: two threads of 2500 solves each on one 24x24 LU
@@ -197,25 +203,26 @@ def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     return checked_rows(grow, t, what)
 
 
-def _eigh_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:
+def _eigvec_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:
     """The rows ``e^{t_i a} v[..., i, :]`` of a stack ``v`` of shape
-    ``(..., m, d)``, broadcast over the leading axes, from ``eig = (w, q)``
-    with ``a = q diag(w) q^H`` and ``q`` unitary: one exponential of the m
-    times and two matrix products per ``(m, d)`` slice.  With ``real`` (a
-    real ``a`` whose ``w`` or ``q`` are complex), a real ``v`` gives the
-    real part."""
-    w, q = eig
+    ``(..., m, d)``, broadcast over the leading axes, from ``eig = (w, q,
+    q_inv)`` with ``a = q diag(w) q_inv``: one exponential of the m times,
+    which may be complex, and two matrix products per ``(m, d)`` slice.
+    With ``real`` (a real ``a`` whose ``w`` or ``q`` are complex), real
+    times and a real ``v`` give the real part."""
+    w, q, q_inv = eig
     grow = checked_exp(w, t, "matrix exponential")
-    out = np.swapaxes(q @ (grow.T * (q.conj().T @ np.swapaxes(v, -1, -2))), -1, -2)
-    return out.real if real and not np.iscomplexobj(v) else out
+    out = np.swapaxes(q @ (grow.T * (q_inv @ np.swapaxes(v, -1, -2))), -1, -2)
+    return out.real if real and not (np.iscomplexobj(v) or np.iscomplexobj(t)) else out
 
 
 def _pade_expm_apply(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The rows ``e^{t_i a} v[..., i, :]`` of a stack ``v`` of shape
     ``(..., m, d)``, broadcast over the leading axes, by scaling and
-    squaring: the m times are cut into chunks along axis -2, each
-    exponentiated as one stack of at most ``EXPM_STACK_ENTRIES`` entries,
-    and a time repeated within a chunk is exponentiated once."""
+    squaring, for a matrix without a well-conditioned eigenvector basis
+    (:func:`expm_action`): the m times are cut into chunks along axis -2,
+    each exponentiated as one stack of at most ``EXPM_STACK_ENTRIES``
+    entries, and a time repeated within a chunk is exponentiated once."""
     step = max(1, EXPM_STACK_ENTRIES // a.size)
     if t.size > step:
         return np.concatenate(
@@ -249,19 +256,41 @@ def unitary_eigh(a: np.ndarray):
     return None
 
 
+def _eigenvector_basis(a: np.ndarray):
+    """``(w, q, q_inv)`` with ``a = q diag(w) q_inv`` from
+    :func:`numpy.linalg.eig`, if ``q`` is finite, invertible and
+    ``||q||_1 ||q_inv||_1 <= EIGVEC_COND_LIMIT``; else ``None`` (a defective
+    or nearly defective ``a``)."""
+    try:
+        w, q = np.linalg.eig(a)
+        q_inv = np.linalg.inv(q)
+    except np.linalg.LinAlgError:  # a singular q, or a non-finite a
+        return None
+    if not np.linalg.norm(q, 1) * np.linalg.norm(q_inv, 1) <= EIGVEC_COND_LIMIT:  # also inf or nan
+        return None
+    return w, q, q_inv
+
+
 def expm_action(a: np.ndarray, eig) -> Callable:
     """The action ``(t, v) -> e^{t a} v`` of a square float ``a``, chosen once.
 
-    ``eig`` is :func:`unitary_eigh` of ``a``.  With a decomposition the
-    action is two matrix products per stack (:func:`_eigh_expm_apply`);
-    without one it is scaling-and-squaring with Pade approximation via
+    ``eig`` is :func:`unitary_eigh` of ``a``.  The action is two matrix
+    products per stack in an eigenvector basis (:func:`_eigvec_expm_apply`):
+    the unitary one of ``eig``, else that of :func:`_eigenvector_basis`.  A
+    matrix with neither, defective or with ill-conditioned eigenvectors,
+    takes scaling-and-squaring with Pade approximation via
     :func:`scipy.linalg.expm` (:func:`_pade_expm_apply`).  Each takes a 1-D
     array of m times with a stack ``(..., m, d)`` of states, one time per
     row, broadcast over the leading axes.
     """
-    if eig is None:
-        return partial(_pade_expm_apply, a)
-    return partial(_eigh_expm_apply, eig, real=not np.iscomplexobj(a))
+    if eig is not None:
+        w, q = eig
+        basis = (w, q, q.conj().T)
+    else:
+        basis = _eigenvector_basis(a)
+        if basis is None:
+            return partial(_pade_expm_apply, a)
+    return partial(_eigvec_expm_apply, basis, real=not np.iscomplexobj(a))
 
 
 def expm_apply(a, t: float, v) -> np.ndarray:
@@ -306,7 +335,8 @@ def rk4_integrate(
 
 @lru_cache(maxsize=32)
 def _gauss_legendre_reference(q: int):
-    # Nodes/weights on [-1, 1]; cached because rules are rebuilt per interval.
+    # Nodes/weights on [-1, 1]; cached because every run of a Duhamel pass
+    # takes its nodes from one rule of its own.
     x, w = np.polynomial.legendre.leggauss(q)
     return x, w
 

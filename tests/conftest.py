@@ -107,7 +107,8 @@ def random_dense_polynomial_instance(
 ) -> FactoredEquation:
     """Non-normal commuting generators: ``c_j I + a_j N + b_j N^2`` for one
     random ``N`` of spectral radius about 0.3, so the group differences
-    stay near the centre gaps and well conditioned."""
+    stay near the centre gaps and well conditioned.  Their semigroups act
+    through the eigenvectors of ``N``."""
     mults = multiplicity_pattern(rng, n, pattern)
     centers = _spread_centers(rng, len(mults))
     base = 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
@@ -115,6 +116,26 @@ def random_dense_polynomial_instance(
     for j, mult in enumerate(mults):
         mat = centers[j] * np.eye(dim) + rng.uniform(0.5, 1.0) * base + rng.uniform(-0.2, 0.2) * (base @ base)
         factors.extend([DenseMatrixOperator(f"G{j}", mat)] * mult)
+    data = tuple(rng.standard_normal(dim) for _ in range(n))
+    return FactoredEquation(tuple(factors), data, forcing)
+
+
+def defective_operator(label: str, center: float, slope: float, dim: int) -> DenseMatrixOperator:
+    """``center I + slope N`` with ``N = np.eye(dim, k=1)``: one Jordan
+    block, which has no eigenvector basis, so its semigroup takes scaling
+    and squaring (``statespace._pade_expm_apply``)."""
+    return DenseMatrixOperator(label, center * np.eye(dim) + slope * np.eye(dim, k=1))
+
+
+def random_dense_defective_instance(
+    rng, n: int, dim: int, pattern: str | None = None, forcing: Forcing | None = None
+) -> FactoredEquation:
+    """Defective commuting generators ``c_j I + a_j N`` (:func:`defective_operator`)."""
+    mults = multiplicity_pattern(rng, n, pattern)
+    centers = _spread_centers(rng, len(mults))
+    factors: list[DenseMatrixOperator] = []
+    for j, mult in enumerate(mults):
+        factors.extend([defective_operator(f"G{j}", centers[j], rng.uniform(0.5, 1.0), dim)] * mult)
     data = tuple(rng.standard_normal(dim) for _ in range(n))
     return FactoredEquation(tuple(factors), data, forcing)
 

@@ -23,7 +23,9 @@ from factored_evolution.operators import shared_mode_basis
 
 from conftest import (
     central_difference_operator,
+    defective_operator,
     random_dense_commuting_instance,
+    random_dense_polynomial_instance,
     random_spectral_instance,
 )
 
@@ -176,6 +178,10 @@ def random_operator(rng, family, d):
         return DenseMatrixOperator("K", a - a.T)
     if family == "dense-non-hermitian":
         return DenseMatrixOperator("N", rng.standard_normal((d, d)) / np.sqrt(d))
+    if family == "dense-diagonalizable":
+        return random_dense_polynomial_instance(rng, 1, d).factors[0]
+    if family == "dense-defective":
+        return defective_operator("J", rng.uniform(-1.0, 0.5), rng.uniform(0.5, 1.0), d)
     speed = rng.uniform(-1.5, 1.5) + (0.2j if family == "periodic-complex" else 0.0)
     return TranslationOperator("T", speed, periodic_grid(d))
 
@@ -192,6 +198,7 @@ def random_operator(rng, family, d):
 )
 @example(seed=1, family="dense-hermitian", d=6, m=5, complex_data=False)
 @example(seed=2, family="dense-non-hermitian", d=5, m=6, complex_data=True)
+@example(seed=3, family="dense-defective", d=5, m=6, complex_data=True)
 def test_array_time_rows_equal_scalar_calls(seed, family, d, m, complex_data):
     rng = np.random.default_rng(seed)
     op = random_operator(rng, family, d)
@@ -209,7 +216,7 @@ def test_array_time_rows_equal_scalar_calls(seed, family, d, m, complex_data):
 @pytest.mark.parametrize(
     "family",
     ["spectral", "spectral-complex", "periodic", "periodic-complex", "dense-hermitian",
-     "dense-skew-hermitian", "dense-non-hermitian"],
+     "dense-skew-hermitian", "dense-non-hermitian", "dense-defective"],
 )
 @settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @given(
@@ -247,7 +254,7 @@ def test_semigroup_is_the_action_in_the_operator_basis(family, seed, d, m, compl
 @pytest.mark.parametrize(
     "family",
     ["spectral", "spectral-complex", "periodic", "periodic-complex", "dense-hermitian",
-     "dense-skew-hermitian", "dense-non-hermitian"],
+     "dense-skew-hermitian", "dense-non-hermitian", "dense-diagonalizable", "dense-defective"],
 )
 def test_propagate_broadcasts_one_row_of_times_over_a_stack(family, r, complex_data):
     # an (r, m, d) stack in one call gives the r calls on its (m, d) slices
@@ -272,7 +279,8 @@ def test_pade_stack_crosses_chunks_along_the_times(monkeypatch):
     # chunks of 2 times cut m = 5 into 2 + 2 + 1 along axis -2; the chunked
     # stack equals the one-chunk stack and each of its slices, bit for bit
     rng = np.random.default_rng(48)
-    op = random_operator(rng, "dense-non-hermitian", 4)
+    op = random_operator(rng, "dense-defective", 4)
+    assert op.propagate.func is statespace._pade_expm_apply
     taus = rng.uniform(0.0, 2.0, 5)
     vs = rng.standard_normal((3, 5, 4))
     whole = op.propagate(taus, vs)

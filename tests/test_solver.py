@@ -32,10 +32,12 @@ from factored_evolution import confluent, operators, solver, statespace
 
 from conftest import (
     central_difference_operator,
+    defective_operator,
     finite_difference_weights,
     max_rel_dev,
     random_commuting_instance,
     random_dense_commuting_instance,
+    random_dense_defective_instance,
     random_dense_polynomial_instance,
     random_smooth_forcing,
     random_spectral_instance,
@@ -465,15 +467,22 @@ class TestInitialDerivatives:
             monkeypatch.setattr(op, "propagate", lambda t, v, grow=op.propagate: grow(t * (1 + 1e-3), v))
         assert initial_derivative_defect(eq) > 1e-4
 
-    @pytest.mark.parametrize("family", ["spectral", "dense", "dense-non-normal", "translation"])
+    @pytest.mark.parametrize(
+        "family", ["spectral", "dense", "dense-diagonalizable", "dense-non-normal", "translation"]
+    )
     def test_real_problem_reads_half_the_circle(self, monkeypatch, family):
         # u(conj t) = conj u(t): nodes 0 .. N/2 give the rest.  The same
-        # data held as complex take the whole circle.
+        # data held as complex take the whole circle.  The non-normal
+        # generators are defective, so they count scaled-and-squared
+        # exponentials.
         rng = np.random.default_rng(62)
         eq = {
             **self._instances(),
-            "dense-non-normal": random_dense_polynomial_instance(rng, 3, 16, "mixed"),
+            "dense-diagonalizable": random_dense_polynomial_instance(rng, 3, 16, "mixed"),
+            "dense-non-normal": random_dense_defective_instance(rng, 3, 16, "mixed"),
         }[family]
+        if family == "dense-non-normal":
+            assert all(op.propagate.func is statespace._pade_expm_apply for op, _ in eq.grouped)
         as_complex = FactoredEquation(eq.factors, tuple(x.astype(np.complex128) for x in eq.initial_data))
         assert solver._initial_derivatives(eq).dtype == np.float64
         matrices = []
@@ -835,12 +844,12 @@ class TestMarching:
 
     @staticmethod
     def _count_expm_matrices(monkeypatch, times) -> int:
-        """The ``scipy.linalg.expm`` matrices of a forced non-Hermitian
+        """The ``scipy.linalg.expm`` matrices of a forced defective
         ``(A, A, B)`` solve, d = 8, on ``times``."""
         rng = np.random.default_rng(45)
-        m = 0.3 * rng.standard_normal((8, 8)) / np.sqrt(8)
-        a = DenseMatrixOperator("A", -1.0 * np.eye(8) + 0.7 * m + 0.1 * (m @ m))
-        b = DenseMatrixOperator("B", 0.2 * np.eye(8) + 0.9 * m - 0.1 * (m @ m))
+        a = defective_operator("A", -1.0, 0.7, 8)
+        b = defective_operator("B", 0.2, 0.9, 8)
+        assert a.propagate.func is b.propagate.func is statespace._pade_expm_apply
         data = tuple(rng.standard_normal(8) for _ in range(3))
         c0, c1 = rng.standard_normal(8), rng.standard_normal(8)
         eq = FactoredEquation((a, a, b), data, Forcing(lambda t: c0 + t * c1))
@@ -851,7 +860,7 @@ class TestMarching:
         return sum(matrices)
 
     def test_repeated_dense_group_exponentiates_once_per_interval(self, monkeypatch):
-        # Non-Hermitian generators take scaled-and-squared exponentials.  The
+        # Defective generators take scaled-and-squared exponentials.  The
         # four intervals get 3, 6, 1 and 8 panels of 8 nodes in the coarse
         # pass and twice that in the doubled one, each node grown by both
         # groups; the homogeneous part takes 5 times per group.  The group

@@ -17,7 +17,12 @@ from factored_evolution import (
 from factored_evolution import statespace
 from factored_evolution.statespace import lu_apply, lu_factor_checked
 from factored_evolution.equation import build_companion
-from conftest import finite_difference_weights, random_dense_commuting_instance
+from conftest import (
+    defective_operator,
+    finite_difference_weights,
+    random_dense_commuting_instance,
+    random_dense_polynomial_instance,
+)
 
 
 class TestLuSolve:
@@ -129,7 +134,7 @@ class TestSkewHermitianAction:
     def test_matches_scipy_expm_row_by_row(self, kind):
         a = self.skew(kind)
         action = statespace.expm_action(a, statespace.unitary_eigh(a))
-        assert action.func is statespace._eigh_expm_apply
+        assert action.func is statespace._eigvec_expm_apply
         rng = np.random.default_rng(13)
         t = np.array([0.3, 1.1, 2.5, 7.0])
         v = rng.standard_normal((t.size, 12)) + 1j * rng.standard_normal((t.size, 12))
@@ -157,20 +162,150 @@ class TestSkewHermitianAction:
         assert np.array_equal(op.semigroup(0.0, v[0]), v[0])
 
 
+def close_to_expm(a, t, v, out, rtol=1e-13):
+    """Each row of ``out`` is ``scipy.linalg.expm(t_i a) @ v_i`` to ``rtol``
+    of the larger of that row's input and output: scaling and squaring
+    itself loses relative digits on a decaying row."""
+    for t_i, v_i, row in zip(t, v, out):
+        reference = scipy.linalg.expm(t_i * a) @ v_i
+        scale = max(np.max(np.abs(reference)), np.max(np.abs(v_i)))
+        assert np.max(np.abs(row - reference)) <= rtol * scale
+
+
+class TestEigenvectorAction:
+    """Diagonalizable non-normal generators act through the eigenvectors
+    of ``np.linalg.eig`` when those are well conditioned."""
+
+    @staticmethod
+    def action(a):
+        action = statespace.expm_action(a, statespace.unitary_eigh(a))
+        assert action.func is statespace._eigvec_expm_apply
+        return action
+
+    @staticmethod
+    def complex_matrix(d=12):
+        rng = np.random.default_rng(16)
+        return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d) - 0.3 * np.eye(d)
+
+    @staticmethod
+    def rotating_matrix(d=10):
+        """A real matrix whose eigenpairs are complex."""
+        a = np.random.default_rng(17).standard_normal((d, d)) / np.sqrt(d)
+        assert np.any(np.linalg.eigvals(a).imag != 0.0)
+        return a
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [8, 32, 128])
+    def test_dense_polynomials_match_scipy_expm(self, d, seed):
+        eq = random_dense_polynomial_instance(np.random.default_rng(seed), 2, d, "all-distinct")
+        rng = np.random.default_rng(seed)
+        t = np.array([0.1, 0.7, 1.5, 3.0])
+        for op, _ in eq.grouped:
+            assert op.eig is None and op.propagate.func is statespace._eigvec_expm_apply
+            v = rng.standard_normal((t.size, d))
+            out = op.propagate(t, v)
+            assert out.dtype == np.float64
+            close_to_expm(op.matrix, t, v, out)
+
+    def test_complex_non_normal_matrix_matches_scipy_expm(self):
+        a = self.complex_matrix()
+        rng = np.random.default_rng(18)
+        t = np.array([0.2, 0.9, 2.0, 4.0])
+        v = rng.standard_normal((t.size, 12)) + 1j * rng.standard_normal((t.size, 12))
+        close_to_expm(a, t, v, self.action(a)(t, v))
+
+    def test_real_matrix_with_complex_eigenpairs_gives_float64(self):
+        a = self.rotating_matrix()
+        action = self.action(a)
+        v = np.random.default_rng(19).standard_normal((3, 10))
+        t = np.array([0.5, 1.5, 3.0])
+        out = action(t, v)
+        assert out.dtype == np.float64
+        close_to_expm(a, t, v, out)
+        assert action(t, v.astype(np.complex128)).dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_complex_times(self, kind):
+        # the derivative check's circle: a real matrix and real data give
+        # complex rows off the real axis
+        a = self.rotating_matrix() if kind == "real" else self.complex_matrix()
+        d = a.shape[0]
+        t = 0.8 * np.exp(2j * np.pi * np.arange(6) / 6)
+        v = np.random.default_rng(20).standard_normal((t.size, d))
+        out = self.action(a)(t, v)
+        assert out.dtype == np.complex128
+        close_to_expm(a, t, v, out)
+
+    def test_t_zero_rows_are_exact(self):
+        op = random_dense_polynomial_instance(np.random.default_rng(21), 1, 8).factors[0]
+        v = np.random.default_rng(22).standard_normal((3, 8))
+        out = op.semigroup(np.array([0.4, 0.0, 1.0]), v)
+        assert np.array_equal(out[1], v[1])
+        assert np.array_equal(op.semigroup(0.0, v[0]), v[0])
+
+    def test_overflowing_row_raises(self):
+        a = 0.5 * np.eye(8) + self.rotating_matrix(8) / 4
+        op = DenseMatrixOperator("P", a)
+        assert op.propagate.func is statespace._eigvec_expm_apply
+        taus = np.array([0.5, 2.0, 5000.0])
+        vs = np.random.default_rng(23).standard_normal((3, 8))
+        assert np.all(np.isfinite(op.semigroup(taus[:-1], vs[:-1])))
+        with pytest.raises(SemigroupOverflowError, match="t=5e\\+03"):
+            op.semigroup(taus, vs)
+
+
+class TestPadeFallback:
+    """A matrix whose eigenvectors are singular or worse conditioned than
+    ``EIGVEC_COND_LIMIT`` keeps scaling and squaring, and never raises for it."""
+
+    @staticmethod
+    def kappa(a) -> float:
+        q = np.linalg.eig(a)[1]
+        return np.linalg.norm(q, 1) * np.linalg.norm(np.linalg.inv(q), 1)
+
+    @staticmethod
+    def nearly_defective(delta):
+        return np.array([[1.0, 1.0], [0.0, 1.0 + delta]])
+
+    @pytest.mark.parametrize(
+        "a", [np.eye(6, k=1), -0.5 * np.eye(6) + np.eye(6, k=1)], ids=["nilpotent", "jordan-block"]
+    )
+    def test_defective_matrices_keep_pade(self, a):
+        op = DenseMatrixOperator("J", a)
+        assert op.propagate.func is statespace._pade_expm_apply
+        t = np.array([0.0, 0.5, 2.0])
+        v = np.random.default_rng(24).standard_normal((3, 6))
+        close_to_expm(a, t, v, op.semigroup(t, v), rtol=1e-15)
+
+    def test_condition_just_above_the_limit_keeps_pade(self):
+        a = self.nearly_defective(1.99e-4)
+        assert statespace.EIGVEC_COND_LIMIT < self.kappa(a) < 1.01 * statespace.EIGVEC_COND_LIMIT
+        assert statespace.expm_action(a, statespace.unitary_eigh(a)).func is statespace._pade_expm_apply
+
+    def test_condition_just_below_the_limit_takes_the_eigenvectors(self):
+        a = self.nearly_defective(2.01e-4)
+        assert 0.99 * statespace.EIGVEC_COND_LIMIT < self.kappa(a) < statespace.EIGVEC_COND_LIMIT
+        action = statespace.expm_action(a, statespace.unitary_eigh(a))
+        assert action.func is statespace._eigvec_expm_apply
+        t = np.array([0.5, 2.0])
+        v = np.random.default_rng(25).standard_normal((2, 2))
+        close_to_expm(a, t, v, action(t, v), rtol=1e-11)
+
+
 class TestExpmStackCap:
     """Stacked Pade exponentials are chunked at ``EXPM_STACK_ENTRIES``."""
 
     @staticmethod
-    def _non_hermitian(shift, m, d=64, seed=40):
+    def _defective(shift, m, d=64, seed=40):
         rng = np.random.default_rng(seed)
-        a = shift * np.eye(d) + 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
-        op = DenseMatrixOperator("N", a)
+        op = defective_operator("N", shift, 0.5, d)
+        assert op.propagate.func is statespace._pade_expm_apply
         return op, np.linspace(0.0, 2.0, m), rng.standard_normal((m, d))
 
     def test_peak_memory_is_capped(self):
         # one 512-matrix stack of d = 64 peaks at 32 MiB, chunks of 2^18
         # entries at 4.4 MiB
-        op, taus, vs = self._non_hermitian(-1.0, 512)
+        op, taus, vs = self._defective(-1.0, 512)
         tracemalloc.start()
         try:
             op.semigroup(taus, vs)
@@ -180,7 +315,7 @@ class TestExpmStackCap:
         assert peak < 12 * 2**20
 
     def test_chunks_equal_one_stack_and_keep_zero_rows(self, monkeypatch):
-        op, taus, vs = self._non_hermitian(-1.0, 300)
+        op, taus, vs = self._defective(-1.0, 300)
         zero = np.zeros(taus.size, dtype=bool)
         zero[[0, 100, 299]] = True
         taus[zero] = 0.0
@@ -190,7 +325,7 @@ class TestExpmStackCap:
         assert np.array_equal(chunked[zero], vs[zero])
 
     def test_repeated_times_give_the_rows_of_distinct_ones(self, monkeypatch):
-        op, _, vs = self._non_hermitian(-1.0, 6)
+        op, _, vs = self._defective(-1.0, 6)
         taus = np.array([0.25, 0.5, 0.25, 0.0, 0.5, 0.25])
         matrices = []
         expm = scipy.linalg.expm
@@ -201,8 +336,8 @@ class TestExpmStackCap:
             assert np.array_equal(out[i], op.semigroup(np.array([t]), vs[i : i + 1])[0])
 
     def test_overflow_in_a_later_chunk_raises(self):
-        # the spectral abscissa is about 0.44: only the last time overflows
-        op, taus, vs = self._non_hermitian(0.0, 300)
+        # the spectral abscissa is 0.5: only the last time overflows
+        op, taus, vs = self._defective(0.5, 300)
         taus[-1] = 5000.0
         assert taus.size > statespace.EXPM_STACK_ENTRIES // op.matrix.size
         assert np.all(np.isfinite(op.semigroup(taus[:-1], vs[:-1])))
