@@ -25,7 +25,7 @@ CONFIG = {
     ],
     "forcing": "cos(t)",
     "time": {"t_end": 1.5, "samples": 7},
-    "quadrature": {"kind": "gauss-legendre", "panels": 16, "nodes_per_panel": 8},
+    "quadrature": {"panels": 16, "nodes_per_panel": 8},
     "oracle": {"steps_per_unit": 2000},
 }
 

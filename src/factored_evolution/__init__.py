@@ -43,6 +43,7 @@ from .errors import (
     NonFiniteError,
     NotDoubleRootError,
     NotInvertibleError,
+    OracleStepOverflowError,
     QuadratureUnderResolvedError,
     SchemaError,
     SemigroupOverflowError,

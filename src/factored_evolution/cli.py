@@ -446,13 +446,8 @@ def parse_config(text: str | bytes) -> ProblemConfig:
 
     # Keys left out keep QuadratureRule's defaults.
     quad = _expect(raw, "quadrature", dict, "config", required=False, default={})
-    _known_keys(quad, ("kind", "panels", "nodes_per_panel"), "quadrature")
-    fields = {}
-    if "kind" in quad:
-        fields["kind"] = _expect(quad, "kind", str, "quadrature")
-    for key in ("panels", "nodes_per_panel"):
-        if key in quad:
-            fields[key] = _integer(quad, key, "quadrature")
+    _known_keys(quad, ("panels", "nodes_per_panel"), "quadrature")
+    fields = {key: _integer(quad, key, "quadrature") for key in quad}
     try:
         rule = QuadratureRule(**fields)
     except ValueError as exc:
@@ -592,11 +587,11 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
     # Low-order rule on purpose: errors must sit far above roundoff for the
     # ratio to be meaningful.  The pair is the one the panel-doubling gate
     # compares: p_i and 2 p_i panels on each sample interval.
-    coarse = QuadratureRule("gauss-legendre", panels=2, nodes_per_panel=2)
+    coarse = QuadratureRule(panels=2, nodes_per_panel=2)
     matrix = build_confluent_matrix(eq.grouped)
     z = solve_z_vector(matrix)  # one solve and residual gate serve both rules
     times = np.asarray(t_grid, dtype=np.float64)
-    reference_rule = QuadratureRule("gauss-legendre", panels=64, nodes_per_panel=8)
+    reference_rule = QuadratureRule(panels=64, nodes_per_panel=8)
     reference = next(_richardson_passes(matrix, z, eq.forcing, times, reference_rule))
     errs = [float(np.max(np.abs(vals - reference)))
             for vals in _richardson_passes(matrix, z, eq.forcing, times, coarse)]

@@ -56,6 +56,7 @@ from .errors import (
     ForcingTypeError,
     NonCommutingFactorsError,
     NonFiniteError,
+    OracleStepOverflowError,
 )
 from .operators import (
     OPERATOR_SLOT,
@@ -314,8 +315,9 @@ def oracle_solve(
     the forcing live in :attr:`CompanionSystem.basis`, and the first block
     component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
-    forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, and
-    an overflowing state ``NonFiniteError``.
+    forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, an
+    interval whose step count overflows float range
+    ``OracleStepOverflowError``, and an overflowing state ``NonFiniteError``.
     """
     if steps_per_unit < 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
@@ -347,7 +349,13 @@ def oracle_solve(
     values, t_prev = [], 0.0
     for t in times:
         if t > t_prev:
-            steps = math.ceil((t - t_prev) * steps_per_unit)
+            count = float(t - t_prev) * steps_per_unit  # inf, not a warning, past float range
+            if not math.isfinite(count):
+                raise OracleStepOverflowError(
+                    f"the oracle step count of the interval [{t_prev:.6g}, {t:.6g}] overflows "
+                    f"float range ({steps_per_unit} steps per unit)"
+                )
+            steps = math.ceil(count)
             p_minus_i, w = step_matrices((t - t_prev) / steps)
             stage = np.linspace(t_prev, t, 2 * steps + 1)
             with np.errstate(over="ignore", invalid="ignore"):

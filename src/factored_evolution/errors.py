@@ -63,6 +63,10 @@ class QuadratureUnderResolvedError(FactoredEvolutionError):
     """Doubling the quadrature panels changed the result beyond tolerance."""
 
 
+class OracleStepOverflowError(FactoredEvolutionError):
+    """A sample interval needs more oracle steps than a float can count."""
+
+
 class NotDoubleRootError(FactoredEvolutionError):
     """The characteristic polynomial does not have a repeated root.
 

@@ -321,7 +321,9 @@ class TranslationOperator(Operator):
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
         if grid.n % 2 == 0:
             k[grid.n // 2] = 0.0  # drop the unmatched Nyquist frequency
-        self.modal_values = 1j * k * self.speed
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.modal_values = 1j * k * self.speed
+        check_finite(self.modal_values, f"modal values of operator {label!r}")
         _read_only(self.modal_values)
         self.mode_basis = ModeBasis(fourier=True, real=not speed_is_complex)
 

@@ -66,7 +66,7 @@ from .confluent import (
 )
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError
-from .operators import Operator, generator_blocks, resolvent_solve
+from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, resolvent_solve
 from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows
 from .trace import SolutionTrace
 
@@ -80,10 +80,8 @@ LEMMA2_RICHARDSON_TOL = 1e-8
 # carries up to one ulp of the last one.
 _SHAPE_ULPS = 8
 
-# The circle :func:`_initial_derivatives` reads the ansatz on: radius
-# _CIRCLE_RADIUS over the largest generator norm (at most 1), _CIRCLE_NODES
-# nodes.  Chosen on spectral, dense and translation instances of order 2-10.
-_CIRCLE_RADIUS = 4.0
+# Fewest nodes of the circle :func:`_initial_derivatives` reads the ansatz
+# on (:func:`_circle`).
 _CIRCLE_NODES = 24
 
 
@@ -220,7 +218,7 @@ def _richardson_passes(
     of ``matrix`` (:func:`solve_z_vector`).  Each pass runs only when it
     is asked for."""
     edges, coarse = _interval_runs(rule, times)
-    for runs in (coarse, [(start, stop, r.refined(2)) for start, stop, r in coarse]):
+    for runs in (coarse, [(start, stop, r.refined()) for start, stop, r in coarse]):
         if not runs:  # t_grid = [0]: nothing to integrate
             yield np.zeros((times.size, matrix.dim))
             continue
@@ -229,22 +227,20 @@ def _richardson_passes(
         yield np.concatenate([at_zero, forced])
 
 
-def solve_inhomogeneous_zero_ic(
-    eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None
-) -> SolutionTrace:
+def solve_inhomogeneous_zero_ic(eq: FactoredEquation, t_grid) -> SolutionTrace:
     """Convolution solution of the forced problem with zero initial data.
 
     Requires a forcing term and zero initial data, and is then exactly
-    :func:`solve_full`, whose homogeneous part solves to zero.  The forcing
-    may or may not vanish at ``t = 0`` (a nonzero ``f(0)`` is the
-    interesting case for the weight identities, but the formula itself does
-    not need it).
+    :func:`solve_full` with the default rule, whose homogeneous part solves
+    to zero.  The forcing may or may not vanish at ``t = 0`` (a nonzero
+    ``f(0)`` is the interesting case for the weight identities, but the
+    formula itself does not need it).
     """
     if eq.forcing is None:
         raise ValueError("solve_inhomogeneous_zero_ic needs a forcing term")
     if any(np.any(x != 0) for x in eq.initial_data):
         raise ValueError("solve_inhomogeneous_zero_ic needs zero initial data")
-    return solve_full(eq, t_grid, rule)
+    return solve_full(eq, t_grid)
 
 
 def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None) -> SolutionTrace:
@@ -325,26 +321,50 @@ def compare_with_oracle(
     return trace, reference, oracle_deviation(trace, reference)
 
 
+def _circle(matrix: BlockOperatorMatrix, xs: np.ndarray, n: int) -> tuple[float, int]:
+    """Radius ``rho`` and even node count ``N`` of the circle on which
+    :func:`_initial_derivatives` reads an order-``n`` ansatz with data ``xs``.
+
+    ``tau`` bounds the generators on what the data excite: for modal groups
+    the largest ``|modal value|`` over the modes where ``xs`` passes the
+    ``DEAD_MODE_RTOL`` mask (a mode the data leave dead stays dead in
+    ``u``), for dense ones the largest row sum.  ``rho = min(1, (n-1)/tau)``
+    keeps ``rho tau <= n - 1``, so the rounding of the cancelling sum, which
+    the order-k read multiplies by ``k!/rho^k``, stays small up to ``k = n-1``
+    (Bornemann, Found. Comput. Math. 11 (2011) 1-63).  ``N`` is the smallest
+    even count of at least ``max(_CIRCLE_NODES, n)`` whose aliasing term
+    ``(rho tau)^N / N!`` is below eps.
+    """
+    ops = [op for op, _ in matrix.grouped]
+    sums = np.sum(np.abs(generator_blocks(ops)), axis=-1)  # (g, b, m); modal: b = d, m = 1
+    if ops[0].mode_basis is not None:
+        modal = np.abs(matrix._factorization.basis.to_modes(xs))
+        sums = sums[:, np.any(modal > DEAD_MODE_RTOL * max(1.0, float(np.max(modal))), axis=0)]
+    tau = float(np.max(sums, initial=0.0))
+    rho = 1.0 if tau <= n - 1 else (n - 1) / tau
+    nodes = max(_CIRCLE_NODES, n + n % 2)
+    log_eps = math.log(np.finfo(np.float64).eps)
+    while rho * tau > 0 and nodes * math.log(rho * tau) - math.lgamma(nodes + 1) > log_eps:
+        nodes += 2
+    return rho, nodes
+
+
 def _initial_derivatives(eq: FactoredEquation) -> np.ndarray:
     """``u^(k)(0)`` for ``k < n``, shape ``(n, d)``, of the ansatz the
     solver evaluates: :func:`_semigroup_sum` of one :func:`solve_coefficients`.
 
     ``u`` is entire, so the trapezoid rule on the circle ``t_m = rho w^m``,
     ``w = e^{2 pi i/N}``, gives ``u^(k)(0) = k! fft(u(t_m))[k] / (N rho^k)``
-    with an error that falls geometrically in ``N = max(_CIRCLE_NODES, n)``
-    (Lyness and Moler 1967); ``rho = min(1, _CIRCLE_RADIUS / max_j
-    ||B_j||_inf)``.  A real problem has ``u(conj t) = conj u(t)`` and
-    ``t_{N-m} = conj t_m``, so it evaluates ``m = 0 .. N/2`` only, mirrors
-    the rest and takes the real part.
+    with an error that falls geometrically in ``N`` (Lyness and Moler
+    1967); ``rho`` and ``N`` come from :func:`_circle`.  A real problem has
+    ``u(conj t) = conj u(t)`` and ``t_{N-m} = conj t_m``, so it evaluates
+    ``m = 0 .. N/2`` only, mirrors the rest and takes the real part.
     """
     matrix = build_confluent_matrix(eq.grouped)
     xs = np.stack(eq.initial_data)
     ys = np.array(solve_coefficients(matrix, xs))
     real = not np.iscomplexobj(matrix._factorization.basis.from_modes(ys, xs))  # u is real on the real axis
-    blocks = generator_blocks(op for op, _ in matrix.grouped)
-    size = float(np.max(np.sum(np.abs(blocks), axis=-1)))
-    rho = _CIRCLE_RADIUS / max(_CIRCLE_RADIUS, size)
-    nodes = max(_CIRCLE_NODES, eq.n)
+    rho, nodes = _circle(matrix, xs, eq.n)
     evaluated = nodes // 2 + 1 if real else nodes
     ys = ys.astype(np.complex128)  # complex rows, which no real-output rule drops
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _semigroup_sum
@@ -374,15 +394,9 @@ def initial_derivative_defect(eq: FactoredEquation) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lemma2_lhs(
-    i_op: Operator,
-    j_op: Operator,
-    k: int,
-    t: float,
-    x,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
-    """Quadrature value of ``int_0^t e^{(t-s) A_i} (s^k/k!) e^{s A_j} x ds``.
+def lemma2_lhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
+    """Quadrature value of ``int_0^t e^{(t-s) A_i} (s^k/k!) e^{s A_j} x ds``
+    by the default :class:`QuadratureRule`.
 
     The value is verified by panel doubling to ``LEMMA2_RICHARDSON_TOL``
     and the refined value is returned.  As in :func:`solve_full`, a
@@ -392,7 +406,7 @@ def lemma2_lhs(
     if k < 0:
         raise ValueError("k must be >= 0")
     x = as_state_vector(x, i_op.dim)
-    rule = rule or QuadratureRule()
+    rule = QuadratureRule()
 
     def integrate(r: QuadratureRule) -> np.ndarray:
         pts, wts = r.nodes(0.0, float(t))
@@ -403,7 +417,7 @@ def lemma2_lhs(
 
     with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
         base = integrate(rule)
-        fine = integrate(rule.refined(2))
+        fine = integrate(rule.refined())
         err = float(np.max(np.abs(base - fine))) if base.size else 0.0
         limit = LEMMA2_RICHARDSON_TOL * (1.0 + float(np.max(np.abs(fine))))
     check_finite(fine, "convolution")

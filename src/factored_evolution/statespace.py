@@ -6,7 +6,7 @@ numerical primitives everything else is built on: a pivoted LU solve with an
 explicit singularity gate, matrix-exponential actions, the overflow-checked
 elementwise exponential behind every diagonal semigroup, a generic
 fixed-step RK4 integrator (the companion oracle takes its own exact RK4
-steps, in ``equation``), and composite quadrature rules.
+steps, in ``equation``), and the composite Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -343,38 +343,30 @@ def _gauss_legendre_reference(q: int):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite quadrature rule on an interval, split into equal panels.
+    """Composite Gauss-Legendre rule on an interval, split into equal panels.
 
-    ``gauss-legendre`` places ``nodes_per_panel`` Gauss points in each panel
-    (exact on polynomials of degree ``2 q - 1``).  ``composite-simpson`` uses
-    the 3-point Simpson rule per panel (degree 3).  Panel-boundary nodes are
-    not merged; the duplicate evaluations keep the bookkeeping trivial.
+    Each panel holds ``nodes_per_panel`` Gauss points (exact on polynomials
+    of degree ``2 q - 1``).  Panel-boundary nodes are not merged; the
+    duplicate evaluations keep the bookkeeping trivial.
     """
 
-    kind: str = "gauss-legendre"
     panels: int = 16
     nodes_per_panel: int = 8
 
     def __post_init__(self):
-        if self.kind not in ("gauss-legendre", "composite-simpson"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        if self.kind == "composite-simpson" and self.nodes_per_panel != 3:
-            raise ValueError("composite-simpson uses exactly 3 nodes per panel")
-        if self.kind == "gauss-legendre" and self.nodes_per_panel < 1:
+        if self.nodes_per_panel < 1:
             raise ValueError("nodes_per_panel must be >= 1")
 
     @property
     def order(self) -> int:
         """Convergence order (also: exact on polynomials of degree order-1)."""
-        if self.kind == "gauss-legendre":
-            return 2 * self.nodes_per_panel
-        return 4
+        return 2 * self.nodes_per_panel
 
-    def refined(self, factor: int = 2) -> "QuadratureRule":
-        """Same rule with ``factor`` times as many panels."""
-        return replace(self, panels=self.panels * factor)
+    def refined(self) -> "QuadratureRule":
+        """Same rule with twice as many panels: the panel-doubling check's."""
+        return replace(self, panels=2 * self.panels)
 
     def nodes(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights for the interval ``[a, b]``.
@@ -386,14 +378,8 @@ class QuadratureRule:
             return np.empty(0), np.empty(0)
         edges = np.linspace(a, b, self.panels + 1)
         h = (b - a) / self.panels
-        if self.kind == "gauss-legendre":
-            xr, wr = _gauss_legendre_reference(self.nodes_per_panel)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            pts = mids[:, None] + (0.5 * h) * xr[None, :]
-            wts = np.broadcast_to((0.5 * h) * wr, pts.shape)
-        else:
-            left = edges[:-1]
-            pts = left[:, None] + h * np.array([0.0, 0.5, 1.0])[None, :]
-            wts = np.broadcast_to((h / 6.0) * np.array([1.0, 4.0, 1.0]), pts.shape)
+        xr, wr = _gauss_legendre_reference(self.nodes_per_panel)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        pts = mids[:, None] + (0.5 * h) * xr[None, :]
+        wts = np.broadcast_to((0.5 * h) * wr, pts.shape)
         return pts.ravel(), np.ascontiguousarray(wts).ravel()
-

@@ -125,10 +125,10 @@ class TestParseConfig:
 
     def test_defaults_without_quadrature_and_oracle(self):
         cfg = parse_config(config_text())
-        assert cfg.rule == QuadratureRule("gauss-legendre", panels=16, nodes_per_panel=8)
+        assert cfg.rule == QuadratureRule(panels=16, nodes_per_panel=8)
         assert cfg.oracle_steps_per_unit == 2000
         partial = parse_config(config_text(quadrature={"panels": 4}, oracle={}))
-        assert partial.rule == QuadratureRule("gauss-legendre", panels=4, nodes_per_panel=8)
+        assert partial.rule == QuadratureRule(panels=4, nodes_per_panel=8)
         assert partial.oracle_steps_per_unit == 2000
 
     def test_five_factor_grouping(self):
@@ -189,6 +189,7 @@ class TestParseConfig:
               "backend": {"family": "spectral", "dimension": 1}},
              "operators.a.eigenvalues.random-uniform.mid"),
             ({"initial_data": [{"profile": "random-normal", "scael": 2.0}]}, "initial_data[0].scael"),
+            ({"quadrature": {"kind": "gauss-legendre", "panels": 8}}, "quadrature.kind"),
         ],
     )
     def test_unknown_key_is_named(self, overrides, path):
@@ -463,6 +464,29 @@ class TestCommands:
         assert "SingularSystemError" in out
         assert "'A'" in out and "'B'" in out
 
+    def test_oracle_step_count_past_float_range(self, tmp_path, capsys):
+        # the closed form decays to zero by t = 1e308, where the oracle's
+        # step count is no float
+        cfg = {
+            "backend": {"family": "spectral"},
+            "operators": {"A": {"eigenvalues": [-1.0, -2.0]}, "B": {"eigenvalues": [-0.5, -0.25]}},
+            "factors": ["A", "B"],
+            "initial_data": [[1.0, 0.0], [0.0, 1.0]],
+            "forcing": "none",
+            "time": {"t_end": 1e308, "samples": 2},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = ["--out", str(tmp_path / "trace.csv")]
+        assert main(["solve", str(cfg_path), *out]) == 0
+        assert main(["verify", str(cfg_path)]) == 1
+        report = capsys.readouterr().out
+        assert "FAIL oracle-equivalence: observed=nan tol=0.0e+00  [OracleStepOverflowError: " in report
+        assert "interval [0, 1e+308]" in report
+        assert "PASS coefficient-residual" in report
+        assert main(["compare-oracle", str(cfg_path), *out]) == 2
+        assert "error: OracleStepOverflowError: " in capsys.readouterr().err
+
     def test_verify_solves_the_sample_grid_once(self, monkeypatch):
         config = parse_config(json.dumps(RANDOM_DIAGONAL))
         sample_grid = config.time_grid()
@@ -696,6 +720,7 @@ class TestCommands:
             {"forcing": "t * 1" + "0" * 400},
             {"forcng": "cos(t)"},
             {"quadrature": {"panel": 2}},
+            {"quadrature": {"kind": "composite-simpson", "nodes_per_panel": 3}},
             {"time": {"t_end": 1.0, "samples": 3, "sample": 9}},
             {
                 "backend": {"family": "dense"},
@@ -745,6 +770,7 @@ class TestCommands:
             "forcing-constant-past-float-range",
             "root-misspelled-forcing",
             "quadrature-misspelled-panels",
+            "quadrature-kind",
             "time-unknown-sample",
             "dense-operator-scale",
             "dense-backend-grid",

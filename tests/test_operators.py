@@ -316,6 +316,13 @@ def test_translation_rejects_non_finite_speed(speed):
         TranslationOperator("T", speed, periodic_grid(8))
 
 
+@pytest.mark.parametrize("speed", [1e307, -1e307, complex(1e307, 1e307)])
+def test_translation_rejects_modal_values_past_float_range(speed):
+    # a finite speed times the grid's highest frequency, pi / dx = 31.4
+    with pytest.raises(NonFiniteError, match="modal values of operator 'a'"):
+        TranslationOperator("a", speed, UniformGrid(0.0, 0.1, 16))
+
+
 class TestZeroExtension:
     """A zero-extension translation: ``speed`` times the central difference,
     a dense generator whose semigroup is its exact exponential."""

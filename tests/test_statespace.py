@@ -374,35 +374,20 @@ class TestRk4:
 
 
 class TestQuadratureRule:
-    @pytest.mark.parametrize(
-        "rule",
-        [
-            QuadratureRule("gauss-legendre", panels=7, nodes_per_panel=4),
-            QuadratureRule("composite-simpson", panels=9, nodes_per_panel=3),
-        ],
-    )
-    def test_weights_sum_to_interval(self, rule):
-        _, w = rule.nodes(-0.3, 2.1)
+    def test_weights_sum_to_interval(self):
+        _, w = QuadratureRule(panels=7, nodes_per_panel=4).nodes(-0.3, 2.1)
         assert abs(np.sum(w) - 2.4) <= 1e-13 * 2.4
 
     def test_gauss_exact_on_polynomials(self):
-        rule = QuadratureRule("gauss-legendre", panels=2, nodes_per_panel=8)
+        rule = QuadratureRule(panels=2, nodes_per_panel=8)
         x, w = rule.nodes(0.0, 1.5)
         for k in range(rule.order):
             exact = 1.5 ** (k + 1) / (k + 1)
             assert abs(np.dot(w, x**k) - exact) <= 1e-12 * exact
 
-    def test_simpson_exact_on_cubics(self):
-        rule = QuadratureRule("composite-simpson", panels=3, nodes_per_panel=3)
-        x, w = rule.nodes(0.0, 2.0)
-        for k in range(4):
-            exact = 2.0 ** (k + 1) / (k + 1)
-            assert abs(np.dot(w, x**k) - exact) <= 1e-12 * exact
-
     def test_refined_doubles_panels(self):
         rule = QuadratureRule(panels=4)
         assert rule.refined().panels == 8
-        assert rule.refined(3).panels == 12
 
     def test_empty_interval(self):
         x, w = QuadratureRule().nodes(0.7, 0.7)
@@ -410,11 +395,11 @@ class TestQuadratureRule:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            QuadratureRule("trapezoid")
-        with pytest.raises(ValueError):
             QuadratureRule(panels=0)
         with pytest.raises(ValueError):
-            QuadratureRule("composite-simpson", nodes_per_panel=5)
+            QuadratureRule(nodes_per_panel=0)
+        with pytest.raises(TypeError):  # Gauss-Legendre panels are the only family
+            QuadratureRule(kind="composite-simpson")
 
 
 class TestFiniteDifferenceWeights:

@@ -37,7 +37,7 @@ def test_install_counts_a_forced_solve_and_uninstall_restores():
     }
     a = fe.SpectralDiagonalOperator("A", [-1.0, -2.0])
     b = fe.SpectralDiagonalOperator("B", [0.5, 0.25])
-    rule = fe.QuadratureRule("gauss-legendre", panels=1, nodes_per_panel=4)
+    rule = fe.QuadratureRule(panels=1, nodes_per_panel=4)
 
     tracer = tracer_module.Tracer()
     tracer.install(fe)
