@@ -39,7 +39,7 @@ hom = solve_homogeneous(eq.without_forcing(), t_grid)
 conv = solve_inhomogeneous_zero_ic(eq.with_zero_initial_data(), t_grid)
 
 print(f"\nsuperposition defect: {np.max(np.abs(full.values - hom.values - conv.values)):.1e}")
-print(f"quadrature doubling check: {conv.diagnostics['richardson_rel_dev']:.2e}")
+print(f"Gauss-Kronrod quadrature check: {conv.diagnostics['richardson_rel_dev']:.2e}")
 
 expected = 2.0 * np.cosh(t_grid) - 1.0
 print(f"max deviation from 2 cosh(t) - 1: {np.max(np.abs(full.values[:, 0] - expected)):.2e}")

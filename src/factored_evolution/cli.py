@@ -40,7 +40,8 @@ from .operators import (
     UniformGrid,
 )
 from .solver import (
-    _richardson_passes,
+    _duhamel_pass,
+    _interval_runs,
     compare_with_oracle,
     initial_derivative_defect,
     lemma2_lhs,
@@ -585,16 +586,19 @@ def _lemma2_records(eq: FactoredEquation, t: float, report: VerificationReport) 
 
 def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> None:
     # Low-order rule on purpose: errors must sit far above roundoff for the
-    # ratio to be meaningful.  The pair is the one the panel-doubling gate
-    # compares: p_i and 2 p_i panels on each sample interval.
+    # ratio to be meaningful.  The order is measured by doubling: the Gauss
+    # sums of p_i and 2 p_i panels on each sample interval, against those
+    # of a fine reference rule.
     coarse = QuadratureRule(panels=2, nodes_per_panel=2)
     matrix = build_confluent_matrix(eq.grouped)
-    z = solve_z_vector(matrix)  # one solve and residual gate serve both rules
+    z = solve_z_vector(matrix)  # one solve and residual gate serve every rule
     times = np.asarray(t_grid, dtype=np.float64)
     reference_rule = QuadratureRule(panels=64, nodes_per_panel=8)
-    reference = next(_richardson_passes(matrix, z, eq.forcing, times, reference_rule))
-    errs = [float(np.max(np.abs(vals - reference)))
-            for vals in _richardson_passes(matrix, z, eq.forcing, times, coarse)]
+    reference, _ = _duhamel_pass(matrix, z, eq.forcing, times, *_interval_runs(reference_rule, times))
+    edges, runs = _interval_runs(coarse, times)
+    doubled = [(start, stop, rule.refined()) for start, stop, rule in runs]
+    errs = [float(np.max(np.abs(_duhamel_pass(matrix, z, eq.forcing, times, edges, r)[0] - reference)))
+            for r in (runs, doubled)]
     scale = max(float(np.max(np.abs(reference))), 1e-30)
     if errs[1] <= 1e-12 * scale:
         report.add("quadrature-convergence", 1.0, 0.0, "errors at roundoff floor")

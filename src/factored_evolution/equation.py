@@ -80,6 +80,9 @@ ORACLE_STEPS_PER_UNIT = 2000
 # stack has at most 2 * _ORACLE_CHUNK_STEPS + 1 rows however long a sample
 # interval is.
 _ORACLE_CHUNK_STEPS = 128
+# Most RK4 steps of one sample interval: its 2 * steps + 1 stage times are
+# indexed in int64.
+_ORACLE_MAX_STEPS = (np.iinfo(np.int64).max - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -311,13 +314,16 @@ def oracle_solve(
     one transform, and its terms ``c_k = W [f_k, f_{k+1/2}, f_{k+1}]`` for
     every step of the run are one batched product; each step then adds
     ``(P - I) U + c_k``, and the state is checked once per run (a
-    non-finite entry stays non-finite under these steps).  The state and
+    non-finite entry stays non-finite under these steps).  A run's stage
+    times are ``t_prev + i (t - t_prev) / (2 steps)`` for its indices i, the
+    interval's last one ``t``, so that no array spans the whole interval.  The state and
     the forcing live in :attr:`CompanionSystem.basis`, and the first block
     component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
     forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, an
-    interval whose step count overflows float range
-    ``OracleStepOverflowError``, and an overflowing state ``NonFiniteError``.
+    interval whose ``2 steps + 1`` stage times overflow the int64 range (or
+    whose step count overflows float range) ``OracleStepOverflowError``,
+    and an overflowing state ``NonFiniteError``.
     """
     if steps_per_unit < 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
@@ -350,17 +356,20 @@ def oracle_solve(
     for t in times:
         if t > t_prev:
             count = float(t - t_prev) * steps_per_unit  # inf, not a warning, past float range
-            if not math.isfinite(count):
+            if not count <= _ORACLE_MAX_STEPS:
                 raise OracleStepOverflowError(
                     f"the oracle step count of the interval [{t_prev:.6g}, {t:.6g}] overflows "
-                    f"float range ({steps_per_unit} steps per unit)"
+                    f"the int64 range of its stage times ({steps_per_unit} steps per unit)"
                 )
             steps = math.ceil(count)
             p_minus_i, w = step_matrices((t - t_prev) / steps)
-            stage = np.linspace(t_prev, t, 2 * steps + 1)
+            half = (t - t_prev) / (2 * steps)  # the stage times of linspace(t_prev, t, 2 steps + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 for first in range(0, steps, _ORACLE_CHUNK_STEPS):
-                    chunk = stage[2 * first : 2 * min(first + _ORACLE_CHUNK_STEPS, steps) + 1]
+                    last = min(first + _ORACLE_CHUNK_STEPS, steps)
+                    chunk = t_prev + np.arange(2 * first, 2 * last + 1) * half
+                    if last == steps:
+                        chunk[-1] = t
                     terms = None if eq.forcing is None else forcing_terms(chunk, w)
                     for k in range(chunk.size // 2):
                         du = p_minus_i @ state

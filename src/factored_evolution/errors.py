@@ -64,7 +64,8 @@ class QuadratureUnderResolvedError(FactoredEvolutionError):
 
 
 class OracleStepOverflowError(FactoredEvolutionError):
-    """A sample interval needs more oracle steps than a float can count."""
+    """A sample interval needs more oracle steps than its int64-indexed
+    stage times can count."""
 
 
 class NotDoubleRootError(FactoredEvolutionError):

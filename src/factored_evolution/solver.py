@@ -11,8 +11,9 @@ convolution form
     u(t) = sum_j sum_k  int_0^t ((t-s)^k / k!) e^{(t-s) B_j} z_{jk} f(s) ds
 
 with the forcing weights ``z`` from the confluent solve against
-``(0, ..., 0, I)``; the integral is verified by panel doubling.  General
-initial data superposes the two parts.
+``(0, ..., 0, I)``; the integral takes the Gauss sums of a composite
+Gauss-Legendre rule, checked against the Kronrod sums of the same pass.
+General initial data superposes the two parts.
 
 The homogeneous part is :func:`_semigroup_sum`: each group's
 ``Operator.propagate`` grows the coefficients for all sample times at once
@@ -27,13 +28,14 @@ from one sample time to the next, so only each new interval's integral is
 a quadrature (:func:`_duhamel_pass`).  One walk over the intervals
 (:func:`_interval_runs`) gathers them into runs of one shape (panel count
 and width), each with one quadrature rule and one node layout, so a
-uniform grid repeats the same node offsets in every interval; the doubled
-pass refines each run's rule.  The pass takes the
-forcing at every node as one stack (:meth:`Forcing.many`) in the groups'
-shared basis; each group's ``Operator.propagate`` grows a run's block of
-it with one exponential of the run's offsets and carries the sums
-interval by interval, and :meth:`ZCoefficients.weigh` applies ``z`` to
-them last.
+uniform grid repeats the same node offsets in every interval.  A layout
+holds each panel's q Gauss nodes and their q + 1 Kronrod nodes
+(:meth:`QuadratureRule.gauss_kronrod`), so one pass gives both sums.  The
+pass takes the forcing at every node as one stack (:meth:`Forcing.many`)
+in the groups' shared basis; each group's ``Operator.propagate`` grows a
+run's block of it with one exponential of the run's offsets and carries
+both sums interval by interval, and :meth:`ZCoefficients.weigh` applies
+``z`` to them last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -70,7 +71,10 @@ from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, resolvent_sol
 from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows
 from .trace import SolutionTrace
 
-# Richardson (panel-doubling) tolerances.
+# Quadrature error gates.  INHOMOGENEOUS_RICHARDSON_TOL bounds the
+# Gauss-Kronrod estimate of a forced solve (:func:`solve_full`) relative to
+# the forced part's largest entry; LEMMA2_RICHARDSON_TOL the panel-doubling
+# check of :func:`lemma2_lhs`.
 INHOMOGENEOUS_RICHARDSON_TOL = 1e-6
 LEMMA2_RICHARDSON_TOL = 1e-8
 
@@ -152,10 +156,11 @@ def _binomial_shift(width: float, mult: int) -> np.ndarray:
 
 
 def _duhamel_pass(
-    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, edges: np.ndarray, runs
-) -> np.ndarray:
-    """The forced part at the interval ends ``edges[1:]``, shape ``(I, d)``,
-    from one quadrature pass over ``[0, edges[-1]]``.
+    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, times: np.ndarray, edges: np.ndarray, runs
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forced part at every sample time, shape ``(S, d)``, by the Gauss
+    and by the Kronrod sums of one quadrature pass over the sample intervals
+    ``edges`` and their ``runs`` (:func:`_interval_runs`).
 
     For each group ``j`` and ``k < S_j`` the pass carries
     ``H_jk(t) = int_0^t ((t-s)^k/k!) e^{(t-s) B_j} f(s) ds``
@@ -166,65 +171,52 @@ def _duhamel_pass(
 
     so only the new interval's integral is a quadrature.  A run
     ``(start, stop, rule)`` of r intervals of one shape
-    (:func:`_interval_runs`) takes the node layout ``xi`` of its first
-    interval, from one ``rule.nodes(0, D)`` call: an
-    interval from ``a`` has the nodes ``a + xi``, the offsets
-    ``tau = D - xi`` and the carry width ``D``.  So the run forms ``tau``,
-    the moments ``w tau^k/k!`` and the binomial shift once; each group grows
-    the run's ``(r, q, d)`` forcing block with one :meth:`Operator.propagate`
-    of the q offsets and takes the r local integrals as one product, and
-    only the carry, one ``propagate`` of width ``D``, goes interval by
-    interval.  The forcing values of all nodes of the pass are one
-    :meth:`Forcing.many` stack in the groups' shared basis, and ``z``
+    (:func:`_interval_runs`) takes the Gauss-Kronrod layout ``xi`` of its
+    first interval, from one ``rule.gauss_kronrod(0, D)`` call: an interval
+    from ``a`` has the nodes ``a + xi``, the offsets ``tau = D - xi`` and
+    the carry width ``D``.  So the run forms ``tau``, the Gauss moments
+    ``w tau^k/k!`` of its Gauss nodes, the Kronrod moments of all its nodes
+    (2q+1 per panel) and the binomial shift once; each group grows the run's
+    ``(r, m, d)`` forcing block with one :meth:`Operator.propagate` of the m
+    offsets and takes the r local integrals of either rule as two products,
+    and only the carry of both sums, one ``propagate`` of width ``D`` on
+    ``(2, S_j, d)``, goes interval by interval.  The Gauss nodes are the
+    points of ``rule.nodes``, so the Gauss sums are the values of the
+    composite Gauss rule.  The forcing values of all nodes of the pass are
+    one :meth:`Forcing.many` stack in the groups' shared basis, and ``z``
     weighs last; :func:`solve_full` checks the values.
     """
+    if not runs:  # t_grid = [0]: nothing to integrate
+        zero = np.zeros((times.size, matrix.dim))
+        return zero, zero
     widths = np.diff(edges)
     mult_max = max(mult for _, mult in matrix.grouped)
     layouts = []
     for start, stop, rule in runs:
         width = widths[start]
-        xi, wts = rule.nodes(0.0, width)
+        xi, wts, gauss, gauss_wts = rule.gauss_kronrod(0.0, width)
         taus = width - xi
-        moments = wts * np.array([taus**k / math.factorial(k) for k in range(mult_max)])
-        layouts.append((edges[start:stop, None] + xi, width, taus, moments, _binomial_shift(width, mult_max)))
+        powers = np.array([taus**k / math.factorial(k) for k in range(mult_max)])
+        moments = (gauss_wts * powers[:, gauss], wts * powers)
+        layouts.append((edges[start:stop, None] + xi, width, taus, gauss, moments, _binomial_shift(width, mult_max)))
     g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
     g_hat = z.modes_of(g)
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
     h = []
     for op, mult in matrix.grouped:
-        carried, prev = [], np.zeros((mult, matrix.dim))
-        for (nodes, width, taus, moments, shift), block in zip(layouts, blocks):
-            # one (r, q, d) exponential alive at a time
-            local = moments[:mult] @ op.propagate(taus, block.reshape(*nodes.shape, -1))
+        carried, prev = [], np.zeros((2, mult, matrix.dim))
+        for (nodes, width, taus, gauss, (gauss_moments, moments), shift), block in zip(layouts, blocks):
+            # one (r, m, d) exponential alive at a time
+            grown = op.propagate(taus, block.reshape(*nodes.shape, -1))
+            # take, not grown[:, gauss]: its rows are contiguous, as those of a
+            # Gauss-only block, so the product sums in the same order
+            local = np.stack([gauss_moments[:mult] @ grown.take(gauss, axis=1), moments[:mult] @ grown], axis=1)
             for integral in local:
                 prev = op.propagate(np.full(mult, width), shift[:mult, :mult] @ prev) + integral
                 carried.append(prev)
-        h.append(np.stack(carried))
-    return z.weigh(np.concatenate(h, axis=1), g)
-
-
-def _richardson_passes(
-    matrix: BlockOperatorMatrix,
-    z: ZCoefficients,
-    forcing: Forcing,
-    times: np.ndarray,
-    rule: QuadratureRule,
-) -> Iterator[np.ndarray]:
-    """The forced part at every sample time, shape ``(S, d)``, by a pass
-    with ``p_i`` panels per interval and then by one with ``2 p_i``: the
-    pair the panel-doubling check compares.  Doubling keeps equal panel
-    counts equal, so both passes take the runs of :func:`_interval_runs`,
-    the second with each run's rule refined.  ``z`` is the forcing weights
-    of ``matrix`` (:func:`solve_z_vector`).  Each pass runs only when it
-    is asked for."""
-    edges, coarse = _interval_runs(rule, times)
-    for runs in (coarse, [(start, stop, r.refined()) for start, stop, r in coarse]):
-        if not runs:  # t_grid = [0]: nothing to integrate
-            yield np.zeros((times.size, matrix.dim))
-            continue
-        forced = _duhamel_pass(matrix, z, forcing, edges, runs)
-        at_zero = np.zeros((times.size - forced.shape[0], matrix.dim))  # a sample at t = 0
-        yield np.concatenate([at_zero, forced])
+        h.append(np.stack(carried, axis=1))
+    at_zero = np.zeros((times.size - widths.size, matrix.dim))  # a sample at t = 0
+    return tuple(np.concatenate([at_zero, z.weigh(sums, g)]) for sums in np.concatenate(h, axis=2))
 
 
 def solve_inhomogeneous_zero_ic(eq: FactoredEquation, t_grid) -> SolutionTrace:
@@ -261,13 +253,16 @@ def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None)
     integrals ``H_{jk}`` reached at one sample time are carried to the next
     by the exact propagator ``e^{width B_j}`` and binomial weights.  The
     pass takes the forcing at all its nodes as one stack and handles every
-    node at once.  A second pass doubles every interval's panels; if the two
-    disagree beyond ``INHOMOGENEOUS_RICHARDSON_TOL`` (relative to the
-    solution scale) the solve raises :class:`QuadratureUnderResolvedError`
-    (a NaN deviation too), and a non-finite value :class:`NonFiniteError`.
-    The diagnostics then also carry ``richardson_rel_dev`` and
-    ``quadrature``.  The assembly is a plain sum, so superposition holds
-    to roundoff by construction.
+    node at once (:func:`_duhamel_pass`).  Each panel holds the q Gauss
+    nodes of ``rule`` and their q + 1 Kronrod nodes, and the solution takes
+    the Gauss sums.  If the largest entry of their difference from the
+    Kronrod sums exceeds ``INHOMOGENEOUS_RICHARDSON_TOL`` times the largest
+    entry of the Kronrod sums (the forced part's scale), the solve raises
+    :class:`QuadratureUnderResolvedError` (a NaN reading too), and a
+    non-finite value :class:`NonFiniteError`.  The diagnostics then also
+    carry that reading as ``richardson_rel_dev``, and ``quadrature``.  The
+    assembly is a plain sum, so superposition holds to roundoff by
+    construction.
     """
     times = _check_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
@@ -277,14 +272,15 @@ def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None)
         values = _semigroup_sum(matrix, ys, times, np.stack(eq.initial_data))
         if eq.forcing is not None:
             rule = rule or QuadratureRule()
-            base, fine = _richardson_passes(matrix, solve_z_vector(matrix), eq.forcing, times, rule)
-            values = values + base
-            dev = float(np.max(np.abs(base - fine))) / (float(np.max(np.abs(fine))) + 1e-30)
+            z = solve_z_vector(matrix)
+            gauss, kronrod = _duhamel_pass(matrix, z, eq.forcing, times, *_interval_runs(rule, times))
+            values = values + gauss
+            dev = float(np.max(np.abs(gauss - kronrod))) / (float(np.max(np.abs(kronrod))) + 1e-30)
             diagnostics = {"richardson_rel_dev": dev, "quadrature": asdict(rule), **diagnostics}
     check_finite(values, "solution")
     if eq.forcing is not None and not dev <= INHOMOGENEOUS_RICHARDSON_TOL:  # NaN fails too
         raise QuadratureUnderResolvedError(
-            f"panel doubling changed the solution by {dev:.3e} relative "
+            f"the Gauss and Kronrod sums of the forced part differ by {dev:.3e} relative "
             f"(> {INHOMOGENEOUS_RICHARDSON_TOL:.1e}); increase panels or nodes_per_panel"
         )
     return SolutionTrace(times, values, diagnostics)

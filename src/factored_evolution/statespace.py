@@ -336,9 +336,64 @@ def rk4_integrate(
 @lru_cache(maxsize=32)
 def _gauss_legendre_reference(q: int):
     # Nodes/weights on [-1, 1]; cached because every run of a Duhamel pass
-    # takes its nodes from one rule of its own.
+    # takes its Gauss-Kronrod layout (:func:`_gauss_kronrod_reference`)
+    # from a rule of its own, and lemma2_lhs and the PDE closed forms call
+    # QuadratureRule.nodes per value.
     x, w = np.polynomial.legendre.leggauss(q)
     return x, w
+
+
+@lru_cache(maxsize=32)
+def _gauss_kronrod_reference(q: int):
+    """The (2q+1)-point Kronrod extension of the q-point Gauss-Legendre rule
+    on ``[-1, 1]``: ``(x, w, gauss)`` with the nodes ``x`` in increasing
+    order, their Kronrod weights ``w`` (exact on polynomials of degree
+    ``3 q + 1``) and the positions ``gauss = 1, 3, .., 2 q - 1`` of the Gauss
+    nodes, which are those of :func:`_gauss_legendre_reference` bit for bit.
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133-1145, appendix) extends
+    the Legendre recurrence ``a_k = 0``, ``b_0 = 2``, ``b_k = k^2/(4k^2-1)``
+    to the Jacobi-Kronrod matrix, whose eigenvalues are the nodes; for the
+    Legendre weight they are real, interlace and lie inside for every q
+    (Monegato, SIAM Rev. 24 (1982) 137-158).  The q+1 Kronrod nodes are
+    made symmetric about 0.  The rule is interpolatory, so the weights solve
+    the Legendre moment equations on the nodes, which reproduces the
+    tabulated G7/K15 and G10/K21 weights more closely than the
+    eigenvectors do.
+    """
+    a, b = np.zeros(2 * q + 1), np.zeros(2 * q + 1)
+    k = np.arange(1, (3 * q + 1) // 2 + 1)
+    b[0], b[k] = 2.0, k**2 / (4.0 * k**2 - 1.0)
+    # s and t hold two consecutive rows of Laurie's mixed moments, offset by
+    # one index; the rows past q - 1 fill in the unknown tail of a and b
+    s, t = np.zeros(q // 2 + 3), np.zeros(q // 2 + 3)
+    t[1] = b[q + 1]
+    for m in range(q - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + q + 1] - a[l]) * t[k + 1] + b[k + q + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    s[1 : q // 2 + 3] = s[: q // 2 + 2].copy()
+    for m in range(q - 1, 2 * q - 2):
+        k = np.arange(m + 1 - q, (m - 1) // 2 + 1)
+        l = m - k
+        j = q - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + q + 1] - a[l]) * t[j + 1] - b[k + q + 1] * s[j + 1] + b[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + q + 1] = a[k] + (s[j + 1] - b[k + q + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + q + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * q] = a[q - 1] - b[2 * q] * s[1] / t[1]
+    x = scipy.linalg.eigvalsh_tridiagonal(a, np.sqrt(b[1:]))
+    x = 0.5 * (x - x[::-1])
+    gauss = np.arange(1, 2 * q, 2)
+    x[gauss] = _gauss_legendre_reference(q)[0]
+    moments = np.zeros(2 * q + 1)
+    moments[0] = 2.0
+    w = np.linalg.solve(np.polynomial.legendre.legvander(x, 2 * q).T, moments)
+    return x, 0.5 * (w + w[::-1]), gauss
 
 
 @dataclass(frozen=True)
@@ -348,6 +403,8 @@ class QuadratureRule:
     Each panel holds ``nodes_per_panel`` Gauss points (exact on polynomials
     of degree ``2 q - 1``).  Panel-boundary nodes are not merged; the
     duplicate evaluations keep the bookkeeping trivial.
+    :meth:`gauss_kronrod` adds each panel's q + 1 Kronrod nodes, so that one
+    set of forcing values gives the Gauss sum and an error estimate.
     """
 
     panels: int = 16
@@ -365,8 +422,19 @@ class QuadratureRule:
         return 2 * self.nodes_per_panel
 
     def refined(self) -> "QuadratureRule":
-        """Same rule with twice as many panels: the panel-doubling check's."""
+        """Same rule with twice as many panels, for the order measurements
+        of ``verify`` and the panel-doubling check of ``lemma2_lhs``."""
         return replace(self, panels=2 * self.panels)
+
+    def _panels(self, a: float, b: float, xr: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The reference nodes ``xr`` and weights ``wr`` on ``[-1, 1]``
+        mapped to every panel of ``[a, b]``, flattened panel by panel."""
+        edges = np.linspace(a, b, self.panels + 1)
+        h = (b - a) / self.panels
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        pts = mids[:, None] + (0.5 * h) * xr[None, :]
+        wts = np.broadcast_to((0.5 * h) * wr, pts.shape)
+        return pts.ravel(), np.ascontiguousarray(wts).ravel()
 
     def nodes(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights for the interval ``[a, b]``.
@@ -376,10 +444,17 @@ class QuadratureRule:
         """
         if b == a:
             return np.empty(0), np.empty(0)
-        edges = np.linspace(a, b, self.panels + 1)
-        h = (b - a) / self.panels
-        xr, wr = _gauss_legendre_reference(self.nodes_per_panel)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        pts = mids[:, None] + (0.5 * h) * xr[None, :]
-        wts = np.broadcast_to((0.5 * h) * wr, pts.shape)
-        return pts.ravel(), np.ascontiguousarray(wts).ravel()
+        return self._panels(a, b, *_gauss_legendre_reference(self.nodes_per_panel))
+
+    def gauss_kronrod(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Gauss-Kronrod layout of ``[a, b]``: ``(pts, wts, gauss,
+        gauss_wts)``, with the 2q+1 nodes ``pts`` of every panel and their
+        Kronrod weights ``wts``, the positions ``gauss`` in ``pts`` of the
+        Gauss nodes, which are the points of :meth:`nodes` bit for bit, and
+        the Gauss weights ``gauss_wts`` of those, as :meth:`nodes` gives
+        them (:func:`_gauss_kronrod_reference`).  ``b > a``."""
+        x, w, gauss = _gauss_kronrod_reference(self.nodes_per_panel)
+        pts, wts = self._panels(a, b, x, w)
+        _, gauss_wts = self.nodes(a, b)
+        positions = (np.arange(self.panels)[:, None] * x.size + gauss).ravel()
+        return pts, wts, positions, gauss_wts

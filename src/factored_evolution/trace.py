@@ -19,8 +19,10 @@ class SolutionTrace:
       the coefficient solve, with ``M`` walked on ``y`` in the basis it was
       solved in and the residual measured on the grid; every closed-form
       trace carries it, zero-initial-data ones included;
-    - ``richardson_rel_dev`` and ``quadrature``: the panel-doubling check and
-      the rule settings, on every forced closed-form trace;
+    - ``richardson_rel_dev`` and ``quadrature``: the quadrature error gate's
+      reading, ``max |G - K| / max |K|`` over the forced part's Gauss sums
+      ``G`` and the Kronrod sums ``K`` of the same pass, and the rule
+      settings, on every forced closed-form trace;
     - ``oracle_dev`` and ``oracle_rel_dev``: deviation from the companion
       oracle, added by :func:`compare_with_oracle`;
     - ``oracle_steps_per_unit``: step density, on oracle traces.

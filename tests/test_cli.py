@@ -308,8 +308,8 @@ class TestArrayForcing:
             assert failure in err
 
     def test_compare_oracle_calls_the_evaluator_once_per_chunk(self, tmp_path):
-        # 5 sample intervals of 1000 RK4 steps each, and the coarse and
-        # doubled quadrature passes: one call each, never one per stage time
+        # 5 sample intervals of 1000 RK4 steps each, and the Gauss-Kronrod
+        # quadrature pass: one call each, never one per stage time
         config = parse_config(json.dumps(dict(RANDOM_DIAGONAL, time={"t_end": 2.5, "samples": 6})))
         calls = []
 
@@ -324,7 +324,7 @@ class TestArrayForcing:
         steps = [math.ceil(dt * config.oracle_steps_per_unit) for dt in np.diff(config.time_grid())]
         chunks = sum(math.ceil(s / equation._ORACLE_CHUNK_STEPS) for s in steps)
         assert steps == [1000] * 5
-        assert len(calls) == chunks + 2
+        assert len(calls) == chunks + 1
         assert all(len(shape) == 2 and shape[1] == 1 for shape in calls)
 
 
@@ -487,6 +487,30 @@ class TestCommands:
         assert main(["compare-oracle", str(cfg_path), *out]) == 2
         assert "error: OracleStepOverflowError: " in capsys.readouterr().err
 
+    def test_oracle_stage_times_past_the_int64_range(self, tmp_path, capsys):
+        # at t = 1e300 the step count is a float, but its 2 steps + 1 stage
+        # times overflow the int64 range: a named error, not a traceback
+        cfg = {
+            "backend": {"family": "spectral"},
+            "operators": {"A": {"eigenvalues": [-1.0, -2.0]}, "B": {"eigenvalues": [-0.5, -0.25]}},
+            "factors": ["A", "B"],
+            "initial_data": [[1.0, 0.0], [0.0, 1.0]],
+            "forcing": "none",
+            "time": {"t_end": 1e300, "samples": 2},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = ["--out", str(tmp_path / "trace.csv")]
+        assert main(["verify", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL oracle-equivalence: observed=nan tol=0.0e+00  [OracleStepOverflowError: " in captured.out
+        assert "interval [0, 1e+300]" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        assert main(["compare-oracle", str(cfg_path), *out]) == 2
+        captured = capsys.readouterr()
+        assert "error: OracleStepOverflowError: " in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_verify_solves_the_sample_grid_once(self, monkeypatch):
         config = parse_config(json.dumps(RANDOM_DIAGONAL))
         sample_grid = config.time_grid()
@@ -534,8 +558,9 @@ class TestCommands:
         assert record.passed and 14.0 <= ratio <= 18.0
 
     def test_quadrature_convergence_runs_the_reference_pass_once(self):
-        # one 64-panel reference pass of 8 nodes on the single sample
-        # interval, and the 2-node pair of 2 and 4 panels
+        # one 64-panel reference pass on the single sample interval and the
+        # 2-node pair of 2 and 4 panels, each panel of q Gauss nodes and
+        # q + 1 Kronrod nodes
         config = parse_config(json.dumps(dict(
             RANDOM_DIAGONAL, factors=["B", "C"], initial_data=[{"profile": "random-normal"}] * 2,
             forcing="sin(0.8 * t) + 0.05 * i * t", time={"t_end": 1.0, "samples": 2},
@@ -551,7 +576,7 @@ class TestCommands:
         report = cli.VerificationReport()
         cli._quadrature_convergence_record(counted, config.time_grid(), report)
         assert report.passed and "error ratio" in report.format()
-        assert len(calls) == 64 * 8 + (2 + 4) * 2
+        assert len(calls) == 64 * 17 + (2 + 4) * 5
 
     def test_quadrature_convergence_solves_the_forcing_weights_once(self, monkeypatch):
         # the reference pass and the coarse pair share one z solve and gate

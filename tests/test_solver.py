@@ -169,6 +169,32 @@ class TestSolveInhomogeneous:
         with pytest.raises(QuadratureUnderResolvedError):
             solve_full(eq, np.array([2.0]), rule)
 
+    @pytest.mark.parametrize("omega, rejected", [(183.0, True), (145.0, False)])
+    def test_gate_reads_the_true_error_of_a_scalar_convolution(self, omega, rejected):
+        # u' = lam u + cos(omega t), u(0) = 0, is the exact integral
+        # Re (e^{i omega t} - e^{lam t}) / (i omega - lam).  16 panels of 8
+        # Gauss nodes leave a relative error of about 1e-5 at omega = 183 and
+        # 1e-7 at omega = 145; the Gauss-Kronrod reading lies within a factor
+        # 2 of it, so the first solve is rejected and the second accepted.
+        lam, times = -1.0, np.array([0.0, 0.5, 1.0])
+        forcing = Forcing(lambda s: np.array([np.cos(omega * s)]))
+        eq = FactoredEquation((scalar_op("a", lam),), (np.zeros(1),), forcing)
+        exact = ((np.exp(1j * omega * times) - np.exp(lam * times)) / (1j * omega - lam)).real[:, None]
+        matrix = confluent.build_confluent_matrix(eq.grouped)
+        z = confluent.solve_z_vector(matrix)
+        gauss, kronrod = solver._duhamel_pass(matrix, z, forcing, times, *solver._interval_runs(QuadratureRule(), times))
+        error = np.max(np.abs(gauss - exact)) / np.max(np.abs(exact))
+        reading = np.max(np.abs(gauss - kronrod)) / np.max(np.abs(kronrod))
+        assert (3e-6 <= error <= 3e-5) if rejected else (3e-8 <= error <= 3e-7)
+        assert 0.5 <= reading / error <= 2.0
+        if rejected:
+            with pytest.raises(QuadratureUnderResolvedError, match=f"differ by {reading:.3e} relative"):
+                solve_full(eq, times)
+        else:
+            trace = solve_full(eq, times)
+            assert trace.diagnostics["richardson_rel_dev"] == reading
+            assert np.array_equal(trace.values, gauss)
+
     def test_quadrature_convergence_order(self):
         # a 2-point Gauss panel rule has order 4: doubling panels should cut
         # the error by roughly 16 (required: at least 16/10)
@@ -177,14 +203,14 @@ class TestSolveInhomogeneous:
         eq = FactoredEquation((a, a), (np.zeros(1), np.zeros(1)), forcing)
         t_grid = np.array([1.5])
         reference = solve_full(eq, t_grid, QuadratureRule(panels=64, nodes_per_panel=8)).values
-        # the coarse pass of each rule, as the CLI's quadrature-convergence
-        # record takes it: no panel-doubling gate
+        # the Gauss sums of each rule's pass, as the CLI's
+        # quadrature-convergence record takes them: no Gauss-Kronrod gate
         matrix = confluent.build_confluent_matrix(eq.grouped)
         z = confluent.solve_z_vector(matrix)
         errs = []
         for panels in (2, 4):
             rule = QuadratureRule(panels=panels, nodes_per_panel=2)
-            vals = next(solver._richardson_passes(matrix, z, forcing, t_grid, rule))
+            vals = one_pass(matrix, z, forcing, t_grid, rule)
             errs.append(np.max(np.abs(vals - reference)))
         assert errs[0] / errs[1] >= 2**4 / 10.0
 
@@ -560,11 +586,13 @@ class TestInitialDerivatives:
         assert (rho * tau) ** count / math.factorial(count) <= np.finfo(float).eps
 
 
-def per_node_convolution(matrix, z, forcing, t, rule, a=0.0, b=None):
+def per_node_convolution(matrix, z, forcing, t, rule, a=0.0, b=None, kronrod=False):
     """The convolution at time ``t`` over the nodes of ``rule`` on ``[a, b]``
     (``b = t`` by default), node by node: one weight solve and one semigroup
-    call per node, group and k."""
-    pts, wts = rule.nodes(a, float(t if b is None else b))
+    call per node, group and k.  With ``kronrod`` the nodes and weights are
+    those of the rule's Gauss-Kronrod layout."""
+    b = float(t if b is None else b)
+    pts, wts = rule.gauss_kronrod(a, b)[:2] if kronrod else rule.nodes(a, b)
     acc = np.zeros(matrix.dim)
     for s, w in zip(pts, wts):
         weights = z.apply_all(forcing(float(s)))
@@ -577,10 +605,11 @@ def per_node_convolution(matrix, z, forcing, t, rule, a=0.0, b=None):
     return acc
 
 
-def literal_forced_values(matrix, z, forcing, times, rule):
+def literal_forced_values(matrix, z, forcing, times, rule, kronrod=False):
     """The forced part at every sample time by the literal rule: sample ``t``
     sums, node by node, every node of the sample intervals up to ``t``, with
-    the panel counts the marching pass gives those intervals."""
+    the panel counts the marching pass gives those intervals; the Gauss rule,
+    or with ``kronrod`` the Kronrod rule."""
     edges, runs = solver._interval_runs(rule, times)
     rules = [r for start, stop, r in runs for _ in range(start, stop)]
     rows = []
@@ -588,17 +617,19 @@ def literal_forced_values(matrix, z, forcing, times, rule):
         acc = np.zeros(matrix.dim)
         for r, a, b in zip(rules, edges[:-1], edges[1:]):
             if b <= t:
-                acc = acc + per_node_convolution(matrix, z, forcing, t, r, a, b)
+                acc = acc + per_node_convolution(matrix, z, forcing, t, r, a, b, kronrod)
         rows.append(acc)
     return np.stack(rows)
 
 
-def one_pass(matrix, z, forcing, times, rule):
-    """The marching pass over the sample intervals of ``times``; a bare
-    evaluator is wrapped in :class:`Forcing`, as an equation requires."""
+def one_pass(matrix, z, forcing, times, rule, kronrod=False):
+    """The Gauss sums, or with ``kronrod`` the Kronrod sums, of the marching
+    pass over the sample intervals of ``times``; a bare evaluator is wrapped
+    in :class:`Forcing`, as an equation requires."""
     if not isinstance(forcing, Forcing):
         forcing = Forcing(forcing)
-    return solver._duhamel_pass(matrix, z, forcing, *solver._interval_runs(rule, np.asarray(times)))
+    times = np.asarray(times, dtype=np.float64)
+    return solver._duhamel_pass(matrix, z, forcing, times, *solver._interval_runs(rule, times))[int(kronrod)]
 
 
 def per_sample_homogeneous(matrix, ys, times):
@@ -685,20 +716,21 @@ class TestBatchedConvolution:
     the sample intervals, and keeps the per-node result, the per-node error
     checks and the per-node tolerances."""
 
+    @pytest.mark.parametrize("kronrod", [False, True])
     @pytest.mark.parametrize("case", CONVOLUTION_CASES)
-    def test_equals_per_node_loop(self, case):
-        # Marching equals the literal rule on the same nodes.  Sample times of
-        # order 1: for t << 1 the forced value is O(t^n) while the terms of
-        # either sum are O(t), so both carry roundoff relative to the terms
-        # rather than to the value.
+    def test_equals_per_node_loop(self, case, kronrod):
+        # Marching equals the literal rule on the same nodes, for the Gauss
+        # and for the Kronrod sums.  Sample times of order 1: for t << 1 the
+        # forced value is O(t^n) while the terms of either sum are O(t), so
+        # both carry roundoff relative to the terms rather than to the value.
         grouped, evaluator = _convolution_case(case)
         forcing = Forcing(evaluator)
         matrix = confluent.build_confluent_matrix(grouped)
         z = confluent.solve_z_vector(matrix)
         rule = QuadratureRule(panels=4, nodes_per_panel=3)
         for times in MARCHING_GRIDS.values():
-            batched = next(solver._richardson_passes(matrix, z, forcing, times, rule))
-            reference = literal_forced_values(matrix, z, forcing, times, rule)
+            batched = one_pass(matrix, z, forcing, times, rule, kronrod)
+            reference = literal_forced_values(matrix, z, forcing, times, rule, kronrod)
             assert batched.dtype == reference.dtype
             assert np.max(np.abs(batched - reference)) <= 1e-14 * np.max(np.abs(reference))
 
@@ -748,19 +780,20 @@ class TestBatchedConvolution:
         labels = sorted(op.label for op, _ in eq.grouped)
         assert not calls
         # per group, through the action: one array-time call for the
-        # homogeneous part, and in each of the coarse and the doubled pass
-        # one growth per run of intervals of one shape plus one propagator
-        # call per sample interval; [0, 0.3] and [0.3, 0.8] differ in width,
-        # so each is a run of its own
+        # homogeneous part, and in the Gauss-Kronrod pass one growth per run
+        # of intervals of one shape plus one propagator call per sample
+        # interval; [0, 0.3] and [0.3, 0.8] differ in width, so each is a run
+        # of its own
         intervals = runs = t_grid.size - 1
-        assert sorted(label for label, _ in actions) == sorted(labels * (1 + 2 * (runs + intervals)))
+        assert sorted(label for label, _ in actions) == sorted(labels * (1 + runs + intervals))
 
     @pytest.mark.parametrize("family", ["spectral", "dense"])
     def test_one_overflowing_row_raises(self, family):
         rule = QuadratureRule()
         t = 1.0
-        taus = t - rule.nodes(0.0, t)[0]
-        # only the largest tau (the first node) leaves float range
+        taus = t - rule.gauss_kronrod(0.0, t)[0]
+        # only the largest tau (the first node, a Kronrod one) leaves float
+        # range
         lam = 2 * 709.8 / (taus[0] + taus[1])
         assert lam * taus[0] > 709.8 > lam * taus[1]
         values = [lam, -1.0]
@@ -840,12 +873,15 @@ class TestOverflow:
         with pytest.raises(NonFiniteError):
             oracle_solve(eq, [0.0, 1.0])
 
-    def test_overflow_of_the_doubled_pass_fails_the_gate(self):
-        # the doubled pass's first node lies nearer s = 0, so its largest
-        # tau grows further: with this forcing only that pass overflows, and
-        # the NaN deviation it leaves fails the Richardson gate
+    def test_overflow_at_the_first_kronrod_node_fails_the_gate(self):
+        # the layout's first node, a Kronrod one, lies nearer s = 0 than the
+        # first Gauss node, so its tau grows further: with this forcing only
+        # the Kronrod sum overflows, and the NaN reading it leaves fails the
+        # Gauss-Kronrod gate while the Gauss sum stays finite
         rule, lam = QuadratureRule(), 700.0
-        taus = [1.0 - r.nodes(0.0, 1.0)[0][0] for r in (rule, rule.refined())]
+        pts, _, gauss, _ = rule.gauss_kronrod(0.0, 1.0)
+        assert pts[0] < pts[gauss[0]]
+        taus = [1.0 - pts[0], 1.0 - pts[gauss[0]]]
         value = math.exp(math.log(np.finfo(float).max) - lam * sum(taus) / 2)
         eq = FactoredEquation((scalar_op("a", lam),), (np.zeros(1),), Forcing(lambda t: np.array([value])))
         with pytest.raises(QuadratureUnderResolvedError, match="by nan relative"):
@@ -884,7 +920,7 @@ class TestMarching:
             (np.array([0.0, 0.3, 1.0]), [5, 12]),
         ],
     )
-    def test_forcing_called_once_per_node_of_both_passes(self, times, panels):
+    def test_forcing_called_once_per_node_of_the_pass(self, times, panels):
         calls = []
 
         def evaluator(t):
@@ -896,8 +932,8 @@ class TestMarching:
         )
         rule = QuadratureRule()
         solve_full(eq, times, rule)
-        # p_i panels of q nodes in the coarse pass, 2 p_i in the doubled one
-        assert len(calls) == sum(3 * p * rule.nodes_per_panel for p in panels)
+        # p_i panels of q Gauss nodes and q + 1 Kronrod nodes each
+        assert len(calls) == sum(p * (2 * rule.nodes_per_panel + 1) for p in panels)
 
     @staticmethod
     def _count_expm_matrices(monkeypatch, times) -> int:
@@ -918,30 +954,28 @@ class TestMarching:
 
     def test_repeated_dense_group_exponentiates_once_per_interval(self, monkeypatch):
         # Defective generators take scaled-and-squared exponentials.  The
-        # four intervals get 3, 6, 1 and 8 panels of 8 nodes in the coarse
-        # pass and twice that in the doubled one, each node grown by both
-        # groups; the homogeneous part takes 5 times per group.  The group
-        # of multiplicity 2 is carried across an interval by one
-        # exponential, as the simple group is.
-        nodes = 18 * 8
+        # four intervals get 3, 6, 1 and 8 panels of 17 Gauss-Kronrod nodes,
+        # each node grown by both groups; the homogeneous part takes 5 times
+        # per group.  The group of multiplicity 2 is carried across an
+        # interval by one exponential, as the simple group is, for the Gauss
+        # and the Kronrod sums at once.
+        nodes = 18 * 17
         matrices = self._count_expm_matrices(monkeypatch, np.array([0.0, 0.3, 1.0, 1.05, 2.0]))
-        assert matrices == 2 * 5 + 2 * (nodes + 2 * nodes) + 2 * (4 * 2)
+        assert matrices == 2 * 5 + 2 * nodes + 2 * 4
 
     def test_uniform_grid_exponentiates_each_offset_once(self, monkeypatch):
-        # Four intervals of 4 panels: one node layout per pass, so each
-        # group grows the forcing with 32 distinct offsets in the coarse
-        # pass and 64 in the doubled one, where every interval of its own
-        # would take 128 and 256.
+        # Four intervals of 4 panels of 17 nodes: one node layout, so each
+        # group grows the forcing with 68 distinct offsets, where every
+        # interval of its own would take 272.
         matrices = self._count_expm_matrices(monkeypatch, np.linspace(0.0, 1.0, 5))
-        assert matrices == 2 * 5 + 2 * (32 + 64) + 2 * (4 * 2)
+        assert matrices == 2 * 5 + 2 * 68 + 2 * 4
 
     @pytest.mark.parametrize("family", ["spectral", "dense-hermitian"])
     def test_uniform_grid_grows_each_run_from_one_row_of_offsets(self, monkeypatch, family):
-        # Four intervals of 4 panels of 8 nodes are one run: each group
-        # exponentiates the run's 32 offsets in the coarse growth and 64 in
-        # the doubled one, not 128 and 256, besides 5 sample times for the
-        # homogeneous part and one carry row per unit of multiplicity and
-        # interval.
+        # Four intervals of 4 panels of 17 nodes are one run: each group
+        # exponentiates the run's 68 offsets, not 272, besides 5 sample times
+        # for the homogeneous part and one carry row per unit of
+        # multiplicity and interval, which carries both sums.
         rng = np.random.default_rng(49)
         make = random_spectral_instance if family == "spectral" else random_dense_commuting_instance
         eq = make(rng, 3, 4, "mixed", random_smooth_forcing(rng, 4))
@@ -957,8 +991,8 @@ class TestMarching:
         monkeypatch.setattr(operators, "checked_exp", counting)
         monkeypatch.setattr(statespace, "checked_exp", counting)
         solve_full(eq, np.linspace(0.0, 1.0, 5))
-        carries = [mult for mult in mults for _ in range(2 * 4)]
-        assert sorted(rows) == sorted([5, 32, 64] * 2 + carries)
+        carries = [mult for mult in mults for _ in range(4)]
+        assert sorted(rows) == sorted([5, 68] * 2 + carries)
 
     @pytest.mark.parametrize(
         "times, calls",
@@ -976,18 +1010,17 @@ class TestMarching:
         widths = np.diff(np.concatenate([[0.0], times]))
         assert np.unique(widths).size > 1
         seen = []
-        nodes = QuadratureRule.nodes
-        monkeypatch.setattr(QuadratureRule, "nodes", lambda r, a, b: seen.append(r) or nodes(r, a, b))
+        layout = QuadratureRule.gauss_kronrod
+        monkeypatch.setattr(QuadratureRule, "gauss_kronrod", lambda r, a, b: seen.append(r) or layout(r, a, b))
         forcing = Forcing(lambda t: np.array([np.cos(t), 1.0]))
         eq = FactoredEquation((diag_op("a", [-1.0, -0.5]),), (np.zeros(2),), forcing)
         solve_full(eq, times)
-        # one call per shape in each of the two passes
-        assert len(seen) == 2 * calls
+        # one Gauss-Kronrod layout per shape
+        assert len(seen) == calls
 
-    def test_doubled_pass_takes_the_coarse_runs_on_a_non_uniform_grid(self, monkeypatch):
-        # doubling keeps equal panel counts equal and the widths unchanged,
-        # so the doubled pass runs over the coarse pass's runs with each
-        # rule's panels doubled
+    def test_one_pass_takes_the_runs_on_a_non_uniform_grid(self, monkeypatch):
+        # a forced solve makes one pass, over the runs of equal width and
+        # panel count, each with its own panel count
         passes = []
         duhamel_pass = solver._duhamel_pass
         monkeypatch.setattr(
@@ -996,10 +1029,9 @@ class TestMarching:
         forcing = Forcing(lambda t: np.array([np.cos(t), 1.0]))
         eq = FactoredEquation((diag_op("a", [-1.0, -0.5]),), (np.zeros(2),), forcing)
         solve_full(eq, np.array([0.0, 0.3, 0.6, 0.9, 1.0, 1.05, 1.1, 2.0, 2.9]))
-        coarse, doubled = passes
-        assert [(start, stop) for start, stop, _ in coarse] == [(0, 3), (3, 4), (4, 6), (6, 8)]
-        assert [(start, stop) for start, stop, _ in doubled] == [(start, stop) for start, stop, _ in coarse]
-        assert [r.panels for *_, r in doubled] == [2 * r.panels for *_, r in coarse]
+        (runs,) = passes
+        assert [(start, stop) for start, stop, _ in runs] == [(0, 3), (3, 4), (4, 6), (6, 8)]
+        assert [r.panels for *_, r in runs] == [2, 1, 1, 5]
 
     @pytest.mark.parametrize("case", CONVOLUTION_CASES)
     def test_shared_layouts_on_a_mixed_grid_equal_the_literal_rule(self, case):
@@ -1011,7 +1043,7 @@ class TestMarching:
         rule = QuadratureRule(panels=4, nodes_per_panel=3)
         times = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.3])
         marched = one_pass(matrix, z, forcing, times, rule)
-        reference = literal_forced_values(matrix, z, forcing, times, rule)[1:]
+        reference = literal_forced_values(matrix, z, forcing, times, rule)
         assert marched.dtype == reference.dtype
         assert np.max(np.abs(marched - reference)) <= 1e-14 * np.max(np.abs(reference))
 

@@ -393,6 +393,17 @@ class TestQuadratureRule:
         x, w = QuadratureRule().nodes(0.7, 0.7)
         assert x.size == 0 and w.size == 0
 
+    def test_gauss_kronrod_layout_keeps_the_gauss_rule(self):
+        # the Gauss nodes of the layout are the points of nodes(), bit for
+        # bit, and carry its weights; the Kronrod weights sum to the width
+        rule = QuadratureRule(panels=3, nodes_per_panel=5)
+        pts, wts, gauss, gauss_wts = rule.gauss_kronrod(0.3, 1.1)
+        x, w = rule.nodes(0.3, 1.1)
+        assert pts.size == wts.size == 3 * 11
+        assert np.array_equal(pts[gauss], x) and np.array_equal(gauss_wts, w)
+        assert np.all(np.diff(pts) > 0)
+        assert abs(np.sum(wts) - 0.8) <= 1e-14
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             QuadratureRule(panels=0)
@@ -400,6 +411,48 @@ class TestQuadratureRule:
             QuadratureRule(nodes_per_panel=0)
         with pytest.raises(TypeError):  # Gauss-Legendre panels are the only family
             QuadratureRule(kind="composite-simpson")
+
+
+def _scipy_gauss_kronrod(monkeypatch, table):
+    """``(x, gauss_w, kronrod_w)`` of one of scipy's Gauss-Kronrod tables on
+    ``[-1, 1]``, in increasing order: the table function hands its
+    constants to ``_quadrature_gk``, which returns them here."""
+    from scipy.integrate import _quad_vec
+
+    monkeypatch.setattr(_quad_vec, "_quadrature_gk", lambda a, b, f, norm, x, w, v: (x, w, v))
+    return tuple(np.array(c[::-1], dtype=np.float64) for c in table(-1.0, 1.0, None, None))
+
+
+class TestGaussKronrodReference:
+    @pytest.mark.parametrize("q, table", [(7, "_quadrature_gk15"), (10, "_quadrature_gk21")])
+    def test_matches_scipy_tables(self, monkeypatch, q, table):
+        from scipy.integrate import _quad_vec
+
+        nodes, gauss_weights, weights = _scipy_gauss_kronrod(monkeypatch, getattr(_quad_vec, table))
+        x, w, gauss = statespace._gauss_kronrod_reference(q)
+        assert np.max(np.abs(x - nodes)) <= 1e-15
+        assert np.max(np.abs(w - weights)) <= 1e-15
+        assert np.max(np.abs(statespace._gauss_legendre_reference(q)[1] - gauss_weights)) <= 1e-15
+        assert np.array_equal(gauss, np.arange(1, 2 * q, 2))
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_exact_on_monomials_through_degree_3q_plus_1(self, q):
+        x, w, _ = statespace._gauss_kronrod_reference(q)
+        for k in range(3 * q + 2):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.dot(w, x**k) - exact) <= 5e-15
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_nodes_interior_and_increasing(self, q):
+        x, w, _ = statespace._gauss_kronrod_reference(q)
+        assert x.size == w.size == 2 * q + 1
+        assert -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(np.diff(x) > 0)
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_gauss_subset_is_leggauss_bit_for_bit(self, q):
+        x, _, gauss = statespace._gauss_kronrod_reference(q)
+        assert np.array_equal(x[gauss], np.polynomial.legendre.leggauss(q)[0])
 
 
 class TestFiniteDifferenceWeights:
