@@ -563,10 +563,11 @@ class ZCoefficients:
 
     def weigh(self, h: np.ndarray, like: np.ndarray) -> np.ndarray:
         """The states ``sum_k z_k h[s, k]``, shape ``(S, d)``, for a stack
-        ``h`` of shape ``(S, n, d)`` in ``basis``; ``like``, the stack ``h``
-        grew from, sets the real-output rule."""
+        ``h`` of shape ``(S, n, d)`` in ``basis``, or ``(S, n, k)`` of its
+        leading :meth:`ModeBasis.kept_modes`, weighed by those of ``zeta``;
+        ``like``, the stack ``h`` grew from, sets the real-output rule."""
         modal = h.reshape(h.shape[:2] + (-1, self.zeta.shape[-1]))
-        out = np.einsum("kbij,skbj->sbi", self.zeta, modal)
+        out = np.einsum("kbij,skbj->sbi", self.zeta[:, : modal.shape[2]], modal)
         return self.basis.from_modes(out.reshape(h.shape[0], -1), like)
 
     def apply_modes(self, g_hat: np.ndarray) -> np.ndarray:

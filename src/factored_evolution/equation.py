@@ -45,7 +45,6 @@ of ``u_j``, so the table takes ``n (n - 1) / 2`` operator applications.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -80,9 +79,11 @@ ORACLE_STEPS_PER_UNIT = 2000
 # stack has at most 2 * _ORACLE_CHUNK_STEPS + 1 rows however long a sample
 # interval is.
 _ORACLE_CHUNK_STEPS = 128
-# Most RK4 steps of one sample interval: its 2 * steps + 1 stage times are
-# indexed in int64.
-_ORACLE_MAX_STEPS = (np.iinfo(np.int64).max - 1) // 2
+# Most RK4 steps the oracle takes over one sample grid.  Its cheapest step,
+# two modes of an unforced order-2 problem, took 2.8 us (numpy 2.4.6, one
+# core of a shared 2-core x86-64 host), so the budget bounds a run at about
+# five minutes and rejects a longer one before its first step.
+_ORACLE_STEP_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -320,14 +321,25 @@ def oracle_solve(
     the forcing live in :attr:`CompanionSystem.basis`, and the first block
     component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
-    forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, an
-    interval whose ``2 steps + 1`` stage times overflow the int64 range (or
-    whose step count overflows float range) ``OracleStepOverflowError``,
-    and an overflowing state ``NonFiniteError``.
+    forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, a
+    grid whose steps sum to more than ``_ORACLE_STEP_BUDGET`` (a step count
+    past float range too) ``OracleStepOverflowError`` before the first
+    step, and an overflowing state ``NonFiniteError``.
     """
     if steps_per_unit < 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
     times = _check_time_grid(t_grid)
+    edges = np.concatenate([[0.0], times])
+    with np.errstate(over="ignore"):  # inf past float range, which fails the budget
+        counts = np.ceil(np.diff(edges) * float(steps_per_unit))
+    total = float(np.sum(counts))
+    if not total <= _ORACLE_STEP_BUDGET:
+        i = int(np.argmax(counts))
+        raise OracleStepOverflowError(
+            f"the oracle needs {total:.3g} RK4 steps over the sample grid, more than its "
+            f"budget of {_ORACLE_STEP_BUDGET:.0e} ({steps_per_unit} steps per unit; the longest "
+            f"interval [{edges[i]:.6g}, {edges[i + 1]:.6g}] takes {counts[i]:.3g})"
+        )
     system = build_companion(eq)
     gen, basis = system.generator(), system.basis
     (b, size, _), n, d = gen.shape, eq.n, eq.dim
@@ -352,16 +364,9 @@ def oracle_solve(
 
     state = system.initial_state().reshape(n, b, m).swapaxes(0, 1).reshape(b, size, 1)
     state = state.astype(np.result_type(gen, state))  # complex from t = 0 if C is
-    values, t_prev = [], 0.0
-    for t in times:
-        if t > t_prev:
-            count = float(t - t_prev) * steps_per_unit  # inf, not a warning, past float range
-            if not count <= _ORACLE_MAX_STEPS:
-                raise OracleStepOverflowError(
-                    f"the oracle step count of the interval [{t_prev:.6g}, {t:.6g}] overflows "
-                    f"the int64 range of its stage times ({steps_per_unit} steps per unit)"
-                )
-            steps = math.ceil(count)
+    values = []
+    for t_prev, t, steps in zip(edges[:-1].tolist(), times.tolist(), counts.astype(int).tolist()):
+        if steps:
             p_minus_i, w = step_matrices((t - t_prev) / steps)
             half = (t - t_prev) / (2 * steps)  # the stage times of linspace(t_prev, t, 2 steps + 1)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -379,7 +384,6 @@ def oracle_solve(
                             f"RK4 state became non-finite between t={chunk[0]:.6g} "
                             f"and t={chunk[-1]:.6g}"
                         )
-            t_prev = float(t)
         values.append(state.reshape(b, n, m)[:, 0].reshape(d))
     values = basis.from_modes(np.array(values), np.empty(0, np.result_type(*dtypes)))
     return SolutionTrace(times, values, {"oracle_steps_per_unit": steps_per_unit})

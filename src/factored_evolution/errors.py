@@ -64,8 +64,8 @@ class QuadratureUnderResolvedError(FactoredEvolutionError):
 
 
 class OracleStepOverflowError(FactoredEvolutionError):
-    """A sample interval needs more oracle steps than its int64-indexed
-    stage times can count."""
+    """The oracle's RK4 steps over a sample grid sum to more than its step
+    budget (``equation._ORACLE_STEP_BUDGET``)."""
 
 
 class NotDoubleRootError(FactoredEvolutionError):

@@ -95,6 +95,11 @@ class ModeBasis:
     transform back owns the real-output rule: it returns a real array when
     the generators map real states to real states (``real``) and the state
     ``like`` it came from is real.
+
+    Such a real periodic output is fixed by its modes ``0 .. d//2``, since
+    mode ``d - k`` is the conjugate of mode k (:meth:`kept_modes`): an
+    assembly computes only those and :meth:`from_modes` takes them back by
+    ``irfft``.  :meth:`to_modes` always gives every mode.
     """
 
     fourier: bool
@@ -103,9 +108,20 @@ class ModeBasis:
     def to_modes(self, v: np.ndarray) -> np.ndarray:
         return np.fft.fft(v, axis=-1) if self.fourier else v
 
+    def kept_modes(self, like: np.ndarray) -> int:
+        """The number of leading modes an output ``like`` needs: ``d//2 + 1``
+        for a real output on a periodic grid, else all d."""
+        d = like.shape[-1]
+        return d // 2 + 1 if self.fourier and self.real and not np.iscomplexobj(like) else d
+
     def from_modes(self, v_hat: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """The states of the modes ``v_hat``: every mode, or the leading
+        :meth:`kept_modes` of a real output."""
         if not self.fourier:
             return v_hat
+        d = like.shape[-1]
+        if v_hat.shape[-1] < d:
+            return np.fft.irfft(v_hat, n=d, axis=-1)
         out = np.fft.ifft(v_hat, axis=-1)
         return out.real if self.real and not np.iscomplexobj(like) else out
 
@@ -180,10 +196,12 @@ class Operator(ABC):
         unchecked and with no ``t = 0`` case.  The m times are exponentiated
         once and broadcast over the leading axes, so a Duhamel run of r
         intervals with one node layout passes its ``(r, m, d)`` forcing
-        block in one call.  ``v_hat`` is left as it is: modal operators
+        block in one call.  A modal stack may hold only the leading k modes
+        (:meth:`ModeBasis.kept_modes`), and then only ``modal_values[:k]``
+        are exponentiated.  ``v_hat`` is left as it is: modal operators
         multiply into their exponential where the shapes match and the
         dtypes allow; dense ones bind ``expm_action``."""
-        grown = checked_exp(self.modal_values, t, f"semigroup of {self.label!r}")
+        grown = checked_exp(self.modal_values[: v_hat.shape[-1]], t, f"semigroup of {self.label!r}")
         inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
         return np.multiply(grown, v_hat, out=grown if inplace else None)
 
@@ -193,9 +211,11 @@ class Operator(ABC):
 
     def _act(self, t, v) -> np.ndarray:
         """:meth:`semigroup`: check the operands, take the stack to the
-        operator's basis, :meth:`propagate`, take it back and check it; a
-        time of 0 gets the exact identity instead.  A scalar time goes
-        through as one row, so its result has the dtype of that row."""
+        operator's basis and keep the modes the output needs
+        (:meth:`ModeBasis.kept_modes`), :meth:`propagate`, take it back and
+        check it; a time of 0 gets the exact identity instead.  A scalar
+        time goes through as one row, so its result has the dtype of that
+        row."""
         if not isinstance(t, np.ndarray):
             return self._act(np.array([t], dtype=np.float64), as_state_vector(v, self.dim)[None])[0]
         v = as_state_stack(v, self.dim)
@@ -206,7 +226,8 @@ class Operator(ABC):
         t = t.astype(np.float64, copy=False)
         basis = shared_mode_basis((self,))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = basis.from_modes(self.propagate(t, basis.to_modes(v)), v)
+            v_hat = basis.to_modes(v)[..., : basis.kept_modes(v)]
+            out = basis.from_modes(self.propagate(t, v_hat), v)
         zero = t == 0.0
         out[zero] = v[zero]
         return checked_rows(out, t, f"semigroup of {self.label!r}")

@@ -18,7 +18,10 @@ General initial data superposes the two parts.
 The homogeneous part is :func:`_semigroup_sum`: each group's
 ``Operator.propagate`` grows the coefficients for all sample times at once
 in the basis ``y`` was solved in, and the sum goes back to the grid once.
-The ``z_{jk}``
+Both parts assemble a real periodic output (a real speed and real data)
+in its leading modes ``0 .. d//2`` only, the rest being their conjugates,
+and take it back by ``irfft`` (:meth:`ModeBasis.kept_modes`); the per-mode
+solves and their gates see every mode.  The ``z_{jk}``
 commute with every ``e^{tau B_j}``, so the forced part is
 ``sum_j sum_k z_{jk} H_{jk}(t)`` with
 ``H_{jk}(t) = int_0^t ((t-s)^k/k!) e^{(t-s) B_j} f(s) ds``.  A quadrature
@@ -93,17 +96,32 @@ def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.nd
     """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) y[off_j + k]``,
     shape ``(m, d)``, for coefficients ``y`` in the factorization's basis:
     one :meth:`Operator.propagate` per group (exact rows at ``tau = 0``,
-    overflow named by operator), summed and taken back to the grid once
-    with ``like`` as the real-output rule.  ``taus`` may be complex."""
+    overflow named by operator), summed in place and taken back to the grid
+    once with ``like`` as the real-output rule.  A real ``like`` on a real
+    periodic grid keeps only the leading modes (:meth:`ModeBasis.kept_modes`);
+    the derivative circle's complex ``taus`` come with a complex ``like``,
+    which keeps every mode.  A group of multiplicity 1 grows its ``y`` row
+    as it is, broadcast over the times; a dense one gets a contiguous stack,
+    so that its matrix products sum in one order."""
+    basis = matrix._factorization.basis
+    kept = basis.kept_modes(like)
+    zero = taus == 0
     acc = None
     for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
-        p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k] for k in range(mult))
+        if mult == 1:
+            p = np.broadcast_to(y[offset][:kept], (taus.size, kept))
+            if op.mode_basis is None:
+                p = np.ascontiguousarray(p)
+        else:
+            p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k][:kept] for k in range(mult))
         grown = op.propagate(taus, p)
-        zero = taus == 0
         grown[zero] = p[zero]
         checked_rows(grown, taus, f"semigroup of {op.label!r}")
-        acc = grown if acc is None else acc + grown
-    return matrix._factorization.basis.from_modes(acc, like)
+        if acc is None:
+            acc = grown
+        else:
+            acc = np.add(acc, grown, out=acc if np.can_cast(grown.dtype, acc.dtype) else None)
+    return basis.from_modes(acc, like)
 
 
 def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
@@ -183,8 +201,10 @@ def _duhamel_pass(
     ``(2, S_j, d)``, goes interval by interval.  The Gauss nodes are the
     points of ``rule.nodes``, so the Gauss sums are the values of the
     composite Gauss rule.  The forcing values of all nodes of the pass are
-    one :meth:`Forcing.many` stack in the groups' shared basis, and ``z``
-    weighs last; :func:`solve_full` checks the values.
+    one :meth:`Forcing.many` stack in the groups' shared basis, checked
+    for dead modes on every mode and then cut to the modes the output needs
+    (:meth:`ModeBasis.kept_modes`), and ``z`` weighs last; :func:`solve_full`
+    checks the values.
     """
     if not runs:  # t_grid = [0]: nothing to integrate
         zero = np.zeros((times.size, matrix.dim))
@@ -200,11 +220,11 @@ def _duhamel_pass(
         moments = (gauss_wts * powers[:, gauss], wts * powers)
         layouts.append((edges[start:stop, None] + xi, width, taus, gauss, moments, _binomial_shift(width, mult_max)))
     g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
-    g_hat = z.modes_of(g)
+    g_hat = z.modes_of(g)[:, : z.basis.kept_modes(g)]
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
     h = []
     for op, mult in matrix.grouped:
-        carried, prev = [], np.zeros((2, mult, matrix.dim))
+        carried, prev = [], np.zeros((2, mult, g_hat.shape[-1]))
         for (nodes, width, taus, gauss, (gauss_moments, moments), shift), block in zip(layouts, blocks):
             # one (r, m, d) exponential alive at a time
             grown = op.propagate(taus, block.reshape(*nodes.shape, -1))

@@ -401,10 +401,10 @@ class QuadratureRule:
     """Composite Gauss-Legendre rule on an interval, split into equal panels.
 
     Each panel holds ``nodes_per_panel`` Gauss points (exact on polynomials
-    of degree ``2 q - 1``).  Panel-boundary nodes are not merged; the
-    duplicate evaluations keep the bookkeeping trivial.
-    :meth:`gauss_kronrod` adds each panel's q + 1 Kronrod nodes, so that one
-    set of forcing values gives the Gauss sum and an error estimate.
+    of degree ``2 q - 1``), all inside the panel, so no two panels share a
+    node.  :meth:`gauss_kronrod` adds each panel's q + 1 Kronrod nodes, so
+    that one set of forcing values gives the Gauss sum and an error
+    estimate.
     """
 
     panels: int = 16

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -488,8 +489,8 @@ class TestCommands:
         assert "error: OracleStepOverflowError: " in capsys.readouterr().err
 
     def test_oracle_stage_times_past_the_int64_range(self, tmp_path, capsys):
-        # at t = 1e300 the step count is a float, but its 2 steps + 1 stage
-        # times overflow the int64 range: a named error, not a traceback
+        # at t = 1e300 the step count is a float, far over the oracle's step
+        # budget: a named error, not a traceback
         cfg = {
             "backend": {"family": "spectral"},
             "operators": {"A": {"eigenvalues": [-1.0, -2.0]}, "B": {"eigenvalues": [-0.5, -0.25]}},
@@ -510,6 +511,26 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "error: OracleStepOverflowError: " in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_oracle_step_budget_fails_fast(self, tmp_path, capsys):
+        # 2e12 RK4 steps at t_end = 1e9 would run for days; the budget
+        # refuses them before the first step
+        cfg = {
+            "backend": {"family": "spectral"},
+            "operators": {"A": {"eigenvalues": [-1.0, -2.0]}, "B": {"eigenvalues": [-0.5, -0.25]}},
+            "factors": ["A", "B"],
+            "initial_data": [[1.0, 0.0], [0.0, 1.0]],
+            "forcing": "none",
+            "time": {"t_end": 1e9, "samples": 2},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        assert main(["compare-oracle", str(cfg_path), "--out", str(tmp_path / "trace.csv")]) == 2
+        assert "error: OracleStepOverflowError: the oracle needs 2e+12 RK4 steps" in capsys.readouterr().err
+        assert main(["verify", str(cfg_path)]) == 1
+        assert "FAIL oracle-equivalence: observed=nan tol=0.0e+00  [OracleStepOverflowError: " in capsys.readouterr().out
+        assert time.perf_counter() - start < 10.0
 
     def test_verify_solves_the_sample_grid_once(self, monkeypatch):
         config = parse_config(json.dumps(RANDOM_DIAGONAL))
@@ -558,7 +579,7 @@ class TestCommands:
         assert record.passed and 14.0 <= ratio <= 18.0
 
     def test_quadrature_convergence_runs_the_reference_pass_once(self):
-        # one 64-panel reference pass on the single sample interval and the
+        # one 32-panel reference pass on the single sample interval and the
         # 2-node pair of 2 and 4 panels, each panel of q Gauss nodes and
         # q + 1 Kronrod nodes
         config = parse_config(json.dumps(dict(
@@ -576,7 +597,7 @@ class TestCommands:
         report = cli.VerificationReport()
         cli._quadrature_convergence_record(counted, config.time_grid(), report)
         assert report.passed and "error ratio" in report.format()
-        assert len(calls) == 64 * 17 + (2 + 4) * 5
+        assert len(calls) == 32 * 17 + (2 + 4) * 5
 
     def test_quadrature_convergence_solves_the_forcing_weights_once(self, monkeypatch):
         # the reference pass and the coarse pair share one z solve and gate

@@ -14,6 +14,7 @@ from factored_evolution import (
     MixedBackendError,
     NonCommutingFactorsError,
     NonFiniteError,
+    OracleStepOverflowError,
     SpectralDiagonalOperator,
     build_companion,
     compare_with_oracle,
@@ -647,3 +648,26 @@ def test_oracle_forcing_stack_stays_bounded_on_a_wide_state():
     assert sum(rows) == 4000 + len(rows)  # chunks share their end times
     assert peak < 4001 * d * 8
 
+
+
+def test_oracle_step_budget_rejects_the_grid_before_the_first_step():
+    # 2 samples on [0, 1e9] at 2000 steps per unit: 2e12 steps, refused
+    # before the forcing is evaluated once
+    calls = []
+    a, b = diag_op("a", [-1.0, -2.0]), diag_op("b", [-0.5, -0.25])
+    forcing = Forcing(lambda t: calls.append(t) or np.ones(2))
+    eq = FactoredEquation((a, b), (np.array([1.0, 0.0]), np.array([0.0, 1.0])), forcing)
+    with pytest.raises(OracleStepOverflowError, match=r"needs 2e\+12 RK4 steps .* interval \[0, 1e\+09\]"):
+        oracle_solve(eq, np.array([0.0, 1e9]))
+    assert calls == []
+
+
+def test_oracle_step_budget_sums_every_interval():
+    # no interval is over the budget alone, but their sum is
+    a = diag_op("a", [-1.0])
+    eq = FactoredEquation((a,), (np.array([1.0]),))
+    per_interval = equation._ORACLE_STEP_BUDGET // 2 + 1
+    t_grid = np.array([1.0, 2.0, 3.0]) * per_interval
+    with pytest.raises(OracleStepOverflowError, match=r"over the sample grid"):
+        oracle_solve(eq, t_grid, steps_per_unit=1)
+    assert oracle_solve(eq, [1.0, 2.0], steps_per_unit=1).values.shape == (2, 1)

@@ -1144,3 +1144,134 @@ class TestLemma2:
         j_op = SpectralDiagonalOperator("j", [-3000j])
         with pytest.raises(QuadratureUnderResolvedError):
             lemma2_lhs(i_op, j_op, 0, 1.0, np.ones(1))
+
+
+def _real_translation_problem(d, mults, speeds=(0.7, -1.3, 0.45), forced=False, complex_data=False, seed=0):
+    """Translations with the given multiplicities on a d-point periodic
+    grid, and data exciting every mode but the constant and Nyquist ones,
+    where distinct speeds coincide."""
+    rng = np.random.default_rng([seed, d, *mults])
+    grid = UniformGrid(0.0, 2.0 * np.pi / d, d)
+    factors = []
+    for j, mult in enumerate(mults):
+        factors += [TranslationOperator(f"T{j}", speeds[j], grid)] * mult
+
+    def profile():
+        v_hat = np.fft.fft(rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_data else 0.0))
+        v_hat[0] = 0.0
+        if d % 2 == 0:
+            v_hat[d // 2] = 0.0
+        v = np.fft.ifft(v_hat)
+        return v if complex_data else v.real
+
+    data = tuple(profile() for _ in factors)
+    forcing = None
+    if forced:
+        c0, c1 = profile(), profile()
+        forcing = Forcing(lambda t: c0 * np.cos(1.3 * t) + c1 * t, vectorized=True)
+    return FactoredEquation(tuple(factors), data, forcing)
+
+
+def _full_spectrum_homogeneous(eq, times):
+    """``sum_j sum_k (t^k/k!) ifft(exp(outer(t, lambda_j)) * y_jk)`` over
+    every Fourier mode, from the solver's own coefficients."""
+    matrix = confluent.build_confluent_matrix(eq.grouped)
+    ys = confluent.solve_coefficients(matrix, eq.initial_data)
+    acc = 0.0
+    for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
+        grow = np.exp(np.multiply.outer(times, op.modal_values))
+        for k in range(mult):
+            acc = acc + (times**k / math.factorial(k))[:, None] * grow * ys[offset + k]
+    out = np.fft.ifft(acc, axis=-1)
+    return out if np.iscomplexobj(np.stack(eq.initial_data)) or np.iscomplexobj(eq.factors[0].speed) else out.real
+
+
+def _propagated_widths(monkeypatch):
+    """The mode counts of every stack a translation propagates."""
+    widths = []
+    propagate = TranslationOperator.propagate
+    monkeypatch.setattr(
+        TranslationOperator, "propagate", lambda self, t, v_hat: widths.append(v_hat.shape[-1]) or propagate(self, t, v_hat)
+    )
+    return widths
+
+
+class TestHalfSpectrum:
+    """A real periodic output assembles in its modes 0 .. d//2 and goes
+    back by irfft; complex data or speeds keep every mode."""
+
+    TIMES = np.array([0.0, 0.05, 0.4, 1.0])
+
+    @pytest.mark.parametrize("d", [63, 64, 65])
+    @pytest.mark.parametrize("mults", [(1,), (2,), (3,), (1, 1), (2, 1), (1, 3), (1, 2, 1)])
+    def test_homogeneous_matches_the_full_spectrum(self, monkeypatch, d, mults):
+        eq = _real_translation_problem(d, mults)
+        widths = _propagated_widths(monkeypatch)
+        values = solve_full(eq, self.TIMES).values
+        assert values.dtype == np.float64
+        assert set(widths) == {d // 2 + 1}
+        reference = _full_spectrum_homogeneous(eq, self.TIMES)
+        assert max_rel_dev(values, reference) <= 1e-14
+        assert np.max(np.abs(values[0] - eq.initial_data[0])) <= 1e-14 * np.max(np.abs(eq.initial_data[0]))
+
+    @pytest.mark.parametrize("d", [63, 64, 65])
+    @pytest.mark.parametrize("mults", [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2, 1)])
+    def test_forced_matches_the_full_spectrum(self, monkeypatch, d, mults):
+        eq = _real_translation_problem(d, mults, forced=True)
+        widths = _propagated_widths(monkeypatch)
+        values = solve_full(eq, self.TIMES).values
+        assert values.dtype == np.float64
+        assert set(widths) == {d // 2 + 1}
+        monkeypatch.setattr(operators.ModeBasis, "kept_modes", lambda self, like: like.shape[-1])
+        reference = solve_full(eq, self.TIMES).values
+        assert set(widths) == {d // 2 + 1, d}
+        assert max_rel_dev(values, reference) <= 1e-14
+
+    @pytest.mark.parametrize("d", [63, 64])
+    def test_semigroup_keeps_half_the_modes_and_exact_rows_at_zero(self, monkeypatch, d):
+        op = TranslationOperator("T", 0.8, UniformGrid(0.0, 2.0 * np.pi / d, d))
+        v = np.random.default_rng(d).standard_normal((4, d))
+        t = np.array([0.0, 0.3, 0.0, 1.7])
+        widths = _propagated_widths(monkeypatch)
+        rows = op.semigroup(t, v)
+        assert widths == [d // 2 + 1] and rows.dtype == np.float64
+        assert np.array_equal(rows[[0, 2]], v[[0, 2]])
+        reference = np.fft.ifft(np.exp(np.multiply.outer(t, op.modal_values)) * np.fft.fft(v), axis=-1).real
+        assert max_rel_dev(rows, reference) <= 1e-14
+        assert np.array_equal(op.semigroup(0.0, v[1]), v[1])
+
+    @pytest.mark.parametrize("d", [63, 64])
+    def test_complex_data_on_a_real_speed_keeps_every_mode(self, monkeypatch, d):
+        eq = _real_translation_problem(d, (2, 1), complex_data=True)
+        widths = _propagated_widths(monkeypatch)
+        values = solve_full(eq, self.TIMES).values
+        assert set(widths) == {d}
+        assert np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 0.1
+        assert max_rel_dev(values, _full_spectrum_homogeneous(eq, self.TIMES)) <= 1e-14
+        op = eq.factors[0]
+        widths.clear()
+        op.semigroup(0.4, eq.initial_data[0])
+        assert widths == [d]
+
+    def test_complex_speed_keeps_every_mode(self, monkeypatch):
+        d = 32
+        grid = UniformGrid(0.0, 2.0 * np.pi / d, d)
+        a, b = TranslationOperator("a", 1.0 + 0.05j, grid), TranslationOperator("b", -0.6 + 0.02j, grid)
+        x = grid.points()
+        eq = FactoredEquation((a, b), (np.sin(x), np.cos(2 * x)))
+        widths = _propagated_widths(monkeypatch)
+        values = solve_full(eq, self.TIMES).values
+        assert set(widths) == {d} and np.iscomplexobj(values)
+        assert max_rel_dev(values, _full_spectrum_homogeneous(eq, self.TIMES)) <= 1e-14
+        widths.clear()
+        a.semigroup(0.4, np.sin(x))
+        assert widths == [d]
+
+    def test_kept_modes_rule(self):
+        real, spectral = operators.ModeBasis(fourier=True), operators.ModeBasis(fourier=False)
+        complex_speed = operators.ModeBasis(fourier=True, real=False)
+        for d in (63, 64, 65):
+            assert real.kept_modes(np.zeros(d)) == d // 2 + 1
+            assert real.kept_modes(np.zeros((3, d), dtype=complex)) == d
+            assert complex_speed.kept_modes(np.zeros(d)) == d
+            assert spectral.kept_modes(np.zeros(d)) == d
