@@ -47,8 +47,9 @@ both sums interval by interval, and :meth:`ZCoefficients.weigh` applies
         = (t^k / k!) (A_j - A_i)^{-1} e^{t A_j} x
           - (A_j - A_i)^{-1} * [same integral with k - 1]       (k >= 1)
 
-as independently testable evaluators, one by quadrature and one by the
-resolvent recursion.  Note the orientation of the k = 0 case: the scalar
+as independently testable evaluators: the closed form of a repeated factor
+by one :func:`_duhamel_pass`, and the resolvent recursion.  Note the
+orientation of the k = 0 case: the scalar
 computation ``int_0^t e^{a(t-s)} e^{bs} ds = (e^{bt} - e^{at}) / (b - a)``
 fixes the sign as written above (some derivations circulate with i and j
 swapped in the difference; that version does not match the scalar value).
@@ -74,10 +75,10 @@ from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, resolvent_sol
 from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows
 from .trace import SolutionTrace
 
-# Quadrature error gates.  INHOMOGENEOUS_RICHARDSON_TOL bounds the
-# Gauss-Kronrod estimate of a forced solve (:func:`solve_full`) relative to
-# the forced part's largest entry; LEMMA2_RICHARDSON_TOL the panel-doubling
-# check of :func:`lemma2_lhs`.
+# Quadrature error gates on the Gauss-Kronrod difference of one Duhamel
+# pass.  INHOMOGENEOUS_RICHARDSON_TOL bounds it for a forced solve
+# (:func:`solve_full`) relative to the forced part's largest entry;
+# LEMMA2_RICHARDSON_TOL for :func:`lemma2_lhs`, relative to 1 + that entry.
 INHOMOGENEOUS_RICHARDSON_TOL = 1e-6
 LEMMA2_RICHARDSON_TOL = 1e-8
 
@@ -152,7 +153,7 @@ def _interval_runs(
     # The widths are differences of sample times, so an exact multiple of
     # t_last / panels can land a few ulps above its count; the slack keeps
     # it on the count and widens no panel by more than 1e-9 relative.
-    counts = np.ceil(rule.panels * widths / edges[-1] - 1e-9 * rule.panels)
+    counts = np.ceil(widths / edges[-1] * rule.panels - 1e-9 * rule.panels)
     counts = np.maximum(counts, 1).astype(int).tolist()
     slack = _SHAPE_ULPS * np.spacing(edges[-1])
     starts = [0]
@@ -411,38 +412,35 @@ def initial_derivative_defect(eq: FactoredEquation) -> float:
 
 
 def lemma2_lhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
-    """Quadrature value of ``int_0^t e^{(t-s) A_i} (s^k/k!) e^{s A_j} x ds``
-    by the default :class:`QuadratureRule`.
-
-    The value is verified by panel doubling to ``LEMMA2_RICHARDSON_TOL``
-    and the refined value is returned.  As in :func:`solve_full`, a
-    non-finite value raises :class:`NonFiniteError` and a NaN deviation
-    fails the gate.
+    """``int_0^t e^{(t-s) A_i} (s^k/k!) e^{s A_j} x ds``: with ``s -> t - s``
+    the forced part at ``t`` of ``(d/dt - A_j)^{k+1} u = e^{t A_i} x`` from
+    zero data, whose weights are ``z = e_{k+1}``, by one :func:`_duhamel_pass`
+    of the default :class:`QuadratureRule`.  The Gauss sum is returned; a
+    non-finite one raises :class:`NonFiniteError`, and a Kronrod difference
+    over ``LEMMA2_RICHARDSON_TOL (1 + max|K|)`` (NaN too)
+    :class:`QuadratureUnderResolvedError`.  The matrix is built directly, not
+    by :func:`build_confluent_matrix`, so ``OPERATOR_SLOT`` keeps the caller's.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     x = as_state_vector(x, i_op.dim)
-    rule = QuadratureRule()
-
-    def integrate(r: QuadratureRule) -> np.ndarray:
-        pts, wts = r.nodes(0.0, float(t))
-        if not pts.size:
-            return np.zeros(x.shape[0], dtype=np.result_type(x, np.float64))
-        inner = j_op.semigroup(pts, np.broadcast_to(x, (pts.size, x.shape[0])))
-        return (wts * (pts**k / math.factorial(k))) @ i_op.semigroup(t - pts, inner)
-
+    matrix = BlockOperatorMatrix(((j_op, k + 1),))
+    forcing = Forcing(lambda s: i_op.semigroup(s[:, 0], np.broadcast_to(x, (s.shape[0], x.size))), vectorized=True)
+    times = np.array([float(t)])
     with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
-        base = integrate(rule)
-        fine = integrate(rule.refined())
-        err = float(np.max(np.abs(base - fine))) if base.size else 0.0
-        limit = LEMMA2_RICHARDSON_TOL * (1.0 + float(np.max(np.abs(fine))))
-    check_finite(fine, "convolution")
-    if not err <= limit:  # a NaN deviation fails too
+        gauss, kronrod = (sums[0] for sums in _duhamel_pass(
+            matrix, ZCoefficients(matrix), forcing, times, *_interval_runs(QuadratureRule(), times)))
+        dev = float(np.max(np.abs(gauss - kronrod)))
+        limit = LEMMA2_RICHARDSON_TOL * (1.0 + float(np.max(np.abs(kronrod))))
+    check_finite(gauss, "convolution")
+    if not dev <= limit:  # a NaN reading fails too
         raise QuadratureUnderResolvedError(
-            f"convolution quadrature not resolved: doubling panels moved the "
-            f"value by {err:.3e}"
+            f"convolution quadrature not resolved: the Gauss and Kronrod sums "
+            f"differ by {dev:.3e} (> {limit:.3e})"
         )
-    return fine
+    return gauss
 
 
 def lemma2_rhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
@@ -461,6 +459,8 @@ def lemma2_rhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarra
     resolvent = resolvent_solve(j_op, i_op)
     lead = resolvent(j_op.semigroup(t, x))
     value = i_op.semigroup(t, x)
-    for m in range(k + 1):
-        value = (t**m / math.factorial(m)) * lead - resolvent(value)
+    with np.errstate(over="ignore", invalid="ignore"):  # each value is checked
+        for m in range(k + 1):
+            value = (np.float64(t) ** m / math.factorial(m)) * lead - resolvent(value)
+            check_finite(value, "convolution")
     return value

@@ -337,7 +337,7 @@ def rk4_integrate(
 def _gauss_legendre_reference(q: int):
     # Nodes/weights on [-1, 1]; cached because every run of a Duhamel pass
     # takes its Gauss-Kronrod layout (:func:`_gauss_kronrod_reference`)
-    # from a rule of its own, and lemma2_lhs and the PDE closed forms call
+    # from a rule of its own, and the PDE closed forms call
     # QuadratureRule.nodes per value.
     x, w = np.polynomial.legendre.leggauss(q)
     return x, w
@@ -422,8 +422,8 @@ class QuadratureRule:
         return 2 * self.nodes_per_panel
 
     def refined(self) -> "QuadratureRule":
-        """Same rule with twice as many panels, for the order measurements
-        of ``verify`` and the panel-doubling check of ``lemma2_lhs``."""
+        """Same rule with twice as many panels, for the order measurement
+        of ``verify``."""
         return replace(self, panels=2 * self.panels)
 
     def _panels(self, a: float, b: float, xr: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

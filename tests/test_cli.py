@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -631,6 +632,38 @@ class TestCommands:
         assert report.passed, report.format()
         assert "PASS quadrature-convergence" in report.format()
         assert gated.count("forcing-weight") == 1
+
+    def test_forced_dense_verify_factorizes_the_users_matrix_once(self, monkeypatch):
+        # the convolution-identity check builds its single-factor matrices
+        # outside OPERATOR_SLOT, so the quadrature check after it still
+        # finds the user's M factorized: one LU of the defective pair's M
+        cfg = {
+            "backend": {"family": "dense"},
+            "operators": {
+                "A": {"matrix": [[-1.0, 0.5], [0.0, -1.0]]},
+                "B": {"matrix": [[0.3, 0.8], [0.0, 0.3]]},
+            },
+            "factors": ["A", "A", "B"],
+            "initial_data": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]],
+            "forcing": "cos(t) + 0.1 * i",
+            "time": {"t_end": 1.0, "samples": 3},
+        }
+        factorization = confluent.BlockOperatorMatrix.__dict__["_factorization"]
+        built = []
+
+        def counting(matrix):
+            built.append(tuple(op.label for op, _ in matrix.grouped))
+            return factorization.func(matrix)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(confluent.BlockOperatorMatrix, "_factorization")
+        monkeypatch.setattr(confluent.BlockOperatorMatrix, "_factorization", counted)
+        report = run_verify(parse_config(json.dumps(cfg)), seed=1)
+        assert report.passed, report.format()
+        names = [record.name for record in report.records]
+        assert sum(name.startswith("convolution-identity[A,B,") for name in names) == 4
+        assert names[-1] == "quadrature-convergence"
+        assert built.count(("A", "B")) == 1
 
     def test_verify_forced_wide_band_passes(self):
         # Differencing the forced part on the tiny derivative-check grids

@@ -18,6 +18,7 @@ from factored_evolution import (
     SpectralDiagonalOperator,
     TranslationOperator,
     UniformGrid,
+    UnsupportedOperationError,
     compare_with_oracle,
     initial_derivative_defect,
     lemma2_lhs,
@@ -1059,6 +1060,16 @@ class TestMarching:
         assert np.array_equal(trace.values, np.zeros((1, 2)))
         assert calls == []
 
+    def test_panel_counts_at_the_float_limit(self):
+        # panels * width / t_last overflowed at t_last = 1e308 and gave a
+        # negative panel count; the ratio comes first, so every interval
+        # gets its count and the overflowing nodes fail by name
+        eq = FactoredEquation((diag_op("a", [-1.0, -2.0]),), (np.zeros(2),), Forcing(lambda t: np.ones(2)))
+        _, runs = solver._interval_runs(QuadratureRule(), np.array([0.0, 1e307, 1e308]))
+        assert [rule.panels for _, _, rule in runs] == [2, 15]
+        with pytest.raises(SemigroupOverflowError):
+            solve_full(eq, np.array([0.0, 1e308]))
+
 
 class TestLemma2:
     def test_zero_generators_base_case(self):
@@ -1085,7 +1096,7 @@ class TestLemma2:
         with pytest.raises(NotInvertibleError):
             lemma2_rhs(op, op, 0, 1.0, np.ones(1))
 
-    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_excited_coincident_mode_raises(self, k):
         # distinct periodic speeds coincide on the constant mode, which
         # 1 + sin(x) excites; the convolution there is t * mean(x) != 0
@@ -1111,6 +1122,52 @@ class TestLemma2:
             lhs = lemma2_lhs(i_op, j_op, k, t, x)
             rhs = lemma2_rhs(i_op, j_op, k, t, x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-7 * (1.0 + np.max(np.abs(lhs)))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("family", ["dense-hermitian", "dense-non-normal", "dense-defective"])
+    def test_identity_on_dense_pairs(self, monkeypatch, family, k):
+        # the left side's pass grows the forcing through the semigroup of
+        # A_j, so each dense action is reached: the unitary eigenbasis, a
+        # non-unitary one, and scaling and squaring for a Jordan block
+        rng = np.random.default_rng(40 + k)
+        make = {
+            "dense-hermitian": random_dense_commuting_instance,
+            "dense-non-normal": random_dense_polynomial_instance,
+            "dense-defective": random_dense_defective_instance,
+        }[family]
+        (i_op, _), (j_op, _) = make(rng, 2, 6, "all-distinct").grouped
+        action = statespace._pade_expm_apply if family == "dense-defective" else statespace._eigvec_expm_apply
+        assert {op.propagate.func for op in (i_op, j_op)} == {action}
+        assert (i_op.eig is None) == (family != "dense-hermitian")
+        matrices = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda s: matrices.append(len(s)) or expm(s))
+        x = rng.standard_normal(6)
+        lhs = lemma2_lhs(i_op, j_op, k, 0.7, x)
+        assert bool(matrices) == (family == "dense-defective")
+        rhs = lemma2_rhs(i_op, j_op, k, 0.7, x)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-7 * (1.0 + np.max(np.abs(lhs)))
+
+    def test_time_and_order_rules(self):
+        # a negative or non-finite t is no interval; t = 0 is the empty one;
+        # k + 1 repeated factors are capped as any equation's order is
+        i_op, j_op = diag_op("i", [-1.0, 0.5]), diag_op("j", [0.3, -2.0])
+        x = np.array([1.0, -2.0])
+        for t in (-0.5, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="t must be"):
+                lemma2_lhs(i_op, j_op, 0, t, x)
+        assert np.array_equal(lemma2_lhs(i_op, j_op, 2, 0.0, x), np.zeros(2))
+        assert np.array_equal(lemma2_rhs(i_op, j_op, 2, 0.0, x), np.zeros(2))
+        with pytest.raises(UnsupportedOperationError):
+            lemma2_lhs(i_op, j_op, confluent.MAX_ORDER, 0.5, x)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rhs_past_float_range_raises_a_named_error(self, k):
+        # t^k / k! leaves float range at t = 1e160 while the semigroups
+        # decay to 0
+        i_op, j_op = diag_op("a", [-1.0, -2.0]), diag_op("b", [-0.5, -3.0])
+        with pytest.raises(NonFiniteError, match="convolution"):
+            lemma2_rhs(i_op, j_op, k, 1e160, np.array([1.0, -1.0]))
 
     def test_dense_difference_is_factored_once(self, monkeypatch):
         # k = 3 applies (A_j - A_i)^{-1} five times through one LU, and
