@@ -591,14 +591,13 @@ def _quadrature_convergence_record(eq, t_grid, report: VerificationReport) -> No
     # Kronrod sums of a fine reference rule (17 nodes per panel, exact to
     # degree 25).
     coarse = QuadratureRule(panels=2, nodes_per_panel=2)
-    matrix = build_confluent_matrix(eq.grouped)
-    z = solve_z_vector(matrix)  # one solve and residual gate serve every rule
+    z = solve_z_vector(build_confluent_matrix(eq.grouped))  # one solve and residual gate serve every rule
     times = np.asarray(t_grid, dtype=np.float64)
     reference_rule = QuadratureRule(panels=32, nodes_per_panel=8)
-    _, reference = _duhamel_pass(matrix, z, eq.forcing, times, *_interval_runs(reference_rule, times))
+    _, reference = _duhamel_pass(z, eq.forcing, times, *_interval_runs(reference_rule, times))
     edges, runs = _interval_runs(coarse, times)
     doubled = [(start, stop, rule.refined()) for start, stop, rule in runs]
-    errs = [float(np.max(np.abs(_duhamel_pass(matrix, z, eq.forcing, times, edges, r)[0] - reference)))
+    errs = [float(np.max(np.abs(_duhamel_pass(z, eq.forcing, times, edges, r)[0] - reference)))
             for r in (runs, doubled)]
     scale = max(float(np.max(np.abs(reference))), 1e-30)
     if errs[1] <= 1e-12 * scale:

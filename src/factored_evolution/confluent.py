@@ -13,28 +13,28 @@ y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 
 Scalars reduce this to the classical confluent Vandermonde matrix of the
 modal values with the given multiplicities.  Every solve works on the
-generators' blocks (``operators.generator_blocks``), in their shared mode
-basis (``Operator.mode_basis``: the spectral and periodic-translation
-backends) or, for dense groups, in the identity basis.  One record,
-``BlockOperatorMatrix._factorization``, holds the only code that tells the
-four structures of ``M`` apart: a single repeated factor makes ``M`` unit
-lower triangular and is solved by substitution on its blocks; groups with
-a mode basis have 1 x 1 blocks, so ``M`` splits into one small scalar
-system per mode (a mode where two groups coincide is allowed as long as
-the right-hand side leaves it unexcited); dense groups that the unitary
-eigenbasis of one of them (``DenseMatrixOperator.eig``) diagonalizes,
-with no mode coinciding and a real basis for real generators, split the
-same way in that basis, and their right-hand sides are rotated into it
-and back; other dense groups have one block, the full ``(n d) x (n d)``
-matrix, which is LU-factored.  Each
-``BlockOperatorMatrix`` builds the record once, on first use, and both the
-coefficients ``y`` and the forcing weights ``z`` are solved through it and
-kept in its basis, and the matrix keeps the weights ``z``, which depend on
-``M`` alone; :func:`build_confluent_matrix` hands the last matrix back for
-the same operator set, so solves on one set factorize ``M`` and solve ``z``
-once.  The
-residual gate checks every solve against ``M`` applied the other way, in
-that basis too; one walk,
+generators' blocks (``operators.generator_blocks``) in
+``BlockOperatorMatrix.basis``, the groups' shared mode basis (the spectral
+and periodic-translation backends) or, for dense groups, the identity: the
+coefficients ``y`` are returned in it and the weights ``z`` act in it.
+One record, ``BlockOperatorMatrix._factorization``, holds the only code
+that tells the four structures of ``M`` apart, and its ``solve`` takes
+stacks ``(n, d, k)`` of states in that basis.  A single repeated factor
+makes ``M`` unit lower triangular and is solved by substitution on its
+blocks; groups with a mode basis have 1 x 1 blocks, so ``M`` splits into
+one small scalar system per mode (a mode where two groups coincide is
+allowed as long as the right-hand side leaves it unexcited); dense groups
+that the unitary eigenbasis of one of them (``DenseMatrixOperator.eig``)
+diagonalizes, with no mode coinciding and a real basis for real
+generators, split the same way in that basis, and their right-hand sides
+are rotated into it and back; other dense groups have one block, the full
+``(n d) x (n d)`` matrix, which is LU-factored.  Each
+``BlockOperatorMatrix`` builds the record once, on first use, both ``y``
+and ``z`` are solved through it, and the matrix keeps the weights ``z``,
+which depend on ``M`` alone; :func:`build_confluent_matrix` hands the last
+matrix back for the same operator set, so solves on one set factorize
+``M`` and solve ``z`` once.  The residual gate checks every solve against
+``M`` applied the other way, in that basis too; one walk,
 :func:`_confluent_apply`, applies ``M`` through the generators' actions in
 the basis for the gate and through the generator matrices for the
 eigenbasis correction.
@@ -130,6 +130,12 @@ class BlockOperatorMatrix:
         return offs
 
     @cached_property
+    def basis(self) -> ModeBasis:
+        """The groups' shared mode basis (the identity if dense): the basis
+        the coefficients ``y`` are returned in and the weights ``z`` act in."""
+        return shared_mode_basis(op for op, _ in self.grouped)
+
+    @cached_property
     def _factorization(self) -> _Factorization:
         """The factorization of ``M`` every solve goes through, built on
         first use; the only code that tells the structures of ``M`` apart.
@@ -144,26 +150,25 @@ class BlockOperatorMatrix:
         diagonalizes, with no coincident mode (and ``q`` real if the
         generators are), assemble one ``n x n`` matrix per mode of the
         diagonals of ``q^H B_j q`` (:func:`_eigenbasis_solve`); the record
-        keeps the identity basis, one block and no mask, and its ``solve``
-        rotates into ``q`` and back.  Any other dense groups assemble the
+        keeps one block and no mask, and its ``solve`` rotates the states,
+        in the identity basis, into ``q`` and back.  Any other dense groups assemble the
         one ``(n d) x (n d)`` matrix and keep its pivoted LU, whose pivot
         gate also rejects the coincident modes.
         """
         ops = [op for op, _ in self.grouped]
         mults = [mult for _, mult in self.grouped]
         blocks = generator_blocks(ops)
-        basis = shared_mode_basis(ops)
         mask, pairs = np.zeros(blocks.shape[1], dtype=bool), []
         if len(ops) == 1:
-            return _Factorization(basis, partial(_substitute, blocks[0], self.n), mask, pairs)
+            return _Factorization(partial(_substitute, blocks[0]), mask, pairs)
         if ops[0].mode_basis is not None:
             v = _confluent_blocks(blocks, mults)
             mask, pairs = _coincident_modes(self, blocks[..., 0, 0])
             v[mask] = np.eye(self.n, dtype=v.dtype)
-            return _Factorization(basis, partial(_mode_solve, v, mask), mask, pairs)
+            return _Factorization(partial(_mode_solve, v, mask), mask, pairs)
         solve = _eigenbasis_solve(self, blocks[:, 0], mults)
         if solve is not None:
-            return _Factorization(basis, solve, mask, pairs)
+            return _Factorization(solve, mask, pairs)
         v = _confluent_blocks(blocks, mults)
         try:
             factors = lu_factor_checked(v[0])
@@ -175,10 +180,10 @@ class BlockOperatorMatrix:
             ) from exc
 
         def lu_solve(rhs):
-            rhs = rhs[0].astype(np.result_type(factors[0], rhs), copy=False)
-            return lu_apply(factors, rhs)[None]
+            flat = rhs.reshape(-1, rhs.shape[-1]).astype(np.result_type(factors[0], rhs), copy=False)
+            return lu_apply(factors, flat).reshape(rhs.shape)
 
-        return _Factorization(basis, lu_solve, mask, pairs)
+        return _Factorization(lu_solve, mask, pairs)
 
     @cached_property
     def _weights(self) -> ZCoefficients:
@@ -188,10 +193,10 @@ class BlockOperatorMatrix:
         z = ZCoefficients(self)
         factorization = self._factorization
         probe = np.random.default_rng(_PROBE_SEED).standard_normal(self.dim)
-        p_modal = z.basis.to_modes(probe)
+        p_modal = self.basis.to_modes(probe)
         if factorization.pairs:
             p_modal[factorization.mask] = 0.0
-            probe = z.basis.from_modes(p_modal, probe)
+            probe = self.basis.from_modes(p_modal, probe)
         x = np.zeros((self.n, self.dim), dtype=probe.dtype)
         x[-1] = probe
         _residual_gate(self, z.apply_modes(p_modal), x, "forcing-weight")
@@ -228,7 +233,7 @@ class BlockOperatorMatrix:
         :func:`_confluent_apply` with each group's ``Operator.apply``, so
         entry values ``B^(r-k) y`` are produced by repeated actions and
         never by materialized blocks or powers; ``ys`` are states on the
-        grid (the residual gate walks ``M`` in the factorization's basis).
+        grid (the residual gate walks ``M`` in ``basis``).
         """
         if len(ys) != self.n:
             raise DimensionMismatchError(f"expected {self.n} coefficient vectors, got {len(ys)}")
@@ -317,16 +322,14 @@ def _confluent_blocks(blocks: np.ndarray, multiplicities) -> np.ndarray:
 class _Factorization(NamedTuple):
     """One factorization of ``M``, whatever its structure.
 
-    ``solve`` takes block right-hand sides ``(b, n m, k)`` in the layout of
-    :func:`generator_blocks` (block i of row r at rows ``r m .. r m + m - 1``)
-    in ``basis``, the shared mode basis or else the identity, and returns
-    the solutions in the same layout.  ``mask`` holds one flag per block,
+    ``solve`` takes a stack ``(n, d, k)``, k columns of n states in
+    :attr:`BlockOperatorMatrix.basis`, and returns the solutions in the same
+    layout.  ``mask`` holds one flag per block of :func:`generator_blocks`,
     set on the modes where distinct groups coincide, where the solution is
     0; ``pairs`` names the coinciding labels.  Neither marks anything unless
     the groups are modal.
     """
 
-    basis: ModeBasis
     solve: Callable[[np.ndarray], np.ndarray]
     mask: np.ndarray
     pairs: list
@@ -367,33 +370,31 @@ def _check_dead_modes(factorization: _Factorization, modal: np.ndarray) -> None:
         )
 
 
-def _substitute(base: np.ndarray, n: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``M y = rhs`` for a single group of order ``n`` by forward
-    substitution on its blocks ``base`` ``(b, m, m)``: ``M`` is unit lower
-    triangular, and each ``B^(r-k) y_k`` is one block product more than
-    ``B^(r-k-1) y_k``."""
-    b, m, _ = base.shape
-    x = rhs.reshape(b, n, m, -1)
+def _substitute(base: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``M y = rhs`` for a single group by forward substitution on its
+    blocks ``base`` ``(b, m, m)``: ``M`` is unit lower triangular, and each
+    ``B^(r-k) y_k`` is one block product more than ``B^(r-k-1) y_k``."""
+    x = rhs.reshape(rhs.shape[0], *base.shape[:2], -1)  # (n, b, m, k)
     ys: list[np.ndarray] = []
     powered: list[np.ndarray] = []
-    for r in range(n):
-        acc = x[:, r]
+    for r in range(len(x)):
+        acc = x[r]
         for k in range(r):
             powered[k] = base @ powered[k]  # now B^(r-k) y_k
             acc = acc - comb(r, k) * powered[k]
         ys.append(acc)
         powered.append(acc)
-    return np.stack(ys, axis=1).reshape(rhs.shape)
+    return np.stack(ys).reshape(rhs.shape)
 
 
 def _mode_solve(matrices: np.ndarray, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the per-mode systems ``(d, n, n)`` for block right-hand sides
-    ``(d, n, k)``; the solution is 0 on the ``mask`` modes, which the
-    right-hand side must leave unexcited."""
-    rhs = np.array(rhs, dtype=np.result_type(matrices, rhs))
+    """Solve the per-mode systems ``(d, n, n)`` for a stack ``(n, d, k)``;
+    the solution is 0 on the ``mask`` modes, which the right-hand side must
+    leave unexcited."""
+    rhs = np.array(rhs.transpose(1, 0, 2), dtype=np.result_type(matrices, rhs))
     rhs[mask] = 0.0
     try:
-        return np.linalg.solve(matrices, rhs)
+        return np.linalg.solve(matrices, rhs).transpose(1, 0, 2)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
 
@@ -427,23 +428,20 @@ def _eigenbasis_solve(matrix: BlockOperatorMatrix, mats: np.ndarray, multiplicit
 
 
 def _rotated_solve(q, v, mats, multiplicities, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``M y = rhs`` for block right-hand sides ``(1, n d, k)`` through
-    the basis ``q``, in which ``v`` holds the per-mode systems, and then
-    once more for the residual of ``M`` applied through the generators
-    ``mats``: the correction takes up the off-diagonal part of
-    ``q^H B_j q`` and the rounding of the rotations."""
-    n, d = v.shape[-1], q.shape[0]
-    no_mask = np.zeros(d, dtype=bool)
+    """Solve ``M y = rhs`` for a stack ``(n, d, k)`` through the basis ``q``,
+    in which ``v`` holds the per-mode systems, and then once more for the
+    residual of ``M`` applied through the generators ``mats``: the
+    correction takes up the off-diagonal part of ``q^H B_j q`` and the
+    rounding of the rotations."""
+    no_mask = np.zeros(q.shape[0], dtype=bool)
 
-    def solve(b):  # rows (n, d, k), rotated into q and back
-        modal = (q.conj().T @ b).transpose(1, 0, 2)  # per-mode systems (d, n, k)
-        return q @ _mode_solve(v, no_mask, modal).transpose(1, 0, 2)
+    def solve(b):  # rotated into q and back
+        return q @ _mode_solve(v, no_mask, q.conj().T @ b)
 
-    b = rhs[0].reshape(n, d, -1)
-    y = solve(b)
+    y = solve(rhs)
     applied = _confluent_apply([partial(np.matmul, m) for m in mats], multiplicities, y)
-    y += solve(b - np.stack(applied))
-    return y.reshape(rhs.shape)
+    y += solve(rhs - np.stack(applied))
+    return y
 
 
 def _confluent_apply(actions, multiplicities, y) -> list:
@@ -469,7 +467,7 @@ def _confluent_apply(actions, multiplicities, y) -> list:
 
 def _residual_gate(matrix: BlockOperatorMatrix, ys, x, what: str) -> float:
     """The residual ``max_r ||(M y)_r - x_r||_inf`` of the ``what`` solve,
-    for rows ``ys`` in the factorization's basis and right-hand sides ``x``
+    for rows ``ys`` in ``matrix.basis`` and right-hand sides ``x``
     on the grid.  ``M`` is walked on ``ys`` in the basis, each group acting
     by its generator's blocks (``apply`` if dense, its modal values if
     modal), and the rows go back to the grid once; a residual over
@@ -479,7 +477,7 @@ def _residual_gate(matrix: BlockOperatorMatrix, ys, x, what: str) -> float:
         for op, _ in matrix.grouped
     ]
     applied = _confluent_apply(actions, [mult for _, mult in matrix.grouped], ys)
-    rows = matrix._factorization.basis.from_modes(np.stack(applied), x)
+    rows = matrix.basis.from_modes(np.stack(applied), x)
     scale = 1.0 + max(inf_norm(v) for v in x)
     worst = max(inf_norm(row - v) for row, v in zip(rows, x))
     if not worst <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
@@ -505,8 +503,8 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
 
     ``x`` holds the n right-hand-side state vectors (for the homogeneous
     problem these are the raw initial derivatives ``x_0 .. x_{n-1}``).  The
-    rows returned are the solve's own, in ``matrix._factorization.basis``
-    as ``z`` is: states for dense and spectral groups, Fourier coefficients
+    rows returned are the solve's own, in ``matrix.basis``, where ``z``
+    acts: states for dense and spectral groups, Fourier coefficients
     (``np.fft.fft`` of a state) for periodic translations.  They have passed
     the residual gate ``||(M y)_r - x_r||_inf <= 1e-9 (1 + ||x||_inf)``,
     whose reading the returned list carries as ``residual``.
@@ -516,11 +514,9 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
         raise DimensionMismatchError(f"expected {n} right-hand-side vectors, got {len(x)}")
     xs = np.stack([as_state_vector(xi, matrix.dim) for xi in x])
     factorization = matrix._factorization
-    modal = factorization.basis.to_modes(xs)
+    modal = matrix.basis.to_modes(xs)
     _check_dead_modes(factorization, modal)
-    b = factorization.mask.size  # states (n, d) <-> block right-hand sides (b, n m, 1)
-    sol = factorization.solve(modal.reshape(n, b, -1).transpose(1, 0, 2).reshape(b, -1, 1))
-    ys = sol.reshape(b, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    ys = factorization.solve(modal[..., None])[..., 0]
     return _Coefficients(ys, _residual_gate(matrix, ys, xs, "coefficient"))
 
 
@@ -537,20 +533,19 @@ class ZCoefficients:
     :meth:`weigh` returns ``sum_k z_k h_k``.  ``zeta`` holds ``z``, computed
     once through the factorization of ``M`` that :func:`solve_coefficients`
     uses, as blocks ``(n, b, m, m)`` in the layout of :func:`generator_blocks`
-    that act on states in ``basis`` (the shared mode basis, else the
-    identity): ``M^{-1}`` times the identity's last block column, zero on
-    coincident modes.  For a single group that is ``e_n`` exactly.
+    that act on states in ``basis`` (:attr:`BlockOperatorMatrix.basis`):
+    ``M^{-1}`` times the identity's last block column, zero on coincident
+    modes.  For a single group that is ``e_n`` exactly.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):
         self.matrix = matrix
-        factorization = matrix._factorization
-        self.basis = factorization.basis
-        n, b = matrix.n, factorization.mask.size
+        self.basis = matrix.basis
+        n, b = matrix.n, matrix._factorization.mask.size
         m = matrix.dim // b
-        last = np.zeros((b, n * m, m))
-        last[:, -m:] = np.eye(m)
-        self.zeta = factorization.solve(last).reshape(b, n, m, m).transpose(1, 0, 2, 3)
+        last = np.zeros((n, b, m, m))
+        last[-1] = np.eye(m)  # b identity blocks
+        self.zeta = matrix._factorization.solve(last.reshape(n, -1, m)).reshape(last.shape)
         self.zeta.flags.writeable = False  # the matrix keeps z for every later solve
 
     def modes_of(self, g: np.ndarray) -> np.ndarray:

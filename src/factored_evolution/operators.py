@@ -192,11 +192,15 @@ class Operator(ABC):
     def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
         """The one semigroup action: the rows ``e^{t_i A} v_hat[..., i, :]``
         of a stack ``(..., m, d)`` in the operator's basis
-        (:func:`shared_mode_basis`), for a 1-D float ``t`` of length m,
-        unchecked and with no ``t = 0`` case.  The m times are exponentiated
-        once and broadcast over the leading axes, so a Duhamel run of r
-        intervals with one node layout passes its ``(r, m, d)`` forcing
-        block in one call.  A modal stack may hold only the leading k modes
+        (:func:`shared_mode_basis`), for a 1-D ``t`` of length m, real or
+        complex (the derivative check's circle), with no ``t = 0`` case.
+        The m times are exponentiated once, and a non-finite exponential
+        raises :class:`SemigroupOverflowError` naming the first bad time
+        (``checked_exp``; ``checked_rows`` under scaling and squaring); the
+        product with ``v_hat`` is left to the caller.  The exponential is
+        broadcast over the leading axes, so a Duhamel run of r intervals
+        with one node layout passes its ``(r, m, d)`` forcing block in one
+        call.  A modal stack may hold only the leading k modes
         (:meth:`ModeBasis.kept_modes`), and then only ``modal_values[:k]``
         are exponentiated.  ``v_hat`` is left as it is: modal operators
         multiply into their exponential where the shapes match and the

@@ -95,7 +95,7 @@ _CIRCLE_NODES = 24
 
 def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.ndarray) -> np.ndarray:
     """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) y[off_j + k]``,
-    shape ``(m, d)``, for coefficients ``y`` in the factorization's basis:
+    shape ``(m, d)``, for coefficients ``y`` in ``matrix.basis``:
     one :meth:`Operator.propagate` per group (exact rows at ``tau = 0``,
     overflow named by operator), summed in place and taken back to the grid
     once with ``like`` as the real-output rule.  A real ``like`` on a real
@@ -104,7 +104,7 @@ def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.nd
     which keeps every mode.  A group of multiplicity 1 grows its ``y`` row
     as it is, broadcast over the times; a dense one gets a contiguous stack,
     so that its matrix products sum in one order."""
-    basis = matrix._factorization.basis
+    basis = matrix.basis
     kept = basis.kept_modes(like)
     zero = taus == 0
     acc = None
@@ -175,7 +175,7 @@ def _binomial_shift(width: float, mult: int) -> np.ndarray:
 
 
 def _duhamel_pass(
-    matrix: BlockOperatorMatrix, z: ZCoefficients, forcing: Forcing, times: np.ndarray, edges: np.ndarray, runs
+    z: ZCoefficients, forcing: Forcing, times: np.ndarray, edges: np.ndarray, runs
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forced part at every sample time, shape ``(S, d)``, by the Gauss
     and by the Kronrod sums of one quadrature pass over the sample intervals
@@ -207,6 +207,7 @@ def _duhamel_pass(
     (:meth:`ModeBasis.kept_modes`), and ``z`` weighs last; :func:`solve_full`
     checks the values.
     """
+    matrix = z.matrix
     if not runs:  # t_grid = [0]: nothing to integrate
         zero = np.zeros((times.size, matrix.dim))
         return zero, zero
@@ -294,7 +295,7 @@ def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None)
         if eq.forcing is not None:
             rule = rule or QuadratureRule()
             z = solve_z_vector(matrix)
-            gauss, kronrod = _duhamel_pass(matrix, z, eq.forcing, times, *_interval_runs(rule, times))
+            gauss, kronrod = _duhamel_pass(z, eq.forcing, times, *_interval_runs(rule, times))
             values = values + gauss
             dev = float(np.max(np.abs(gauss - kronrod))) / (float(np.max(np.abs(kronrod))) + 1e-30)
             diagnostics = {"richardson_rel_dev": dev, "quadrature": asdict(rule), **diagnostics}
@@ -355,7 +356,7 @@ def _circle(matrix: BlockOperatorMatrix, xs: np.ndarray, n: int) -> tuple[float,
     ops = [op for op, _ in matrix.grouped]
     sums = np.sum(np.abs(generator_blocks(ops)), axis=-1)  # (g, b, m); modal: b = d, m = 1
     if ops[0].mode_basis is not None:
-        modal = np.abs(matrix._factorization.basis.to_modes(xs))
+        modal = np.abs(matrix.basis.to_modes(xs))
         sums = sums[:, np.any(modal > DEAD_MODE_RTOL * max(1.0, float(np.max(modal))), axis=0)]
     tau = float(np.max(sums, initial=0.0))
     rho = 1.0 if tau <= n - 1 else (n - 1) / tau
@@ -380,7 +381,7 @@ def _initial_derivatives(eq: FactoredEquation) -> np.ndarray:
     matrix = build_confluent_matrix(eq.grouped)
     xs = np.stack(eq.initial_data)
     ys = np.array(solve_coefficients(matrix, xs))
-    real = not np.iscomplexobj(matrix._factorization.basis.from_modes(ys, xs))  # u is real on the real axis
+    real = not np.iscomplexobj(matrix.basis.from_modes(ys, xs))  # u is real on the real axis
     rho, nodes = _circle(matrix, xs, eq.n)
     evaluated = nodes // 2 + 1 if real else nodes
     ys = ys.astype(np.complex128)  # complex rows, which no real-output rule drops
@@ -431,7 +432,7 @@ def lemma2_lhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarra
     times = np.array([float(t)])
     with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
         gauss, kronrod = (sums[0] for sums in _duhamel_pass(
-            matrix, ZCoefficients(matrix), forcing, times, *_interval_runs(QuadratureRule(), times)))
+            ZCoefficients(matrix), forcing, times, *_interval_runs(QuadratureRule(), times)))
         dev = float(np.max(np.abs(gauss - kronrod)))
         limit = LEMMA2_RICHARDSON_TOL * (1.0 + float(np.max(np.abs(kronrod))))
     check_finite(gauss, "convolution")

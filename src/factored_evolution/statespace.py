@@ -54,7 +54,7 @@ EIGVEC_COND_LIMIT = 1e4
 _LU_SOLVE_LOCK = threading.Lock()
 
 
-def as_state_vector(v, dim: int | None = None) -> np.ndarray:
+def as_state_vector(v, dim: int) -> np.ndarray:
     """Coerce ``v`` to a finite 1-D float64/complex128 array.
 
     Raises
@@ -71,7 +71,7 @@ def as_state_vector(v, dim: int | None = None) -> np.ndarray:
         arr = arr.astype(np.complex128, copy=False)
     else:
         arr = arr.astype(np.float64, copy=False)
-    if dim is not None and arr.shape[0] != dim:
+    if arr.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[0]}")
     check_finite(arr, "state vector")
     return arr

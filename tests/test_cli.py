@@ -18,6 +18,7 @@ from factored_evolution import (
     SolutionTrace,
     UniformGrid,
     UnknownProfileError,
+    UnsupportedOperationError,
 )
 from factored_evolution import cli, confluent, equation, solver, solve_full
 from factored_evolution.cli import (
@@ -372,6 +373,24 @@ class TestWriteCsv:
         write_csv(SolutionTrace(times, values, diagnostics), str(path))
         assert path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("excess, raises", [(1.0, False), (2.0, True)])
+    def test_complex_trace_keeps_its_real_part_up_to_roundoff(self, tmp_path, excess, raises):
+        # the largest |u| is 4, so an imaginary part up to 4e-12 is roundoff
+        # and the real trace is written; twice that is refused, with no file
+        times = np.array([0.0, 1.0])
+        real = np.array([[1.0, -4.0], [0.5, 2.0]])
+        values = real.astype(np.complex128)
+        values[0, 0] += 1j * excess * 1e-12 * 4.0
+        path, real_path = tmp_path / "complex.csv", tmp_path / "real.csv"
+        if raises:
+            with pytest.raises(UnsupportedOperationError, match="real traces only"):
+                write_csv(SolutionTrace(times, values), str(path))
+            assert not path.exists()
+        else:
+            write_csv(SolutionTrace(times, values), str(path))
+            write_csv(SolutionTrace(times, real), str(real_path))
+            assert path.read_bytes() == real_path.read_bytes()
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(33)
         times = np.sort(rng.uniform(0.0, 2.0, 7))
@@ -616,6 +635,25 @@ class TestCommands:
         cli._quadrature_convergence_record(eq, config.time_grid(), report)
         assert report.passed and "error ratio" in report.format()
         assert gated == ["forcing-weight"]
+
+    def test_verify_records_a_quadrature_at_the_roundoff_floor(self, tmp_path, capsys):
+        # u'' = 1 from zero data is t^2 / 2, which every Gauss rule
+        # integrates exactly: both coarse errors sit at roundoff, so the
+        # record passes without forming an error ratio
+        cfg = {
+            "backend": {"family": "spectral"},
+            "operators": {"A": {"eigenvalues": [0.0, 0.0, 0.0]}},
+            "factors": ["A", "A"],
+            "initial_data": [[0.0] * 3] * 2,
+            "forcing": "1",
+            "time": {"t_end": 1.0, "samples": 5},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["verify", str(cfg_path)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if "quadrature-convergence" in line]
+        assert line.startswith("PASS quadrature-convergence: observed=0.000e+00 ")
+        assert line.endswith("[errors at roundoff floor]")
 
     def test_forced_verify_solves_the_forcing_weights_once(self, monkeypatch):
         # the solve and the quadrature check share the held matrix, which

@@ -237,7 +237,7 @@ class TestSolveCoefficients:
         m = build_confluent_matrix([(left, 1), (right, 1)])
         data = [np.sin(x), np.cos(x) - np.cos(2 * x)]  # mean-zero
         ys = solve_coefficients(m, data)  # Fourier coefficients
-        on_grid = m._factorization.basis.from_modes(np.stack(ys), data[0])
+        on_grid = m.basis.from_modes(np.stack(ys), data[0])
         worst = max(np.max(np.abs(row - v)) for row, v in zip(m.apply(list(on_grid)), data))
         assert worst <= 1e-9 * (1.0 + max(np.max(np.abs(v)) for v in data))
 
@@ -290,7 +290,7 @@ class TestSingleGroup:
         for n in (1, 2, 4):
             xs = [draw() for _ in range(n)]
             m = build_confluent_matrix([(op, n)])
-            ys = m._factorization.basis.from_modes(np.stack(solve_coefficients(m, xs)), xs[0])
+            ys = m.basis.from_modes(np.stack(solve_coefficients(m, xs)), xs[0])
             reference = operator_substitution(op, xs)
             scale = max(np.max(np.abs(y)) for y in reference)
             worst = max(np.max(np.abs(y - r)) for y, r in zip(ys, reference))

@@ -60,7 +60,7 @@ def test_coefficients_and_forcing_weights_solve_the_confluent_system(seed, famil
     eq = instance(seed, family, n)
     matrix = confluent.build_confluent_matrix(eq.grouped)
     ys = confluent.solve_coefficients(matrix, eq.initial_data)  # in the basis
-    on_grid = matrix._factorization.basis.from_modes(np.stack(ys), np.stack(eq.initial_data))
+    on_grid = matrix.basis.from_modes(np.stack(ys), np.stack(eq.initial_data))
     assert worst_row_residual(matrix.apply(list(on_grid)), eq.initial_data) <= 1e-11
     g = eq.forcing(0.37)
     e_n = [np.zeros_like(g)] * (n - 1) + [g]
