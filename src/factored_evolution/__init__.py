@@ -25,7 +25,6 @@ from .confluent import (
     two_operator_closed_form,
 )
 from .equation import (
-    CompanionSystem,
     FactoredEquation,
     Forcing,
     build_companion,

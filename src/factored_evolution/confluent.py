@@ -12,36 +12,38 @@ r-th derivative at ``t = 0`` of the ansatz ``sum_j sum_k (t^k/k!) e^{t B_j}
 y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 
 Scalars reduce this to the classical confluent Vandermonde matrix of the
-modal values with the given multiplicities.  Every solve works on the
-generators' blocks (``operators.generator_blocks``) in
-``BlockOperatorMatrix.basis``, the groups' shared mode basis (the spectral
-and periodic-translation backends) or, for dense groups, the identity: the
-coefficients ``y`` are returned in it and the weights ``z`` act in it.
-One record, ``BlockOperatorMatrix._factorization``, holds the only code
-that tells the four structures of ``M`` apart, and its ``solve`` takes
-stacks ``(n, d, k)`` of states in that basis.  A single repeated factor
-makes ``M`` unit lower triangular and is solved by substitution on its
-blocks; groups with a mode basis have 1 x 1 blocks, so ``M`` splits into
-one small scalar system per mode (a mode where two groups coincide is
-allowed as long as the right-hand side leaves it unexcited); dense groups
-that the unitary eigenbasis of one of them (``DenseMatrixOperator.eig``)
-diagonalizes, with no mode coinciding and a real basis for real
-generators, split the same way in that basis, and their right-hand sides
-are rotated into it and back; other dense groups have one block, the full
-``(n d) x (n d)`` matrix, which is LU-factored.  Each
+modal values with the given multiplicities.  Every solve works in
+``BlockOperatorMatrix.basis``: the coefficients ``y`` are returned in it
+and the weights ``z`` act in it.  The groups either are modal in it, with
+values ``(g, d)`` on its modes, or are dense groups solved on the grid.
+The spectral and periodic-translation backends bring their own modes;
+dense groups that the unitary eigenbasis ``q`` of the first Hermitian or
+skew-Hermitian one (``DenseMatrixOperator.eig``) diagonalizes, to within
+the bound of :func:`_shared_eigenbasis`, are modal in ``q`` with the
+diagonals of ``q^H B_j q``; any other dense groups stay on the grid.  One
+record, ``BlockOperatorMatrix._factorization``, holds the only code that
+tells the three structures of ``M`` apart, and its ``solve`` takes stacks
+``(n, d, k)`` of states in that basis.  A single repeated factor makes
+``M`` unit lower triangular and is solved by substitution on its blocks;
+modal groups have 1 x 1 blocks, so ``M`` splits into one small scalar
+system per mode (a mode where two groups coincide is allowed as long as
+the right-hand side leaves it unexcited); dense groups on the grid have
+one block, the full ``(n d) x (n d)`` matrix, which is LU-factored.  Each
 ``BlockOperatorMatrix`` builds the record once, on first use, both ``y``
 and ``z`` are solved through it, and the matrix keeps the weights ``z``,
 which depend on ``M`` alone; :func:`build_confluent_matrix` hands the last
 matrix back for the same operator set, so solves on one set factorize
-``M`` and solve ``z`` once.  The residual gate checks every solve against
-``M`` applied the other way, in that basis too; one walk,
-:func:`_confluent_apply`, applies ``M`` through the generators' actions in
-the basis for the gate and through the generator matrices for the
-eigenbasis correction.
+``M`` and solve ``z`` once.  The solver propagates each group through
+``BlockOperatorMatrix.propagators``, in the same basis.  The residual gate
+checks every solve against ``M`` applied the other way, walked by
+:func:`_confluent_apply`: through the modal values for modal families,
+and through the true generators ``B_j`` on the grid for dense groups,
+a shared eigenbasis included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import comb
@@ -62,6 +64,7 @@ from .operators import (
     coincident_modes,
     excites,
     generator_blocks,
+    grow_modes,
     require_same_family,
     resolvent_solve,
     shared_mode_basis,
@@ -76,13 +79,6 @@ MAX_ORDER = 30
 RESIDUAL_RTOL = 1e-9
 
 _PROBE_SEED = 911003
-
-# Off-diagonal part of ``q^H B_j q``, relative to ``||B_j||_F``, up to which
-# a dense group counts as diagonal in a shared eigenbasis ``q``.  Nearly
-# repeated eigenvalues of the group that gave ``q`` leave up to about 2e-10
-# there (d = 128, eigenvalue gaps down to 5e-8); the eigenbasis solve takes
-# it up with one correction step, which leaves about its square.
-_EIGENBASIS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,46 +126,65 @@ class BlockOperatorMatrix:
         return offs
 
     @cached_property
+    def _modes(self) -> tuple[ModeBasis, np.ndarray | None]:
+        """``(basis, values)``: the basis ``M`` is solved in and the groups'
+        generators on its modes, ``(g, d)``, or ``None`` for dense groups
+        solved on the grid.  Groups with a mode basis bring their own modes;
+        dense groups take :func:`_shared_eigenbasis` where it serves, else
+        the identity."""
+        ops = [op for op, _ in self.grouped]
+        if ops[0].mode_basis is not None:
+            return shared_mode_basis(ops), np.stack([op.modal_values for op in ops])
+        shared = _shared_eigenbasis(self)
+        if shared is not None and shared[2] <= RESIDUAL_RTOL:  # a nan reading fails
+            return shared[:2]
+        return shared_mode_basis(ops), None
+
+    @property
     def basis(self) -> ModeBasis:
-        """The groups' shared mode basis (the identity if dense): the basis
-        the coefficients ``y`` are returned in and the weights ``z`` act in."""
-        return shared_mode_basis(op for op, _ in self.grouped)
+        """The basis the coefficients ``y`` are returned in and the weights
+        ``z`` act in: the groups' shared mode basis, a dense set's shared
+        eigenbasis, or the identity for other dense groups."""
+        return self._modes[0]
+
+    def propagators(self) -> list:
+        """Each group's semigroup action on stacks in :attr:`basis`, with
+        the contract of :meth:`Operator.propagate`: the operator's own, or
+        for dense groups in a shared eigenbasis the growth of each mode by
+        its value (:func:`grow_modes`), which leaves the operators' own
+        eigendecompositions unmade."""
+        basis, values = self._modes
+        if basis.unitary is None:
+            return [op.propagate for op, _ in self.grouped]
+        return [partial(grow_modes, v, op.label) for v, (op, _) in zip(values, self.grouped)]
 
     @cached_property
     def _factorization(self) -> _Factorization:
         """The factorization of ``M`` every solve goes through, built on
         first use; the only code that tells the structures of ``M`` apart.
 
-        All four work on the generators' blocks from
-        :func:`generator_blocks`.  A single group makes ``M`` unit lower
-        triangular: it is solved by substitution on the group's blocks,
-        with no assembly and no pivoting.  Groups that share a mode basis
+        All three work on blocks: the values ``(g, d, 1, 1)`` of groups
+        that are modal in :attr:`basis`, else the generators' blocks
+        ``(g, 1, d, d)`` from :func:`generator_blocks`.  A single group
+        makes ``M`` unit lower triangular: it is solved by substitution on
+        the group's blocks, with no assembly and no pivoting.  Modal groups
         assemble one ``n x n`` matrix per mode, with the identity on the
-        modes where two groups coincide.  Dense groups that the unitary
-        eigenbasis ``q`` of the first Hermitian or skew-Hermitian one
-        diagonalizes, with no coincident mode (and ``q`` real if the
-        generators are), assemble one ``n x n`` matrix per mode of the
-        diagonals of ``q^H B_j q`` (:func:`_eigenbasis_solve`); the record
-        keeps one block and no mask, and its ``solve`` rotates the states,
-        in the identity basis, into ``q`` and back.  Any other dense groups assemble the
-        one ``(n d) x (n d)`` matrix and keep its pivoted LU, whose pivot
-        gate also rejects the coincident modes.
+        modes where two groups coincide.  Dense groups on the grid
+        assemble the one ``(n d) x (n d)`` matrix and keep its pivoted LU,
+        whose pivot gate also rejects the coincident modes.
         """
         ops = [op for op, _ in self.grouped]
         mults = [mult for _, mult in self.grouped]
-        blocks = generator_blocks(ops)
+        values = self._modes[1]
+        blocks = generator_blocks(ops) if values is None else values[..., None, None]
         mask, pairs = np.zeros(blocks.shape[1], dtype=bool), []
         if len(ops) == 1:
             return _Factorization(partial(_substitute, blocks[0]), mask, pairs)
-        if ops[0].mode_basis is not None:
-            v = _confluent_blocks(blocks, mults)
-            mask, pairs = _coincident_modes(self, blocks[..., 0, 0])
+        v = _confluent_blocks(blocks, mults)
+        if values is not None:
+            mask, pairs = _coincident_modes(self, values)
             v[mask] = np.eye(self.n, dtype=v.dtype)
             return _Factorization(partial(_mode_solve, v, mask), mask, pairs)
-        solve = _eigenbasis_solve(self, blocks[:, 0], mults)
-        if solve is not None:
-            return _Factorization(solve, mask, pairs)
-        v = _confluent_blocks(blocks, mults)
         try:
             factors = lu_factor_checked(v[0])
         except SingularMatrixError as exc:
@@ -399,49 +414,89 @@ def _mode_solve(matrices: np.ndarray, mask: np.ndarray, rhs: np.ndarray) -> np.n
         raise SingularSystemError(f"per-mode coefficient solve failed: {exc}") from exc
 
 
-def _eigenbasis_solve(matrix: BlockOperatorMatrix, mats: np.ndarray, multiplicities):
-    """The ``solve`` of ``M`` for dense groups ``mats`` ``(g, d, d)`` with
-    ``multiplicities``, in the unitary eigenbasis ``q`` of the first group
-    that carries one (``DenseMatrixOperator.eig``), or ``None``, which
-    leaves ``M`` to the LU.
+# The bound on a shared eigenbasis ``q``.  Write ``q^H B_j q = D_j + E_j``,
+# ``D_j`` its diagonal.  In ``q`` the generators are taken as ``q D_j q^H``,
+# ``||E_j||_2 <= ||E_j||_F`` away from ``B_j``, which moves two outputs:
+# - each semigroup row, by at most ``t ||E_j|| e^{t ||E_j||}`` relative to
+#   ``||e^{t D_j}||`` (Van Loan, SIAM J. Numer. Anal. 14 (1977) 971-981,
+#   for the normal ``D_j``);
+# - the residual the gate reads against the true ``B_j``: the modal ``y``
+#   solves ``M~ y = x``, so the gate reads ``(M - M~) y``.  As
+#   ``||B^p - B~^p|| <= p ||E|| beta^(p-1)`` with ``beta = max|D_j| +
+#   ||E_j||_F``, its row r is at most ``sum_{j,k} C(r,k) (r-k) ||E_j||
+#   beta_j^(r-k-1) ||y_jk||_2``, and ``C(r,k) (r-k) beta^(r-k-1)`` is r
+#   times entry ``(r-1, k)`` of the scalar confluent matrix of the
+#   ``beta_j``.  Per mode ``y = M~_i^{-1} x``, so ``||y_jk||_2 <= K_jk
+#   sqrt(d) max_r ||x_r||_inf`` with ``K_jk = sum_r max_i |(M~_i^{-1})_{jk,r}|``.
+# The reading is that residual per unit of data,
+# ``sqrt(d) max_r sum_{j,k} (...) K_jk``, and ``q`` serves while it is at
+# most ``RESIDUAL_RTOL``: to first order in ``E`` no right-hand side then
+# leaves the gate's ``RESIDUAL_RTOL (1 + max_r ||x_r||_inf)``, and the rows
+# move by the first bound at an ``||E_j||`` that small.  Above it the set is
+# solved on the grid, by the LU.
 
-    ``q`` serves when it diagonalizes every group to within
-    ``_EIGENBASIS_RTOL`` of its Frobenius norm and no mode coincides
-    between two groups; ``M`` then splits into one ``n x n`` system per
-    mode of the diagonals, as for modal groups.  Real generators need a
-    real ``q`` (a real skew-symmetric group has a complex one): rotating
-    real data by a complex basis costs complex products, which on the
-    forced ``z`` solve cost more than the LU.
+
+def _shared_eigenbasis(matrix: BlockOperatorMatrix):
+    """``(basis, values, reading)`` in the unitary eigenbasis ``q`` of the
+    first Hermitian or skew-Hermitian group (``DenseMatrixOperator.eig``),
+    refined toward the others (:func:`_joint_eigenbasis`): the diagonals
+    of ``q^H B_j q``, ``(g, d)``, and the reading of the bound above.
+    ``None`` if no group has such a ``q``, if ``q`` is complex for real
+    generators (a real skew-symmetric group, whose ``q`` would turn real
+    data complex), or if a mode coincides between two groups."""
+    ops = [op for op, _ in matrix.grouped]
+    eig = next((op.eig for op in ops if op.eig is not None), None)
+    mats = generator_blocks(ops)[:, 0]
+    if eig is None or (np.iscomplexobj(eig[1]) and not np.iscomplexobj(mats)):
+        return None
+    q = _joint_eigenbasis(eig[1], mats)
+    rest = q.conj().T @ (mats @ q)
+    diagonals = np.einsum("gii->gi", rest)  # a view: zeroed below, leaving E_j
+    values = diagonals.copy()
+    diagonals[...] = 0.0
+    off = np.linalg.norm(rest, axis=(1, 2))
+    if _coincident_modes(matrix, values)[0].any():
+        return None
+    mults = [mult for _, mult in matrix.grouped]
+    inverses = np.linalg.inv(_confluent_blocks(values[..., None, None], mults))  # no mode coincides
+    k = np.max(np.abs(inverses), axis=0).sum(axis=1)
+    beta = scalar_confluent_matrix(np.max(np.abs(values), axis=1) + off, mults)
+    growth = np.arange(1, matrix.n)[:, None] * beta[:-1] * np.repeat(off, mults)
+    reading = math.sqrt(matrix.dim) * float(np.max(growth @ k, initial=0.0))
+    q.flags.writeable = False
+    return ModeBasis(unitary=(q, q.conj().T)), values, reading
+
+
+def _joint_eigenbasis(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The unitary ``q`` after one first-order step toward a common
+    eigenbasis of the matrices ``mats``, ``(g, d, d)``.
+
+    Where the group that gave ``q`` has nearly repeated eigenvalues,
+    rounding mixes their modes by about ``eps ||B|| / gap``, and a group
+    that tells them apart reads the mixing off its diagonal.  With ``R_j =
+    q^H B_j q`` and its diagonal ``D_j``, ``q (I + X)`` takes entry
+    ``(a, b)`` off every ``R_j`` to first order when ``X_ab (D_j,b -
+    D_j,a) = R_j,ab`` for all j, which ``X_ab`` solves in least squares: a
+    Jacobi step of simultaneous diagonalization (Bunse-Gerstner, Byers and
+    Mehrmann, SIAM J. Matrix Anal. Appl. 14 (1993) 927-949).  ``X_ab`` is
+    kept where it is below 1, where first order holds (where every group
+    coincides any mixing serves, and it is 0), and so is only its
+    anti-Hermitian part, which it is for normal ``B_j``: the rounding of
+    ``R_j,ab`` against ``R_j,ba`` over a small gap would stretch ``q``.
+    ``q (I + X)`` is then unitary to ``||X||_F^2``, and re-orthonormalized
+    by QR when that is above eps.
     """
-    q = next((op.eig[1] for op, _ in matrix.grouped if op.eig is not None), None)
-    if q is None or (np.iscomplexobj(q) and not np.iscomplexobj(mats)):
-        return None
-    bq = mats @ q
-    diagonals = (q.conj() * bq).sum(axis=1)  # of q^H B_j q
-    off = np.linalg.norm(bq - q * diagonals[:, None], axis=(1, 2))  # q unitary
-    if not np.all(off <= _EIGENBASIS_RTOL * np.linalg.norm(mats, axis=(1, 2))):
-        return None
-    if _coincident_modes(matrix, diagonals)[0].any():
-        return None
-    v = _confluent_blocks(diagonals[..., None, None], multiplicities)
-    return partial(_rotated_solve, q, v, mats, multiplicities)
-
-
-def _rotated_solve(q, v, mats, multiplicities, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``M y = rhs`` for a stack ``(n, d, k)`` through the basis ``q``,
-    in which ``v`` holds the per-mode systems, and then once more for the
-    residual of ``M`` applied through the generators ``mats``: the
-    correction takes up the off-diagonal part of ``q^H B_j q`` and the
-    rounding of the rotations."""
-    no_mask = np.zeros(q.shape[0], dtype=bool)
-
-    def solve(b):  # rotated into q and back
-        return q @ _mode_solve(v, no_mask, q.conj().T @ b)
-
-    y = solve(rhs)
-    applied = _confluent_apply([partial(np.matmul, m) for m in mats], multiplicities, y)
-    y += solve(rhs - np.stack(applied))
-    return y
+    r = q.conj().T @ (mats @ q)
+    diagonals = np.einsum("gii->gi", r)
+    gaps = diagonals[:, None, :] - diagonals[:, :, None]  # D_j,b - D_j,a at (a, b)
+    num = np.einsum("gab,gab->ab", gaps.conj(), r)  # 0 on the diagonal
+    den = np.einsum("gab,gab->ab", gaps.conj(), gaps).real
+    x = np.divide(num, den, out=np.zeros_like(num), where=np.abs(num) < den)
+    x = 0.5 * (x - x.conj().T)
+    q = q + q @ x
+    if np.vdot(x, x).real > np.finfo(np.float64).eps:
+        q = np.linalg.qr(q)[0]
+    return q
 
 
 def _confluent_apply(actions, multiplicities, y) -> list:
@@ -467,17 +522,19 @@ def _confluent_apply(actions, multiplicities, y) -> list:
 
 def _residual_gate(matrix: BlockOperatorMatrix, ys, x, what: str) -> float:
     """The residual ``max_r ||(M y)_r - x_r||_inf`` of the ``what`` solve,
-    for rows ``ys`` in ``matrix.basis`` and right-hand sides ``x``
-    on the grid.  ``M`` is walked on ``ys`` in the basis, each group acting
-    by its generator's blocks (``apply`` if dense, its modal values if
-    modal), and the rows go back to the grid once; a residual over
-    ``RESIDUAL_RTOL (1 + max_r ||x_r||_inf)`` raises :class:`SingularSystemError`."""
-    actions = [
-        op.apply if op.mode_basis is None else partial(np.multiply, op.modal_values)
-        for op, _ in matrix.grouped
-    ]
-    applied = _confluent_apply(actions, [mult for _, mult in matrix.grouped], ys)
-    rows = matrix.basis.from_modes(np.stack(applied), x)
+    for rows ``ys`` in ``matrix.basis`` and right-hand sides ``x`` on the
+    grid.  Modal families walk ``M`` on ``ys`` in the basis by their modal
+    values and take the rows back to the grid once; dense groups take
+    ``ys`` to the grid and walk the true generators (``apply``), so a
+    shared eigenbasis is judged against the ``B_j`` it only nearly
+    diagonalizes.  A residual over ``RESIDUAL_RTOL (1 + max_r
+    ||x_r||_inf)`` raises :class:`SingularSystemError`."""
+    dense = matrix.grouped[0][0].mode_basis is None
+    if dense:
+        ys = matrix.basis.from_modes(ys, x)
+    actions = [op.apply if dense else partial(np.multiply, op.modal_values) for op, _ in matrix.grouped]
+    applied = np.stack(_confluent_apply(actions, [mult for _, mult in matrix.grouped], ys))
+    rows = applied if dense else matrix.basis.from_modes(applied, x)
     scale = 1.0 + max(inf_norm(v) for v in x)
     worst = max(inf_norm(row - v) for row, v in zip(rows, x))
     if not worst <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
@@ -504,8 +561,9 @@ def solve_coefficients(matrix: BlockOperatorMatrix, x) -> list[np.ndarray]:
     ``x`` holds the n right-hand-side state vectors (for the homogeneous
     problem these are the raw initial derivatives ``x_0 .. x_{n-1}``).  The
     rows returned are the solve's own, in ``matrix.basis``, where ``z``
-    acts: states for dense and spectral groups, Fourier coefficients
-    (``np.fft.fft`` of a state) for periodic translations.  They have passed
+    acts: states for spectral groups and dense groups on the grid, Fourier
+    coefficients (``np.fft.fft`` of a state) for periodic translations, and
+    the modes ``q^H v`` in a dense set's shared eigenbasis.  They have passed
     the residual gate ``||(M y)_r - x_r||_inf <= 1e-9 (1 + ||x||_inf)``,
     whose reading the returned list carries as ``residual``.
     """
@@ -532,10 +590,12 @@ class ZCoefficients:
     commutes with every ``e^{tau B_j}`` and the solver weighs last:
     :meth:`weigh` returns ``sum_k z_k h_k``.  ``zeta`` holds ``z``, computed
     once through the factorization of ``M`` that :func:`solve_coefficients`
-    uses, as blocks ``(n, b, m, m)`` in the layout of :func:`generator_blocks`
-    that act on states in ``basis`` (:attr:`BlockOperatorMatrix.basis`):
-    ``M^{-1}`` times the identity's last block column, zero on coincident
-    modes.  For a single group that is ``e_n`` exactly.
+    uses, as blocks ``(n, b, m, m)`` that act on states in ``basis``
+    (:attr:`BlockOperatorMatrix.basis`), in the layout of the factorization:
+    one value per mode (``m = 1``) for groups modal in ``basis``, a shared
+    eigenbasis included, else one ``d x d`` block.  They are ``M^{-1}``
+    times the identity's last block column, zero on coincident modes.  For
+    a single group that is ``e_n`` exactly.
     """
 
     def __init__(self, matrix: BlockOperatorMatrix):

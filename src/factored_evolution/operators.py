@@ -11,22 +11,24 @@ it for one time and a state, or an array of times and a stack: transform,
 propagate, transform back, exact ``t = 0`` rows, one finiteness check.
 Grouping is by label, never by numerical comparison of the underlying data:
 the user declares which factors coincide.  An operator's arrays are
-read-only once it is built, so what is learned of an operator set holds
+read-only once they are made, so what is learned of an operator set holds
 for as long as the set lives: :data:`OPERATOR_SLOT` keeps the commutation
 gate's verdict and the factorized confluent matrix of the last set solved.
 
 Three families are provided and may not be mixed inside one equation:
 
 ``dense``
-    An explicit square matrix.  Hermitian and skew-Hermitian matrices get a
-    unitary eigendecomposition at construction (``eig``; divide and conquer
-    for a real symmetric matrix), so semigroup
-    actions are cheap and the confluent solve of commuting groups can go
-    mode by mode in that basis.  Other diagonalizable matrices whose
-    eigenvectors are well conditioned (``statespace.EIGVEC_COND_LIMIT``)
-    act through those eigenvectors too; defective and nearly defective ones
-    fall back to scaling-and-squaring per call (for an array of times,
-    stacked calls of at most ``statespace.EXPM_STACK_ENTRIES`` entries each).
+    An explicit square matrix.  Hermitian and skew-Hermitian matrices have a
+    unitary eigendecomposition (``eig``; divide and conquer for a real
+    symmetric matrix), computed on first use, through which their semigroup
+    acts; the first such group of a commuting set lends its basis to the
+    whole set, which the confluent solve then treats as modal
+    (``confluent.BlockOperatorMatrix.basis``).  Other diagonalizable
+    matrices whose eigenvectors are well conditioned
+    (``statespace.EIGVEC_COND_LIMIT``) act through those eigenvectors too;
+    defective and nearly defective ones fall back to scaling-and-squaring
+    per call (for an array of times, stacked calls of at most
+    ``statespace.EXPM_STACK_ENTRIES`` entries each).
 
 ``spectral``
     Componentwise multiplication by ``scale * eigenvalues``.  The state is a
@@ -44,9 +46,11 @@ Three families are provided and may not be mixed inside one equation:
 Spectral and periodic translation operators are diagonal in a known basis
 and share one modal interface: ``modal_values`` (the generator on each
 mode), ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
-and back) and ``propagate``, ``e^{t lambda}`` times each mode.  Per-mode
-solves decide coincident modes by one rule, :func:`coincident_modes`;
-dense operators have ``mode_basis = None`` and propagate in the identity.
+and back) and ``propagate``, ``e^{t lambda}`` times each mode
+(:func:`grow_modes`).  Per-mode solves decide coincident modes by one
+rule, :func:`coincident_modes`; dense operators have ``mode_basis =
+None`` and propagate in the identity, and a dense set solved in one
+shared eigenbasis grows its modes by :func:`grow_modes` too.
 :func:`generator_blocks` gives dense and modal generators one block form,
 from which ``M``, the companion oracle's generator and the commutator of
 :func:`commutation_defect` are built; modal blocks are 1x1, so modal
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,15 +91,22 @@ COINCIDENCE_RTOL = 1e-12
 DEAD_MODE_RTOL = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """Transform between a state and its mode coefficients.
+    """Transform between a state and its mode coefficients, one of three:
 
-    The identity for spectral states, which already hold mode coefficients;
-    the FFT along the last axis for periodic grids (``fourier``).  The
-    transform back owns the real-output rule: it returns a real array when
+    - the identity, for spectral states, which already hold mode
+      coefficients, and for dense groups solved on the grid;
+    - the FFT along the last axis (``fourier``), for periodic grids;
+    - a unitary ``q`` whose columns are the modes, kept as the pair
+      ``unitary = (q, q^H)``: the modes of a state ``v`` are ``q^H v``.
+      A dense commuting set that one eigenbasis diagonalizes is solved in
+      it (``confluent.BlockOperatorMatrix.basis``).
+
+    The transform back owns the real-output rule: it returns a real array when
     the generators map real states to real states (``real``) and the state
-    ``like`` it came from is real.
+    ``like`` it came from is real.  A unitary ``q`` is real exactly when
+    the generators are, so its products keep that rule without the flag.
 
     Such a real periodic output is fixed by its modes ``0 .. d//2``, since
     mode ``d - k`` is the conjugate of mode k (:meth:`kept_modes`): an
@@ -102,10 +114,13 @@ class ModeBasis:
     ``irfft``.  :meth:`to_modes` always gives every mode.
     """
 
-    fourier: bool
+    fourier: bool = False
     real: bool = True
+    unitary: tuple[np.ndarray, np.ndarray] | None = None
 
     def to_modes(self, v: np.ndarray) -> np.ndarray:
+        if self.unitary is not None:
+            return v @ self.unitary[1].T
         return np.fft.fft(v, axis=-1) if self.fourier else v
 
     def kept_modes(self, like: np.ndarray) -> int:
@@ -117,6 +132,8 @@ class ModeBasis:
     def from_modes(self, v_hat: np.ndarray, like: np.ndarray) -> np.ndarray:
         """The states of the modes ``v_hat``: every mode, or the leading
         :meth:`kept_modes` of a real output."""
+        if self.unitary is not None:
+            return v_hat @ self.unitary[0].T
         if not self.fourier:
             return v_hat
         d = like.shape[-1]
@@ -132,6 +149,18 @@ def shared_mode_basis(ops) -> ModeBasis:
     if bases[0] is None:
         return ModeBasis(fourier=False)
     return ModeBasis(bases[0].fourier, all(basis.real for basis in bases))
+
+
+def grow_modes(values: np.ndarray, label: str, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """The rows ``e^{t_i lambda} v_hat[..., i, :]`` for a generator whose
+    values on the modes are ``values``: :meth:`Operator.propagate` of an
+    operator with a mode basis, and of a dense group in a shared eigenbasis
+    (``confluent.BlockOperatorMatrix.propagators``).  Only the leading
+    ``values`` that ``v_hat`` holds are exponentiated, and overflow names
+    ``label``."""
+    grown = checked_exp(values[: v_hat.shape[-1]], t, f"semigroup of {label!r}")
+    inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
+    return np.multiply(grown, v_hat, out=grown if inplace else None)
 
 
 def coincident_modes(a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
@@ -204,10 +233,9 @@ class Operator(ABC):
         (:meth:`ModeBasis.kept_modes`), and then only ``modal_values[:k]``
         are exponentiated.  ``v_hat`` is left as it is: modal operators
         multiply into their exponential where the shapes match and the
-        dtypes allow; dense ones bind ``expm_action``."""
-        grown = checked_exp(self.modal_values[: v_hat.shape[-1]], t, f"semigroup of {self.label!r}")
-        inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
-        return np.multiply(grown, v_hat, out=grown if inplace else None)
+        dtypes allow (:func:`grow_modes`); dense ones bind ``expm_action``
+        on first use."""
+        return grow_modes(self.modal_values, self.label, t, v_hat)
 
     @abstractmethod
     def signature(self) -> tuple:
@@ -245,12 +273,15 @@ class DenseMatrixOperator(Operator):
 
     ``eig`` is :func:`statespace.unitary_eigh` of the matrix: ``(w, q)``
     with ``A = q diag(w) q^H`` for a Hermitian or skew-Hermitian matrix,
-    else ``None``; the confluent solve of commuting groups reuses its
-    ``q``.  The semigroup acts through an eigenvector basis, ``eig`` or a
-    well-conditioned non-unitary one, or else by scaling and squaring
-    (:func:`statespace.expm_action`, bound at construction).  ``matrix`` is
-    a copy of the given one; it and both arrays of ``eig`` are read-only,
-    as the bound action assumes.
+    else ``None``; the confluent solve of a commuting set takes the ``q``
+    of its first such group as the set's basis.  The semigroup acts
+    through an eigenvector basis, ``eig`` or a well-conditioned
+    non-unitary one, or else by scaling and squaring
+    (:func:`statespace.expm_action`).  Both ``eig`` and the bound action
+    ``propagate`` are computed on first use, so a set solved in a shared
+    basis decomposes one matrix, not each.  ``matrix`` is a copy of the
+    given one; it and both arrays of ``eig`` are read-only, as the bound
+    action assumes.
     """
 
     def __init__(self, label: str, matrix):
@@ -261,9 +292,17 @@ class DenseMatrixOperator(Operator):
         self.matrix = np.array(matrix, dtype=dtype)
         check_finite(self.matrix, f"matrix of operator {label!r}")
         super().__init__(label, matrix.shape[0], "dense")
-        self.eig = unitary_eigh(self.matrix)
-        self.propagate = expm_action(self.matrix, self.eig)
-        _read_only(self.matrix, *(self.eig or ()))
+        _read_only(self.matrix)
+
+    @cached_property
+    def eig(self):
+        eig = unitary_eigh(self.matrix)
+        _read_only(*(eig or ()))
+        return eig
+
+    @cached_property
+    def propagate(self):
+        return expm_action(self.matrix, self.eig)
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ as_state_vector(v, self.dim)

@@ -15,9 +15,10 @@ with the forcing weights ``z`` from the confluent solve against
 Gauss-Legendre rule, checked against the Kronrod sums of the same pass.
 General initial data superposes the two parts.
 
-The homogeneous part is :func:`_semigroup_sum`: each group's
-``Operator.propagate`` grows the coefficients for all sample times at once
-in the basis ``y`` was solved in, and the sum goes back to the grid once.
+The homogeneous part is :func:`_semigroup_sum`: each group's action in
+the basis ``y`` was solved in (:meth:`BlockOperatorMatrix.propagators`)
+grows the coefficients for all sample times at once, and the sum goes back
+to the grid once.
 Both parts assemble a real periodic output (a real speed and real data)
 in its leading modes ``0 .. d//2`` only, the rest being their conjugates,
 and take it back by ``irfft`` (:meth:`ModeBasis.kept_modes`); the per-mode
@@ -35,7 +36,7 @@ uniform grid repeats the same node offsets in every interval.  A layout
 holds each panel's q Gauss nodes and their q + 1 Kronrod nodes
 (:meth:`QuadratureRule.gauss_kronrod`), so one pass gives both sums.  The
 pass takes the forcing at every node as one stack (:meth:`Forcing.many`)
-in the groups' shared basis; each group's ``Operator.propagate`` grows a
+in the groups' shared basis; each group's action grows a
 run's block of it with one exponential of the run's offsets and carries
 both sums interval by interval, and :meth:`ZCoefficients.weigh` applies
 ``z`` to them last.
@@ -96,26 +97,26 @@ _CIRCLE_NODES = 24
 def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.ndarray) -> np.ndarray:
     """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) y[off_j + k]``,
     shape ``(m, d)``, for coefficients ``y`` in ``matrix.basis``:
-    one :meth:`Operator.propagate` per group (exact rows at ``tau = 0``,
-    overflow named by operator), summed in place and taken back to the grid
-    once with ``like`` as the real-output rule.  A real ``like`` on a real
+    one call of each group's action (:meth:`BlockOperatorMatrix.propagators`;
+    exact rows at ``tau = 0``, overflow named by operator), summed in place
+    and taken back to the grid once with ``like`` as the real-output rule.  A real ``like`` on a real
     periodic grid keeps only the leading modes (:meth:`ModeBasis.kept_modes`);
     the derivative circle's complex ``taus`` come with a complex ``like``,
     which keeps every mode.  A group of multiplicity 1 grows its ``y`` row
     as it is, broadcast over the times; a dense one gets a contiguous stack,
-    so that its matrix products sum in one order."""
+    so that matrix products sum in one order."""
     basis = matrix.basis
     kept = basis.kept_modes(like)
     zero = taus == 0
     acc = None
-    for (op, mult), offset in zip(matrix.grouped, matrix.offsets):
+    for (op, mult), offset, grow in zip(matrix.grouped, matrix.offsets, matrix.propagators()):
         if mult == 1:
             p = np.broadcast_to(y[offset][:kept], (taus.size, kept))
             if op.mode_basis is None:
                 p = np.ascontiguousarray(p)
         else:
             p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k][:kept] for k in range(mult))
-        grown = op.propagate(taus, p)
+        grown = grow(taus, p)
         grown[zero] = p[zero]
         checked_rows(grown, taus, f"semigroup of {op.label!r}")
         if acc is None:
@@ -196,9 +197,9 @@ def _duhamel_pass(
     the carry width ``D``.  So the run forms ``tau``, the Gauss moments
     ``w tau^k/k!`` of its Gauss nodes, the Kronrod moments of all its nodes
     (2q+1 per panel) and the binomial shift once; each group grows the run's
-    ``(r, m, d)`` forcing block with one :meth:`Operator.propagate` of the m
-    offsets and takes the r local integrals of either rule as two products,
-    and only the carry of both sums, one ``propagate`` of width ``D`` on
+    ``(r, m, d)`` forcing block with one call of its action
+    (:meth:`BlockOperatorMatrix.propagators`) on the m offsets and takes the r local integrals of either rule as two products,
+    and only the carry of both sums, one action of width ``D`` on
     ``(2, S_j, d)``, goes interval by interval.  The Gauss nodes are the
     points of ``rule.nodes``, so the Gauss sums are the values of the
     composite Gauss rule.  The forcing values of all nodes of the pass are
@@ -225,16 +226,16 @@ def _duhamel_pass(
     g_hat = z.modes_of(g)[:, : z.basis.kept_modes(g)]
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
     h = []
-    for op, mult in matrix.grouped:
+    for (_, mult), grow in zip(matrix.grouped, matrix.propagators()):
         carried, prev = [], np.zeros((2, mult, g_hat.shape[-1]))
         for (nodes, width, taus, gauss, (gauss_moments, moments), shift), block in zip(layouts, blocks):
             # one (r, m, d) exponential alive at a time
-            grown = op.propagate(taus, block.reshape(*nodes.shape, -1))
+            grown = grow(taus, block.reshape(*nodes.shape, -1))
             # take, not grown[:, gauss]: its rows are contiguous, as those of a
             # Gauss-only block, so the product sums in the same order
             local = np.stack([gauss_moments[:mult] @ grown.take(gauss, axis=1), moments[:mult] @ grown], axis=1)
             for integral in local:
-                prev = op.propagate(np.full(mult, width), shift[:mult, :mult] @ prev) + integral
+                prev = grow(np.full(mult, width), shift[:mult, :mult] @ prev) + integral
                 carried.append(prev)
         h.append(np.stack(carried, axis=1))
     at_zero = np.zeros((times.size - widths.size, matrix.dim))  # a sample at t = 0

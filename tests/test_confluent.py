@@ -222,10 +222,11 @@ class TestSolveCoefficients:
                 else random_dense_commuting_instance(rng, n, dim)
             )
             m = build_confluent_matrix(eq.grouped)
-            ys = solve_coefficients(m, eq.initial_data)
+            xs = np.stack(eq.initial_data)
+            ys = m.basis.from_modes(np.stack(solve_coefficients(m, xs)), xs)  # on the grid
             scale = 1.0 + max(np.max(np.abs(x)) for x in eq.initial_data)
             worst = max(
-                np.max(np.abs(row - x)) for row, x in zip(m.apply(ys), eq.initial_data)
+                np.max(np.abs(row - x)) for row, x in zip(m.apply(list(ys)), eq.initial_data)
             )
             assert worst <= 1e-9 * scale
 
@@ -399,7 +400,8 @@ def shared_basis_groups(rng, d, spectra, complex_basis=False, factor=1.0):
 
 class TestEigenbasisStructure:
     """Dense groups that one group's unitary eigenbasis diagonalizes are
-    solved mode by mode in it; every other dense case keeps the LU."""
+    modal in it: ``y`` and ``z`` are solved mode by mode and kept per mode.
+    Every other dense case keeps the LU on the grid."""
 
     @staticmethod
     def case(kind, rng):
@@ -418,16 +420,20 @@ class TestEigenbasisStructure:
 
     @staticmethod
     def assert_y_and_z_match_the_lu(grouped, data):
+        # both on the grid: y through basis.from_modes, and z_k as the d x d
+        # matrix whose column i is z_k e_i
         m = build_confluent_matrix(grouped)
         n, d = m.n, m.dim
-        ys = np.concatenate(solve_coefficients(m, data))
-        y_ref = lu_reference(grouped, np.concatenate(data))
+        xs = np.stack(data)
+        ys = m.basis.from_modes(np.stack(solve_coefficients(m, xs)), xs).ravel()
+        y_ref = lu_reference(grouped, xs.ravel())
         assert ys.dtype == y_ref.dtype
         assert np.max(np.abs(ys - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
         last = np.zeros((n * d, d))
         last[-d:] = np.eye(d)
         z_ref = lu_reference(grouped, last)
-        zeta = solve_z_vector(m).zeta[:, 0].reshape(n * d, d)
+        z = solve_z_vector(m)
+        zeta = np.stack([z.apply_all(e) for e in np.eye(d)], axis=-1).reshape(n * d, d)
         assert zeta.dtype == z_ref.dtype
         assert np.max(np.abs(zeta - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
         return m
@@ -443,7 +449,8 @@ class TestEigenbasisStructure:
     def test_y_and_z_match_the_lu_of_the_same_matrix(self, kind):
         grouped, data = self.case(kind, np.random.default_rng(61))
         m = self.assert_y_and_z_match_the_lu(grouped, data)
-        assert m._factorization.solve.func is confluent._rotated_solve
+        assert m.basis.unitary is not None and m._factorization.solve.func is confluent._mode_solve
+        assert solve_z_vector(m).zeta.shape == (m.n, m.dim, 1, 1)  # one weight per mode and k
 
     def test_real_skew_symmetric_groups_keep_the_lu(self, monkeypatch):
         # their eigenbasis is complex, so the rotations would turn a real
@@ -482,6 +489,85 @@ class TestEigenbasisStructure:
             r"declared-distinct factors may coincide$"
         )):
             solve_coefficients(m, [np.ones(4), np.ones(4)])
+
+
+    @pytest.mark.parametrize("kind", ["real-symmetric", "complex-hermitian", "complex-skew-hermitian"])
+    def test_a_fresh_solve_decomposes_one_matrix(self, monkeypatch, kind):
+        # the set's basis is its first group's eig; no other operator
+        # decomposes its matrix or binds its own action until a call needs it
+        rng = np.random.default_rng(64)
+        spectra = [c + 0.12 * rng.uniform(-1, 1, 6) for c in (-1.8, -1.0, -0.2, 0.5)]
+        ops = shared_basis_groups(
+            rng, 6, spectra, complex_basis=kind != "real-symmetric", factor=1j if "skew" in kind else 1.0
+        )
+        factors = (ops[0],) + tuple(ops)
+        c = rng.standard_normal(6)
+        eq = FactoredEquation(
+            factors, tuple(rng.standard_normal(6) for _ in factors), Forcing(lambda t: np.cos(t) * c)
+        )
+        eigh, calls = scipy.linalg.eigh, []
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kw: calls.append(args[0]) or eigh(*args, **kw))
+        times = np.linspace(0.0, 1.0, 5)
+        values = solve_full(eq, times).values
+        assert len(calls) == 1 and build_confluent_matrix(eq.grouped).basis.unitary is not None
+        assert "eig" in vars(ops[0])
+        assert not any("propagate" in vars(op) for op in ops)
+        assert not any("eig" in vars(op) for op in ops[1:])
+        ops[2].semigroup(0.5, np.ones(6))
+        assert len(calls) == 2 and "eig" in vars(ops[2]) and "eig" not in vars(ops[1])
+        for arr in ops[2].eig:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        reference = oracle_solve(eq, times).values
+        assert np.max(np.abs(values - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-7])
+    def test_the_refined_basis_stays_unitary(self, gap):
+        # two eigenvalues of a lone group a small gap apart: the Jacobi step
+        # divides the rounding of q^H A q by that gap, and the part of it
+        # that is not anti-symmetric must not stretch q
+        rng = np.random.default_rng(66)
+        lam = np.linspace(-2.0, -1.0, 16)
+        lam[1] = lam[0] + gap
+        (a,) = shared_basis_groups(rng, 16, [lam])
+        basis = build_confluent_matrix([(a, 2)]).basis
+        q = basis.unitary[0]
+        assert np.linalg.norm(q.T @ q - np.eye(16)) <= 1e-14
+        x = rng.standard_normal(16)
+        assert np.max(np.abs(basis.from_modes(basis.to_modes(x), x) - x)) <= 1e-14 * np.max(np.abs(x))
+
+    def test_the_shared_basis_ends_at_its_bound(self, monkeypatch):
+        # B is diagonal in A's basis but for s on one pair of modes, which
+        # no rotation takes off both groups, so the reading grows with s:
+        # just below the bound the set is modal, just above it one LU
+        d = 6
+        a = np.diag(np.linspace(-2.0, -0.5, d))
+        b = np.diag(np.linspace(0.2, 0.45, d))
+        pair = np.zeros((d, d))
+        pair[0, 1] = pair[1, 0] = 1.0
+
+        def grouped(s):
+            return [(DenseMatrixOperator("A", a), 2), (DenseMatrixOperator("B", b + s * pair), 1)]
+
+        def reading(s):
+            return confluent._shared_eigenbasis(confluent.BlockOperatorMatrix(tuple(grouped(s))))[2]
+
+        per_unit = reading(1e-12) / 1e-12
+        rng = np.random.default_rng(65)
+        data = tuple(rng.standard_normal(d) for _ in range(3))
+        c = rng.standard_normal(d)
+        times = np.linspace(0.0, 1.0, 5)
+        for share, modal in ((0.9, True), (1.1, False)):
+            s = share * confluent.RESIDUAL_RTOL / per_unit
+            assert (reading(s) <= confluent.RESIDUAL_RTOL) == modal
+            eq = FactoredEquation(tuple(op for op, mult in grouped(s) for _ in range(mult)), data,
+                                  Forcing(lambda t: np.sin(t) * c))
+            calls = self.count_lu(monkeypatch)
+            values = solve_full(eq, times).values
+            assert (build_confluent_matrix(eq.grouped).basis.unitary is not None) == modal
+            assert len(calls) == (0 if modal else 1)
+            reference = oracle_solve(eq, times).values
+            assert np.max(np.abs(values - reference)) <= 1e-6 * np.max(np.abs(reference))
 
 
 class TestDeterminantReduction:

@@ -83,9 +83,10 @@ def test_dense_forcing_weights_commute_with_every_generator(seed, n, pattern):
     eq = random_dense_commuting_instance(np.random.default_rng(seed), n, 5, pattern)
     matrix = confluent.build_confluent_matrix(eq.grouped)
     z = confluent.solve_z_vector(matrix)
-    assert z.zeta.shape == (n, 1, 5, 5)  # one materialized d x d block per k
+    assert z.zeta.shape == (n, 5, 1, 1)  # one weight per mode and k, in the shared eigenbasis
+    blocks = np.stack([z.apply_all(e) for e in np.eye(5)], axis=-1)  # z_k as d x d matrices
     for a in operators.generator_blocks(op for op, _ in eq.grouped)[:, 0]:
-        for z_k in z.zeta[:, 0]:
+        for z_k in blocks:
             defect = np.linalg.norm(z_k @ a - a @ z_k) / (np.linalg.norm(z_k) * np.linalg.norm(a) + 1e-300)
             assert defect <= 1e-12
 
