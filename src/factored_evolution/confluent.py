@@ -17,10 +17,11 @@ modal values with the given multiplicities.  Every solve works in
 and the weights ``z`` act in it.  The groups either are modal in it, with
 values ``(g, d)`` on its modes, or are dense groups solved on the grid.
 The spectral and periodic-translation backends bring their own modes;
-dense groups that the unitary eigenbasis ``q`` of the first Hermitian or
-skew-Hermitian one (``DenseMatrixOperator.eig``) diagonalizes, to within
-the bound of :func:`_shared_eigenbasis`, are modal in ``q`` with the
-diagonals of ``q^H B_j q``; any other dense groups stay on the grid.  One
+two or more dense groups that the unitary eigenbasis ``q`` of the first
+Hermitian or skew-Hermitian one (``DenseMatrixOperator.eig``)
+diagonalizes, to within the bound of :func:`_shared_eigenbasis`, are modal
+in ``q`` with the diagonals of ``q^H B_j q``; any other dense groups stay
+on the grid.  One
 record, ``BlockOperatorMatrix._factorization``, holds the only code that
 tells the three structures of ``M`` apart, and its ``solve`` takes stacks
 ``(n, d, k)`` of states in that basis.  A single repeated factor makes
@@ -130,12 +131,13 @@ class BlockOperatorMatrix:
         """``(basis, values)``: the basis ``M`` is solved in and the groups'
         generators on its modes, ``(g, d)``, or ``None`` for dense groups
         solved on the grid.  Groups with a mode basis bring their own modes;
-        dense groups take :func:`_shared_eigenbasis` where it serves, else
-        the identity."""
+        two or more dense groups take :func:`_shared_eigenbasis` where it
+        serves, else the identity, which a lone group keeps: it has no basis
+        to share, and its own ``propagate`` decomposes it once either way."""
         ops = [op for op, _ in self.grouped]
         if ops[0].mode_basis is not None:
             return shared_mode_basis(ops), np.stack([op.modal_values for op in ops])
-        shared = _shared_eigenbasis(self)
+        shared = _shared_eigenbasis(self) if len(ops) > 1 else None
         if shared is not None and shared[2] <= RESIDUAL_RTOL:  # a nan reading fails
             return shared[:2]
         return shared_mode_basis(ops), None

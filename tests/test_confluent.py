@@ -523,14 +523,15 @@ class TestEigenbasisStructure:
 
     @pytest.mark.parametrize("gap", [1e-4, 1e-7])
     def test_the_refined_basis_stays_unitary(self, gap):
-        # two eigenvalues of a lone group a small gap apart: the Jacobi step
-        # divides the rounding of q^H A q by that gap, and the part of it
-        # that is not anti-symmetric must not stretch q
+        # both groups have a pair of eigenvalues a small gap apart: the
+        # Jacobi step divides the rounding of q^H B_j q on that pair by the
+        # gap, and the part of it that is not anti-symmetric must not
+        # stretch q
         rng = np.random.default_rng(66)
-        lam = np.linspace(-2.0, -1.0, 16)
-        lam[1] = lam[0] + gap
-        (a,) = shared_basis_groups(rng, 16, [lam])
-        basis = build_confluent_matrix([(a, 2)]).basis
+        lam, mu = np.linspace(-2.0, -1.0, 16), np.linspace(0.2, 0.5, 16)
+        lam[1], mu[1] = lam[0] + gap, mu[0] + gap
+        a, b = shared_basis_groups(rng, 16, [lam, mu])
+        basis = build_confluent_matrix([(a, 2), (b, 1)]).basis
         q = basis.unitary[0]
         assert np.linalg.norm(q.T @ q - np.eye(16)) <= 1e-14
         x = rng.standard_normal(16)
