@@ -709,8 +709,8 @@ def main(argv=None) -> int:
     except FactoredEvolutionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # an unreadable path, or sizes past memory
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if report is not None:
         print(report.format())

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -59,7 +59,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .operators import (
-    OPERATOR_SLOT,
     ModeBasis,
     Operator,
     coincident_modes,
@@ -279,20 +278,16 @@ def build_confluent_matrix(grouped) -> BlockOperatorMatrix:
     """Build the symbolic coefficient matrix from grouped factors.
 
     ``M`` depends on the generators alone, so the last matrix built is
-    kept in ``operators.OPERATOR_SLOT``: the same operator objects, in the
-    same order and with the same multiplicities, get that matrix back with
-    the factorization it has built, and consecutive solves on one operator
-    set factorize ``M`` once.  Any other grouping builds a new matrix,
-    which takes the slot and drops the one before.
+    kept, keyed on the operator objects themselves and their
+    multiplicities: the same grouping gets that matrix back with the
+    factorization it has built, and consecutive solves on one operator set
+    factorize ``M`` once.  Any other grouping builds a new matrix in its
+    place.
     """
-    grouped = tuple((op, int(mult)) for op, mult in grouped)
-    ops = tuple(op for op, _ in grouped)
-    commute, kept = OPERATOR_SLOT.lookup(ops)
-    if kept is not None and kept.grouped == grouped:  # same objects, so the multiplicities decide
-        return kept
-    matrix = BlockOperatorMatrix(grouped)
-    OPERATOR_SLOT.keep(ops, commute, matrix)
-    return matrix
+    return _last_matrix(tuple((op, int(mult)) for op, mult in grouped))
+
+
+_last_matrix = lru_cache(maxsize=1)(BlockOperatorMatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +645,7 @@ def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:
     probe in the last row and zeros above.  The probe leaves coincident
     modes unexcited.  ``z`` depends on ``M`` alone, so the matrix keeps the
     weights that passed, as it keeps its factorization: every later call on
-    it (a re-solve on a held operator set, the CLI's quadrature check)
+    it (a re-solve on a kept operator set, the CLI's quadrature check)
     returns them, and a failed gate keeps nothing.
     """
     return matrix._weights

@@ -58,7 +58,6 @@ from .errors import (
     OracleStepOverflowError,
 )
 from .operators import (
-    OPERATOR_SLOT,
     ModeBasis,
     Operator,
     commutation_defect,
@@ -151,6 +150,26 @@ def group_factors(factors) -> list[tuple[Operator, int]]:
     return [(seen[label], counts[label]) for label in seen]
 
 
+@functools.lru_cache(maxsize=1)
+def _check_commuting(ops: tuple) -> None:
+    """The commutation gate on the distinct factors ``ops``, in grouped
+    order.  The last set that passes is kept, keyed on the operator objects,
+    which compare by identity; a set that fails raises and is never kept."""
+    for i, a in enumerate(ops):
+        for b in ops[i + 1 :]:
+            defect = commutation_defect(a, b)
+            if not defect <= COMMUTATION_TOL:  # a nan defect fails too
+                ab, bb = generator_blocks((a, b))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    floor = np.finfo(float).eps * ab.shape[-1] * np.linalg.norm(ab) * np.linalg.norm(bb)
+                raise NonCommutingFactorsError(
+                    f"factors {a.label!r} and {b.label!r} do not commute: "
+                    f"defect {defect:.3e} exceeds {COMMUTATION_TOL:.1e} "
+                    f"(rounding floor {floor:.1e})",
+                    defect=defect,
+                )
+
+
 @dataclass(frozen=True)
 class FactoredEquation:
     """Ordered factor list, initial data ``x_0 .. x_{n-1}``, optional forcing.
@@ -163,9 +182,9 @@ class FactoredEquation:
     for factors with a mode basis) of at most ``COMMUTATION_TOL``, otherwise
     :class:`NonCommutingFactorsError` is raised; its message gives the
     rounding floor ``eps m ||A||_F ||B||_F`` of the pair's ``m x m`` blocks
-    next to the defect.  A passing set is held in
-    ``operators.OPERATOR_SLOT``, and an equation on the same operator
-    objects in the same order takes that verdict without the pair products.
+    next to the defect.  The gate keeps the last set that passed, so an
+    equation on the same operator objects in the same order takes that
+    verdict without the pair products.
     """
 
     factors: tuple[Operator, ...]
@@ -191,24 +210,7 @@ class FactoredEquation:
 
     @staticmethod
     def _commutation_gate(grouped):
-        ops = tuple(op for op, _ in grouped)
-        commute, matrix = OPERATOR_SLOT.lookup(ops)
-        if commute:  # these very objects passed last time
-            return
-        for i, (a, _) in enumerate(grouped):
-            for b, _ in grouped[i + 1 :]:
-                defect = commutation_defect(a, b)
-                if not defect <= COMMUTATION_TOL:  # a nan defect fails too
-                    ab, bb = generator_blocks((a, b))
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        floor = np.finfo(float).eps * ab.shape[-1] * np.linalg.norm(ab) * np.linalg.norm(bb)
-                    raise NonCommutingFactorsError(
-                        f"factors {a.label!r} and {b.label!r} do not commute: "
-                        f"defect {defect:.3e} exceeds {COMMUTATION_TOL:.1e} "
-                        f"(rounding floor {floor:.1e})",
-                        defect=defect,
-                    )
-        OPERATOR_SLOT.keep(ops, True, matrix)
+        _check_commuting(tuple(op for op, _ in grouped))
 
     @property
     def n(self) -> int:
@@ -224,8 +226,8 @@ class FactoredEquation:
 
     def without_forcing(self) -> "FactoredEquation":
         """This equation with no forcing, built anew on the same operator
-        objects: the commutation gate takes their verdict from
-        ``operators.OPERATOR_SLOT`` while the slot still holds them."""
+        objects: the commutation gate takes the verdict it keeps for them
+        while no other set has passed it since."""
         return replace(self, forcing=None)
 
     def with_zero_initial_data(self) -> "FactoredEquation":

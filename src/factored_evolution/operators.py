@@ -12,8 +12,10 @@ propagate, transform back, exact ``t = 0`` rows, one finiteness check.
 Grouping is by label, never by numerical comparison of the underlying data:
 the user declares which factors coincide.  An operator's arrays are
 read-only once they are made, so what is learned of an operator set holds
-for as long as the set lives: :data:`OPERATOR_SLOT` keeps the commutation
-gate's verdict and the factorized confluent matrix of the last set solved.
+for as long as the set lives: the commutation gate
+(``equation.FactoredEquation``) keeps the last set that passed it, and
+``confluent.build_confluent_matrix`` the last confluent matrix it built,
+each keyed on the operator objects themselves.
 
 Three families are provided and may not be mixed inside one equation:
 
@@ -495,35 +497,3 @@ def commutation_defect(a: Operator, b: Operator) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # the caller judges inf and nan
         return float(np.linalg.norm(ab @ bb - bb @ ab))
 
-
-class _OperatorSlot:
-    """The last operator set a solve went through, and what it learned of it.
-
-    One record ``(ops, commute, matrix)``: the groups' operator objects in
-    grouped order, whether they passed the commutation gate
-    (``FactoredEquation._commutation_gate``), and their last confluent
-    matrix (``confluent.build_confluent_matrix``), which keeps its
-    factorization once built.  Operators keep their arrays read-only, so
-    neither can go stale.  The record is replaced whole, never edited, so
-    it always describes one set, and threads that race for it lose at most
-    a kept result, never get a wrong one; holding a new set drops the old
-    one, so at most one set and one factorization stay alive.
-    """
-
-    def __init__(self):
-        self._held: tuple = ((), False, None)
-
-    def lookup(self, ops: tuple) -> tuple:
-        """``(commute, matrix)`` held for exactly the objects ``ops`` in this
-        order, else ``(False, None)``."""
-        held, commute, matrix = self._held
-        if len(held) == len(ops) and all(a is b for a, b in zip(held, ops)):
-            return commute, matrix
-        return False, None
-
-    def keep(self, ops: tuple, commute: bool, matrix) -> None:
-        """Hold ``ops`` with its gate verdict and matrix in place of the last set."""
-        self._held = (ops, commute, matrix)
-
-
-OPERATOR_SLOT = _OperatorSlot()

@@ -64,6 +64,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .confluent import (
+    MAX_ORDER,
     BlockOperatorMatrix,
     ZCoefficients,
     build_confluent_matrix,
@@ -71,8 +72,8 @@ from .confluent import (
     solve_z_vector,
 )
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
-from .errors import QuadratureUnderResolvedError
-from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, resolvent_solve
+from .errors import QuadratureUnderResolvedError, UnsupportedOperationError
+from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, require_same_family, resolvent_solve
 from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows
 from .trace import SolutionTrace
 
@@ -413,6 +414,22 @@ def initial_derivative_defect(eq: FactoredEquation) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _lemma2_arguments(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
+    """The one argument check of :func:`lemma2_lhs` and :func:`lemma2_rhs`,
+    so that both sides refuse the same inputs: operators of one family and
+    dimension, ``0 <= k < MAX_ORDER`` (the left side solves k + 1 repeated
+    factors, capped as any equation's order is) and a finite ``t >= 0``.
+    Returns ``x`` as a state vector."""
+    require_same_family(i_op, j_op)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k >= MAX_ORDER:
+        raise UnsupportedOperationError(f"order {k + 1} exceeds the supported maximum {MAX_ORDER}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    return as_state_vector(x, i_op.dim)
+
+
 def lemma2_lhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
     """``int_0^t e^{(t-s) A_i} (s^k/k!) e^{s A_j} x ds``: with ``s -> t - s``
     the forced part at ``t`` of ``(d/dt - A_j)^{k+1} u = e^{t A_i} x`` from
@@ -421,13 +438,9 @@ def lemma2_lhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarra
     non-finite one raises :class:`NonFiniteError`, and a Kronrod difference
     over ``LEMMA2_RICHARDSON_TOL (1 + max|K|)`` (NaN too)
     :class:`QuadratureUnderResolvedError`.  The matrix is built directly, not
-    by :func:`build_confluent_matrix`, so ``OPERATOR_SLOT`` keeps the caller's.
+    by :func:`build_confluent_matrix`, which keeps the caller's in place.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    x = as_state_vector(x, i_op.dim)
+    x = _lemma2_arguments(i_op, j_op, k, t, x)
     matrix = BlockOperatorMatrix(((j_op, k + 1),))
     forcing = Forcing(lambda s: i_op.semigroup(s[:, 0], np.broadcast_to(x, (s.shape[0], x.size))), vectorized=True)
     times = np.array([float(t)])
@@ -455,9 +468,7 @@ def lemma2_rhs(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarra
     :class:`NotInvertibleError`.  ``R`` is one :func:`resolvent_solve`, so a
     dense ``A_j - A_i`` is factored once for all k + 2 applications.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x = as_state_vector(x, i_op.dim)
+    x = _lemma2_arguments(i_op, j_op, k, t, x)
     resolvent = resolvent_solve(j_op, i_op)
     lead = resolvent(j_op.semigroup(t, x))
     value = i_op.semigroup(t, x)

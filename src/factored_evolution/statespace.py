@@ -47,6 +47,12 @@ EXPM_STACK_ENTRIES = 2**18
 # a worse-conditioned or singular V takes scaling and squaring.
 EIGVEC_COND_LIMIT = 1e4
 
+# Largest Gauss order q of a quadrature panel.  Laurie's mixed moments in
+# :func:`_gauss_kronrod_reference` shrink like 4^-q (1.5e-301 at q = 500)
+# and leave the normal doubles (2.2e-308) past q = 511; by q = 540 they
+# reach 0 and the nodes are NaN.
+MAX_NODES_PER_PANEL = 500
+
 # Held around every scipy.linalg.lu_solve.  With the OpenBLAS bundled in
 # scipy 1.17.1 (0.3.30) two threads back-substituting at once get wrong
 # solutions now and then: two threads of 2500 solves each on one 24x24 LU
@@ -413,8 +419,8 @@ class QuadratureRule:
     def __post_init__(self):
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        if self.nodes_per_panel < 1:
-            raise ValueError("nodes_per_panel must be >= 1")
+        if not 1 <= self.nodes_per_panel <= MAX_NODES_PER_PANEL:
+            raise ValueError(f"nodes_per_panel must be in [1, {MAX_NODES_PER_PANEL}], got {self.nodes_per_panel}")
 
     @property
     def order(self) -> int:

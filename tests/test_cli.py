@@ -673,7 +673,7 @@ class TestCommands:
 
     def test_forced_dense_verify_factorizes_the_users_matrix_once(self, monkeypatch):
         # the convolution-identity check builds its single-factor matrices
-        # outside OPERATOR_SLOT, so the quadrature check after it still
+        # outside build_confluent_matrix, so the quadrature check after it still
         # finds the user's M factorized: one LU of the defective pair's M
         cfg = {
             "backend": {"family": "dense"},
@@ -838,6 +838,7 @@ class TestCommands:
             {"forcng": "cos(t)"},
             {"quadrature": {"panel": 2}},
             {"quadrature": {"kind": "composite-simpson", "nodes_per_panel": 3}},
+            {"quadrature": {"nodes_per_panel": 600}},
             {"time": {"t_end": 1.0, "samples": 3, "sample": 9}},
             {
                 "backend": {"family": "dense"},
@@ -888,6 +889,7 @@ class TestCommands:
             "root-misspelled-forcing",
             "quadrature-misspelled-panels",
             "quadrature-kind",
+            "quadrature-nodes-past-the-bound",
             "time-unknown-sample",
             "dense-operator-scale",
             "dense-backend-grid",
@@ -915,6 +917,37 @@ class TestCommands:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
         assert "SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"time": {"t_end": 1.0, "samples": 1e15}},
+            {
+                "backend": {"family": "spectral", "dimension": 1e15},
+                "operators": {"a": {"eigenvalues": {"random-uniform": {"low": -1.0, "high": 0.0}}}},
+                "initial_data": [{"profile": "random-normal"}],
+            },
+            {"quadrature": {"panels": 1e15}, "forcing": "cos(t)"},
+        ],
+        ids=["samples", "drawn-dimension", "panels"],
+    )
+    def test_sizes_past_the_address_space_exit_code(self, tmp_path, capsys, overrides):
+        # 1e15 float64 entries are 7 PiB, past a 64-bit host's 128 TiB of
+        # address space, so the allocation fails at once
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(**overrides))
+        assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    def test_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_command", exhausted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text())
+        assert main(["solve", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2

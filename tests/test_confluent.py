@@ -780,8 +780,8 @@ def copies(ops):
 
 
 class TestOperatorSlot:
-    """The last operator set that passed the gate and was factorized keeps
-    its gate verdict and its ``M`` (``operators.OPERATOR_SLOT``)."""
+    """The last operator set that passed the gate keeps its verdict, and the
+    last one factorized keeps its ``M``."""
 
     @staticmethod
     def operator_set(kind, rng):
@@ -872,6 +872,20 @@ class TestOperatorSlot:
         FactoredEquation((b, a), (np.zeros(6),) * 2)
         assert calls["defect"] == 2
         assert build_confluent_matrix([(b, 1), (a, 1)]) is not other
+
+    def test_gating_another_set_keeps_the_factorized_matrix(self, monkeypatch):
+        rng = np.random.default_rng(87)
+        ops = self.operator_set("dense-non-normal", rng)
+        eq = self.equation(ops, rng, forced=True)
+        solve_full(eq, np.array([0.5, 1.0]))
+        kept = build_confluent_matrix(eq.grouped)
+        calls = self.count(monkeypatch)
+        other = self.equation(self.operator_set("dense-non-normal", rng), rng)
+        assert calls == {"defect": 3, "factorization": 0}
+        assert build_confluent_matrix(eq.grouped) is kept
+        solve_full(eq, np.array([0.2]))
+        assert calls["factorization"] == 0
+        assert build_confluent_matrix(other.grouped) is not kept
 
     def test_failed_gate_is_never_recorded(self, monkeypatch):
         rng = np.random.default_rng(84)

@@ -9,6 +9,7 @@ from factored_evolution import (
     DimensionMismatchError,
     FactoredEquation,
     Forcing,
+    MixedBackendError,
     NonFiniteError,
     NotInvertibleError,
     QuadratureRule,
@@ -1164,6 +1165,26 @@ class TestLemma2:
         assert np.array_equal(lemma2_rhs(i_op, j_op, 2, 0.0, x), np.zeros(2))
         with pytest.raises(UnsupportedOperationError):
             lemma2_lhs(i_op, j_op, confluent.MAX_ORDER, 0.5, x)
+
+    @pytest.mark.parametrize("side", [lemma2_lhs, lemma2_rhs], ids=["lhs", "rhs"])
+    @pytest.mark.parametrize(
+        "j_op, k, t, error",
+        [
+            (diag_op("j", [0.3, -2.0]), -1, 0.5, ValueError),
+            (diag_op("j", [0.3, -2.0]), confluent.MAX_ORDER, 0.5, UnsupportedOperationError),
+            (diag_op("j", [0.3, -2.0]), 40, 0.5, UnsupportedOperationError),
+            (diag_op("j", [0.3, -2.0]), 0, -1.0, ValueError),
+            (diag_op("j", [0.3, -2.0]), 0, np.nan, ValueError),
+            (diag_op("j", [0.3, -2.0]), 0, np.inf, ValueError),
+            (DenseMatrixOperator("j", np.diag([0.3, -2.0])), 0, 0.5, MixedBackendError),
+            (diag_op("j", [0.3, -2.0, 1.0]), 0, 0.5, DimensionMismatchError),
+        ],
+        ids=["k-negative", "order-past-the-cap", "k-40", "t-negative", "t-nan", "t-inf",
+             "mixed-families", "other-dimension"],
+    )
+    def test_both_sides_refuse_the_same_arguments(self, side, j_op, k, t, error):
+        with pytest.raises(error):
+            side(diag_op("i", [-1.0, 0.5]), j_op, k, t, np.array([1.0, -2.0]))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rhs_past_float_range_raises_a_named_error(self, k):

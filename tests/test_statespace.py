@@ -409,6 +409,8 @@ class TestQuadratureRule:
             QuadratureRule(panels=0)
         with pytest.raises(ValueError):
             QuadratureRule(nodes_per_panel=0)
+        with pytest.raises(ValueError, match=f"got {statespace.MAX_NODES_PER_PANEL + 1}"):
+            QuadratureRule(nodes_per_panel=statespace.MAX_NODES_PER_PANEL + 1)
         with pytest.raises(TypeError):  # Gauss-Legendre panels are the only family
             QuadratureRule(kind="composite-simpson")
 
@@ -453,6 +455,17 @@ class TestGaussKronrodReference:
     def test_gauss_subset_is_leggauss_bit_for_bit(self, q):
         x, _, gauss = statespace._gauss_kronrod_reference(q)
         assert np.array_equal(x[gauss], np.polynomial.legendre.leggauss(q)[0])
+
+
+    def test_kronrod_properties_hold_at_the_node_bound(self):
+        q = QuadratureRule(panels=1, nodes_per_panel=statespace.MAX_NODES_PER_PANEL).nodes_per_panel
+        x, w, gauss = statespace._gauss_kronrod_reference(q)
+        assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+        assert np.all(w > 0) and abs(np.sum(w) - 2.0) <= 1e-14
+        assert np.array_equal(x[gauss], np.polynomial.legendre.leggauss(q)[0])
+        # exact through degree 3q + 1: every Legendre moment past P_0 vanishes
+        moments = np.polynomial.legendre.legvander(x, 3 * q + 1).T @ w
+        assert abs(moments[0] - 2.0) <= 1e-14 and np.max(np.abs(moments[1:])) <= 2e-14
 
 
 class TestFiniteDifferenceWeights:
