@@ -90,6 +90,15 @@ PERIODIC_TRANSLATION = {
     "time": {"t_end": 1.0, "samples": 5},
 }
 
+# Distinct spectral factors that coincide on mode 1, where the data are 0.
+COINCIDENT_SPECTRAL = {
+    "backend": {"family": "spectral"},
+    "operators": {"A": {"eigenvalues": [-1.0, -2.0, -3.0]}, "B": {"eigenvalues": [-0.5, -2.0, 0.5]}},
+    "factors": ["A", "A", "B"],
+    "initial_data": [[1.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.2, 0.0, 0.0]],
+    "time": {"t_end": 1.0, "samples": 5},
+}
+
 ZERO_EXTENSION = {
     "backend": {"family": "translation", "grid": {"x0": -4.0, "dx": 0.1, "n": 81},
                 "boundary": "zero-extension"},
@@ -748,8 +757,24 @@ class TestCommands:
         report = run_verify(parse_config(json.dumps(PERIODIC_TRANSLATION)), seed=0)
         assert report.passed, report.format()
         assert "PASS oracle-equivalence" in report.format()
-        # distinct periodic speeds coincide on the constant mode
-        assert "convolution-identity" not in report.format()
+        # distinct periodic speeds coincide on the constant mode, which the
+        # identity's probe leaves unexcited
+        identity = [r for r in report.records if r.name.startswith("convolution-identity[S,F,")]
+        assert len(identity) == 4 and all(r.passed for r in identity)
+
+    @pytest.mark.parametrize("config", [PERIODIC_TRANSLATION, COINCIDENT_SPECTRAL],
+                             ids=["translation", "spectral"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "lemma2-check"])
+    def test_coincident_modes_pass_the_solver_and_its_referees(self, tmp_path, capsys, config, command):
+        # modes where two distinct factors coincide carry no data, so the
+        # solver accepts the problem and every referee must too: the
+        # identity's probe is zeroed on the modes its pair shares
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0, capsys.readouterr()
+        if command != "solve":
+            out = capsys.readouterr().out
+            assert out.count("PASS convolution-identity[") == 4 and "FAIL" not in out
 
     def test_compare_oracle_accepts_periodic_translation(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

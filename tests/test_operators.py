@@ -18,8 +18,8 @@ from factored_evolution import (
     commutation_defect,
     resolvent_solve,
 )
-from factored_evolution import statespace
-from factored_evolution.operators import shared_mode_basis
+from factored_evolution import operators, statespace
+from factored_evolution.operators import grow_modes, shared_mode_basis
 
 from conftest import (
     central_difference_operator,
@@ -53,6 +53,12 @@ class TestApply:
         op = SpectralDiagonalOperator("L", [1.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             op.apply(np.ones(3))
+
+    @pytest.mark.parametrize("matrix", [np.zeros((0, 0)), np.zeros((0, 3)), []])
+    def test_empty_matrix_is_rejected(self, matrix):
+        # as empty eigenvalues are, before any solve reduces over no entries
+        with pytest.raises(DimensionMismatchError, match="non-empty"):
+            DenseMatrixOperator("D", matrix)
 
 
 class TestSemigroup:
@@ -304,6 +310,74 @@ def test_scalar_time_has_the_dtype_of_its_row(t):
         assert np.array_equal(one, v)
 
 
+CIRCLE = 0.3 * np.exp(2j * np.pi * np.arange(13) / 24)  # the derivative check's nodes
+
+
+@pytest.mark.parametrize("speed", [0.7, -1.3, 0.6 + 0.2j])
+@pytest.mark.parametrize("n", [2, 3, 32, 33, 1024])
+@pytest.mark.parametrize("times", ["real", "zero", "empty", "circle"])
+def test_translation_rows_from_phase_tables(monkeypatch, n, speed, times):
+    # the rows of every stack, however small, from the tables, against one
+    # direct exponential per mode: kept modes and the full spectrum
+    monkeypatch.setattr(operators, "_DIRECT_MAX_ENTRIES", 0)
+    op = TranslationOperator("T", speed, UniformGrid(0.0, 0.37, n))
+    t = {"real": np.linspace(0.0, 1.5, 7), "zero": np.zeros(1), "empty": np.zeros(0), "circle": CIRCLE}[times]
+    eps = np.finfo(float).eps
+    for k in (n // 2 + 1, n):
+        exponent = np.multiply.outer(t, op.modal_values[:k])
+        direct = np.exp(exponent)
+        rows = op.propagate(t, np.ones((t.size, k), dtype=complex))
+        assert rows.shape == direct.shape and rows.dtype == np.complex128
+        tol = 8 * eps * (1.0 + np.max(np.abs(exponent), initial=0.0))
+        assert np.all(np.abs(rows - direct) <= tol * np.abs(direct))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double here, so it is no reference")
+@pytest.mark.parametrize("t_end", [1.0, 10.0])
+@pytest.mark.parametrize("speed", [0.4, 1.37])
+@pytest.mark.parametrize("n", [256, 1023, 1024, 4096])
+def test_phase_table_rows_are_no_less_accurate_than_direct_ones(n, speed, t_end):
+    # against e^{i s t 2 pi f / (n dx)} in long double, on the kept modes of
+    # a real output: 51 sample times, max |t lambda| from 51 to 28044
+    grid = UniformGrid(0.0, 2 * np.pi / n, n)
+    op = TranslationOperator("T", speed, grid)
+    t = np.linspace(0.0, t_end, 51)
+    k = n // 2 + 1
+    assert t.size * k > operators._DIRECT_MAX_ENTRIES
+    rows = op.propagate(t, np.ones((t.size, k), dtype=complex))
+    direct = np.exp(np.multiply.outer(t, op.modal_values[:k]))
+    ld = np.longdouble
+    f = np.fft.fftfreq(n, 1.0 / n)[:k].astype(ld)
+    if n % 2 == 0:
+        f[n // 2] = 0
+    phase = ld(speed) * t.astype(ld)[:, None] * (2 * ld("3.14159265358979323846264338327950288")) * f / (ld(n) * ld(grid.dx))
+    cos, sin = np.cos(phase), np.sin(phase)
+
+    def error(approx):
+        return float(np.max(np.hypot((approx.real - cos).astype(float), (approx.imag - sin).astype(float))))
+
+    assert error(rows) <= error(direct)
+
+
+def test_phase_table_overflow_names_the_first_bad_time():
+    # a complex speed grows the negative frequencies like e^{|k| t}: the
+    # highest, 127, passes float range between t = 5 and 6, and the tables
+    # raise the direct exponential's error, from propagate and semigroup
+    op = TranslationOperator("T", 1.0 + 1.0j, periodic_grid(256))
+    t = np.linspace(0.0, 8.0, 9)
+    v = np.ones((t.size, 256))
+    v_hat = shared_mode_basis((op,)).to_modes(v)
+    assert t.size * v_hat.shape[-1] > operators._DIRECT_MAX_ENTRIES
+    with pytest.raises(SemigroupOverflowError) as direct:
+        grow_modes(op.modal_values, op.label, t, v_hat)
+    assert str(direct.value) == "semigroup of 'T' overflows float range at t=6"
+    for act in (lambda: op.propagate(t, v_hat), lambda: op.semigroup(t, v)):
+        with pytest.raises(SemigroupOverflowError) as tables:
+            act()
+        assert str(tables.value) == str(direct.value)
+
+
 @pytest.mark.parametrize("x0, dx", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (-np.inf, 0.1)])
 def test_grid_rejects_non_finite_origin_and_spacing(x0, dx):
     with pytest.raises(ValueError, match="finite"):
@@ -506,6 +580,25 @@ class TestCommutationDefect:
         a = TranslationOperator("a", 0.7, grid)
         b = TranslationOperator("b", -1.3, grid)
         assert commutation_defect(a, b) == 0.0
+
+    @pytest.mark.parametrize(
+        "a_values, b_values, defect",
+        [
+            ([1e150, 2.0], [1e150, -3.0], 0.0),
+            ([1e200, 1.0], [-1e200, 2.0], np.nan),
+            ([1e200 + 1e200j, 1.0], [1e200, 2.0], np.nan),
+            ([1e100 - 2e100j, 1j], [3e100j, -1.0 + 0.5j], 0.0),
+        ],
+    )
+    def test_modal_defect_is_zero_or_nan(self, a_values, b_values, defect):
+        # exactly what the (d, 1, 1) block commutator reads: 0.0 where every
+        # product a_k b_k is finite, else nan
+        a, b = SpectralDiagonalOperator("a", a_values), SpectralDiagonalOperator("b", b_values)
+        ab, bb = (np.asarray(v)[:, None, None] for v in (a.modal_values, b.modal_values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = float(np.linalg.norm(ab @ bb - bb @ ab))
+        for reading in (commutation_defect(a, b), blocks):
+            assert reading == defect or (np.isnan(reading) and np.isnan(defect))
 
     def test_mixed_families_rejected(self):
         a = SpectralDiagonalOperator("a", [1.0, 2.0])
