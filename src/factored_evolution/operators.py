@@ -49,7 +49,7 @@ Spectral and periodic translation operators are diagonal in a known basis
 and share one modal interface: ``modal_values`` (the generator on each
 mode), ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
 and back) and ``propagate``, ``e^{t lambda}`` times each mode
-(:func:`grow_modes`; a periodic translation builds those rows from two
+(:func:`grow_modes`; a periodic translation builds all its rows from two
 small phase tables, :class:`TranslationOperator`).  Per-mode solves
 decide coincident modes by one rule, :func:`coincident_modes`; dense
 operators have ``mode_basis = None`` and propagate in the identity, and a
@@ -75,6 +75,7 @@ from .errors import (
     MixedBackendError,
     NotInvertibleError,
     SingularMatrixError,
+    UnsupportedOperationError,
 )
 from .statespace import (
     as_state_stack,
@@ -83,6 +84,7 @@ from .statespace import (
     checked_exp,
     checked_rows,
     expm_action,
+    is_index,
     lu_apply,
     lu_factor_checked,
     unitary_eigh,
@@ -94,12 +96,6 @@ COINCIDENCE_RTOL = 1e-12
 # A right-hand-side mode this small (relative to the largest) counts as
 # unexcited, so a coincident mode there does no harm.
 DEAD_MODE_RTOL = 1e-11
-
-# Rows of at most this many entries (times by modes) take the direct
-# exponential in TranslationOperator.propagate, not its phase tables: on one
-# BLAS thread the tables took 13.5 us against 12.7 for a Duhamel carry of
-# 2 rows by 129 modes, and 15.6 against 20.1 for 5 rows by 129 modes.
-_DIRECT_MAX_ENTRIES = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +159,16 @@ def shared_mode_basis(ops) -> ModeBasis:
 
 
 def grow_modes(values: np.ndarray, label: str, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """The rows ``e^{t_i lambda} v_hat[..., i, :]`` for a generator whose
-    values on the modes are ``values``: :meth:`Operator.propagate` of an
-    operator with a mode basis, and of a dense group in a shared eigenbasis
-    (``confluent.BlockOperatorMatrix.propagators``).  Only the leading
-    ``values`` that ``v_hat`` holds are exponentiated, and overflow names
-    ``label``."""
-    grown = checked_exp(values[: v_hat.shape[-1]], t, f"semigroup of {label!r}")
+    """The rows ``e^{t_i lambda} v_hat[..., i, :]`` for a generator with the
+    ``values`` on every mode, overflow naming ``label``: the propagate of a
+    spectral operator and of a dense group in a shared eigenbasis
+    (``confluent.BlockOperatorMatrix.propagators``)."""
+    return _times_rows(checked_exp(values, t, f"semigroup of {label!r}"), v_hat)
+
+
+def _times_rows(grown: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """``grown * v_hat``, into the checked rows ``grown`` where the shapes
+    match and the dtypes allow; ``v_hat`` is left as it is."""
     inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
     return np.multiply(grown, v_hat, out=grown if inplace else None)
 
@@ -226,7 +225,8 @@ class Operator(ABC):
 
         A 1-D array ``t`` with a stack ``v`` of shape ``(m, d)`` gives the
         rows ``e^{t_i A} v_i``, and every row with ``t_i = 0`` is ``v_i``.
-        An overflowing row raises :class:`SemigroupOverflowError`.
+        An overflowing row raises :class:`SemigroupOverflowError`, complex
+        times (:meth:`propagate` takes them) :class:`UnsupportedOperationError`.
         """
 
     def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -241,13 +241,10 @@ class Operator(ABC):
         product with ``v_hat`` is left to the caller.  The exponential is
         broadcast over the leading axes, so a Duhamel run of r intervals
         with one node layout passes its ``(r, m, d)`` forcing block in one
-        call.  A modal stack may hold only the leading k modes
-        (:meth:`ModeBasis.kept_modes`), and then only ``modal_values[:k]``
-        are exponentiated.  ``v_hat`` is left as it is: modal operators
-        multiply into their exponential where the shapes match and the
-        dtypes allow (:func:`grow_modes`), as periodic translations do
-        into the rows of their phase tables (:class:`TranslationOperator`);
-        dense ones bind ``expm_action`` on first use."""
+        call.  ``v_hat`` is left as it is: modal operators multiply into
+        their rows where the shapes and dtypes allow (:func:`grow_modes`;
+        :meth:`TranslationOperator.propagate`, the one to take fewer modes
+        than ``dim``), and dense ones bind ``expm_action`` on first use."""
         return grow_modes(self.modal_values, self.label, t, v_hat)
 
     @abstractmethod
@@ -261,6 +258,10 @@ class Operator(ABC):
         check it; a time of 0 gets the exact identity instead.  A scalar
         time goes through as one row, so its result has the dtype of that
         row."""
+        if np.iscomplexobj(t):  # refused before the cast below drops the imaginary part
+            raise UnsupportedOperationError(
+                f"semigroup of {self.label!r} takes real times; propagate takes complex ones"
+            )
         if not isinstance(t, np.ndarray):
             return self._act(np.array([t], dtype=np.float64), as_state_vector(v, self.dim)[None])[0]
         v = as_state_stack(v, self.dim)
@@ -366,8 +367,8 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("grid needs at least 2 points")
+        if not is_index(self.n) or self.n < 2:
+            raise ValueError(f"grid needs an integer number of points, at least 2, got {self.n!r}")
         if not (np.isfinite(self.x0) and 0 < self.dx < np.inf):
             raise ValueError(f"x0 must be finite and dx positive and finite, got {self.x0}, {self.dx}")
 
@@ -398,8 +399,7 @@ class TranslationOperator(Operator):
     modes, not k.  Each factor's modulus lies between 1 and its row's, so a
     factor overflows only where its row does, and the rows keep the
     overflow check of the direct exponential (:func:`checked_rows`).
-    Stacks of at most ``_DIRECT_MAX_ENTRIES`` rows times modes, the Duhamel
-    carry's, take the direct exponential (:func:`grow_modes`).
+    Every stack, down to one row of two modes, takes the tables.
     """
 
     def __init__(self, label: str, speed, grid: UniformGrid):
@@ -458,9 +458,10 @@ class TranslationOperator(Operator):
         return layout
 
     def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+        """:meth:`Operator.propagate` from the phase tables of the k modes
+        ``v_hat`` holds: every mode, or the leading ``modal_values[:k]`` of
+        a real output (:meth:`ModeBasis.kept_modes`)."""
         k = v_hat.shape[-1]
-        if t.size * k <= _DIRECT_MAX_ENTRIES:
-            return grow_modes(self.modal_values, self.label, t, v_hat)
         exponents, tables, runs = self._phase_layout(k)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             factors = np.exp(np.multiply.outer(t, exponents))
@@ -469,9 +470,7 @@ class TranslationOperator(Operator):
         grown = np.empty((t.size, k), dtype=factors.dtype)
         for modes, sign, entries in runs:
             grown[:, modes] = products[sign][:, entries]
-        checked_rows(grown, t, f"semigroup of {self.label!r}")
-        inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
-        return np.multiply(grown, v_hat, out=grown if inplace else None)
+        return _times_rows(checked_rows(grown, t, f"semigroup of {self.label!r}"), v_hat)
 
     def node_multipliers(self) -> np.ndarray:
         """Per-Fourier-mode generator values ``i * k * speed``."""

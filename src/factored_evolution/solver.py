@@ -74,7 +74,7 @@ from .confluent import (
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError, UnsupportedOperationError
 from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, require_same_family, resolvent_solve
-from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows
+from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows, is_index
 from .trace import SolutionTrace
 
 # Quadrature error gates on the Gauss-Kronrod difference of one Duhamel
@@ -417,12 +417,12 @@ def initial_derivative_defect(eq: FactoredEquation) -> float:
 def _lemma2_arguments(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np.ndarray:
     """The one argument check of :func:`lemma2_lhs` and :func:`lemma2_rhs`,
     so that both sides refuse the same inputs: operators of one family and
-    dimension, ``0 <= k < MAX_ORDER`` (the left side solves k + 1 repeated
-    factors, capped as any equation's order is) and a finite ``t >= 0``.
-    Returns ``x`` as a state vector."""
+    dimension, an integer ``0 <= k < MAX_ORDER`` (the left side solves
+    k + 1 repeated factors, capped as any equation's order is) and a finite
+    ``t >= 0``.  Returns ``x`` as a state vector."""
     require_same_family(i_op, j_op)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not is_index(k) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     if k >= MAX_ORDER:
         raise UnsupportedOperationError(f"order {k + 1} exceeds the supported maximum {MAX_ORDER}")
     if not (math.isfinite(t) and t >= 0):

@@ -11,6 +11,7 @@ steps, in ``equation``), and the composite Gauss-Legendre rule.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -126,6 +127,12 @@ def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise :class:`NonFiniteError` if ``arr`` has NaN/Inf entries."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
+
+
+def is_index(value) -> bool:
+    """Whether ``value`` is an integer count: integral, so that
+    ``operator.index`` takes it, and no bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def inf_norm(a) -> float:
@@ -417,10 +424,12 @@ class QuadratureRule:
     nodes_per_panel: int = 8
 
     def __post_init__(self):
-        if self.panels < 1:
-            raise ValueError("panels must be >= 1")
-        if not 1 <= self.nodes_per_panel <= MAX_NODES_PER_PANEL:
-            raise ValueError(f"nodes_per_panel must be in [1, {MAX_NODES_PER_PANEL}], got {self.nodes_per_panel}")
+        if not is_index(self.panels) or self.panels < 1:
+            raise ValueError(f"panels must be an integer >= 1, got {self.panels!r}")
+        if not is_index(self.nodes_per_panel) or not 1 <= self.nodes_per_panel <= MAX_NODES_PER_PANEL:
+            raise ValueError(
+                f"nodes_per_panel must be an integer in [1, {MAX_NODES_PER_PANEL}], got {self.nodes_per_panel!r}"
+            )
 
     @property
     def order(self) -> int:

@@ -15,6 +15,7 @@ from factored_evolution import (
     SpectralDiagonalOperator,
     TranslationOperator,
     UniformGrid,
+    UnsupportedOperationError,
     commutation_defect,
     resolvent_solve,
 )
@@ -316,10 +317,9 @@ CIRCLE = 0.3 * np.exp(2j * np.pi * np.arange(13) / 24)  # the derivative check's
 @pytest.mark.parametrize("speed", [0.7, -1.3, 0.6 + 0.2j])
 @pytest.mark.parametrize("n", [2, 3, 32, 33, 1024])
 @pytest.mark.parametrize("times", ["real", "zero", "empty", "circle"])
-def test_translation_rows_from_phase_tables(monkeypatch, n, speed, times):
+def test_translation_rows_from_phase_tables(n, speed, times):
     # the rows of every stack, however small, from the tables, against one
     # direct exponential per mode: kept modes and the full spectrum
-    monkeypatch.setattr(operators, "_DIRECT_MAX_ENTRIES", 0)
     op = TranslationOperator("T", speed, UniformGrid(0.0, 0.37, n))
     t = {"real": np.linspace(0.0, 1.5, 7), "zero": np.zeros(1), "empty": np.zeros(0), "circle": CIRCLE}[times]
     eps = np.finfo(float).eps
@@ -330,6 +330,33 @@ def test_translation_rows_from_phase_tables(monkeypatch, n, speed, times):
         assert rows.shape == direct.shape and rows.dtype == np.complex128
         tol = 8 * eps * (1.0 + np.max(np.abs(exponent), initial=0.0))
         assert np.all(np.abs(rows - direct) <= tol * np.abs(direct))
+
+
+@pytest.mark.parametrize("speed", [0.7, 0.6 + 0.2j])
+@pytest.mark.parametrize("m", [1, 2, 51])
+@pytest.mark.parametrize("n", [2, 3, 5, 32, 257, 1024])
+def test_translation_propagates_every_stack_by_its_tables(monkeypatch, n, m, speed):
+    # one path, from (1, 2) up to (51, 513) entries: neither the direct
+    # exponential of grow_modes nor checked_exp is called, for the kept
+    # modes and the full spectrum, from propagate and from semigroup
+    op = TranslationOperator("T", speed, UniformGrid(0.0, 0.37, n))
+    t = np.linspace(0.1, 1.5, m)
+    v = np.random.default_rng(n + m).standard_normal((m, n))
+    basis = shared_mode_basis((op,))
+    direct = {k: grow_modes(op.modal_values[:k], op.label, t, basis.to_modes(v)[:, :k]) for k in {n // 2 + 1, n}}
+
+    def called(*args):
+        raise AssertionError("the direct exponential was called")
+
+    for module in (operators, statespace):
+        monkeypatch.setattr(module, "checked_exp", called)
+    monkeypatch.setattr(operators, "grow_modes", called)
+    for k, ref in direct.items():
+        rows = op.propagate(t, basis.to_modes(v)[:, :k])
+        assert rows.shape == (m, k)
+        assert np.allclose(rows, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    for data in (v, v + 1j):  # real data keeps n // 2 + 1 modes unless the speed is complex
+        assert op.semigroup(t, data).shape == (m, n)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -344,7 +371,6 @@ def test_phase_table_rows_are_no_less_accurate_than_direct_ones(n, speed, t_end)
     op = TranslationOperator("T", speed, grid)
     t = np.linspace(0.0, t_end, 51)
     k = n // 2 + 1
-    assert t.size * k > operators._DIRECT_MAX_ENTRIES
     rows = op.propagate(t, np.ones((t.size, k), dtype=complex))
     direct = np.exp(np.multiply.outer(t, op.modal_values[:k]))
     ld = np.longdouble
@@ -368,7 +394,6 @@ def test_phase_table_overflow_names_the_first_bad_time():
     t = np.linspace(0.0, 8.0, 9)
     v = np.ones((t.size, 256))
     v_hat = shared_mode_basis((op,)).to_modes(v)
-    assert t.size * v_hat.shape[-1] > operators._DIRECT_MAX_ENTRIES
     with pytest.raises(SemigroupOverflowError) as direct:
         grow_modes(op.modal_values, op.label, t, v_hat)
     assert str(direct.value) == "semigroup of 'T' overflows float range at t=6"
@@ -376,6 +401,29 @@ def test_phase_table_overflow_names_the_first_bad_time():
         with pytest.raises(SemigroupOverflowError) as tables:
             act()
         assert str(tables.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("family", ["spectral", "periodic", "dense-hermitian"])
+@pytest.mark.parametrize("t", [0.5j, 0.5 + 0j, np.array([0.5j]), np.array([0.0, 0.5 + 0j])])
+def test_semigroup_refuses_complex_times(family, t):
+    # a cast to float64 would drop the imaginary part and return other rows
+    # (the t = 0 row for 0.5j): complex times are for propagate alone
+    op = random_operator(np.random.default_rng(49), family, 4)
+    v = np.ones(4) if np.ndim(t) == 0 else np.ones((len(t), 4))
+    with pytest.raises(UnsupportedOperationError, match="takes real times; propagate takes complex"):
+        op.semigroup(t, v)
+
+
+@pytest.mark.parametrize("n", [16.5, 16.0, "16", True, None])
+def test_grid_rejects_a_non_integer_point_count(n):
+    with pytest.raises(ValueError, match="integer number of points"):
+        UniformGrid(0.0, 0.1, n)
+
+
+def test_grid_takes_numpy_integer_point_counts():
+    grid = UniformGrid(0.0, 0.1, np.int64(16))
+    assert grid.points().shape == (16,)
+    assert TranslationOperator("T", 1.0, grid).dim == 16
 
 
 @pytest.mark.parametrize("x0, dx", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (-np.inf, 0.1)])

@@ -1171,6 +1171,9 @@ class TestLemma2:
         "j_op, k, t, error",
         [
             (diag_op("j", [0.3, -2.0]), -1, 0.5, ValueError),
+            (diag_op("j", [0.3, -2.0]), 1.5, 0.5, ValueError),
+            (diag_op("j", [0.3, -2.0]), 1.0, 0.5, ValueError),
+            (diag_op("j", [0.3, -2.0]), True, 0.5, ValueError),
             (diag_op("j", [0.3, -2.0]), confluent.MAX_ORDER, 0.5, UnsupportedOperationError),
             (diag_op("j", [0.3, -2.0]), 40, 0.5, UnsupportedOperationError),
             (diag_op("j", [0.3, -2.0]), 0, -1.0, ValueError),
@@ -1179,8 +1182,8 @@ class TestLemma2:
             (DenseMatrixOperator("j", np.diag([0.3, -2.0])), 0, 0.5, MixedBackendError),
             (diag_op("j", [0.3, -2.0, 1.0]), 0, 0.5, DimensionMismatchError),
         ],
-        ids=["k-negative", "order-past-the-cap", "k-40", "t-negative", "t-nan", "t-inf",
-             "mixed-families", "other-dimension"],
+        ids=["k-negative", "k-fraction", "k-float", "k-bool", "order-past-the-cap", "k-40", "t-negative",
+             "t-nan", "t-inf", "mixed-families", "other-dimension"],
     )
     def test_both_sides_refuse_the_same_arguments(self, side, j_op, k, t, error):
         with pytest.raises(error):

@@ -411,6 +411,14 @@ class TestQuadratureRule:
             QuadratureRule(nodes_per_panel=0)
         with pytest.raises(ValueError, match=f"got {statespace.MAX_NODES_PER_PANEL + 1}"):
             QuadratureRule(nodes_per_panel=statespace.MAX_NODES_PER_PANEL + 1)
+        # a non-integer size would run as another rule than it records, or
+        # fail later with a raw TypeError
+        for size in (2.5, 3.0, True, "4"):
+            with pytest.raises(ValueError, match="integer"):
+                QuadratureRule(panels=size)
+            with pytest.raises(ValueError, match="integer"):
+                QuadratureRule(nodes_per_panel=size)
+        assert QuadratureRule(panels=np.int64(3), nodes_per_panel=np.int32(4)).nodes(0.0, 1.0)[0].size == 12
         with pytest.raises(TypeError):  # Gauss-Legendre panels are the only family
             QuadratureRule(kind="composite-simpson")
 
