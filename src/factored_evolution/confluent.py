@@ -148,14 +148,24 @@ class BlockOperatorMatrix:
         eigenbasis, or the identity for other dense groups."""
         return self._modes[0]
 
+    @property
+    def growth_values(self) -> list[np.ndarray] | None:
+        """Per group, the values its action grows the modes of :attr:`basis`
+        by (:func:`grow_modes`): spectral groups and dense groups in a shared
+        eigenbasis; ``None`` for periodic translations (phase tables) and
+        dense groups on the grid."""
+        basis, values = self._modes
+        if basis.fourier or values is None:
+            return None
+        return list(values) if basis.unitary is not None else [op.modal_values for op, _ in self.grouped]
+
     def propagators(self) -> list:
         """Each group's semigroup action on stacks in :attr:`basis`, with
-        the contract of :meth:`Operator.propagate`: the operator's own, or
-        for dense groups in a shared eigenbasis the growth of each mode by
-        its value (:func:`grow_modes`), which leaves the operators' own
-        eigendecompositions unmade."""
-        basis, values = self._modes
-        if basis.unitary is None:
+        the contract of :meth:`Operator.propagate`: :func:`grow_modes` of
+        its :attr:`growth_values`, which leaves a dense set's own
+        eigendecompositions unmade, else the operator's own."""
+        values = self.growth_values
+        if values is None:
             return [op.propagate for op, _ in self.grouped]
         return [partial(grow_modes, v, op.label) for v, (op, _) in zip(values, self.grouped)]
 
@@ -183,7 +193,8 @@ class BlockOperatorMatrix:
             return _Factorization(partial(_substitute, blocks[0]), mask, pairs)
         v = _confluent_blocks(blocks, mults)
         if values is not None:
-            mask, pairs = _coincident_modes(self, values)
+            if self.basis.unitary is None:  # _shared_eigenbasis refuses a coincident mode
+                mask, pairs = _coincident_modes(self, values)
             v[mask] = np.eye(self.n, dtype=v.dtype)
             return _Factorization(partial(_mode_solve, v, mask), mask, pairs)
         try:
@@ -373,9 +384,10 @@ def _coincidence_message(pairs) -> str:
 
 
 def _check_dead_modes(factorization: _Factorization, modal: np.ndarray) -> None:
-    """Reject a modal right-hand side (modes on the last axis) that excites a
+    """Reject a modal right-hand side (modes on the last axis, every mode or
+    the leading ones of :meth:`ZCoefficients.modes_of`) that excites a
     coincident mode."""
-    if factorization.pairs and excites(modal, factorization.mask):
+    if factorization.pairs and excites(modal, factorization.mask[: modal.shape[-1]]):
         raise SingularSystemError(
             "declared-distinct factors act identically on excited modes: "
             + _coincidence_message(factorization.pairs)
@@ -606,10 +618,14 @@ class ZCoefficients:
         self.zeta.flags.writeable = False  # the matrix keeps z for every later solve
 
     def modes_of(self, g: np.ndarray) -> np.ndarray:
-        """Modes of a stack ``(m, d)`` of states; a state that excites a
+        """The leading :meth:`ModeBasis.kept_modes` of a stack ``(m, d)`` of
+        states: every mode, or for real states on a real periodic grid the
+        modes ``0 .. d//2`` by one ``rfft``.  A state that excites a
         coincident mode (measured against its own largest mode) raises
-        :class:`SingularSystemError`."""
-        modal = self.basis.to_modes(g)
+        :class:`SingularSystemError`; the leading modes decide that alone,
+        as a real periodic grid's coincidence mask is symmetric under ``k
+        <-> d - k`` and a real state's modes there are conjugate."""
+        modal = np.fft.rfft(g, axis=-1) if self.basis.kept_modes(g) < g.shape[-1] else self.basis.to_modes(g)
         _check_dead_modes(self.matrix._factorization, modal[:, None, :])
         return modal
 
@@ -631,7 +647,9 @@ class ZCoefficients:
     def apply_all(self, g) -> np.ndarray:
         """``z_0 g, ..., z_{n-1} g``, shape ``(n, d)``, for a state ``g``."""
         g = as_state_vector(g, self.matrix.dim)
-        return self.basis.from_modes(self.apply_modes(self.modes_of(g[None])[0]), g)
+        g_hat = self.basis.to_modes(g)
+        _check_dead_modes(self.matrix._factorization, g_hat)
+        return self.basis.from_modes(self.apply_modes(g_hat), g)
 
 
 def solve_z_vector(matrix: BlockOperatorMatrix) -> ZCoefficients:

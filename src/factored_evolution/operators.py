@@ -223,8 +223,9 @@ class Operator(ABC):
     def semigroup(self, t, v) -> np.ndarray:
         """Semigroup action ``e^{t A} v``; ``t = 0`` is the exact identity.
 
-        A 1-D array ``t`` with a stack ``v`` of shape ``(m, d)`` gives the
-        rows ``e^{t_i A} v_i``, and every row with ``t_i = 0`` is ``v_i``.
+        A 1-D array or sequence ``t`` with a stack ``v`` of shape ``(m,
+        d)`` gives the rows ``e^{t_i A} v_i``, and every row with ``t_i =
+        0`` is ``v_i``; a number or 0-d array ``t`` takes one state.
         An overflowing row raises :class:`SemigroupOverflowError`, complex
         times (:meth:`propagate` takes them) :class:`UnsupportedOperationError`.
         """
@@ -256,20 +257,21 @@ class Operator(ABC):
         operator's basis and keep the modes the output needs
         (:meth:`ModeBasis.kept_modes`), :meth:`propagate`, take it back and
         check it; a time of 0 gets the exact identity instead.  A scalar
-        time goes through as one row, so its result has the dtype of that
-        row."""
+        time (``np.ndim(t) == 0``: a number or a 0-d array) goes through as
+        one row, so its result has the dtype of that row; anything else is
+        an array of times, one per state of the stack."""
         if np.iscomplexobj(t):  # refused before the cast below drops the imaginary part
             raise UnsupportedOperationError(
                 f"semigroup of {self.label!r} takes real times; propagate takes complex ones"
             )
-        if not isinstance(t, np.ndarray):
+        if np.ndim(t) == 0:
             return self._act(np.array([t], dtype=np.float64), as_state_vector(v, self.dim)[None])[0]
+        t = np.asarray(t, dtype=np.float64)
         v = as_state_stack(v, self.dim)
         if t.shape != v.shape[:1]:
             raise DimensionMismatchError(
-                f"expected one time per state vector, got {t.shape} for {v.shape[0]}"
+                f"times of shape {t.shape} for a stack of {v.shape[0]} states: expected one time per state"
             )
-        t = t.astype(np.float64, copy=False)
         basis = shared_mode_basis((self,))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             v_hat = basis.to_modes(v)[..., : basis.kept_modes(v)]
@@ -317,6 +319,15 @@ class DenseMatrixOperator(Operator):
     @cached_property
     def propagate(self):
         return expm_action(self.matrix, self.eig)
+
+    @cached_property
+    def exact_symmetry(self) -> int:
+        """``1`` if the matrix equals its conjugate transpose exactly, ``-1``
+        if it equals its negative, else ``0`` (:func:`commutation_defect`)."""
+        adjoint = self.matrix.conj().T
+        if np.array_equal(self.matrix, adjoint):
+            return 1
+        return -1 if np.array_equal(self.matrix, -adjoint) else 0
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ as_state_vector(v, self.dim)
@@ -569,15 +580,21 @@ def commutation_defect(a: Operator, b: Operator) -> float:
     ``a_k b_k - b_k a_k`` is exactly 0 where the product is finite and
     ``nan`` where it overflows: their defect is read off the products of
     the modal values, with no block products.  Dense ones give ``||AB -
-    BA||_F``, which bounds ``||ABv - BAv|| / ||v||`` for every ``v``.  An
-    overflowing commutator gives ``inf`` or ``nan``.  Operators of different
-    families or dimensions raise :class:`MixedBackendError` or
-    :class:`DimensionMismatchError`.
+    BA||_F``, which bounds ``||ABv - BAv|| / ||v||`` for every ``v``.  When
+    each matrix is exactly Hermitian or skew-Hermitian
+    (:attr:`DenseMatrixOperator.exact_symmetry`, ``s_A`` and ``s_B``),
+    ``BA = s_A s_B (AB)^H``, so the defect is ``||C - s_A s_B C^H||_F``
+    from the one product ``C = AB``; it agrees with the two-product form
+    to rounding.  An overflowing commutator gives ``inf`` or ``nan``.
+    Operators of different families or dimensions raise
+    :class:`MixedBackendError` or :class:`DimensionMismatchError`.
     """
     require_same_family(a, b)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller judges inf and nan
         if a.mode_basis is not None:
             return 0.0 if np.isfinite(a.modal_values * b.modal_values).all() else np.nan
-        ab, bb = generator_blocks((a, b))
-        return float(np.linalg.norm(ab @ bb - bb @ ab))
+        ab = a.matrix @ b.matrix
+        sign = a.exact_symmetry * b.exact_symmetry
+        ba = sign * ab.conj().T if sign else b.matrix @ a.matrix
+        return float(np.linalg.norm(ab - ba))
 

@@ -15,10 +15,12 @@ with the forcing weights ``z`` from the confluent solve against
 Gauss-Legendre rule, checked against the Kronrod sums of the same pass.
 General initial data superposes the two parts.
 
-The homogeneous part is :func:`_semigroup_sum`: each group's action in
-the basis ``y`` was solved in (:meth:`BlockOperatorMatrix.propagators`)
-grows the coefficients for all sample times at once, and the sum goes back
-to the grid once.
+The homogeneous part is :func:`_semigroup_sum`: each group grows the
+coefficients for all sample times at once in the basis ``y`` was solved
+in, by its modal values in one scratch stack
+(:attr:`BlockOperatorMatrix.growth_values`) or by its action
+(:meth:`BlockOperatorMatrix.propagators`); the sum is checked once and
+goes back to the grid once.
 Both parts assemble a real periodic output (a real speed and real data)
 in its leading modes ``0 .. d//2`` only, the rest being their conjugates,
 and take it back by ``irfft`` (:meth:`ModeBasis.kept_modes`); the per-mode
@@ -73,8 +75,8 @@ from .confluent import (
 )
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError, UnsupportedOperationError
-from .operators import DEAD_MODE_RTOL, Operator, generator_blocks, require_same_family, resolvent_solve
-from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows, is_index
+from .operators import DEAD_MODE_RTOL, Operator, _times_rows, generator_blocks, require_same_family, resolvent_solve
+from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows, exp_rows, is_index
 from .trace import SolutionTrace
 
 # Quadrature error gates on the Gauss-Kronrod difference of one Duhamel
@@ -95,35 +97,49 @@ _SHAPE_ULPS = 8
 _CIRCLE_NODES = 24
 
 
-def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.ndarray) -> np.ndarray:
+def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.ndarray, check=False) -> np.ndarray:
     """The rows ``sum_j e^{tau_i B_j} sum_k (tau_i^k/k!) y[off_j + k]``,
-    shape ``(m, d)``, for coefficients ``y`` in ``matrix.basis``:
-    one call of each group's action (:meth:`BlockOperatorMatrix.propagators`;
-    exact rows at ``tau = 0``, overflow named by operator), summed in place
-    and taken back to the grid once with ``like`` as the real-output rule.  A real ``like`` on a real
-    periodic grid keeps only the leading modes (:meth:`ModeBasis.kept_modes`);
-    the derivative circle's complex ``taus`` come with a complex ``like``,
-    which keeps every mode.  A group of multiplicity 1 grows its ``y`` row
-    as it is, broadcast over the times; a dense one gets a contiguous stack,
-    so that matrix products sum in one order."""
+    shape ``(m, d)``, for coefficients ``y`` in ``matrix.basis``, exact at
+    ``tau = 0``, summed in place and taken back to the grid once with ``like``
+    as the real-output rule.  A real ``like`` on a real periodic grid keeps
+    only the leading modes (:meth:`ModeBasis.kept_modes`); the derivative
+    circle's complex ``taus`` come with a complex ``like``, which keeps every
+    mode.  Groups with :attr:`BlockOperatorMatrix.growth_values` form their
+    rows by :func:`exp_rows` and one product in a scratch stack that every
+    group after the first reuses; the others call their action
+    (:meth:`BlockOperatorMatrix.propagators`), a dense one on the grid on a
+    contiguous stack, so that matrix products sum in one order.  ``inf`` and
+    ``nan`` survive every product and sum, so the sum is checked once; a
+    non-finite one is summed again with ``check``, which checks each group's
+    rows and names the first bad group and time
+    (:class:`SemigroupOverflowError`)."""
     basis = matrix.basis
     kept = basis.kept_modes(like)
     zero = taus == 0
-    acc = None
-    for (op, mult), offset, grow in zip(matrix.grouped, matrix.offsets, matrix.propagators()):
+    values = matrix.growth_values
+    acc = scratch = None
+    for j, ((op, mult), offset, grow) in enumerate(zip(matrix.grouped, matrix.offsets, matrix.propagators())):
         if mult == 1:
             p = np.broadcast_to(y[offset][:kept], (taus.size, kept))
-            if op.mode_basis is None:
+            if values is None and op.mode_basis is None:
                 p = np.ascontiguousarray(p)
         else:
             p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k][:kept] for k in range(mult))
-        grown = grow(taus, p)
+        if values is None:
+            grown = grow(taus, p)
+        else:
+            reuse = scratch is not None and scratch.dtype == np.result_type(taus, values[j])
+            grown = _times_rows(exp_rows(values[j], taus, out=scratch if reuse else None), p)
         grown[zero] = p[zero]
-        checked_rows(grown, taus, f"semigroup of {op.label!r}")
+        if check:
+            checked_rows(grown, taus, f"semigroup of {op.label!r}")
         if acc is None:
             acc = grown
         else:
             acc = np.add(acc, grown, out=acc if np.can_cast(grown.dtype, acc.dtype) else None)
+            scratch = grown
+    if not (check or np.isfinite(acc).all()):
+        return _semigroup_sum(matrix, y, taus, like, check=True)
     return basis.from_modes(acc, like)
 
 
@@ -204,10 +220,10 @@ def _duhamel_pass(
     ``(2, S_j, d)``, goes interval by interval.  The Gauss nodes are the
     points of ``rule.nodes``, so the Gauss sums are the values of the
     composite Gauss rule.  The forcing values of all nodes of the pass are
-    one :meth:`Forcing.many` stack in the groups' shared basis, checked
-    for dead modes on every mode and then cut to the modes the output needs
-    (:meth:`ModeBasis.kept_modes`), and ``z`` weighs last; :func:`solve_full`
-    checks the values.
+    one :meth:`Forcing.many` stack, taken to the modes the output needs
+    in the groups' shared basis and checked there for dead modes
+    (:meth:`ZCoefficients.modes_of`), and ``z`` weighs last;
+    :func:`solve_full` checks the values.
     """
     matrix = z.matrix
     if not runs:  # t_grid = [0]: nothing to integrate
@@ -224,7 +240,7 @@ def _duhamel_pass(
         moments = (gauss_wts * powers[:, gauss], wts * powers)
         layouts.append((edges[start:stop, None] + xi, width, taus, gauss, moments, _binomial_shift(width, mult_max)))
     g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
-    g_hat = z.modes_of(g)[:, : z.basis.kept_modes(g)]
+    g_hat = z.modes_of(g)
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
     h = []
     for (_, mult), grow in zip(matrix.grouped, matrix.propagators()):

@@ -207,13 +207,18 @@ def checked_rows(rows: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     return rows
 
 
-def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+def exp_rows(values: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``exp(outer(t, values))``, one row per entry of the 1-D array ``t``,
-    through :func:`checked_rows`."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: checked below
-        grow = np.multiply.outer(t, values)
-        np.exp(grow, out=grow)
-    return checked_rows(grow, t, what)
+    formed in ``out`` when one is given, unchecked: an overflowing row
+    keeps its ``inf`` (or ``nan``) for the caller's check."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+        grow = np.multiply.outer(t, values, out=out)
+        return np.exp(grow, out=grow)
+
+
+def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """:func:`exp_rows` through :func:`checked_rows`."""
+    return checked_rows(exp_rows(values, t), t, what)
 
 
 def _eigvec_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:

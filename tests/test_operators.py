@@ -20,6 +20,7 @@ from factored_evolution import (
     resolvent_solve,
 )
 from factored_evolution import operators, statespace
+from factored_evolution.equation import COMMUTATION_TOL
 from factored_evolution.operators import grow_modes, shared_mode_basis
 
 from conftest import (
@@ -414,6 +415,21 @@ def test_semigroup_refuses_complex_times(family, t):
         op.semigroup(t, v)
 
 
+@pytest.mark.parametrize("family", ["spectral", "periodic", "dense-hermitian"])
+def test_semigroup_reads_a_scalar_or_a_stack_by_the_times_dimension(family):
+    # a 0-d array is one time, a list of times takes a stack; a count
+    # mismatch names the times, not the state
+    op = random_operator(np.random.default_rng(50), family, 4)
+    v = np.linspace(-1.0, 1.0, 4)
+    stack = np.stack([v, 2.0 * v])
+    assert np.array_equal(op.semigroup(np.array(0.5), v), op.semigroup(0.5, v))
+    assert np.array_equal(op.semigroup([0.5, 1.0], stack), op.semigroup(np.array([0.5, 1.0]), stack))
+    with pytest.raises(DimensionMismatchError, match=r"^times of shape \(3,\) for a stack of 2 states"):
+        op.semigroup([0.5, 1.0, 2.0], stack)
+    with pytest.raises(DimensionMismatchError, match=r"^times of shape \(1, 2\) for a stack of 2 states"):
+        op.semigroup(np.array([[0.5, 1.0]]), stack)
+
+
 @pytest.mark.parametrize("n", [16.5, 16.0, "16", True, None])
 def test_grid_rejects_a_non_integer_point_count(n):
     with pytest.raises(ValueError, match="integer number of points"):
@@ -647,6 +663,72 @@ class TestCommutationDefect:
             blocks = float(np.linalg.norm(ab @ bb - bb @ ab))
         for reading in (commutation_defect(a, b), blocks):
             assert reading == defect or (np.isnan(reading) and np.isnan(defect))
+
+    @staticmethod
+    def _pair(kind, rng, d=12):
+        """Two exactly (skew-)Hermitian matrices: commuting ones share an
+        eigenbasis, the others are drawn on their own."""
+        def hermitian(complex_, sign=1):
+            m = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_ else 0)
+            return m + sign * m.conj().T
+
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        shared = [(q * rng.standard_normal(d)) @ q.conj().T for _ in range(2)]
+        shared = [0.5 * (m + m.conj().T) for m in shared]
+        return {
+            "hermitian": (hermitian(False), hermitian(False)),
+            "complex-hermitian": (hermitian(True), hermitian(True)),
+            "skew": (hermitian(True, -1), hermitian(False, -1)),
+            "mixed": (hermitian(True), 1j * hermitian(True)),
+            "commuting-hermitian": tuple(shared),
+            "commuting-mixed": (shared[0], 1j * shared[1]),
+        }[kind]
+
+    @pytest.mark.parametrize(
+        "kind", ["hermitian", "complex-hermitian", "skew", "mixed", "commuting-hermitian", "commuting-mixed"]
+    )
+    def test_hermitian_pair_takes_one_product(self, kind):
+        # BA = s_A s_B (AB)^H: the one-product reading agrees with the two
+        # products to rounding and gives the same verdict
+        a_mat, b_mat = self._pair(kind, np.random.default_rng(83))
+        a, b = DenseMatrixOperator("a", a_mat), DenseMatrixOperator("b", b_mat)
+        assert a.exact_symmetry != 0 and b.exact_symmetry != 0
+        assert (a.exact_symmetry * b.exact_symmetry < 0) == (kind in ("mixed", "commuting-mixed"))
+        two = float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
+        one = commutation_defect(a, b)
+        floor = np.finfo(float).eps * a.dim * np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
+        assert abs(one - two) <= 4 * floor
+        assert (one <= COMMUTATION_TOL) == (two <= COMMUTATION_TOL) == kind.startswith("commuting")
+        # and the reading is the one product's
+        c = a.matrix @ b.matrix
+        assert one == float(np.linalg.norm(c - a.exact_symmetry * b.exact_symmetry * c.conj().T))
+
+    def test_pair_symmetric_only_to_tolerance_takes_two_products(self):
+        rng = np.random.default_rng(84)
+        m = rng.standard_normal((12, 12))
+        m = m + m.T
+        nearly = m + 1e-15 * np.triu(np.abs(m), 1)  # Hermitian to SYMMETRY_RTOL, not exactly
+        assert statespace._hermitian(nearly) and not np.array_equal(nearly, nearly.T)
+        n = rng.standard_normal((12, 12))
+        for a_mat, b_mat in ((nearly, n + n.T), (n + n.T, nearly)):
+            a, b = DenseMatrixOperator("a", a_mat), DenseMatrixOperator("b", b_mat)
+            assert a.exact_symmetry * b.exact_symmetry == 0
+            assert commutation_defect(a, b) == float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
+
+    @pytest.mark.parametrize(
+        "matrix, symmetry",
+        [
+            ([[1.0, 2.0], [2.0, -1.0]], 1),
+            ([[0.0, 2.0], [-2.0, 0.0]], -1),
+            ([[1j, 2.0 + 1j], [-2.0 + 1j, 0.0]], -1),
+            ([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]], 1),
+            ([[0.0, 0.0], [0.0, 0.0]], 1),
+            ([[1.0, 2.0], [0.0, 1.0]], 0),
+            ([[1j, 0.0], [0.0, 1.0]], 0),
+        ],
+    )
+    def test_exact_symmetry(self, matrix, symmetry):
+        assert DenseMatrixOperator("a", matrix).exact_symmetry == symmetry
 
     def test_mixed_families_rejected(self):
         a = SpectralDiagonalOperator("a", [1.0, 2.0])

@@ -490,12 +490,16 @@ class TestInitialDerivatives:
 
     @pytest.mark.parametrize("family", ["spectral", "dense", "translation"])
     def test_scaled_semigroup_times_fail(self, monkeypatch, family):
-        # every group action of the ansatz comes from matrix.propagators()
+        # every group action of the ansatz comes from matrix.propagators(),
+        # or for a group that grows its modes by their values from the
+        # homogeneous sum's own exp_rows
         eq = self._instances()[family]
         propagators = confluent.BlockOperatorMatrix.propagators
         monkeypatch.setattr(confluent.BlockOperatorMatrix, "propagators", lambda self: [
             lambda t, v, grow=grow: grow(t * (1 + 1e-3), v) for grow in propagators(self)
         ])
+        exp_rows = statespace.exp_rows
+        monkeypatch.setattr(solver, "exp_rows", lambda values, t, out=None: exp_rows(values, t * (1 + 1e-3), out))
         assert initial_derivative_defect(eq) > 1e-4
 
     @pytest.mark.parametrize(
@@ -988,14 +992,16 @@ class TestMarching:
         mults = [mult for _, mult in eq.grouped]
         assert len(mults) == 2
         rows = []
-        checked_exp = statespace.checked_exp
+        exp_rows = statespace.exp_rows
 
-        def counting(values, t, what):
+        def counting(values, t, out=None):
             rows.append(t.size)
-            return checked_exp(values, t, what)
+            return exp_rows(values, t, out)
 
-        monkeypatch.setattr(operators, "checked_exp", counting)
-        monkeypatch.setattr(statespace, "checked_exp", counting)
+        # every exponential is one exp_rows: the homogeneous sum's own, and
+        # checked_exp's under each Duhamel growth
+        monkeypatch.setattr(solver, "exp_rows", counting)
+        monkeypatch.setattr(statespace, "exp_rows", counting)
         solve_full(eq, np.linspace(0.0, 1.0, 5))
         carries = [mult for mult in mults for _ in range(4)]
         assert sorted(rows) == sorted([5, 68] * 2 + carries)
@@ -1229,6 +1235,88 @@ class TestLemma2:
         j_op = SpectralDiagonalOperator("j", [-3000j])
         with pytest.raises(QuadratureUnderResolvedError):
             lemma2_lhs(i_op, j_op, 0, 1.0, np.ones(1))
+
+
+def per_group_sum(matrix, y, taus, like):
+    """The homogeneous sum group by group: one call of each group's action
+    from ``matrix.propagators()`` on a fresh contiguous stack, its exact
+    ``tau = 0`` rows, each group's rows checked on their own, summed in
+    group order and taken back once."""
+    basis = matrix.basis
+    kept = basis.kept_modes(like)
+    zero = taus == 0
+    acc = None
+    for (op, mult), offset, grow in zip(matrix.grouped, matrix.offsets, matrix.propagators()):
+        p = np.ascontiguousarray(np.broadcast_to(y[offset][:kept], (taus.size, kept)))
+        if mult > 1:
+            p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k][:kept] for k in range(mult))
+        grown = grow(taus, p)
+        grown[zero] = p[zero]
+        statespace.checked_rows(grown, taus, f"semigroup of {op.label!r}")
+        acc = grown if acc is None else acc + grown
+    return basis.from_modes(acc, like)
+
+
+class TestSemigroupSum:
+    """Groups that grow their modes by their values share one scratch stack
+    and the sum is checked once; the rows are those of a group-by-group sum
+    bit for bit, and an overflow still names its group and time."""
+
+    @staticmethod
+    def _instance(family):
+        rng = np.random.default_rng(71)
+        return {
+            "spectral": lambda: random_spectral_instance(rng, 5, 6, "mixed"),
+            "spectral-complex": lambda: FactoredEquation(
+                (diag_op("A", [-1.0, -0.5, 0.2]), diag_op("A", [-1.0, -0.5, 0.2]),
+                 SpectralDiagonalOperator("B", [0.3 + 1j, -2.0 + 0.5j, 1.1j])),
+                tuple(rng.standard_normal(3) for _ in range(3)),
+            ),
+            "translation": lambda: random_translation_instance(rng, 4, 32, "mixed"),
+            "dense-shared": lambda: random_dense_commuting_instance(rng, 5, 6, "mixed"),
+            "dense-grid": lambda: random_dense_polynomial_instance(rng, 4, 5, "mixed"),
+        }[family]()
+
+    @pytest.mark.parametrize(
+        "family", ["spectral", "spectral-complex", "translation", "dense-shared", "dense-grid"]
+    )
+    def test_bit_identical_to_the_group_by_group_sum(self, family):
+        eq = self._instance(family)
+        matrix = confluent.build_confluent_matrix(eq.grouped)
+        assert max(mult for _, mult in eq.grouped) > 1 and len(eq.grouped) > 1
+        shared = matrix.basis.unitary is not None
+        assert shared == (family == "dense-shared")
+        assert (matrix.growth_values is not None) == (family in ("spectral", "spectral-complex", "dense-shared"))
+        xs = np.stack(eq.initial_data)
+        ys = np.array(confluent.solve_coefficients(matrix, xs))
+        times = np.linspace(0.0, 1.0, 7)
+        circle = 0.8 * np.exp(2j * np.pi * np.arange(13) / 24)
+        for y, taus, like in ((ys, times, xs), (ys.astype(np.complex128), circle, ys.astype(np.complex128))):
+            out, reference = solver._semigroup_sum(matrix, y, taus, like), per_group_sum(matrix, y, taus, like)
+            assert out.dtype == reference.dtype
+            assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(reference).tobytes()
+
+    def test_overflow_in_the_second_group_names_it_and_its_first_bad_time(self):
+        # B first overflows at t = 0.9 (800 t > 709.8); C would at t = 0.5,
+        # but the first bad group in order is named, at its own first bad time
+        a = diag_op("A", [-1.0, -2.0])
+        b = diag_op("B", [0.5, 800.0])
+        c = diag_op("C", [1500.0, 0.25])
+        eq = FactoredEquation((a, b, c), (np.ones(2), np.array([1.0, -1.0]), np.array([0.5, 2.0])))
+        times = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
+        with pytest.raises(SemigroupOverflowError, match=r"^semigroup of 'B' overflows float range at t=0\.9$"):
+            solve_full(eq, times)
+        matrix = confluent.build_confluent_matrix(eq.grouped)
+        ys = confluent.solve_coefficients(matrix, eq.initial_data)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SemigroupOverflowError) as reference:
+            per_group_sum(matrix, ys, times, np.stack(eq.initial_data))
+        assert "'B'" in str(reference.value) and "t=0.9" in str(reference.value)
+
+    def test_finite_rows_whose_sum_overflows_fail_the_solution_check(self):
+        # e^709 and e^709.5 times y = (1, 1) are finite, their sum is not
+        eq = FactoredEquation((scalar_op("A", 709.0), scalar_op("B", 709.5)), (np.array([2.0]), np.array([1418.5])))
+        with pytest.raises(NonFiniteError, match="solution"):
+            solve_full(eq, [0.0, 1.0])
 
 
 def _real_translation_problem(d, mults, speeds=(0.7, -1.3, 0.45), forced=False, complex_data=False, seed=0):
