@@ -39,9 +39,11 @@ holds each panel's q Gauss nodes and their q + 1 Kronrod nodes
 (:meth:`QuadratureRule.gauss_kronrod`), so one pass gives both sums.  The
 pass takes the forcing at every node as one stack (:meth:`Forcing.many`)
 in the groups' shared basis; each group's action grows a
-run's block of it with one exponential of the run's offsets and carries
-both sums interval by interval, and :meth:`ZCoefficients.weigh` applies
-``z`` to them last.
+run's block of it with one exponential of the run's offsets.  Both sums
+are carried interval by interval: a group modal in the basis multiplies
+by its carry row ``e^{D lambda}``, formed once per run of width ``D``, and
+a dense group on the grid takes one action of width ``D`` per interval.
+:meth:`ZCoefficients.weigh` applies ``z`` to the sums last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
 
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -215,10 +218,17 @@ def _duhamel_pass(
     ``w tau^k/k!`` of its Gauss nodes, the Kronrod moments of all its nodes
     (2q+1 per panel) and the binomial shift once; each group grows the run's
     ``(r, m, d)`` forcing block with one call of its action
-    (:meth:`BlockOperatorMatrix.propagators`) on the m offsets and takes the r local integrals of either rule as two products,
-    and only the carry of both sums, one action of width ``D`` on
-    ``(2, S_j, d)``, goes interval by interval.  The Gauss nodes are the
-    points of ``rule.nodes``, so the Gauss sums are the values of the
+    (:meth:`BlockOperatorMatrix.propagators`) on the m offsets and takes
+    the r local integrals of either rule as two products.  Only the carry
+    of both sums, a ``(2, S_j, d)`` stack, goes interval by interval.  A
+    group modal in ``matrix.basis`` (spectral, periodic translation, or a
+    dense set in a shared eigenbasis) forms its carry row ``e^{D lambda}``
+    once per run, by its action on a row of ones, so an overflow names the
+    group at ``t = D``, and each interval multiplies by it (a group of
+    multiplicity 1 skips its shift, which is exactly 1); a dense group on
+    the grid calls its action of width ``D`` per interval, which forms no
+    d x d propagator.  The Gauss nodes are the points of
+    ``rule.nodes``, so the Gauss sums are the values of the
     composite Gauss rule.  The forcing values of all nodes of the pass are
     one :meth:`Forcing.many` stack, taken to the modes the output needs
     in the groups' shared basis and checked there for dead modes
@@ -242,6 +252,8 @@ def _duhamel_pass(
     g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
     g_hat = z.modes_of(g)
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
+    modal = matrix.basis.fourier or matrix.growth_values is not None
+    ones = np.ones((1, g_hat.shape[-1]))
     h = []
     for (_, mult), grow in zip(matrix.grouped, matrix.propagators()):
         carried, prev = [], np.zeros((2, mult, g_hat.shape[-1]))
@@ -251,8 +263,13 @@ def _duhamel_pass(
             # take, not grown[:, gauss]: its rows are contiguous, as those of a
             # Gauss-only block, so the product sums in the same order
             local = np.stack([gauss_moments[:mult] @ grown.take(gauss, axis=1), moments[:mult] @ grown], axis=1)
+            if modal:  # e^{D lambda}, held for the run and checked after its offsets
+                carry = partial(np.multiply, grow(np.array([width]), ones))
+            else:  # a dense group on the grid acts per interval; a held d x d propagator costs O(d^3)
+                carry = partial(grow, np.full(mult, width))
+            shift = shift[:mult, :mult]
             for integral in local:
-                prev = grow(np.full(mult, width), shift[:mult, :mult] @ prev) + integral
+                prev = carry(prev if mult == 1 else shift @ prev) + integral
                 carried.append(prev)
         h.append(np.stack(carried, axis=1))
     at_zero = np.zeros((times.size - widths.size, matrix.dim))  # a sample at t = 0
@@ -435,12 +452,16 @@ def _lemma2_arguments(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np
     so that both sides refuse the same inputs: operators of one family and
     dimension, an integer ``0 <= k < MAX_ORDER`` (the left side solves
     k + 1 repeated factors, capped as any equation's order is) and a finite
-    ``t >= 0``.  Returns ``x`` as a state vector."""
+    real ``t >= 0``; a complex ``t`` raises
+    :class:`UnsupportedOperationError` before any cast would drop its
+    imaginary part.  Returns ``x`` as a state vector."""
     require_same_family(i_op, j_op)
     if not is_index(k) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     if k >= MAX_ORDER:
         raise UnsupportedOperationError(f"order {k + 1} exceeds the supported maximum {MAX_ORDER}")
+    if np.iscomplexobj(t):
+        raise UnsupportedOperationError(f"t must be a real time, got {t!r}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     return as_state_vector(x, i_op.dim)

@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteError,
     SemigroupOverflowError,
     SingularMatrixError,
+    UnsupportedOperationError,
 )
 
 # Pivots below PIVOT_RTOL * ||A||_inf are treated as a singular system.
@@ -114,7 +115,11 @@ def as_state_stack(rows, dim: int) -> np.ndarray:
 
 def _check_time_grid(t_grid) -> np.ndarray:
     """Sample times as a float array; must be non-empty, 1-D, finite,
-    non-negative and strictly increasing."""
+    non-negative and strictly increasing.  Complex times raise
+    :class:`UnsupportedOperationError` before the cast would drop their
+    imaginary parts."""
+    if np.iscomplexobj(t_grid):
+        raise UnsupportedOperationError("t_grid must hold real times, got complex ones")
     times = np.asarray(t_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D sequence")

@@ -292,6 +292,15 @@ class TestSolveFull:
         assert np.iscomplexobj(trace.values)
         assert max_rel_dev(trace.values, reference.values) <= 1e-6
 
+    @pytest.mark.parametrize("t_grid", [np.array([0.0, 0.5 + 1j]), [0.0, 0.5 + 1j]], ids=["array", "list"])
+    @pytest.mark.parametrize("solve", [solve_full, oracle_solve, compare_with_oracle])
+    def test_complex_times_are_refused(self, solve, t_grid):
+        # refused before the cast to float, which would keep the real part
+        forcing = Forcing(lambda t: np.array([np.cos(t), 1.0]))
+        eq = FactoredEquation((diag_op("a", [-1.0, -0.5]),), (np.zeros(2),), forcing)
+        with pytest.raises(UnsupportedOperationError, match="real times"):
+            solve(eq, t_grid)
+
 
 class TestFactorizeOnce:
     """``y`` and ``z`` share one factorization, and no solve rebuilds the
@@ -642,6 +651,61 @@ def one_pass(z, forcing, times, rule, kronrod=False):
     return solver._duhamel_pass(z, forcing, times, *solver._interval_runs(rule, times))[int(kronrod)]
 
 
+def per_interval_carry_pass(z, forcing, times, rule):
+    """The Gauss and the Kronrod sums of the marching pass with its carry
+    taken literally: one call of each group's action of width ``D`` on the
+    shifted ``(2, S_j, d)`` stack per interval, the shift ``1`` of a group
+    of multiplicity 1 included, where :func:`solver._duhamel_pass` lets a
+    modal group multiply by one carry row held per run."""
+    matrix = z.matrix
+    edges, runs = solver._interval_runs(rule, times)
+    widths = np.diff(edges)
+    mult_max = max(mult for _, mult in matrix.grouped)
+    layouts = []
+    for start, stop, r in runs:
+        width = widths[start]
+        xi, wts, gauss, gauss_wts = r.gauss_kronrod(0.0, width)
+        powers = np.array([(width - xi) ** k / math.factorial(k) for k in range(mult_max)])
+        layouts.append((edges[start:stop, None] + xi, width, xi, gauss, gauss_wts * powers[:, gauss], wts * powers))
+    g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
+    g_hat = z.modes_of(g)
+    blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
+    h = []
+    for (_, mult), grow in zip(matrix.grouped, matrix.propagators()):
+        carried, prev = [], np.zeros((2, mult, g_hat.shape[-1]))
+        for (nodes, width, xi, gauss, gauss_moments, moments), block in zip(layouts, blocks):
+            grown = grow(width - xi, block.reshape(*nodes.shape, -1))
+            local = np.stack([gauss_moments[:mult] @ grown.take(gauss, axis=1), moments[:mult] @ grown], axis=1)
+            for integral in local:
+                prev = grow(np.full(mult, width), solver._binomial_shift(width, mult) @ prev) + integral
+                carried.append(prev)
+        h.append(np.stack(carried, axis=1))
+    at_zero = np.zeros((times.size - widths.size, matrix.dim))
+    return tuple(np.concatenate([at_zero, z.weigh(sums, g)]) for sums in np.concatenate(h, axis=2))
+
+
+def _held_row_case(name):
+    """``(grouped, forcing)`` of multiplicities 1, 2 and 3 on a modal family
+    for the held-carry-row test."""
+    rng = np.random.default_rng(37)
+    d = 5
+    c0, c1 = rng.standard_normal((2, d))
+    if name == "spectral":
+        ops = [diag_op(label, center + 0.2 * rng.uniform(-1, 1, d))
+               for label, center in zip("abc", (-1.5, -0.3, 0.6))]
+        forcing = lambda t: c0 * np.cos(1.3 * t) + c1 * t  # noqa: E731
+    elif name == "dense-shared-basis":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        ops = []
+        for label, center in zip("abc", (-1.5, -0.3, 0.6)):
+            mat = q @ np.diag(center + 0.1 * rng.uniform(-1, 1, d)) @ q.T
+            ops.append(DenseMatrixOperator(label, 0.5 * (mat + mat.T)))
+        forcing = lambda t: c0 * np.cos(1.3 * t) + c1 * t  # noqa: E731
+    else:
+        ops, forcing = _periodic([0.7, -0.6 + 0.2j, 0.3] if name == "periodic-complex-speed" else [0.7, -0.4, 1.1])
+    return [(op, mult) for op, mult in zip(ops, (1, 2, 3))], forcing
+
+
 def per_sample_homogeneous(matrix, ys, times):
     """The homogeneous part sample by sample: one scalar semigroup call per
     sample, group and k."""
@@ -897,6 +961,18 @@ class TestOverflow:
         with pytest.raises(QuadratureUnderResolvedError, match="by nan relative"):
             solve_full(eq, [0.0, 1.0], rule)
 
+    def test_overflowing_carry_row_names_its_group(self):
+        # one panel: the offsets reach 0.997 of the width, so e^{710 tau}
+        # stays finite at every node and only the carry row e^{710 D}, formed
+        # once for the run, overflows
+        rule = QuadratureRule(panels=1)
+        pts = rule.gauss_kronrod(0.0, 1.0)[0]
+        assert 710.0 * (1.0 - pts[0]) < math.log(np.finfo(float).max) < 710.0
+        grouped = [(scalar_op("a", -1.0), 1), (scalar_op("g", 710.0), 2)]
+        z = confluent.solve_z_vector(confluent.build_confluent_matrix(grouped))
+        with pytest.raises(SemigroupOverflowError, match="semigroup of 'g' overflows float range at t=1$"):
+            one_pass(z, lambda t: np.ones(1), [0.0, 1.0], rule)
+
 
 class TestMarching:
     """The forced part marches across the sample intervals: each pass covers
@@ -984,13 +1060,12 @@ class TestMarching:
     def test_uniform_grid_grows_each_run_from_one_row_of_offsets(self, monkeypatch, family):
         # Four intervals of 4 panels of 17 nodes are one run: each group
         # exponentiates the run's 68 offsets, not 272, besides 5 sample times
-        # for the homogeneous part and one carry row per unit of
-        # multiplicity and interval, which carries both sums.
+        # for the homogeneous part and one carry row for the run, which
+        # carries both sums across every interval.
         rng = np.random.default_rng(49)
         make = random_spectral_instance if family == "spectral" else random_dense_commuting_instance
         eq = make(rng, 3, 4, "mixed", random_smooth_forcing(rng, 4))
-        mults = [mult for _, mult in eq.grouped]
-        assert len(mults) == 2
+        assert len(eq.grouped) == 2
         rows = []
         exp_rows = statespace.exp_rows
 
@@ -1003,8 +1078,7 @@ class TestMarching:
         monkeypatch.setattr(solver, "exp_rows", counting)
         monkeypatch.setattr(statespace, "exp_rows", counting)
         solve_full(eq, np.linspace(0.0, 1.0, 5))
-        carries = [mult for mult in mults for _ in range(4)]
-        assert sorted(rows) == sorted([5, 68] * 2 + carries)
+        assert sorted(rows) == sorted([5, 68] * 2 + [1, 1])
 
     @pytest.mark.parametrize(
         "times, calls",
@@ -1058,6 +1132,27 @@ class TestMarching:
         reference = literal_forced_values(matrix, z, forcing, times, rule)
         assert marched.dtype == reference.dtype
         assert np.max(np.abs(marched - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize(
+        "times", [np.linspace(0.0, 1.0, 5), np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.3])], ids=["uniform", "mixed"]
+    )
+    @pytest.mark.parametrize(
+        "case", ["spectral", "dense-shared-basis", "periodic-real-speed", "periodic-complex-speed"]
+    )
+    def test_held_carry_row_equals_the_per_interval_action(self, case, times):
+        # a modal group multiplies by e^{D lambda}, formed once per run: both
+        # sums are those of one action of width D per interval, bit for bit
+        grouped, evaluator = _held_row_case(case)
+        matrix = confluent.build_confluent_matrix(grouped)
+        assert matrix.basis.fourier or matrix.growth_values is not None
+        z = confluent.solve_z_vector(matrix)
+        forcing = Forcing(evaluator)
+        rule = QuadratureRule()
+        held = solver._duhamel_pass(z, forcing, times, *solver._interval_runs(rule, times))
+        literal = per_interval_carry_pass(z, forcing, times, rule)
+        for value, reference in zip(held, literal):
+            assert value.dtype == reference.dtype
+            assert np.array_equal(value, reference)
 
     def test_grid_at_zero_only_makes_no_forcing_call(self):
         calls = []
@@ -1185,11 +1280,14 @@ class TestLemma2:
             (diag_op("j", [0.3, -2.0]), 0, -1.0, ValueError),
             (diag_op("j", [0.3, -2.0]), 0, np.nan, ValueError),
             (diag_op("j", [0.3, -2.0]), 0, np.inf, ValueError),
+            # refused before a cast keeps the real part
+            (diag_op("j", [0.3, -2.0]), 0, np.complex128(0.5 + 1j), UnsupportedOperationError),
+            (diag_op("j", [0.3, -2.0]), 0, 0.5 + 1j, UnsupportedOperationError),
             (DenseMatrixOperator("j", np.diag([0.3, -2.0])), 0, 0.5, MixedBackendError),
             (diag_op("j", [0.3, -2.0, 1.0]), 0, 0.5, DimensionMismatchError),
         ],
         ids=["k-negative", "k-fraction", "k-float", "k-bool", "order-past-the-cap", "k-40", "t-negative",
-             "t-nan", "t-inf", "mixed-families", "other-dimension"],
+             "t-nan", "t-inf", "t-complex-numpy", "t-complex-python", "mixed-families", "other-dimension"],
     )
     def test_both_sides_refuse_the_same_arguments(self, side, j_op, k, t, error):
         with pytest.raises(error):
