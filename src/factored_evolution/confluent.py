@@ -13,18 +13,20 @@ y_{jk}`` equals ``x_r``, which is exactly how the solver consumes it.
 
 Scalars reduce this to the classical confluent Vandermonde matrix of the
 modal values with the given multiplicities.  Every solve works in
-``BlockOperatorMatrix.basis``: the coefficients ``y`` are returned in it
-and the weights ``z`` act in it.  The groups either are modal in it, with
-values ``(g, d)`` on its modes, or are dense groups solved on the grid.
-The spectral and periodic-translation backends bring their own modes;
-two or more dense groups that the unitary eigenbasis ``q`` of the first
-Hermitian or skew-Hermitian one (``DenseMatrixOperator.eig``)
-diagonalizes, to within the bound of :func:`_shared_eigenbasis`, are modal
-in ``q`` with the diagonals of ``q^H B_j q``; any other dense groups stay
-on the grid.  One
+``BlockOperatorMatrix.basis``, and each group acts there through one
+operator of ``BlockOperatorMatrix.actors``: the coefficients ``y`` are
+returned in that basis, the weights ``z`` act in it, and the solver
+propagates each group by its actor.  The spectral and periodic-translation
+backends bring their own modes and are their own actors; two or more dense
+groups that the unitary eigenbasis ``q`` of the first Hermitian or
+skew-Hermitian one (``DenseMatrixOperator.eig``) diagonalizes, to within
+the bound of :func:`_shared_eigenbasis`, are modal in ``q``, each acting
+as the spectral operator of the diagonal of ``q^H B_j q``; any other dense
+groups stay on the grid and act by themselves.  One
 record, ``BlockOperatorMatrix._factorization``, holds the only code that
-tells the three structures of ``M`` apart, and its ``solve`` takes stacks
-``(n, d, k)`` of states in that basis.  A single repeated factor makes
+tells the three structures of ``M`` apart, from the actors' generator
+blocks, and its ``solve`` takes stacks ``(n, d, k)`` of states in that
+basis.  A single repeated factor makes
 ``M`` unit lower triangular and is solved by substitution on its blocks;
 modal groups have 1 x 1 blocks, so ``M`` splits into one small scalar
 system per mode (a mode where two groups coincide is allowed as long as
@@ -34,8 +36,7 @@ one block, the full ``(n d) x (n d)`` matrix, which is LU-factored.  Each
 and ``z`` are solved through it, and the matrix keeps the weights ``z``,
 which depend on ``M`` alone; :func:`build_confluent_matrix` hands the last
 matrix back for the same operator set, so solves on one set factorize
-``M`` and solve ``z`` once.  The solver propagates each group through
-``BlockOperatorMatrix.propagators``, in the same basis.  The residual gate
+``M`` and solve ``z`` once.  The residual gate
 checks every solve against ``M`` applied the other way, walked by
 :func:`_confluent_apply`: through the modal values for modal families,
 and through the true generators ``B_j`` on the grid for dense groups,
@@ -61,10 +62,10 @@ from .errors import (
 from .operators import (
     ModeBasis,
     Operator,
+    SpectralDiagonalOperator,
     coincident_modes,
     excites,
     generator_blocks,
-    grow_modes,
     require_same_family,
     resolvent_solve,
     shared_mode_basis,
@@ -126,20 +127,20 @@ class BlockOperatorMatrix:
         return offs
 
     @cached_property
-    def _modes(self) -> tuple[ModeBasis, np.ndarray | None]:
-        """``(basis, values)``: the basis ``M`` is solved in and the groups'
-        generators on its modes, ``(g, d)``, or ``None`` for dense groups
-        solved on the grid.  Groups with a mode basis bring their own modes;
-        two or more dense groups take :func:`_shared_eigenbasis` where it
-        serves, else the identity, which a lone group keeps: it has no basis
-        to share, and its own ``propagate`` decomposes it once either way."""
-        ops = [op for op, _ in self.grouped]
-        if ops[0].mode_basis is not None:
-            return shared_mode_basis(ops), np.stack([op.modal_values for op in ops])
-        shared = _shared_eigenbasis(self) if len(ops) > 1 else None
+    def _modes(self) -> tuple[ModeBasis, tuple[Operator, ...]]:
+        """``(basis, actors)``: the basis ``M`` is solved in and each
+        group's operator there.  Groups with a mode basis bring their own
+        modes; two or more dense groups take :func:`_shared_eigenbasis`
+        where it serves, acting by the spectral operators of their values
+        there, so no other group decomposes its matrix; else the identity,
+        which a lone group keeps: it has no basis to share, and its own
+        ``propagate`` decomposes it once either way."""
+        ops = tuple(op for op, _ in self.grouped)
+        shared = _shared_eigenbasis(self) if ops[0].mode_basis is None and len(ops) > 1 else None
         if shared is not None and shared[2] <= RESIDUAL_RTOL:  # a nan reading fails
-            return shared[:2]
-        return shared_mode_basis(ops), None
+            basis, values, _ = shared
+            return basis, tuple(SpectralDiagonalOperator(op.label, v) for op, v in zip(ops, values))
+        return shared_mode_basis(ops), ops
 
     @property
     def basis(self) -> ModeBasis:
@@ -149,34 +150,21 @@ class BlockOperatorMatrix:
         return self._modes[0]
 
     @property
-    def growth_values(self) -> list[np.ndarray] | None:
-        """Per group, the values its action grows the modes of :attr:`basis`
-        by (:func:`grow_modes`): spectral groups and dense groups in a shared
-        eigenbasis; ``None`` for periodic translations (phase tables) and
-        dense groups on the grid."""
-        basis, values = self._modes
-        if basis.fourier or values is None:
-            return None
-        return list(values) if basis.unitary is not None else [op.modal_values for op, _ in self.grouped]
-
-    def propagators(self) -> list:
-        """Each group's semigroup action on stacks in :attr:`basis`, with
-        the contract of :meth:`Operator.propagate`: :func:`grow_modes` of
-        its :attr:`growth_values`, which leaves a dense set's own
-        eigendecompositions unmade, else the operator's own."""
-        values = self.growth_values
-        if values is None:
-            return [op.propagate for op, _ in self.grouped]
-        return [partial(grow_modes, v, op.label) for v, (op, _) in zip(values, self.grouped)]
+    def actors(self) -> tuple[Operator, ...]:
+        """Each group's operator on stacks in :attr:`basis`, whose
+        ``propagate`` (and ``rows``, where ``mode_basis`` is set) the solver
+        grows it by: its own, or in a dense set's shared eigenbasis a
+        :class:`SpectralDiagonalOperator` of its values there."""
+        return self._modes[1]
 
     @cached_property
     def _factorization(self) -> _Factorization:
         """The factorization of ``M`` every solve goes through, built on
         first use; the only code that tells the structures of ``M`` apart.
 
-        All three work on blocks: the values ``(g, d, 1, 1)`` of groups
-        that are modal in :attr:`basis`, else the generators' blocks
-        ``(g, 1, d, d)`` from :func:`generator_blocks`.  A single group
+        All three work on the :func:`generator_blocks` of the
+        :attr:`actors`: values ``(g, d, 1, 1)`` where they are modal, else
+        matrices ``(g, 1, d, d)``.  A single group
         makes ``M`` unit lower triangular: it is solved by substitution on
         the group's blocks, with no assembly and no pivoting.  Modal groups
         assemble one ``n x n`` matrix per mode, with the identity on the
@@ -184,23 +172,21 @@ class BlockOperatorMatrix:
         assemble the one ``(n d) x (n d)`` matrix and keep its pivoted LU,
         whose pivot gate also rejects the coincident modes.
         """
-        ops = [op for op, _ in self.grouped]
         mults = [mult for _, mult in self.grouped]
-        values = self._modes[1]
-        blocks = generator_blocks(ops) if values is None else values[..., None, None]
+        blocks = generator_blocks(self.actors)
         mask, pairs = np.zeros(blocks.shape[1], dtype=bool), []
-        if len(ops) == 1:
+        if len(mults) == 1:
             return _Factorization(partial(_substitute, blocks[0]), mask, pairs)
         v = _confluent_blocks(blocks, mults)
-        if values is not None:
+        if self.actors[0].mode_basis is not None:
             if self.basis.unitary is None:  # _shared_eigenbasis refuses a coincident mode
-                mask, pairs = _coincident_modes(self, values)
+                mask, pairs = _coincident_modes(self, blocks[..., 0, 0])
             v[mask] = np.eye(self.n, dtype=v.dtype)
             return _Factorization(partial(_mode_solve, v, mask), mask, pairs)
         try:
             factors = lu_factor_checked(v[0])
         except SingularMatrixError as exc:
-            labels = [op.label for op in ops]
+            labels = [op.label for op, _ in self.grouped]
             raise SingularSystemError(
                 f"assembled coefficient matrix for groups {labels} is singular "
                 f"({exc}); some pair of declared-distinct factors may coincide"

@@ -65,7 +65,7 @@ from .operators import (
     require_same_family,
     shared_mode_basis,
 )
-from .statespace import _check_time_grid, as_state_stack, as_state_vector
+from .statespace import _check_time_grid, as_state_stack, as_state_vector, is_index
 from .trace import SolutionTrace
 
 # Gate on the Frobenius norm of each pair's commutator
@@ -96,11 +96,16 @@ class Forcing:
     stack of its values; any other is called once per time.  Values are
     returned as the evaluator gives them and checked where they meet the
     dimension: :meth:`many` checks each stack, which is how each quadrature
-    pass and each chunk of oracle steps take their values.
+    pass and each chunk of oracle steps take their values.  An evaluator
+    that is not callable raises :class:`ForcingTypeError`.
     """
 
     evaluator: Callable[[float], np.ndarray]
     vectorized: bool = False
+
+    def __post_init__(self):
+        if not callable(self.evaluator):
+            raise ForcingTypeError(f"forcing evaluator must be callable, got {type(self.evaluator).__name__}")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluator(t)
@@ -323,13 +328,14 @@ def oracle_solve(
     the forcing live in :attr:`CompanionSystem.basis`, and the first block
     component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
-    forcing value are.  ``steps_per_unit < 1`` raises ``ValueError``, a
+    forcing value are.  A ``steps_per_unit`` that is no integer ``>= 1``
+    (:func:`statespace.is_index`) raises ``ValueError``, a
     grid whose steps sum to more than ``_ORACLE_STEP_BUDGET`` (a step count
     past float range too) ``OracleStepOverflowError`` before the first
     step, and an overflowing state ``NonFiniteError``.
     """
-    if steps_per_unit < 1:
-        raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
+    if not is_index(steps_per_unit) or steps_per_unit < 1:
+        raise ValueError(f"steps_per_unit must be an integer >= 1, got {steps_per_unit!r}")
     times = _check_time_grid(t_grid)
     edges = np.concatenate([[0.0], times])
     with np.errstate(over="ignore"):  # inf past float range, which fails the budget

@@ -40,7 +40,8 @@ class MixedBackendError(FactoredEvolutionError):
 
 
 class ForcingTypeError(FactoredEvolutionError, TypeError):
-    """An equation's forcing is neither ``None`` nor a ``Forcing``."""
+    """An equation's forcing is neither ``None`` nor a ``Forcing``, or a
+    ``Forcing``'s evaluator is not callable."""
 
 
 class NonCommutingFactorsError(FactoredEvolutionError):

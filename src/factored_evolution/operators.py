@@ -48,13 +48,15 @@ Three families are provided and may not be mixed inside one equation:
 Spectral and periodic translation operators are diagonal in a known basis
 and share one modal interface: ``modal_values`` (the generator on each
 mode), ``mode_basis`` (a :class:`ModeBasis`, the transform into modes
-and back) and ``propagate``, ``e^{t lambda}`` times each mode
-(:func:`grow_modes`; a periodic translation builds all its rows from two
-small phase tables, :class:`TranslationOperator`).  Per-mode solves
-decide coincident modes by one rule, :func:`coincident_modes`; dense
-operators have ``mode_basis = None`` and propagate in the identity, and a
-dense set solved in one shared eigenbasis grows its modes by
-:func:`grow_modes` too.
+and back) and one exponential, ``rows(t, k)``, the unchecked rows
+``e^{t lambda}`` of the leading k modes (``exp_rows`` of the values; a
+periodic translation builds them from two small phase tables,
+:class:`TranslationOperator`), which ``propagate`` checks and multiplies
+in.  A dense set solved in one shared eigenbasis acts through spectral
+operators of its values there (``confluent.BlockOperatorMatrix.actors``).
+Per-mode solves decide coincident modes by one rule,
+:func:`coincident_modes`; dense operators have ``mode_basis = None`` and
+propagate in the identity.
 :func:`generator_blocks` gives dense and modal generators one block form,
 from which ``M``, the companion oracle's generator and the commutator of
 :func:`commutation_defect` are built; modal blocks are 1x1, so modal
@@ -81,8 +83,8 @@ from .statespace import (
     as_state_stack,
     as_state_vector,
     check_finite,
-    checked_exp,
     checked_rows,
+    exp_rows,
     expm_action,
     is_index,
     lu_apply,
@@ -158,17 +160,9 @@ def shared_mode_basis(ops) -> ModeBasis:
     return ModeBasis(bases[0].fourier, all(basis.real for basis in bases))
 
 
-def grow_modes(values: np.ndarray, label: str, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """The rows ``e^{t_i lambda} v_hat[..., i, :]`` for a generator with the
-    ``values`` on every mode, overflow naming ``label``: the propagate of a
-    spectral operator and of a dense group in a shared eigenbasis
-    (``confluent.BlockOperatorMatrix.propagators``)."""
-    return _times_rows(checked_exp(values, t, f"semigroup of {label!r}"), v_hat)
-
-
 def _times_rows(grown: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """``grown * v_hat``, into the checked rows ``grown`` where the shapes
-    match and the dtypes allow; ``v_hat`` is left as it is."""
+    """``grown * v_hat``, into the rows ``grown`` where the shapes match
+    and the dtypes allow; ``v_hat`` is left as it is."""
     inplace = grown.shape == v_hat.shape and np.can_cast(v_hat.dtype, grown.dtype)
     return np.multiply(grown, v_hat, out=grown if inplace else None)
 
@@ -226,27 +220,34 @@ class Operator(ABC):
         A 1-D array or sequence ``t`` with a stack ``v`` of shape ``(m,
         d)`` gives the rows ``e^{t_i A} v_i``, and every row with ``t_i =
         0`` is ``v_i``; a number or 0-d array ``t`` takes one state.
-        An overflowing row raises :class:`SemigroupOverflowError`, complex
-        times (:meth:`propagate` takes them) :class:`UnsupportedOperationError`.
+        An overflowing row raises :class:`SemigroupOverflowError`, a NaN or
+        infinite time ``ValueError``, complex times (:meth:`propagate` takes
+        them) :class:`UnsupportedOperationError`.
         """
+
+    def rows(self, t: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The exponential of a modal operator: the unchecked rows ``e^{t_i
+        lambda}`` of its leading k modes, one per entry of the 1-D ``t``,
+        formed in ``out`` (``(t.size, k)``, of the dtype of ``t *
+        modal_values``) when one is given."""
+        return exp_rows(self.modal_values[:k], t, out)
 
     def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
         """The one semigroup action: the rows ``e^{t_i A} v_hat[..., i, :]``
         of a stack ``(..., m, d)`` in the operator's basis
         (:func:`shared_mode_basis`), for a 1-D ``t`` of length m, real or
         complex (the derivative check's circle), with no ``t = 0`` case.
-        The m times are exponentiated once, and a non-finite exponential
-        raises :class:`SemigroupOverflowError` naming the first bad time
-        (``checked_exp``; ``checked_rows`` under scaling and squaring and
-        on a periodic translation's phase-table rows); the overflow of the
-        product with ``v_hat`` is left to the caller.  The exponential is
-        broadcast over the leading axes, so a Duhamel run of r intervals
-        with one node layout passes its ``(r, m, d)`` forcing block in one
-        call.  ``v_hat`` is left as it is: modal operators multiply into
-        their rows where the shapes and dtypes allow (:func:`grow_modes`;
-        :meth:`TranslationOperator.propagate`, the one to take fewer modes
-        than ``dim``), and dense ones bind ``expm_action`` on first use."""
-        return grow_modes(self.modal_values, self.label, t, v_hat)
+        A modal operator checks the :meth:`rows` of the k modes ``v_hat``
+        holds (:meth:`ModeBasis.kept_modes`) and multiplies ``v_hat`` into
+        them where the shapes and dtypes allow; a dense one binds
+        ``statespace.expm_action`` on first use.  Either way the m times
+        are exponentiated once, broadcast over the leading axes (a Duhamel
+        run of r intervals passes its ``(r, m, d)`` forcing block in one
+        call), and a non-finite exponential raises
+        :class:`SemigroupOverflowError` naming the first bad time; the
+        overflow of the product, and ``v_hat`` itself, are left as they are."""
+        rows = checked_rows(self.rows(t, v_hat.shape[-1]), t, f"semigroup of {self.label!r}")
+        return _times_rows(rows, v_hat)
 
     @abstractmethod
     def signature(self) -> tuple:
@@ -259,7 +260,8 @@ class Operator(ABC):
         check it; a time of 0 gets the exact identity instead.  A scalar
         time (``np.ndim(t) == 0``: a number or a 0-d array) goes through as
         one row, so its result has the dtype of that row; anything else is
-        an array of times, one per state of the stack."""
+        an array of times, one per state of the stack.  A NaN or infinite
+        time is refused first: it is no overflow."""
         if np.iscomplexobj(t):  # refused before the cast below drops the imaginary part
             raise UnsupportedOperationError(
                 f"semigroup of {self.label!r} takes real times; propagate takes complex ones"
@@ -267,6 +269,8 @@ class Operator(ABC):
         if np.ndim(t) == 0:
             return self._act(np.array([t], dtype=np.float64), as_state_vector(v, self.dim)[None])[0]
         t = np.asarray(t, dtype=np.float64)
+        if not np.isfinite(t).all():
+            raise ValueError(f"semigroup of {self.label!r} needs finite times, got {t[~np.isfinite(t)][0]}")
         v = as_state_stack(v, self.dim)
         if t.shape != v.shape[:1]:
             raise DimensionMismatchError(
@@ -401,7 +405,7 @@ class TranslationOperator(Operator):
     short.
 
     ``modal_values`` serve ``apply``, ``M``, the coincidence rule and the
-    resolvent.  :meth:`propagate` builds its rows from phase tables
+    resolvent.  :meth:`rows` builds the exponential from phase tables
     instead: the multiplier of integer frequency f (fftfreq order, the
     Nyquist frequency as 0) is ``f * lam1`` with ``lam1 = i speed 2 pi /
     (n dx)`` rounded once, and with ``|f| = B a + b``, ``B = ceil(sqrt(max
@@ -468,20 +472,17 @@ class TranslationOperator(Operator):
         layout = self._layouts[k] = (exponents, tables, runs)
         return layout
 
-    def propagate(self, t: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        """:meth:`Operator.propagate` from the phase tables of the k modes
-        ``v_hat`` holds: every mode, or the leading ``modal_values[:k]`` of
-        a real output (:meth:`ModeBasis.kept_modes`)."""
-        k = v_hat.shape[-1]
+    def rows(self, t: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`Operator.rows` of the leading k modes from the phase tables."""
         exponents, tables, runs = self._phase_layout(k)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
             factors = np.exp(np.multiply.outer(t, exponents))
             products = [(factors[:, coarse, None] * factors[:, None, fine]).reshape(t.size, size)
                         for coarse, fine, size in tables]
-        grown = np.empty((t.size, k), dtype=factors.dtype)
+        grown = np.empty((t.size, k), dtype=factors.dtype) if out is None else out
         for modes, sign, entries in runs:
             grown[:, modes] = products[sign][:, entries]
-        return _times_rows(checked_rows(grown, t, f"semigroup of {self.label!r}"), v_hat)
+        return grown
 
     def node_multipliers(self) -> np.ndarray:
         """Per-Fourier-mode generator values ``i * k * speed``."""

@@ -15,12 +15,12 @@ with the forcing weights ``z`` from the confluent solve against
 Gauss-Legendre rule, checked against the Kronrod sums of the same pass.
 General initial data superposes the two parts.
 
+Both parts act on each group through one operator, its actor
+(:attr:`BlockOperatorMatrix.actors`), in the basis ``y`` was solved in.
 The homogeneous part is :func:`_semigroup_sum`: each group grows the
-coefficients for all sample times at once in the basis ``y`` was solved
-in, by its modal values in one scratch stack
-(:attr:`BlockOperatorMatrix.growth_values`) or by its action
-(:meth:`BlockOperatorMatrix.propagators`); the sum is checked once and
-goes back to the grid once.
+coefficients for all sample times at once, a modal one by its exponential
+rows (:meth:`Operator.rows`) in one scratch stack, a dense one on the grid
+by its action; the sum is checked once and goes back to the grid once.
 Both parts assemble a real periodic output (a real speed and real data)
 in its leading modes ``0 .. d//2`` only, the rest being their conjugates,
 and take it back by ``irfft`` (:meth:`ModeBasis.kept_modes`); the per-mode
@@ -38,11 +38,12 @@ uniform grid repeats the same node offsets in every interval.  A layout
 holds each panel's q Gauss nodes and their q + 1 Kronrod nodes
 (:meth:`QuadratureRule.gauss_kronrod`), so one pass gives both sums.  The
 pass takes the forcing at every node as one stack (:meth:`Forcing.many`)
-in the groups' shared basis; each group's action grows a
-run's block of it with one exponential of the run's offsets.  Both sums
-are carried interval by interval: a group modal in the basis multiplies
-by its carry row ``e^{D lambda}``, formed once per run of width ``D``, and
-a dense group on the grid takes one action of width ``D`` per interval.
+in the groups' shared basis; each actor's ``propagate`` grows a run's
+block of it with one exponential of the run's offsets.  Both sums are
+carried interval by interval: a modal actor (``mode_basis`` set)
+multiplies by its carry row ``e^{D lambda}``, formed once per run of width
+``D``, and a dense group on the grid takes one action of width ``D`` per
+interval.
 :meth:`ZCoefficients.weigh` applies ``z`` to the sums last.
 
 ``lemma2_lhs`` / ``lemma2_rhs`` expose the semigroup convolution identity
@@ -79,7 +80,7 @@ from .confluent import (
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
 from .errors import QuadratureUnderResolvedError, UnsupportedOperationError
 from .operators import DEAD_MODE_RTOL, Operator, _times_rows, generator_blocks, require_same_family, resolvent_solve
-from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows, exp_rows, is_index
+from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows, is_index
 from .trace import SolutionTrace
 
 # Quadrature error gates on the Gauss-Kronrod difference of one Duhamel
@@ -107,35 +108,31 @@ def _semigroup_sum(matrix: BlockOperatorMatrix, y, taus: np.ndarray, like: np.nd
     as the real-output rule.  A real ``like`` on a real periodic grid keeps
     only the leading modes (:meth:`ModeBasis.kept_modes`); the derivative
     circle's complex ``taus`` come with a complex ``like``, which keeps every
-    mode.  Groups with :attr:`BlockOperatorMatrix.growth_values` form their
-    rows by :func:`exp_rows` and one product in a scratch stack that every
-    group after the first reuses; the others call their action
-    (:meth:`BlockOperatorMatrix.propagators`), a dense one on the grid on a
-    contiguous stack, so that matrix products sum in one order.  ``inf`` and
-    ``nan`` survive every product and sum, so the sum is checked once; a
-    non-finite one is summed again with ``check``, which checks each group's
-    rows and names the first bad group and time
-    (:class:`SemigroupOverflowError`)."""
+    mode.  Each group grows by its actor (:attr:`BlockOperatorMatrix.actors`):
+    a modal one forms its :meth:`Operator.rows` and one product in a scratch
+    stack that every group after the first reuses, and a dense one on the
+    grid calls its ``propagate`` on a contiguous stack, so that matrix
+    products sum in one order.  ``inf`` and ``nan`` survive every product
+    and sum, so the sum is checked once; a non-finite one is summed again
+    with ``check``, which checks each group's rows and names the first bad
+    group and time (:class:`SemigroupOverflowError`)."""
     basis = matrix.basis
     kept = basis.kept_modes(like)
     zero = taus == 0
-    values = matrix.growth_values
     acc = scratch = None
-    for j, ((op, mult), offset, grow) in enumerate(zip(matrix.grouped, matrix.offsets, matrix.propagators())):
+    for (_, mult), offset, actor in zip(matrix.grouped, matrix.offsets, matrix.actors):
         if mult == 1:
             p = np.broadcast_to(y[offset][:kept], (taus.size, kept))
-            if values is None and op.mode_basis is None:
-                p = np.ascontiguousarray(p)
         else:
             p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k][:kept] for k in range(mult))
-        if values is None:
-            grown = grow(taus, p)
+        if actor.mode_basis is None:
+            grown = actor.propagate(taus, np.ascontiguousarray(p))
         else:
-            reuse = scratch is not None and scratch.dtype == np.result_type(taus, values[j])
-            grown = _times_rows(exp_rows(values[j], taus, out=scratch if reuse else None), p)
+            reuse = scratch is not None and scratch.dtype == np.result_type(taus, actor.modal_values)
+            grown = _times_rows(actor.rows(taus, kept, out=scratch if reuse else None), p)
         grown[zero] = p[zero]
         if check:
-            checked_rows(grown, taus, f"semigroup of {op.label!r}")
+            checked_rows(grown, taus, f"semigroup of {actor.label!r}")
         if acc is None:
             acc = grown
         else:
@@ -218,10 +215,10 @@ def _duhamel_pass(
     ``w tau^k/k!`` of its Gauss nodes, the Kronrod moments of all its nodes
     (2q+1 per panel) and the binomial shift once; each group grows the run's
     ``(r, m, d)`` forcing block with one call of its action
-    (:meth:`BlockOperatorMatrix.propagators`) on the m offsets and takes
+    (:attr:`BlockOperatorMatrix.actors`) on the m offsets and takes
     the r local integrals of either rule as two products.  Only the carry
     of both sums, a ``(2, S_j, d)`` stack, goes interval by interval.  A
-    group modal in ``matrix.basis`` (spectral, periodic translation, or a
+    modal actor (``mode_basis`` set: spectral, periodic translation, or a
     dense set in a shared eigenbasis) forms its carry row ``e^{D lambda}``
     once per run, by its action on a row of ones, so an overflow names the
     group at ``t = D``, and each interval multiplies by it (a group of
@@ -252,21 +249,20 @@ def _duhamel_pass(
     g = forcing.many(np.concatenate([nodes.ravel() for nodes, *_ in layouts]), matrix.dim)
     g_hat = z.modes_of(g)
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
-    modal = matrix.basis.fourier or matrix.growth_values is not None
     ones = np.ones((1, g_hat.shape[-1]))
     h = []
-    for (_, mult), grow in zip(matrix.grouped, matrix.propagators()):
+    for (_, mult), actor in zip(matrix.grouped, matrix.actors):
         carried, prev = [], np.zeros((2, mult, g_hat.shape[-1]))
         for (nodes, width, taus, gauss, (gauss_moments, moments), shift), block in zip(layouts, blocks):
             # one (r, m, d) exponential alive at a time
-            grown = grow(taus, block.reshape(*nodes.shape, -1))
+            grown = actor.propagate(taus, block.reshape(*nodes.shape, -1))
             # take, not grown[:, gauss]: its rows are contiguous, as those of a
             # Gauss-only block, so the product sums in the same order
             local = np.stack([gauss_moments[:mult] @ grown.take(gauss, axis=1), moments[:mult] @ grown], axis=1)
-            if modal:  # e^{D lambda}, held for the run and checked after its offsets
-                carry = partial(np.multiply, grow(np.array([width]), ones))
+            if actor.mode_basis is not None:  # e^{D lambda}, held for the run and checked after its offsets
+                carry = partial(np.multiply, actor.propagate(np.array([width]), ones))
             else:  # a dense group on the grid acts per interval; a held d x d propagator costs O(d^3)
-                carry = partial(grow, np.full(mult, width))
+                carry = partial(actor.propagate, np.full(mult, width))
             shift = shift[:mult, :mult]
             for integral in local:
                 prev = carry(prev if mult == 1 else shift @ prev) + integral

@@ -221,11 +221,6 @@ def exp_rows(values: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -
         return np.exp(grow, out=grow)
 
 
-def checked_exp(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """:func:`exp_rows` through :func:`checked_rows`."""
-    return checked_rows(exp_rows(values, t), t, what)
-
-
 def _eigvec_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) -> np.ndarray:
     """The rows ``e^{t_i a} v[..., i, :]`` of a stack ``v`` of shape
     ``(..., m, d)``, broadcast over the leading axes, from ``eig = (w, q,
@@ -234,7 +229,7 @@ def _eigvec_expm_apply(eig, t: np.ndarray, v: np.ndarray, real: bool = False) ->
     With ``real`` (a real ``a`` whose ``w`` or ``q`` are complex), real
     times and a real ``v`` give the real part."""
     w, q, q_inv = eig
-    grow = checked_exp(w, t, "matrix exponential")
+    grow = checked_rows(exp_rows(w, t), t, "matrix exponential")
     out = np.swapaxes(q @ (grow.T * (q_inv @ np.swapaxes(v, -1, -2))), -1, -2)
     return out.real if real and not (np.iscomplexobj(v) or np.iscomplexobj(t)) else out
 

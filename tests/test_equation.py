@@ -209,6 +209,12 @@ class TestCompanion:
         with pytest.raises(ForcingTypeError, match="Forcing"):
             FactoredEquation((a,), (np.zeros(1),), lambda t: np.ones(1))
 
+    @pytest.mark.parametrize("evaluator", [5, None, np.ones(1)])
+    def test_non_callable_evaluator_rejected(self, evaluator):
+        # refused where it is built, not as a raw TypeError inside a solve
+        with pytest.raises(ForcingTypeError, match="forcing evaluator must be callable"):
+            Forcing(evaluator)
+
     def test_commutation_gate(self):
         n1 = DenseMatrixOperator("N1", [[0.0, 1.0], [0.0, 0.0]])
         n2 = DenseMatrixOperator("N2", [[0.0, 0.0], [1.0, 0.0]])
@@ -368,11 +374,15 @@ class TestOracle:
         with pytest.raises(NonFiniteError, match=r"between t=0\.832 and t=0\.896$"):
             oracle_solve(eq, np.array([1.0]))
 
-    @pytest.mark.parametrize("steps_per_unit", [0, -5, 0.5])
+    @pytest.mark.parametrize("steps_per_unit", [0, -5, 0.5, np.nan, np.inf, "5", True])
     def test_steps_per_unit_below_one_rejected(self, steps_per_unit):
+        # an integer >= 1 only: nan and inf reach no step budget, "5" no
+        # comparison and True no run of 1 step per unit
         eq = FactoredEquation((scalar_op("a", -1.0),), (np.array([1.0]),))
-        with pytest.raises(ValueError, match="steps_per_unit"):
+        with pytest.raises(ValueError, match="steps_per_unit must be an integer >= 1"):
             oracle_solve(eq, np.array([1.0]), steps_per_unit)
+        with pytest.raises(ValueError, match="steps_per_unit must be an integer >= 1"):
+            compare_with_oracle(eq, np.array([1.0]), steps_per_unit=steps_per_unit)
 
 
 def step_by_step_rk4(eq, t_grid, steps_per_unit):

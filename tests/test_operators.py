@@ -21,7 +21,7 @@ from factored_evolution import (
 )
 from factored_evolution import operators, statespace
 from factored_evolution.equation import COMMUTATION_TOL
-from factored_evolution.operators import grow_modes, shared_mode_basis
+from factored_evolution.operators import shared_mode_basis
 
 from conftest import (
     central_difference_operator,
@@ -130,13 +130,14 @@ class TestSemigroup:
     @pytest.mark.parametrize("t", [1e308, np.inf])
     @pytest.mark.parametrize("family", ["spectral", "dense-hermitian"])
     def test_overflowing_time_product_raises_the_named_error(self, family, t):
-        # 1e308 * 2 overflows in the product t * lambda, and inf * 0 is nan;
-        # both must surface as the named error, not as a numpy warning
+        # 1e308 * 2 overflows in the product t * lambda, and must surface as
+        # the named error; t = inf, where inf * 0 would be nan, is refused as
+        # a time before any product.  Neither gives a numpy warning
         values = [2.0, 0.0]
         op = SpectralDiagonalOperator("S", values) if family == "spectral" else DenseMatrixOperator(
             "D", np.diag(values)
         )
-        with pytest.raises(SemigroupOverflowError):
+        with pytest.raises(SemigroupOverflowError if np.isfinite(t) else ValueError):
             op.semigroup(t, np.ones(2))
 
     @pytest.mark.parametrize(
@@ -337,21 +338,20 @@ def test_translation_rows_from_phase_tables(n, speed, times):
 @pytest.mark.parametrize("m", [1, 2, 51])
 @pytest.mark.parametrize("n", [2, 3, 5, 32, 257, 1024])
 def test_translation_propagates_every_stack_by_its_tables(monkeypatch, n, m, speed):
-    # one path, from (1, 2) up to (51, 513) entries: neither the direct
-    # exponential of grow_modes nor checked_exp is called, for the kept
+    # one path, from (1, 2) up to (51, 513) entries: the direct exponential
+    # exp_rows of the default Operator.rows is never called, for the kept
     # modes and the full spectrum, from propagate and from semigroup
     op = TranslationOperator("T", speed, UniformGrid(0.0, 0.37, n))
     t = np.linspace(0.1, 1.5, m)
     v = np.random.default_rng(n + m).standard_normal((m, n))
     basis = shared_mode_basis((op,))
-    direct = {k: grow_modes(op.modal_values[:k], op.label, t, basis.to_modes(v)[:, :k]) for k in {n // 2 + 1, n}}
+    direct = {k: operators.Operator.rows(op, t, k) * basis.to_modes(v)[:, :k] for k in {n // 2 + 1, n}}
 
-    def called(*args):
+    def called(*args, **kwargs):
         raise AssertionError("the direct exponential was called")
 
     for module in (operators, statespace):
-        monkeypatch.setattr(module, "checked_exp", called)
-    monkeypatch.setattr(operators, "grow_modes", called)
+        monkeypatch.setattr(module, "exp_rows", called)
     for k, ref in direct.items():
         rows = op.propagate(t, basis.to_modes(v)[:, :k])
         assert rows.shape == (m, k)
@@ -396,7 +396,7 @@ def test_phase_table_overflow_names_the_first_bad_time():
     v = np.ones((t.size, 256))
     v_hat = shared_mode_basis((op,)).to_modes(v)
     with pytest.raises(SemigroupOverflowError) as direct:
-        grow_modes(op.modal_values, op.label, t, v_hat)
+        SpectralDiagonalOperator(op.label, op.modal_values).propagate(t, v_hat)
     assert str(direct.value) == "semigroup of 'T' overflows float range at t=6"
     for act in (lambda: op.propagate(t, v_hat), lambda: op.semigroup(t, v)):
         with pytest.raises(SemigroupOverflowError) as tables:
@@ -428,6 +428,20 @@ def test_semigroup_reads_a_scalar_or_a_stack_by_the_times_dimension(family):
         op.semigroup([0.5, 1.0, 2.0], stack)
     with pytest.raises(DimensionMismatchError, match=r"^times of shape \(1, 2\) for a stack of 2 states"):
         op.semigroup(np.array([[0.5, 1.0]]), stack)
+
+
+@pytest.mark.parametrize("family", ["spectral", "periodic", "dense-hermitian"])
+@pytest.mark.parametrize(
+    "t", [np.inf, -np.inf, np.nan, np.array(np.inf), np.array([0.5, np.inf]), [np.nan, 0.0]]
+)
+def test_semigroup_refuses_non_finite_times(family, t):
+    # no overflow is to blame: a real-speed translation is bounded at
+    # t = inf and a decaying group would give 0 there, and lemma2 refuses
+    # such times as well
+    op = random_operator(np.random.default_rng(51), family, 4)
+    v = np.ones(4) if np.ndim(t) == 0 else np.ones((len(t), 4))
+    with pytest.raises(ValueError, match=r"^semigroup of '\w+' needs finite times, got"):
+        op.semigroup(t, v)
 
 
 @pytest.mark.parametrize("n", [16.5, 16.0, "16", True, None])

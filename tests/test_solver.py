@@ -499,16 +499,27 @@ class TestInitialDerivatives:
 
     @pytest.mark.parametrize("family", ["spectral", "dense", "translation"])
     def test_scaled_semigroup_times_fail(self, monkeypatch, family):
-        # every group action of the ansatz comes from matrix.propagators(),
-        # or for a group that grows its modes by their values from the
-        # homogeneous sum's own exp_rows
+        # every group action of the ansatz comes from an actor of the
+        # matrix: the rows of a modal one, the propagate of a dense one
         eq = self._instances()[family]
-        propagators = confluent.BlockOperatorMatrix.propagators
-        monkeypatch.setattr(confluent.BlockOperatorMatrix, "propagators", lambda self: [
-            lambda t, v, grow=grow: grow(t * (1 + 1e-3), v) for grow in propagators(self)
-        ])
-        exp_rows = statespace.exp_rows
-        monkeypatch.setattr(solver, "exp_rows", lambda values, t, out=None: exp_rows(values, t * (1 + 1e-3), out))
+
+        class Scaled:
+            def __init__(self, op):
+                self.op = op
+
+            def __getattr__(self, name):
+                return getattr(self.op, name)
+
+            def rows(self, t, k, out=None):
+                return self.op.rows(t * (1 + 1e-3), k, out)
+
+            def propagate(self, t, v_hat):
+                return self.op.propagate(t * (1 + 1e-3), v_hat)
+
+        actors = confluent.BlockOperatorMatrix.actors
+        monkeypatch.setattr(
+            confluent.BlockOperatorMatrix, "actors", property(lambda self: tuple(map(Scaled, actors.fget(self))))
+        )
         assert initial_derivative_defect(eq) > 1e-4
 
     @pytest.mark.parametrize(
@@ -671,13 +682,13 @@ def per_interval_carry_pass(z, forcing, times, rule):
     g_hat = z.modes_of(g)
     blocks = np.split(g_hat, np.cumsum([nodes.size for nodes, *_ in layouts])[:-1])
     h = []
-    for (_, mult), grow in zip(matrix.grouped, matrix.propagators()):
+    for (_, mult), actor in zip(matrix.grouped, matrix.actors):
         carried, prev = [], np.zeros((2, mult, g_hat.shape[-1]))
         for (nodes, width, xi, gauss, gauss_moments, moments), block in zip(layouts, blocks):
-            grown = grow(width - xi, block.reshape(*nodes.shape, -1))
+            grown = actor.propagate(width - xi, block.reshape(*nodes.shape, -1))
             local = np.stack([gauss_moments[:mult] @ grown.take(gauss, axis=1), moments[:mult] @ grown], axis=1)
             for integral in local:
-                prev = grow(np.full(mult, width), solver._binomial_shift(width, mult) @ prev) + integral
+                prev = actor.propagate(np.full(mult, width), solver._binomial_shift(width, mult) @ prev) + integral
                 carried.append(prev)
         h.append(np.stack(carried, axis=1))
     at_zero = np.zeros((times.size - widths.size, matrix.dim))
@@ -1073,9 +1084,9 @@ class TestMarching:
             rows.append(t.size)
             return exp_rows(values, t, out)
 
-        # every exponential is one exp_rows: the homogeneous sum's own, and
-        # checked_exp's under each Duhamel growth
-        monkeypatch.setattr(solver, "exp_rows", counting)
+        # every exponential is one exp_rows, under each actor's rows: in the
+        # homogeneous sum and in each Duhamel growth
+        monkeypatch.setattr(operators, "exp_rows", counting)
         monkeypatch.setattr(statespace, "exp_rows", counting)
         solve_full(eq, np.linspace(0.0, 1.0, 5))
         assert sorted(rows) == sorted([5, 68] * 2 + [1, 1])
@@ -1144,7 +1155,7 @@ class TestMarching:
         # sums are those of one action of width D per interval, bit for bit
         grouped, evaluator = _held_row_case(case)
         matrix = confluent.build_confluent_matrix(grouped)
-        assert matrix.basis.fourier or matrix.growth_values is not None
+        assert all(actor.mode_basis is not None for actor in matrix.actors)
         z = confluent.solve_z_vector(matrix)
         forcing = Forcing(evaluator)
         rule = QuadratureRule()
@@ -1336,19 +1347,19 @@ class TestLemma2:
 
 
 def per_group_sum(matrix, y, taus, like):
-    """The homogeneous sum group by group: one call of each group's action
-    from ``matrix.propagators()`` on a fresh contiguous stack, its exact
+    """The homogeneous sum group by group: one call of the ``propagate`` of
+    each of ``matrix.actors`` on a fresh contiguous stack, its exact
     ``tau = 0`` rows, each group's rows checked on their own, summed in
     group order and taken back once."""
     basis = matrix.basis
     kept = basis.kept_modes(like)
     zero = taus == 0
     acc = None
-    for (op, mult), offset, grow in zip(matrix.grouped, matrix.offsets, matrix.propagators()):
+    for (op, mult), offset, actor in zip(matrix.grouped, matrix.offsets, matrix.actors):
         p = np.ascontiguousarray(np.broadcast_to(y[offset][:kept], (taus.size, kept)))
         if mult > 1:
             p = sum((taus**k / math.factorial(k))[:, None] * y[offset + k][:kept] for k in range(mult))
-        grown = grow(taus, p)
+        grown = actor.propagate(taus, p)
         grown[zero] = p[zero]
         statespace.checked_rows(grown, taus, f"semigroup of {op.label!r}")
         acc = grown if acc is None else acc + grown
@@ -1356,9 +1367,10 @@ def per_group_sum(matrix, y, taus, like):
 
 
 class TestSemigroupSum:
-    """Groups that grow their modes by their values share one scratch stack
-    and the sum is checked once; the rows are those of a group-by-group sum
-    bit for bit, and an overflow still names its group and time."""
+    """Modal groups, periodic translations included, form their rows in one
+    scratch stack and the sum is checked once; the rows are those of a
+    group-by-group sum bit for bit, and an overflow still names its group
+    and time."""
 
     @staticmethod
     def _instance(family):
@@ -1371,26 +1383,36 @@ class TestSemigroupSum:
                 tuple(rng.standard_normal(3) for _ in range(3)),
             ),
             "translation": lambda: random_translation_instance(rng, 4, 32, "mixed"),
+            "translation-three": lambda: _real_translation_problem(32, (2, 1, 1)),
             "dense-shared": lambda: random_dense_commuting_instance(rng, 5, 6, "mixed"),
             "dense-grid": lambda: random_dense_polynomial_instance(rng, 4, 5, "mixed"),
         }[family]()
 
     @pytest.mark.parametrize(
-        "family", ["spectral", "spectral-complex", "translation", "dense-shared", "dense-grid"]
+        "family", ["spectral", "spectral-complex", "translation", "translation-three", "dense-shared", "dense-grid"]
     )
-    def test_bit_identical_to_the_group_by_group_sum(self, family):
+    def test_bit_identical_to_the_group_by_group_sum(self, monkeypatch, family):
         eq = self._instance(family)
+        outs = []
+        rows = TranslationOperator.rows
+        monkeypatch.setattr(
+            TranslationOperator, "rows", lambda self, t, k, out=None: outs.append(out is not None) or rows(self, t, k, out)
+        )
         matrix = confluent.build_confluent_matrix(eq.grouped)
         assert max(mult for _, mult in eq.grouped) > 1 and len(eq.grouped) > 1
         shared = matrix.basis.unitary is not None
         assert shared == (family == "dense-shared")
-        assert (matrix.growth_values is not None) == (family in ("spectral", "spectral-complex", "dense-shared"))
+        assert all(actor.mode_basis is not None for actor in matrix.actors) == (family != "dense-grid")
         xs = np.stack(eq.initial_data)
         ys = np.array(confluent.solve_coefficients(matrix, xs))
         times = np.linspace(0.0, 1.0, 7)
         circle = 0.8 * np.exp(2j * np.pi * np.arange(13) / 24)
         for y, taus, like in ((ys, times, xs), (ys.astype(np.complex128), circle, ys.astype(np.complex128))):
-            out, reference = solver._semigroup_sum(matrix, y, taus, like), per_group_sum(matrix, y, taus, like)
+            outs.clear()
+            out = solver._semigroup_sum(matrix, y, taus, like)
+            if family == "translation-three":  # the third group forms its rows in the second's stack
+                assert outs == [False, False, True]
+            reference = per_group_sum(matrix, y, taus, like)
             assert out.dtype == reference.dtype
             assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(reference).tobytes()
 
@@ -1409,6 +1431,22 @@ class TestSemigroupSum:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SemigroupOverflowError) as reference:
             per_group_sum(matrix, ys, times, np.stack(eq.initial_data))
         assert "'B'" in str(reference.value) and "t=0.9" in str(reference.value)
+
+    def test_overflowing_translation_names_it_and_its_first_bad_time(self):
+        # e^{t i k speed} on a 256-point grid grows like e^{127 t} for T1
+        # (speed 1 + i), past float range between t = 5 and 6, and like
+        # e^{254 t} for T2 (0.5 + 2i), already at t = 3; the translations
+        # share the scratch stack and the sum is checked once, and its
+        # re-run names the first bad group at its own first bad time
+        eq = _real_translation_problem(256, (1, 1, 1), speeds=(0.7, 1.0 + 1.0j, 0.5 + 2.0j))
+        times = np.array([0.0, 1.0, 3.0, 6.0, 8.0])
+        with pytest.raises(SemigroupOverflowError, match=r"^semigroup of 'T1' overflows float range at t=6$"):
+            solve_full(eq, times)
+        matrix = confluent.build_confluent_matrix(eq.grouped)
+        ys = confluent.solve_coefficients(matrix, eq.initial_data)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SemigroupOverflowError) as reference:
+            per_group_sum(matrix, ys, times, np.stack(eq.initial_data))
+        assert "'T1'" in str(reference.value) and "t=6" in str(reference.value)
 
     def test_finite_rows_whose_sum_overflows_fail_the_solution_check(self):
         # e^709 and e^709.5 times y = (1, 1) are finite, their sum is not
@@ -1458,11 +1496,11 @@ def _full_spectrum_homogeneous(eq, times):
 
 
 def _propagated_widths(monkeypatch):
-    """The mode counts of every stack a translation propagates."""
+    """The mode counts of every row stack a translation forms."""
     widths = []
-    propagate = TranslationOperator.propagate
+    rows = TranslationOperator.rows
     monkeypatch.setattr(
-        TranslationOperator, "propagate", lambda self, t, v_hat: widths.append(v_hat.shape[-1]) or propagate(self, t, v_hat)
+        TranslationOperator, "rows", lambda self, t, k, out=None: widths.append(k) or rows(self, t, k, out)
     )
     return widths
 
