@@ -37,6 +37,7 @@ from .errors import (
     DuplicateLabelError,
     FactoredEvolutionError,
     ForcingTypeError,
+    InvalidInputError,
     MixedBackendError,
     NonCommutingFactorsError,
     NonFiniteError,

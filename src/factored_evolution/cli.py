@@ -29,6 +29,7 @@ from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_s
 from .errors import (
     DuplicateLabelError,
     FactoredEvolutionError,
+    InvalidInputError,
     SchemaError,
     UnknownProfileError,
     UnsupportedOperationError,
@@ -52,7 +53,7 @@ from .solver import (
     oracle_deviation,
     solve_full,
 )
-from .statespace import QuadratureRule
+from .statespace import QuadratureRule, as_count
 from .trace import SolutionTrace
 
 ORACLE_REL_TOL = 1e-6
@@ -341,7 +342,7 @@ class ProblemConfig:
     def materialize(self, seed: int = 0) -> FactoredEquation:
         # Builders run in config order (operators, then initial data), which
         # fixes the order of the random draws.
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(as_count(seed, "seed", low=0))
         operators = {label: build(rng, self.dimension) for label, build in self.operators.items()}
         factors = tuple(operators[label] for label in self.factor_labels)
         data = tuple(build(rng, self.dimension) for build in self.initial_data)
@@ -540,8 +541,6 @@ def write_csv(trace: SolutionTrace, path: str) -> None:
     Values use 17 significant digits, which round-trips float64 exactly;
     line endings are LF and output is deterministic byte for byte.
     """
-    if len(trace) == 0:
-        raise ValueError("refusing to write an empty trace")
     values = trace.values
     if np.iscomplexobj(values):
         imag_scale = float(np.max(np.abs(values.imag)))
@@ -698,7 +697,7 @@ def run_command(
         _lemma2_records(eq, float(config.t_end) / 2.0, report)
         return (0 if report.passed else 1), report
 
-    raise ValueError(f"unknown command {command!r}")
+    raise InvalidInputError(f"unknown command {command!r}")
 
 
 def main(argv=None) -> int:

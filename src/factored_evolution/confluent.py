@@ -55,6 +55,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidInputError,
     SingularMatrixError,
     SingularSystemError,
     UnsupportedOperationError,
@@ -70,7 +71,7 @@ from .operators import (
     resolvent_solve,
     shared_mode_basis,
 )
-from .statespace import as_state_vector, inf_norm, lu_apply, lu_factor_checked
+from .statespace import as_count, as_state_vector, inf_norm, lu_apply, lu_factor_checked
 
 # Desk-scale cap: binomials stay comfortably in exact integer range and the
 # scalar systems stay solvable in double precision.
@@ -96,14 +97,13 @@ class BlockOperatorMatrix:
 
     def __post_init__(self):
         if not self.grouped:
-            raise ValueError("grouped factor list must be non-empty")
+            raise InvalidInputError("grouped factor list must be non-empty")
         labels = [op.label for op, _ in self.grouped]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"grouped labels must be distinct, got {labels}")
+            raise InvalidInputError(f"grouped labels must be distinct, got {labels}")
         first = self.grouped[0][0]
         for op, mult in self.grouped:
-            if mult < 1:
-                raise ValueError(f"multiplicity of {op.label!r} must be >= 1")
+            as_count(mult, f"multiplicity of {op.label!r}")
             require_same_family(first, op)
         if self.n > MAX_ORDER:
             raise UnsupportedOperationError(
@@ -279,9 +279,10 @@ def build_confluent_matrix(grouped) -> BlockOperatorMatrix:
     multiplicities: the same grouping gets that matrix back with the
     factorization it has built, and consecutive solves on one operator set
     factorize ``M`` once.  Any other grouping builds a new matrix in its
-    place.
+    place.  Multiplicities are checked (:func:`statespace.as_count`) before
+    the lookup, where ``2.0`` or ``True`` would equal a kept ``2`` or ``1``.
     """
-    return _last_matrix(tuple((op, int(mult)) for op, mult in grouped))
+    return _last_matrix(tuple((op, as_count(mult, f"multiplicity of {op.label!r}")) for op, mult in grouped))
 
 
 _last_matrix = lru_cache(maxsize=1)(BlockOperatorMatrix)
@@ -302,7 +303,7 @@ def scalar_confluent_matrix(nodes, multiplicities) -> np.ndarray:
     nodes = np.asarray(nodes)
     multiplicities = list(multiplicities)
     if nodes.ndim != 1 or nodes.shape[0] != len(multiplicities):
-        raise ValueError("need exactly one scalar node per multiplicity")
+        raise InvalidInputError("need exactly one scalar node per multiplicity")
     dtype = np.complex128 if np.iscomplexobj(nodes) else np.float64
     return _confluent_blocks(nodes.astype(dtype).reshape(-1, 1, 1, 1), multiplicities)[0]
 

@@ -53,6 +53,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     ForcingTypeError,
+    InvalidInputError,
     NonCommutingFactorsError,
     NonFiniteError,
     OracleStepOverflowError,
@@ -65,7 +66,7 @@ from .operators import (
     require_same_family,
     shared_mode_basis,
 )
-from .statespace import _check_time_grid, as_state_stack, as_state_vector, is_index
+from .statespace import as_count, as_state_stack, as_state_vector, as_time_grid
 from .trace import SolutionTrace
 
 # Gate on the Frobenius norm of each pair's commutator
@@ -137,7 +138,7 @@ def group_factors(factors) -> list[tuple[Operator, int]]:
     """
     factors = list(factors)
     if not factors:
-        raise ValueError("factor list must be non-empty")
+        raise InvalidInputError("factor list must be non-empty")
     first = factors[0]
     seen: dict[str, Operator] = {}
     counts: dict[str, int] = {}
@@ -145,7 +146,7 @@ def group_factors(factors) -> list[tuple[Operator, int]]:
         require_same_family(first, op)
         if op.label in seen:
             if seen[op.label].signature() != op.signature():
-                raise ValueError(
+                raise InvalidInputError(
                     f"label {op.label!r} is used for two different operator actions"
                 )
             counts[op.label] += 1
@@ -329,14 +330,14 @@ def oracle_solve(
     component of the state is ``u(t)`` there; it goes back by
     :meth:`ModeBasis.from_modes`, real when the initial data and every
     forcing value are.  A ``steps_per_unit`` that is no integer ``>= 1``
-    (:func:`statespace.is_index`) raises ``ValueError``, a
-    grid whose steps sum to more than ``_ORACLE_STEP_BUDGET`` (a step count
-    past float range too) ``OracleStepOverflowError`` before the first
-    step, and an overflowing state ``NonFiniteError``.
+    (:func:`statespace.as_count`), or a refused grid (:func:`statespace.as_time_grid`),
+    raises :class:`InvalidInputError`, a grid whose steps sum to more than
+    ``_ORACLE_STEP_BUDGET`` (a step count past float range too)
+    ``OracleStepOverflowError`` before the first step, and an overflowing
+    state ``NonFiniteError``.
     """
-    if not is_index(steps_per_unit) or steps_per_unit < 1:
-        raise ValueError(f"steps_per_unit must be an integer >= 1, got {steps_per_unit!r}")
-    times = _check_time_grid(t_grid)
+    steps_per_unit = as_count(steps_per_unit, "steps_per_unit")
+    times = as_time_grid(t_grid)
     edges = np.concatenate([[0.0], times])
     with np.errstate(over="ignore"):  # inf past float range, which fails the budget
         counts = np.ceil(np.diff(edges) * float(steps_per_unit))

@@ -10,6 +10,11 @@ class FactoredEvolutionError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInputError(FactoredEvolutionError, ValueError):
+    """An argument breaks the input contract: a time, time grid or count that
+    the ``statespace.as_*`` coercions refuse, or another malformed argument."""
+
+
 class DimensionMismatchError(FactoredEvolutionError):
     """A vector or matrix does not match the dimension an operation expects."""
 

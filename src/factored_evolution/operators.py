@@ -74,19 +74,20 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidInputError,
     MixedBackendError,
     NotInvertibleError,
     SingularMatrixError,
-    UnsupportedOperationError,
 )
 from .statespace import (
+    as_count,
     as_state_stack,
     as_state_vector,
+    as_times,
     check_finite,
     checked_rows,
     exp_rows,
     expm_action,
-    is_index,
     lu_apply,
     lu_factor_checked,
     unitary_eigh,
@@ -204,7 +205,7 @@ class Operator(ABC):
 
     def __init__(self, label: str, dim: int, family: str):
         if not label:
-            raise ValueError("operator label must be a non-empty string")
+            raise InvalidInputError("operator label must be a non-empty string")
         self.label = label
         self.dim = dim
         self.family = family
@@ -220,9 +221,10 @@ class Operator(ABC):
         A 1-D array or sequence ``t`` with a stack ``v`` of shape ``(m,
         d)`` gives the rows ``e^{t_i A} v_i``, and every row with ``t_i =
         0`` is ``v_i``; a number or 0-d array ``t`` takes one state.
-        An overflowing row raises :class:`SemigroupOverflowError`, a NaN or
-        infinite time ``ValueError``, complex times (:meth:`propagate` takes
-        them) :class:`UnsupportedOperationError`.
+        Times of either sign go through :func:`statespace.as_times`: a NaN
+        or infinite one raises :class:`InvalidInputError`, complex ones
+        (:meth:`propagate` takes them) :class:`UnsupportedOperationError`;
+        an overflowing row raises :class:`SemigroupOverflowError`.
         """
 
     def rows(self, t: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,16 +263,10 @@ class Operator(ABC):
         time (``np.ndim(t) == 0``: a number or a 0-d array) goes through as
         one row, so its result has the dtype of that row; anything else is
         an array of times, one per state of the stack.  A NaN or infinite
-        time is refused first: it is no overflow."""
-        if np.iscomplexobj(t):  # refused before the cast below drops the imaginary part
-            raise UnsupportedOperationError(
-                f"semigroup of {self.label!r} takes real times; propagate takes complex ones"
-            )
-        if np.ndim(t) == 0:
-            return self._act(np.array([t], dtype=np.float64), as_state_vector(v, self.dim)[None])[0]
-        t = np.asarray(t, dtype=np.float64)
-        if not np.isfinite(t).all():
-            raise ValueError(f"semigroup of {self.label!r} needs finite times, got {t[~np.isfinite(t)][0]}")
+        time is refused first (:func:`statespace.as_times`): no overflow."""
+        t = as_times(t, f"t of the semigroup of {self.label!r}")
+        if t.ndim == 0:
+            return self._act(t[None], as_state_vector(v, self.dim)[None])[0]
         v = as_state_stack(v, self.dim)
         if t.shape != v.shape[:1]:
             raise DimensionMismatchError(
@@ -382,10 +378,9 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        if not is_index(self.n) or self.n < 2:
-            raise ValueError(f"grid needs an integer number of points, at least 2, got {self.n!r}")
+        as_count(self.n, "grid number of points", low=2)
         if not (np.isfinite(self.x0) and 0 < self.dx < np.inf):
-            raise ValueError(f"x0 must be finite and dx positive and finite, got {self.x0}, {self.dx}")
+            raise InvalidInputError(f"x0 must be finite and dx positive and finite, got {self.x0}, {self.dx}")
 
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)

@@ -40,10 +40,10 @@ from typing import Callable
 import numpy as np
 
 from .equation import FactoredEquation, Forcing
-from .errors import DimensionMismatchError, NotDoubleRootError
+from .errors import DimensionMismatchError, InvalidInputError, NotDoubleRootError
 from .operators import SpectralDiagonalOperator, TranslationOperator, UniformGrid
 from .solver import solve_full
-from .statespace import QuadratureRule
+from .statespace import QuadratureRule, as_count, as_time_grid
 from .trace import SolutionTrace
 
 DOUBLE_ROOT_RTOL = 1e-12
@@ -131,8 +131,7 @@ def example1_closed_form(p: Example1Problem, t_grid) -> np.ndarray:
     slope = op.apply(p.phi1)  # z1 * phi1'
     x = p.grid.points()
     rows = []
-    for t in np.asarray(t_grid, dtype=np.float64):
-        t = float(t)
+    for t in as_time_grid(t_grid).tolist():
         row = op.semigroup(t, p.phi1) + t * op.semigroup(t, p.phi2) - t * op.semigroup(t, slope)
         if p.forcing is not None and t > 0.0:
             pts, wts = QuadratureRule().nodes(0.0, t)
@@ -165,10 +164,10 @@ def _time_stencils(times: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nda
     """4th-order central stencils ``(u_t, u_tt)`` at the samples
     ``times[2:-2]`` of a uniform time grid of at least 5 samples."""
     if times.size < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
+        raise InvalidInputError("need at least 5 samples for the 4th-order stencil")
     h = np.diff(times)
     if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
-        raise ValueError("residual check needs a uniform time grid")
+        raise InvalidInputError("residual check needs a uniform time grid")
     h = float(h[0])
     u_t = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
     u_tt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
@@ -224,8 +223,7 @@ class Example2Problem:
     eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.num_modes < 1:
-            raise ValueError("num_modes must be >= 1")
+        as_count(self.num_modes, "num_modes")
         self.psi1_modes = np.asarray(self.psi1_modes, dtype=np.float64)
         self.psi2_modes = np.asarray(self.psi2_modes, dtype=np.float64)
         for name, arr in (("psi1_modes", self.psi1_modes), ("psi2_modes", self.psi2_modes)):
@@ -266,8 +264,7 @@ def example2_closed_form_modal(p: Example2Problem, t_grid) -> np.ndarray:
     beta1 = p.psi1_modes
     beta2 = p.psi2_modes - alpha * lam * p.psi1_modes
     rows = []
-    for t in np.asarray(t_grid, dtype=np.float64):
-        t = float(t)
+    for t in as_time_grid(t_grid).tolist():
         row = (beta1 + t * beta2) * np.exp(lam * alpha * t)
         if p.forcing_modes is not None and t > 0.0:
             pts, wts = QuadratureRule().nodes(0.0, t)
@@ -306,7 +303,7 @@ def example2_residual(p: Example2Problem, times, modal_values) -> float:
 
     Same stencil requirements as :func:`example1_residual`.
     """
-    times = np.asarray(times, dtype=np.float64)
+    times = as_time_grid(times, "times")
     beta = np.asarray(modal_values)
     b_t, b_tt = _time_stencils(times, beta)
     lam = p.eigenvalues

@@ -78,9 +78,9 @@ from .confluent import (
     solve_z_vector,
 )
 from .equation import ORACLE_STEPS_PER_UNIT, FactoredEquation, Forcing, oracle_solve
-from .errors import QuadratureUnderResolvedError, UnsupportedOperationError
+from .errors import InvalidInputError, QuadratureUnderResolvedError, UnsupportedOperationError
 from .operators import DEAD_MODE_RTOL, Operator, _times_rows, generator_blocks, require_same_family, resolvent_solve
-from .statespace import QuadratureRule, _check_time_grid, as_state_vector, check_finite, checked_rows, is_index
+from .statespace import QuadratureRule, as_count, as_state_vector, as_time_grid, as_times, check_finite, checked_rows
 from .trace import SolutionTrace
 
 # Quadrature error gates on the Gauss-Kronrod difference of one Duhamel
@@ -151,7 +151,7 @@ def solve_homogeneous(eq: FactoredEquation, t_grid) -> SolutionTrace:
     ``coefficient_residual``.
     """
     if eq.forcing is not None:
-        raise ValueError("solve_homogeneous needs an equation without forcing")
+        raise InvalidInputError("solve_homogeneous needs an equation without forcing")
     return solve_full(eq, t_grid)
 
 
@@ -282,9 +282,9 @@ def solve_inhomogeneous_zero_ic(eq: FactoredEquation, t_grid) -> SolutionTrace:
     formula itself does not need it).
     """
     if eq.forcing is None:
-        raise ValueError("solve_inhomogeneous_zero_ic needs a forcing term")
+        raise InvalidInputError("solve_inhomogeneous_zero_ic needs a forcing term")
     if any(np.any(x != 0) for x in eq.initial_data):
-        raise ValueError("solve_inhomogeneous_zero_ic needs zero initial data")
+        raise InvalidInputError("solve_inhomogeneous_zero_ic needs zero initial data")
     return solve_full(eq, t_grid)
 
 
@@ -317,7 +317,7 @@ def solve_full(eq: FactoredEquation, t_grid, rule: QuadratureRule | None = None)
     assembly is a plain sum, so superposition holds to roundoff by
     construction.
     """
-    times = _check_time_grid(t_grid)
+    times = as_time_grid(t_grid)
     matrix = build_confluent_matrix(eq.grouped)
     ys = solve_coefficients(matrix, eq.initial_data)
     diagnostics = {"coefficient_residual": ys.residual}
@@ -364,7 +364,9 @@ def compare_with_oracle(
     steps_per_unit: int = ORACLE_STEPS_PER_UNIT,
 ) -> tuple[SolutionTrace, SolutionTrace, float]:
     """Solve closed-form and by the companion oracle; returns
-    ``(trace, oracle_trace, rel_dev)`` with :func:`oracle_deviation`."""
+    ``(trace, oracle_trace, rel_dev)`` with :func:`oracle_deviation`; a bad
+    ``steps_per_unit`` is refused before the solve."""
+    as_count(steps_per_unit, "steps_per_unit")
     trace = solve_full(eq, t_grid, rule)
     reference = oracle_solve(eq, t_grid, steps_per_unit)
     return trace, reference, oracle_deviation(trace, reference)
@@ -447,19 +449,16 @@ def _lemma2_arguments(i_op: Operator, j_op: Operator, k: int, t: float, x) -> np
     """The one argument check of :func:`lemma2_lhs` and :func:`lemma2_rhs`,
     so that both sides refuse the same inputs: operators of one family and
     dimension, an integer ``0 <= k < MAX_ORDER`` (the left side solves
-    k + 1 repeated factors, capped as any equation's order is) and a finite
-    real ``t >= 0``; a complex ``t`` raises
-    :class:`UnsupportedOperationError` before any cast would drop its
-    imaginary part.  Returns ``x`` as a state vector."""
+    k + 1 repeated factors, capped as any equation's order is) and one time
+    ``t >= 0`` as :func:`statespace.as_times` takes it, so a complex ``t``
+    raises :class:`UnsupportedOperationError` and any other refused input
+    :class:`InvalidInputError`.  Returns ``x`` as a state vector."""
     require_same_family(i_op, j_op)
-    if not is_index(k) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    if k >= MAX_ORDER:
+    if as_count(k, "k", low=0) >= MAX_ORDER:
         raise UnsupportedOperationError(f"order {k + 1} exceeds the supported maximum {MAX_ORDER}")
-    if np.iscomplexobj(t):
-        raise UnsupportedOperationError(f"t must be a real time, got {t!r}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    horizon = as_times(t, "t")
+    if horizon.ndim != 0 or horizon < 0:
+        raise InvalidInputError(f"t must be one time >= 0, got {t!r}")
     return as_state_vector(x, i_op.dim)
 
 

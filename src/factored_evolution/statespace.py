@@ -1,4 +1,6 @@
-"""Dense linear-algebra and integration kernel shared by all backends.
+"""Dense linear-algebra and integration kernel shared by all backends, and
+the package's one input contract: every entry point coerces its times, time
+grids, counts and states here (``as_*``), so all refuse the same inputs.
 
 State vectors are plain 1-D numpy arrays (float64, or complex128 where a
 backend needs it) and matrices are 2-D arrays.  This module wraps the few
@@ -23,6 +25,7 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
+    InvalidInputError,
     NonFiniteError,
     SemigroupOverflowError,
     SingularMatrixError,
@@ -62,82 +65,80 @@ MAX_NODES_PER_PANEL = 500
 _LU_SOLVE_LOCK = threading.Lock()
 
 
-def as_state_vector(v, dim: int) -> np.ndarray:
-    """Coerce ``v`` to a finite 1-D float64/complex128 array.
+def as_times(t, what: str) -> np.ndarray:
+    """``t`` as finite float64 times of any shape, ``what`` naming it in the
+    error: complex times raise :class:`UnsupportedOperationError` before a
+    cast would drop their imaginary parts, and anything but an array of
+    finite integers or floats (bools, strings, ``None``, ragged lists)
+    :class:`InvalidInputError`."""
+    try:
+        times = np.asarray(t)
+    except ValueError as exc:  # ragged
+        raise InvalidInputError(f"{what} must be real times: {exc}") from exc
+    if times.dtype.kind == "c":
+        raise UnsupportedOperationError(f"{what} must be real times, got complex ones")
+    if times.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must be real times, got dtype {times.dtype}")
+    times = times.astype(np.float64, copy=False)
+    if not np.isfinite(times).all():
+        raise InvalidInputError(f"{what} must be finite, got {times[~np.isfinite(times)][0]}")
+    return times
 
-    Raises
-    ------
-    DimensionMismatchError
-        If ``v`` is not 1-D or its length differs from ``dim``.
-    NonFiniteError
-        If ``v`` contains NaN or Inf entries.
-    """
-    arr = np.asarray(v)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D state vector, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=False)
-    else:
-        arr = arr.astype(np.float64, copy=False)
-    if arr.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[0]}")
-    check_finite(arr, "state vector")
-    return arr
+
+def as_time_grid(t_grid, what: str = "t_grid") -> np.ndarray:
+    """Sample times: :func:`as_times` that are also a non-empty 1-D
+    sequence, non-negative and strictly increasing."""
+    times = as_times(t_grid, what)
+    if times.ndim != 1 or times.size == 0:
+        raise InvalidInputError(f"{what} must be a non-empty 1-D sequence, got shape {times.shape}")
+    if times[0] < 0 or not np.all(np.diff(times) > 0):
+        raise InvalidInputError(f"{what} must be non-negative and strictly increasing")
+    return times
+
+
+def as_count(value, what: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int in ``[low, high]`` (no upper bound for ``None``):
+    an integer, numpy's too, but no bool; else :class:`InvalidInputError`."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInputError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def as_state_vector(v, dim: int) -> np.ndarray:
+    """``v`` as a finite 1-D float64/complex128 array of length ``dim``
+    (:func:`_as_states`)."""
+    return _as_states(v, dim, 1)
 
 
 def as_state_stack(rows, dim: int) -> np.ndarray:
-    """Coerce ``rows`` (an ``(m, dim)`` array, or m state vectors) to a
-    finite float64/complex128 stack, checked as :func:`as_state_vector`
-    checks one vector.
+    """``rows`` (an ``(m, dim)`` array, or m state vectors) as a finite
+    float64/complex128 stack (:func:`_as_states`)."""
+    return _as_states(rows, dim, 2)
 
-    Raises
-    ------
-    DimensionMismatchError
-        If a row is not a 1-D vector of length ``dim``.
-    NonFiniteError
-        If an entry is NaN or Inf.
-    """
+
+def _as_states(v, dim: int, ndim: int) -> np.ndarray:
+    """The one body of :func:`as_state_vector` and :func:`as_state_stack`:
+    ``v`` as complex128 if it is complex, else float64; a shape other than
+    ``ndim`` axes, the last ``dim`` long, raises
+    :class:`DimensionMismatchError`, a NaN or Inf :class:`NonFiniteError`."""
     try:
-        arr = np.asarray(rows)
+        arr = np.asarray(v)
     except ValueError as exc:  # rows of different lengths
         raise DimensionMismatchError(f"state vectors differ in length: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"expected a stack of state vectors of dimension {dim}, got shape {arr.shape}"
-        )
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=False)
-    else:
-        arr = arr.astype(np.float64, copy=False)
+    if arr.ndim != ndim or arr.shape[-1:] != (dim,):
+        what = "a state vector" if ndim == 1 else "a stack of state vectors"
+        raise DimensionMismatchError(f"expected {what} of dimension {dim}, got shape {arr.shape}")
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     check_finite(arr, "state vector")
     return arr
-
-
-def _check_time_grid(t_grid) -> np.ndarray:
-    """Sample times as a float array; must be non-empty, 1-D, finite,
-    non-negative and strictly increasing.  Complex times raise
-    :class:`UnsupportedOperationError` before the cast would drop their
-    imaginary parts."""
-    if np.iscomplexobj(t_grid):
-        raise UnsupportedOperationError("t_grid must hold real times, got complex ones")
-    times = np.asarray(t_grid, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(times)) or times[0] < 0 or not np.all(np.diff(times) > 0):
-        raise ValueError("t_grid must be finite, non-negative and strictly increasing")
-    return times
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise :class:`NonFiniteError` if ``arr`` has NaN/Inf entries."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
-
-
-def is_index(value) -> bool:
-    """Whether ``value`` is an integer count: integral, so that
-    ``operator.index`` takes it, and no bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def inf_norm(a) -> float:
@@ -312,12 +313,15 @@ def expm_action(a: np.ndarray, eig) -> Callable:
 
 
 def expm_apply(a, t: float, v) -> np.ndarray:
-    """Apply the matrix exponential: ``e^{t a} v``, through :func:`expm_action`."""
+    """``e^{t a} v`` for one real time ``t`` (:func:`as_times`), through :func:`expm_action`."""
     a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     v = as_state_vector(v, a.shape[0])
-    out = expm_action(a, unitary_eigh(a))(np.array([t], dtype=np.float64), v[None])[0]
+    t = as_times(t, "t")
+    if t.ndim != 0:
+        raise InvalidInputError(f"t must be one time, got shape {t.shape}")
+    out = expm_action(a, unitary_eigh(a))(t[None], v[None])[0]
     check_finite(out, "matrix exponential action")
     return out
 
@@ -331,11 +335,11 @@ def rk4_integrate(
 ) -> np.ndarray:
     """Integrate ``u' = f(t, u)`` from ``t0`` to ``t_end`` with classical RK4.
 
-    Fixed step size, deterministic for fixed inputs.  Raises
-    :class:`NonFiniteError` as soon as the state picks up NaN/Inf entries.
+    Fixed step size, deterministic for fixed inputs.  A ``steps`` that is
+    no integer ``>= 1`` (:func:`as_count`) raises :class:`InvalidInputError`,
+    and a state that picks up NaN/Inf entries :class:`NonFiniteError` at once.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = as_count(steps, "steps")
     u = np.array(u0, copy=True)
     u = u.astype(np.complex128 if np.iscomplexobj(u) else np.float64, copy=False)
     h = (t_end - t0) / steps
@@ -429,12 +433,8 @@ class QuadratureRule:
     nodes_per_panel: int = 8
 
     def __post_init__(self):
-        if not is_index(self.panels) or self.panels < 1:
-            raise ValueError(f"panels must be an integer >= 1, got {self.panels!r}")
-        if not is_index(self.nodes_per_panel) or not 1 <= self.nodes_per_panel <= MAX_NODES_PER_PANEL:
-            raise ValueError(
-                f"nodes_per_panel must be an integer in [1, {MAX_NODES_PER_PANEL}], got {self.nodes_per_panel!r}"
-            )
+        as_count(self.panels, "panels")
+        as_count(self.nodes_per_panel, "nodes_per_panel", high=MAX_NODES_PER_PANEL)
 
     @property
     def order(self) -> int:

@@ -7,13 +7,17 @@ from typing import Any
 
 import numpy as np
 
+from .errors import InvalidInputError
+from .statespace import as_time_grid
+
 
 @dataclass
 class SolutionTrace:
     """Solution samples ``values[i] = u(times[i])`` plus run diagnostics.
 
-    ``times`` must be strictly increasing.  ``diagnostics`` holds optional
-    per-run records under documented keys:
+    ``times`` is a grid :func:`statespace.as_time_grid` takes, as the
+    solvers' are, with one row of ``values`` per time.  ``diagnostics``
+    holds optional per-run records under documented keys:
 
     - ``coefficient_residual``: residual ``max_r ||(M y)_r - x_r||_inf`` of
       the coefficient solve, with ``M`` walked on ``y`` in the basis it was
@@ -36,16 +40,12 @@ class SolutionTrace:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
+        self.times = as_time_grid(self.times, "times")
         self.values = np.asarray(self.values)
-        if self.times.ndim != 1:
-            raise ValueError("times must be 1-D")
         if self.values.ndim != 2 or self.values.shape[0] != self.times.shape[0]:
-            raise ValueError(
+            raise InvalidInputError(
                 f"values shape {self.values.shape} does not match {self.times.shape[0]} samples"
             )
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
 
     @property
     def dim(self) -> int:

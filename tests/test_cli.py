@@ -977,6 +977,16 @@ class TestCommands:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "compare-oracle", "lemma2-check"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command):
+        # the seed is a count from 0 up (statespace.as_count): a negative one
+        # is bad input, not a failed check or a traceback from default_rng
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text())
+        assert main([command, str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == "error: InvalidInputError: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_command(parse_config(config_text()), "plot")
